@@ -189,6 +189,14 @@ if [[ $quick -eq 0 ]]; then
     exit 1
   }
   echo "net ablation OK: flow model fig7 max rel error ${fig7_err} (< 0.02)"
+  # The in-process golden test tolerates 1e-9 relative drift; the flow
+  # model's re-share must reproduce the committed bytes exactly, so a change
+  # to its float operations fails here even when it hides under that bound.
+  cmp "$adir/ablate_net.json" tests/goldens/ablate_net.json || {
+    echo "error: --golden --ablate-net output differs from tests/goldens/ablate_net.json" >&2
+    exit 1
+  }
+  echo "net ablation OK: ablate_net.json byte-identical to the golden"
   rm -rf "$adir"
 
   step "sweep executor: serial vs parallel byte-identity (binary level)"

@@ -19,6 +19,15 @@
 //! equal or smaller rate, and every flow is bottlenecked by at least one
 //! saturated link (`tests/properties.rs` pins these invariants).
 //!
+//! A re-share does not refill the whole link graph. [`FlowNet`] keeps a
+//! per-link count of started flows, so a flow that is alone on every link of
+//! its route — a component of its own, which the global fill would freeze at
+//! exactly the link capacity — gets that rate directly, and the fill runs
+//! only over the remaining flows and the links they touch, in reusable
+//! scratch. Progressive filling never couples disjoint components (a round
+//! freezes a flow only when one of its own links sits at the round's share),
+//! so the restricted fill produces the global fill's rates bit for bit.
+//!
 //! Everything is deterministic: flows live in id order, the allocator
 //! iterates in fixed order, and all times are rounded up to the engine's
 //! integer nanoseconds, so flow-model runs are bit-reproducible.
@@ -111,6 +120,53 @@ impl Route {
     }
 }
 
+impl AsRef<[u32]> for Route {
+    fn as_ref(&self) -> &[u32] {
+        self.as_slice()
+    }
+}
+
+/// How many started flows cross each link, kept up to date as flows start
+/// and drain so a re-share can tell alone flows from shared ones without
+/// scanning the link graph.
+#[derive(Clone, Debug)]
+struct LinkLoad {
+    flows: Vec<u32>,
+    /// Links crossed by two or more started flows.
+    shared: usize,
+}
+
+impl LinkLoad {
+    fn new(num_links: usize) -> LinkLoad {
+        LinkLoad { flows: vec![0; num_links], shared: 0 }
+    }
+
+    fn add(&mut self, route: &Route) {
+        for &l in route.as_slice() {
+            let n = &mut self.flows[l as usize];
+            *n += 1;
+            if *n == 2 {
+                self.shared += 1;
+            }
+        }
+    }
+
+    fn remove(&mut self, route: &Route) {
+        for &l in route.as_slice() {
+            let n = &mut self.flows[l as usize];
+            if *n == 2 {
+                self.shared -= 1;
+            }
+            *n -= 1;
+        }
+    }
+
+    /// Whether a started flow on `route` is the only flow on all its links.
+    fn alone(&self, route: &Route) -> bool {
+        self.shared == 0 || route.as_slice().iter().all(|&l| self.flows[l as usize] == 1)
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Flow {
     route: Route,
@@ -162,20 +218,34 @@ pub struct FlowNet {
     /// constant between mutations, so every poll at a settled state sees the
     /// same earliest transition. `None` = stale (recompute on next use).
     next_memo: Option<Option<SimTime>>,
+    /// Started flows per link: a flow counts from its start instant until it
+    /// drains.
+    load: LinkLoad,
+    /// Re-share scratch: the started flows that share a link, and their
+    /// routes, in id order.
+    shared_ids: Vec<FlowId>,
+    shared_routes: Vec<Route>,
+    fill: MaxMinFill,
 }
 
 impl FlowNet {
     /// Build a fluid network over the same link graph as
     /// [`Network::new`]`(spec, link_bw_bytes, link_latency)`.
     pub fn new(spec: TopologySpec, link_bw_bytes: f64, link_latency: SimTime) -> FlowNet {
+        let net = Network::new(spec, link_bw_bytes, link_latency);
+        let num_links = net.num_links();
         FlowNet {
-            net: Network::new(spec, link_bw_bytes, link_latency),
+            net,
             now: SimTime::ZERO,
             base: 0,
             slots: VecDeque::new(),
             live: Vec::new(),
             dirty: false,
             next_memo: None,
+            load: LinkLoad::new(num_links),
+            shared_ids: Vec::new(),
+            shared_routes: Vec::new(),
+            fill: MaxMinFill::new(num_links),
         }
     }
 
@@ -217,9 +287,10 @@ impl FlowNet {
         self.settle(now);
         let id = self.base + self.slots.len() as u64;
         let (links, len) = self.net.route_arr(src, dst);
+        let route = Route { links, len };
         let starts_at = depart.max(self.now);
         self.slots.push_back(Slot::InFlight(Flow {
-            route: Route { links, len },
+            route,
             remaining: (wire_bytes as f64).max(1.0),
             rate: 0.0,
             starts_at,
@@ -227,6 +298,7 @@ impl FlowNet {
         self.live.push(id);
         self.next_memo = None;
         if starts_at <= self.now {
+            self.load.add(&route);
             // Re-share lazily: no simulated time can pass before the next
             // settle/poll flushes, and a dense collective starts thousands of
             // flows at one instant.
@@ -252,9 +324,11 @@ impl FlowNet {
     }
 
     /// Drop a completed flow's record (after its delivery is consumed).
+    /// Panics if the flow has not finished: dropping an in-flight flow would
+    /// leave it in the fluid passes and its route in the link loads.
     pub fn consume(&mut self, id: FlowId) {
         let idx = self.index(id);
-        debug_assert!(matches!(self.slots[idx], Slot::Done(_)), "consume of unfinished flow {id}");
+        assert!(matches!(self.slots[idx], Slot::Done(_)), "consume of unfinished flow {id}");
         self.slots[idx] = Slot::Consumed;
         while matches!(self.slots.front(), Some(Slot::Consumed)) {
             self.slots.pop_front();
@@ -307,23 +381,27 @@ impl FlowNet {
                 break;
             }
             self.advance_fluid(t);
-            // Finishes: move drained flows out. Several flows draining at
-            // one instant re-share once, not once each.
-            let FlowNet { ref mut live, ref mut slots, base, now, .. } = *self;
+            // Finishes move drained flows out; pending flows whose start is
+            // this instant join the link loads (transitions are processed in
+            // time order, so no pending start lies before `now`). Several
+            // transitions at one instant re-share once, not once each.
+            let FlowNet { ref mut live, ref mut slots, ref mut load, base, now, .. } = *self;
             live.retain(|&id| {
                 let slot = &mut slots[(id - base) as usize];
                 let Slot::InFlight(f) = slot else {
                     unreachable!("live list holds only in-flight flows")
                 };
                 if f.starts_at <= now && f.remaining <= DONE_EPS_BYTES {
+                    load.remove(&f.route);
                     *slot = Slot::Done(now);
                     false
                 } else {
+                    if f.starts_at == now {
+                        load.add(&f.route);
+                    }
                     true
                 }
             });
-            // Starts activate implicitly (`starts_at <= now`); both kinds of
-            // transition change the fair shares.
             self.reallocate();
         }
         self.advance_fluid(to);
@@ -387,30 +465,47 @@ impl FlowNet {
         }
     }
 
-    /// Recompute the max-min fair rate of every started flow.
+    /// Recompute the max-min fair rate of every started flow: alone flows
+    /// take the full link rate, the rest share through one fill over the
+    /// links they touch.
     fn reallocate(&mut self) {
         self.dirty = false;
         self.next_memo = None;
-        let now = self.now;
-        let base = self.base;
-        let (started, rates) = {
-            let mut started: Vec<FlowId> = Vec::with_capacity(self.live.len());
-            let mut routes: Vec<&[u32]> = Vec::with_capacity(self.live.len());
-            for &id in &self.live {
-                let Slot::InFlight(f) = &self.slots[(id - base) as usize] else {
-                    unreachable!("live list holds only in-flight flows")
-                };
-                if f.starts_at <= now {
-                    started.push(id);
-                    routes.push(f.route.as_slice());
-                }
+        let FlowNet {
+            ref net,
+            ref live,
+            ref mut slots,
+            ref load,
+            ref mut shared_ids,
+            ref mut shared_routes,
+            ref mut fill,
+            base,
+            now,
+            ..
+        } = *self;
+        let link_bw = net.link_bw_bytes;
+        shared_ids.clear();
+        shared_routes.clear();
+        for &id in live {
+            let Slot::InFlight(f) = &mut slots[(id - base) as usize] else {
+                unreachable!("live list holds only in-flight flows")
+            };
+            if f.starts_at > now {
+                continue;
             }
-            let caps = vec![self.net.link_bw_bytes; self.net.num_links()];
-            let rates = max_min_fill(&caps, &routes);
-            (started, rates)
-        };
-        for (id, rate) in started.into_iter().zip(rates) {
-            let Slot::InFlight(f) = &mut self.slots[(id - base) as usize] else {
+            if load.alone(&f.route) {
+                f.rate = link_bw;
+            } else {
+                shared_ids.push(id);
+                shared_routes.push(f.route);
+            }
+        }
+        if shared_ids.is_empty() {
+            return;
+        }
+        let rates = fill.run(|_| link_bw, shared_routes);
+        for (&id, &rate) in shared_ids.iter().zip(rates) {
+            let Slot::InFlight(f) = &mut slots[(id - base) as usize] else {
                 unreachable!("started flow is in flight")
             };
             f.rate = rate;
@@ -442,56 +537,89 @@ fn eta(now: SimTime, remaining: f64, rate: f64) -> SimTime {
 pub fn max_min_rates(caps: &[f64], routes: &[Vec<usize>]) -> Vec<f64> {
     let routes32: Vec<Vec<u32>> =
         routes.iter().map(|r| r.iter().map(|&l| l as u32).collect()).collect();
-    max_min_fill(caps, &routes32)
+    MaxMinFill::new(caps.len()).run(|l| caps[l], &routes32).to_vec()
 }
 
-/// [`max_min_rates`] over any route representation — the form
-/// [`FlowNet::reallocate`] calls with borrowed inline routes, so a re-share
-/// never copies route storage.
-fn max_min_fill<R: AsRef<[u32]>>(caps: &[f64], routes: &[R]) -> Vec<f64> {
-    let mut rates = vec![0.0f64; routes.len()];
-    let mut frozen = vec![false; routes.len()];
-    let mut cap_left = caps.to_vec();
-    let mut crossing = vec![0u32; caps.len()];
-    for r in routes {
-        let r = r.as_ref();
-        debug_assert!(!r.is_empty(), "flows must cross at least one link");
-        for &l in r {
-            crossing[l as usize] += 1;
+/// Progressive-filling state reused across fills, so that
+/// [`FlowNet::reallocate`] allocates nothing once warm. Each fill touches
+/// only the links its flows cross; between fills every `crossing` count is
+/// zero.
+#[derive(Clone, Debug)]
+struct MaxMinFill {
+    /// Capacity left per link; meaningful only on `touched` links.
+    cap_left: Vec<f64>,
+    /// Unfrozen flows crossing each link.
+    crossing: Vec<u32>,
+    /// Links with unfrozen flows.
+    touched: Vec<u32>,
+    /// Indices of the unfrozen flows, ascending.
+    unfrozen: Vec<u32>,
+    rates: Vec<f64>,
+}
+
+impl MaxMinFill {
+    fn new(num_links: usize) -> MaxMinFill {
+        MaxMinFill {
+            cap_left: vec![0.0; num_links],
+            crossing: vec![0; num_links],
+            touched: Vec::new(),
+            unfrozen: Vec::new(),
+            rates: Vec::new(),
         }
     }
-    let mut unfrozen = routes.len();
-    while unfrozen > 0 {
-        // The most contended link sets this round's fair share.
-        let mut share = f64::INFINITY;
-        for (l, &n) in crossing.iter().enumerate() {
-            if n > 0 {
-                share = share.min(cap_left[l].max(0.0) / n as f64);
-            }
-        }
-        // Freeze every flow crossing a link at that share. At least the
-        // arg-min link's flows freeze (its computed share equals `share`
-        // bit-for-bit), so each round strictly shrinks the unfrozen set.
-        for (f, route) in routes.iter().enumerate() {
-            if frozen[f] {
-                continue;
-            }
-            let route = route.as_ref();
-            let bottlenecked = route
-                .iter()
-                .any(|&l| cap_left[l as usize].max(0.0) / crossing[l as usize] as f64 <= share);
-            if bottlenecked {
-                rates[f] = share;
-                frozen[f] = true;
-                unfrozen -= 1;
-                for &l in route {
-                    cap_left[l as usize] -= share;
-                    crossing[l as usize] -= 1;
+
+    /// The max-min fair rate of each of `routes` (non-empty link lists)
+    /// under link capacities `cap(l)`, as [`max_min_rates`] documents.
+    fn run<R: AsRef<[u32]>>(&mut self, cap: impl Fn(usize) -> f64, routes: &[R]) -> &[f64] {
+        let MaxMinFill { cap_left, crossing, touched, unfrozen, rates } = self;
+        rates.clear();
+        rates.resize(routes.len(), 0.0);
+        unfrozen.clear();
+        unfrozen.extend(0..routes.len() as u32);
+        touched.clear();
+        for r in routes {
+            let r = r.as_ref();
+            debug_assert!(!r.is_empty(), "flows must cross at least one link");
+            for &l in r {
+                if crossing[l as usize] == 0 {
+                    touched.push(l);
+                    cap_left[l as usize] = cap(l as usize);
                 }
+                crossing[l as usize] += 1;
             }
         }
+        while !unfrozen.is_empty() {
+            // The most contended link sets this round's fair share. `min`
+            // over these finite values is exact, so visiting links in touch
+            // order rather than index order yields the same bits.
+            let mut share = f64::INFINITY;
+            touched.retain(|&l| {
+                let n = crossing[l as usize];
+                if n > 0 {
+                    share = share.min(cap_left[l as usize].max(0.0) / n as f64);
+                }
+                n > 0
+            });
+            // Freeze every flow crossing a link at that share. At least the
+            // arg-min link's flows freeze (its computed share equals `share`
+            // bit-for-bit), so each round strictly shrinks the unfrozen set.
+            unfrozen.retain(|&f| {
+                let route = routes[f as usize].as_ref();
+                let bottlenecked = route
+                    .iter()
+                    .any(|&l| cap_left[l as usize].max(0.0) / crossing[l as usize] as f64 <= share);
+                if bottlenecked {
+                    rates[f as usize] = share;
+                    for &l in route {
+                        cap_left[l as usize] -= share;
+                        crossing[l as usize] -= 1;
+                    }
+                }
+                !bottlenecked
+            });
+        }
+        rates
     }
-    rates
 }
 
 #[cfg(test)]
@@ -639,6 +767,99 @@ mod tests {
         assert_ne!(a.state_fingerprint(), b.state_fingerprint());
         assert_eq!(finish(&mut b, fb), at);
         assert_eq!(a.state_fingerprint(), b.state_fingerprint());
+    }
+
+    /// Every started flow's rate, bit for bit, against one global
+    /// [`max_min_rates`] over all started routes. Returns how many started
+    /// flows are alone on their route and how many share a link.
+    fn assert_rates_match_global_fill(net: &mut FlowNet) -> (usize, usize) {
+        net.flush_rates();
+        let started: Vec<&Flow> = net
+            .live
+            .iter()
+            .map(|&id| match &net.slots[(id - net.base) as usize] {
+                Slot::InFlight(f) => f,
+                _ => unreachable!("live list holds only in-flight flows"),
+            })
+            .filter(|f| f.starts_at <= net.now)
+            .collect();
+        let routes: Vec<Vec<usize>> = started
+            .iter()
+            .map(|f| f.route.as_slice().iter().map(|&l| l as usize).collect())
+            .collect();
+        let caps = vec![net.net.link_bw_bytes; net.net.num_links()];
+        let want = max_min_rates(&caps, &routes);
+        for (f, w) in started.iter().zip(want) {
+            assert_eq!(f.rate.to_bits(), w.to_bits(), "route {:?} at {:?}", f.route, net.now);
+        }
+        let alone = started.iter().filter(|f| net.load.alone(&f.route)).count();
+        (alone, started.len() - alone)
+    }
+
+    #[test]
+    fn reshare_matches_the_global_fill_bit_for_bit() {
+        // A seeded schedule over the Tibidabo tree: bursts of flows at one
+        // instant, some departing later (rendezvous-style), between the
+        // nodes of two edge switches so node links and trunk members are
+        // shared. Polls land on transitions and between them.
+        let mut net = FlowNet::new(TopologySpec::tibidabo(), GBE, LAT);
+        let mut draw = {
+            let mut i = 0u64;
+            move |n: u64| {
+                i += 1;
+                des::mc::mix(0x5eed, i) % n
+            }
+        };
+        let mut outstanding: Vec<FlowId> = Vec::new();
+        let mut now = SimTime::ZERO;
+        let mut saw_mixed = false;
+        for step in 0.. {
+            if step < 500 && draw(4) == 0 {
+                for _ in 0..1 + draw(4) {
+                    let src = draw(96) as u32;
+                    let dst = (src + 1 + draw(95) as u32) % 96;
+                    let depart = if draw(3) == 0 {
+                        now + SimTime::from_micros(1 + draw(1_000))
+                    } else {
+                        now
+                    };
+                    outstanding.push(net.start(now, depart, src, dst, 1_000 + draw(100_000)));
+                }
+            } else if step >= 500 && outstanding.is_empty() {
+                break;
+            }
+            let mut wake = SimTime::MAX;
+            let mut i = 0;
+            while i < outstanding.len() {
+                match net.poll(now, outstanding[i]) {
+                    FlowStatus::Done { .. } => net.consume(outstanding.remove(i)),
+                    FlowStatus::InFlight { wake: w, .. } => {
+                        wake = wake.min(w);
+                        i += 1;
+                    }
+                }
+                let (alone, shared) = assert_rates_match_global_fill(&mut net);
+                saw_mixed |= alone > 0 && shared > 0;
+            }
+            // Next instant: the next transition, or an arbitrary earlier one.
+            now = if wake == SimTime::MAX {
+                now + SimTime::from_micros(1 + draw(500))
+            } else {
+                wake.min(now + SimTime::from_micros(1 + draw(400)))
+            };
+        }
+        assert!(saw_mixed, "some re-share must mix alone and shared flows");
+        assert_eq!(net.active(), 0);
+        assert!(net.load.flows.iter().all(|&n| n == 0), "link loads leak after drain");
+        assert_eq!(net.load.shared, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "consume of unfinished flow")]
+    fn consuming_an_unfinished_flow_panics() {
+        let mut net = star(2);
+        let id = net.start(SimTime::ZERO, SimTime::ZERO, 0, 1, 125_000_000);
+        net.consume(id);
     }
 
     #[test]

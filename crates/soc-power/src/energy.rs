@@ -4,7 +4,7 @@
 //! for the parallel region of the application").
 
 use serde::{Deserialize, Serialize};
-use soc_arch::{cached_kernel_time, Soc, WorkProfile};
+use soc_arch::{cached_kernel_time_fp, soc_fingerprint, Soc, WorkProfile};
 
 use crate::model::PowerModel;
 
@@ -30,9 +30,23 @@ pub fn kernel_energy(
     threads: u32,
     work: &WorkProfile,
 ) -> EnergyBreakdown {
+    kernel_energy_fp(soc_fingerprint(soc), soc, pm, f_ghz, threads, work)
+}
+
+/// [`kernel_energy`] for a caller that already fingerprinted `soc`
+/// ([`soc_fingerprint`]): formatting the fingerprint costs far more than a
+/// timing-cache hit, so a suite pays it once, not per kernel.
+fn kernel_energy_fp(
+    soc_fp: u64,
+    soc: &Soc,
+    pm: &PowerModel,
+    f_ghz: f64,
+    threads: u32,
+    work: &WorkProfile,
+) -> EnergyBreakdown {
     // Memoized: Figs 3/4 evaluate the same (platform, kernel, freq) cells
     // for both the speedup and the energy panels.
-    let t = cached_kernel_time(soc, f_ghz, threads, work);
+    let t = cached_kernel_time_fp(soc_fp, soc, f_ghz, threads, work);
     let active_cores = threads.min(soc.cores).max(1);
     let watts = pm.platform_power_w(f_ghz, active_cores, t.attained_bw_gbs, false);
     EnergyBreakdown { name: work.name, seconds: t.total_s, watts, joules: watts * t.total_s }
@@ -47,8 +61,9 @@ pub fn suite_energy(
     threads: u32,
     suite: &[WorkProfile],
 ) -> (f64, f64) {
+    let soc_fp = soc_fingerprint(soc);
     suite.iter().fold((0.0, 0.0), |(ts, js), w| {
-        let e = kernel_energy(soc, pm, f_ghz, threads, w);
+        let e = kernel_energy_fp(soc_fp, soc, pm, f_ghz, threads, w);
         (ts + e.seconds, js + e.joules)
     })
 }
