@@ -222,6 +222,21 @@ if [[ $quick -eq 0 ]]; then
     exit 1
   }
   echo "byte-identity OK (serial ${t_serial}s vs ${jobs}-worker ${t_parallel}s)"
+  # The in-process golden test tolerates 1e-9 relative drift, which would
+  # hide an inexact rounding or a reordered float expression. Every JSON
+  # artefact of the serial golden run must reproduce its committed golden
+  # byte for byte.
+  ngolden=0
+  for f in "$sdir"/*.json; do
+    name=$(basename "$f")
+    [[ $name == _* ]] && continue
+    cmp "$f" "tests/goldens/$name" || {
+      echo "error: --golden --serial $name differs from tests/goldens/$name" >&2
+      exit 1
+    }
+    ngolden=$((ngolden + 1))
+  done
+  echo "golden bytes OK: ${ngolden} JSON artefacts identical to tests/goldens/"
   grep -o 'sweep: .*' "$pdir/stderr.txt" || true
   # The speedup expectation only means something with real cores; CI boxes
   # with cgroup-limited cpu counts still enforce identity above.

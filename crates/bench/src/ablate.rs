@@ -14,6 +14,7 @@
 //! and are unaffected by `--net-model`.
 
 use cluster::Machine;
+use hpc_apps::hpl::HplShare;
 use serde::Serialize;
 use simmpi::NetModel;
 
@@ -93,18 +94,20 @@ pub struct AblateNet {
 }
 
 /// Regenerate one figure's observables under one model. Fig 6 and HPL run at
-/// the invocation's scales; Fig 7 always runs its six full panels.
+/// the invocation's scales, taking their HPL runs from `hpl`; Fig 7 always
+/// runs its six full panels.
 pub fn ablate_side(
     figure: &'static str,
     model: NetModel,
     fig6_nodes: &[u32],
     hpl_nodes: u32,
+    hpl: &HplShare,
 ) -> Result<AblateSide, simmpi::MpiFault> {
     let pin = Some(model);
     let points = match figure {
         "fig6" => {
             let m = Machine::tibidabo().with_net_model(pin);
-            hpc_apps::fig6(&m, fig6_nodes)
+            hpc_apps::fig6(&m, fig6_nodes, hpl)
                 .iter()
                 .flat_map(|s| {
                     s.points.iter().map(move |p| AblatePoint {
@@ -131,7 +134,7 @@ pub fn ablate_side(
             .collect(),
         "hpl" => {
             let m = Machine::tibidabo().with_net_model(pin);
-            let h = try_hpl_headline_on(&m, hpl_nodes)?;
+            let h = try_hpl_headline_on(&m, hpl_nodes, hpl)?;
             vec![
                 AblatePoint { label: format!("HPL|n={}/t", h.nodes), value: h.seconds },
                 AblatePoint { label: format!("HPL|n={}/gflops", h.nodes), value: h.gflops },
@@ -281,9 +284,12 @@ mod tests {
 
     #[test]
     fn ablate_side_small_hpl_runs_under_both_models() {
-        let ev = ablate_side("hpl", NetModel::Event, &[], 2).unwrap();
-        let fl = ablate_side("hpl", NetModel::Flow, &[], 2).unwrap();
+        let hpl = HplShare::default();
+        let ev = ablate_side("hpl", NetModel::Event, &[], 2, &hpl).unwrap();
+        let fl = ablate_side("hpl", NetModel::Flow, &[], 2, &hpl).unwrap();
         assert_eq!(ev.points.len(), fl.points.len());
+        // One job per model: the pinned models key distinct runs.
+        assert_eq!((hpl.requests(), hpl.simulated()), (2, 2));
         // The two models agree on the headline to a few percent even at a
         // toy scale — the merged artefact quantifies the exact gap.
         let merged = ablate_merge(vec![

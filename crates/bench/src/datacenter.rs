@@ -19,6 +19,7 @@
 
 use cluster::Machine;
 use des::{FaultPlan, FaultRates, SimTime};
+use hpc_apps::hpl::HplShare;
 use hpc_apps::AppId;
 use sched::{
     DcConfig, DcReport, DcSim, EasyBackfill, FairShare, Fcfs, JobKind, Policy, RuntimeModel,
@@ -126,8 +127,9 @@ pub struct DcValidation {
 pub fn datacenter_validation(target_nodes: u32) -> Result<DcValidation, simmpi::MpiFault> {
     let machine = Machine::tibidabo();
     let model = RuntimeModel::for_machine(&machine);
-    let anchor = hpc_apps::try_measure_scaling_cell(&machine, AppId::Hydro, 1)?;
-    let target = hpc_apps::try_measure_scaling_cell(&machine, AppId::Hydro, target_nodes)?;
+    let no_hpl = HplShare::default();
+    let anchor = hpc_apps::try_measure_scaling_cell(&machine, AppId::Hydro, 1, &no_hpl)?;
+    let target = hpc_apps::try_measure_scaling_cell(&machine, AppId::Hydro, target_nodes, &no_hpl)?;
     // run_secs(kind, 1, work) == node_speed · work, so the anchor pins work.
     let work = anchor.seconds / model.node_speed;
     let predicted = model.run_secs(JobKind::Stencil, target_nodes, work);

@@ -2,7 +2,7 @@
 //! latency-penalty estimates).
 
 use cluster::{green500, table4, Machine};
-use hpc_apps::hpl::HplConfig;
+use hpc_apps::hpl::{HplConfig, HplShare};
 use hpc_apps::{fig6 as fig6_series, ScalingSeries};
 use netsim::{penalty_table, PenaltyRow, ProtocolModel};
 use serde::Serialize;
@@ -66,7 +66,7 @@ pub struct Fig6 {
 /// quick runs).
 pub fn fig6(nodes: &[u32]) -> Fig6 {
     let m = Machine::tibidabo();
-    Fig6 { nodes: nodes.to_vec(), series: fig6_series(&m, nodes) }
+    Fig6 { nodes: nodes.to_vec(), series: fig6_series(&m, nodes, &HplShare::default()) }
 }
 
 impl Fig6 {
@@ -234,23 +234,22 @@ pub fn hpl_headline(nodes: u32) -> HplHeadline {
 /// [`hpl_headline`], surfacing the fault (watchdog event budget, injected
 /// crash, engine failure) that stopped the run instead of panicking.
 pub fn try_hpl_headline(nodes: u32) -> Result<HplHeadline, simmpi::MpiFault> {
-    try_hpl_headline_on(&Machine::tibidabo(), nodes)
+    try_hpl_headline_on(&Machine::tibidabo(), nodes, &HplShare::default())
 }
 
 /// [`try_hpl_headline`] on an explicit machine — lets the `--ablate-net`
 /// harness pin the machine's network model while keeping the same weak-scaling
-/// HPL configuration.
-pub fn try_hpl_headline_on(m: &Machine, nodes: u32) -> Result<HplHeadline, simmpi::MpiFault> {
+/// HPL configuration — with the run taken from `hpl` (the Fig 6 point of
+/// the same size is the same job).
+pub fn try_hpl_headline_on(
+    m: &Machine,
+    nodes: u32,
+    hpl: &HplShare,
+) -> Result<HplHeadline, simmpi::MpiFault> {
     let cfg = HplConfig::tibidabo_weak(nodes);
-    let spec = m.job(nodes);
-    let run = simmpi::run_mpi(spec, move |mut r| async move {
-        let s = r.now();
-        hpc_apps::hpl::hpl_rank(&mut r, &cfg).await;
-        (r.now() - s).as_secs_f64()
-    })?;
-    let seconds = run.results.iter().cloned().fold(0.0, f64::max);
-    let gflops = cfg.flops() / seconds / 1e9;
-    let green = green500(m, &run, nodes, 1.0, gflops);
+    let run = hpl.run(m.job(nodes), cfg)?;
+    let (seconds, gflops) = (run.result.seconds, run.result.gflops);
+    let green = green500(m, &run.run, nodes, 1.0, gflops);
     Ok(HplHeadline {
         nodes,
         n: cfg.n,

@@ -14,10 +14,18 @@
 //!
 //! Wall-clock timings and cache counters are nondeterministic and live only
 //! in [`SweepStats`] — they never enter an artefact.
+//!
+//! Fig 6's HPL points, the HPL headline, the resilience baselines and the
+//! network ablation all report fault-free HPL runs, often of the same job.
+//! A plan owns one [`HplShare`] that those cells read, so each distinct job
+//! simulates once per plan; a cell reads it only on its first execution, so
+//! a supervisor retry or verification re-run simulates afresh.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use hpc_apps::hpl::HplShare;
 use hpc_apps::{AppId, ScalingMeasurement};
 use soc_arch::{cache_counters, Platform};
 
@@ -27,7 +35,9 @@ use crate::datacenter::{
     datacenter_cell, datacenter_study_from, datacenter_validation, DcValidation, DATACENTER_CASES,
 };
 use crate::fig345::{fig34_base_energy, fig34_series_for, fig5_rows_for, SweepSeries};
-use crate::fig67::{fig7_cases, fig7_panel, try_hpl_headline, Fig6, Fig7, Fig7Panel, HplHeadline};
+use crate::fig67::{
+    fig7_cases, fig7_panel, try_hpl_headline_on, Fig6, Fig7, Fig7Panel, HplHeadline,
+};
 use crate::resilience::{
     resilience_cell, resilience_contrast, resilience_grid, resilience_study_from, ResilienceCell,
     ResilienceContrast,
@@ -160,6 +170,30 @@ pub struct ArtefactOut {
 
 type MergeFn = Box<dyn FnOnce(Vec<CellOutput>) -> ArtefactOut + Send>;
 
+/// One cell's access to its plan's [`HplShare`]. The cell's first execution
+/// reads the share; any re-execution — a supervisor retry, or the
+/// determinism re-run of a recovered cell — gets a fresh, empty share and
+/// simulates its jobs itself, so a shared result never stands in for a run
+/// the supervisor asked to repeat.
+struct HplTicket {
+    share: Arc<HplShare>,
+    used: AtomicBool,
+}
+
+impl HplTicket {
+    fn new(share: &Arc<HplShare>) -> HplTicket {
+        HplTicket { share: Arc::clone(share), used: AtomicBool::new(false) }
+    }
+
+    fn with<R>(&self, f: impl FnOnce(&HplShare) -> R) -> R {
+        if self.used.swap(true, Ordering::Relaxed) {
+            f(&HplShare::default())
+        } else {
+            f(&self.share)
+        }
+    }
+}
+
 struct ArtefactSpec {
     key: &'static str,
     /// JSON file stem this artefact persists under `--json` (statically
@@ -174,6 +208,7 @@ struct ArtefactSpec {
 /// canonical paper order.
 pub struct RunPlan {
     artefacts: Vec<ArtefactSpec>,
+    hpl: Arc<HplShare>,
 }
 
 fn json_of<T: serde::Serialize>(value: &T) -> String {
@@ -262,7 +297,7 @@ fn fig5_artefact() -> ArtefactSpec {
     }
 }
 
-fn fig6_artefact(nodes: Vec<u32>) -> ArtefactSpec {
+fn fig6_artefact(nodes: Vec<u32>, hpl: &Arc<HplShare>) -> ArtefactSpec {
     // One cell per (application, runnable node count): the grid the paper's
     // Fig 6 wall time is actually spent on, so it parallelises across both
     // axes. The merge regroups by application in Table 3 order.
@@ -272,8 +307,10 @@ fn fig6_artefact(nodes: Vec<u32>) -> ArtefactSpec {
     for (app, counts) in &apps {
         let app = *app;
         for &n in counts {
+            let ticket = HplTicket::new(hpl);
             cells.push(Cell::new(format!("fig6/{app:?}/n={n}"), move || {
-                match hpc_apps::try_measure_scaling_cell(&cluster::Machine::tibidabo(), app, n) {
+                let machine = cluster::Machine::tibidabo();
+                match ticket.with(|h| hpc_apps::try_measure_scaling_cell(&machine, app, n, h)) {
                     Ok(m) => CellOutput::Scaling(m),
                     Err(e) => CellOutput::Failed(e.to_string()),
                 }
@@ -340,13 +377,17 @@ fn fig7_artefact() -> ArtefactSpec {
     }
 }
 
-fn hpl_artefact(nodes: u32) -> ArtefactSpec {
+fn hpl_artefact(nodes: u32, hpl: &Arc<HplShare>) -> ArtefactSpec {
+    let ticket = HplTicket::new(hpl);
+    let machine = cluster::Machine::tibidabo();
     ArtefactSpec {
         key: "hpl",
         json_stem: Some("hpl_headline"),
-        cells: vec![Cell::new(format!("hpl/n={nodes}"), move || match try_hpl_headline(nodes) {
-            Ok(h) => CellOutput::Hpl(Box::new(h)),
-            Err(e) => CellOutput::Failed(e.to_string()),
+        cells: vec![Cell::new(format!("hpl/n={nodes}"), move || {
+            match ticket.with(|h| try_hpl_headline_on(&machine, nodes, h)) {
+                Ok(h) => CellOutput::Hpl(Box::new(h)),
+                Err(e) => CellOutput::Failed(e.to_string()),
+            }
         })],
         merge: Box::new(|mut outs| {
             let h = match outs.pop() {
@@ -362,12 +403,16 @@ fn hpl_artefact(nodes: u32) -> ArtefactSpec {
     }
 }
 
-fn resilience_artefact(sizes: Vec<u32>) -> ArtefactSpec {
+fn resilience_artefact(sizes: Vec<u32>, hpl: &Arc<HplShare>) -> ArtefactSpec {
     let mut cells: Vec<Cell<CellOutput>> = resilience_grid(&sizes)
         .into_iter()
         .map(|(nodes, incidence, seed)| {
+            let ticket = HplTicket::new(hpl);
             Cell::new(format!("resilience/n={nodes}/i={incidence}"), move || {
-                CellOutput::ResCell(Box::new(resilience_cell(nodes, incidence, seed)))
+                match ticket.with(|h| resilience_cell(nodes, incidence, seed, h)) {
+                    Ok(c) => CellOutput::ResCell(Box::new(c)),
+                    Err(e) => CellOutput::Failed(e.to_string()),
+                }
             })
         })
         .collect();
@@ -400,7 +445,7 @@ fn resilience_artefact(sizes: Vec<u32>) -> ArtefactSpec {
     }
 }
 
-fn ablate_net_artefact(scales: &RunScales) -> ArtefactSpec {
+fn ablate_net_artefact(scales: &RunScales, hpl: &Arc<HplShare>) -> ArtefactSpec {
     // One cell per (figure, model): six independent regenerations, each
     // pinning its model on the job spec, merged into the accuracy table.
     let mut cells = Vec::new();
@@ -408,8 +453,9 @@ fn ablate_net_artefact(scales: &RunScales) -> ArtefactSpec {
         for model in [netsim::NetModel::Event, netsim::NetModel::Flow] {
             let fig6_nodes = scales.fig6_nodes.clone();
             let hpl_nodes = scales.hpl_nodes;
+            let ticket = HplTicket::new(hpl);
             cells.push(Cell::new(format!("ablate-net/{figure}/{}", model.name()), move || {
-                match ablate_side(figure, model, &fig6_nodes, hpl_nodes) {
+                match ticket.with(|h| ablate_side(figure, model, &fig6_nodes, hpl_nodes, h)) {
                     Ok(s) => CellOutput::Ablate(Box::new(s)),
                     Err(e) => CellOutput::Failed(e.to_string()),
                 }
@@ -486,6 +532,7 @@ impl RunPlan {
     pub fn from_items(items: &[String], scales: &RunScales) -> RunPlan {
         let want = |k: &str| items.iter().any(|i| i == "all" || i == k);
         let mut artefacts = Vec::new();
+        let hpl = Arc::new(HplShare::default());
 
         if want("fig1") {
             artefacts.push(ArtefactSpec {
@@ -546,7 +593,7 @@ impl RunPlan {
             artefacts.push(text_artefact("table3", crate::table3_render));
         }
         if want("fig6") {
-            artefacts.push(fig6_artefact(scales.fig6_nodes.clone()));
+            artefacts.push(fig6_artefact(scales.fig6_nodes.clone(), &hpl));
         }
         if want("fig7") {
             artefacts.push(fig7_artefact());
@@ -555,7 +602,7 @@ impl RunPlan {
             artefacts.push(text_artefact("table4", crate::table4_render));
         }
         if want("hpl") {
-            artefacts.push(hpl_artefact(scales.hpl_nodes));
+            artefacts.push(hpl_artefact(scales.hpl_nodes, &hpl));
         }
         if want("latency-penalty") {
             artefacts.push(text_artefact("latency-penalty", crate::latency_penalty_render));
@@ -583,10 +630,10 @@ impl RunPlan {
             });
         }
         if want("resilience") {
-            artefacts.push(resilience_artefact(scales.resilience_sizes.clone()));
+            artefacts.push(resilience_artefact(scales.resilience_sizes.clone(), &hpl));
         }
         if want("ablate-net") {
-            artefacts.push(ablate_net_artefact(scales));
+            artefacts.push(ablate_net_artefact(scales, &hpl));
         }
         if want("datacenter") {
             artefacts.push(datacenter_artefact(
@@ -594,7 +641,14 @@ impl RunPlan {
                 scales.datacenter_validation_nodes,
             ));
         }
-        RunPlan { artefacts }
+        RunPlan { artefacts, hpl }
+    }
+
+    /// The plan's shared fault-free HPL runs (see [`HplShare`]); its
+    /// counters tell how many jobs the plan's cells requested and how many
+    /// it simulated.
+    pub fn hpl_share(&self) -> Arc<HplShare> {
+        Arc::clone(&self.hpl)
     }
 
     /// Total number of scenario cells this plan will execute.
@@ -845,6 +899,24 @@ mod tests {
             assert_eq!(a.blocks, b.blocks, "{} render diverged", a.key);
             assert_eq!(a.json, b.json, "{} JSON diverged", a.key);
         }
+    }
+
+    #[test]
+    fn only_a_cells_first_execution_reads_the_plan_share() {
+        // A supervisor retry or the determinism re-run of a recovered cell
+        // must simulate again, not read back the result it is checking.
+        let share = Arc::new(HplShare::default());
+        let ticket = HplTicket::new(&share);
+        let cfg = hpc_apps::hpl::HplConfig::tibidabo_weak(2);
+        let job = || cluster::Machine::tibidabo().job(2);
+        let first = ticket.with(|h| h.run(job(), cfg).unwrap());
+        let again = ticket.with(|h| h.run(job(), cfg).unwrap());
+        assert_eq!((share.requests(), share.simulated()), (1, 1));
+        assert!(!Arc::ptr_eq(&first, &again), "the re-execution reused the shared run");
+        assert_eq!(first.result.seconds.to_bits(), again.result.seconds.to_bits());
+        // The plan's share still answers other cells from its one run.
+        assert!(Arc::ptr_eq(&first, &share.run(job(), cfg).unwrap()));
+        assert_eq!((share.requests(), share.simulated()), (2, 1));
     }
 
     #[test]

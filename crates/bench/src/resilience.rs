@@ -23,11 +23,11 @@
 
 use cluster::{EccRisk, FaultCalibration, Machine};
 use des::{FaultEvent, FaultKind, FaultPlan, SimTime};
-use hpc_apps::hpl::HplConfig;
-use hpc_apps::resilience::{run_hpl_resilient, ResilienceConfig};
+use hpc_apps::hpl::{HplConfig, HplShare};
+use hpc_apps::resilience::{run_hpl_resilient, run_hpl_resilient_with_baseline, ResilienceConfig};
 use netsim::TopologySpec;
 use serde::Serialize;
-use simmpi::JobSpec;
+use simmpi::{JobSpec, MpiFault};
 use soc_arch::Platform;
 
 use crate::table::{f, render_table};
@@ -100,7 +100,13 @@ fn sweep_calibration() -> FaultCalibration {
     }
 }
 
-fn sweep_cell(m: &Machine, nodes: u32, incidence: f64, seed: u64) -> ResilienceCell {
+fn sweep_cell(
+    m: &Machine,
+    nodes: u32,
+    incidence: f64,
+    seed: u64,
+    hpl: &HplShare,
+) -> Result<ResilienceCell, MpiFault> {
     let cfg = HplConfig::tibidabo_weak(nodes);
     let nblk = cfg.n.div_ceil(cfg.nb);
     let rc = ResilienceConfig {
@@ -120,8 +126,10 @@ fn sweep_cell(m: &Machine, nodes: u32, incidence: f64, seed: u64) -> ResilienceC
     let rates = sweep_calibration().rates(&EccRisk::tibidabo(incidence));
     let plan = FaultPlan::generate(seed, m.nodes(), horizon, &rates);
 
-    let rep = run_hpl_resilient(m.job(nodes), cfg, &rc, &plan);
-    ResilienceCell {
+    // The fault-free baseline is the Fig 6 HPL job of the same size.
+    let clean_secs = hpl.run(m.job(nodes), cfg)?.result.seconds;
+    let rep = run_hpl_resilient_with_baseline(m.job(nodes), cfg, &rc, &plan, clean_secs);
+    Ok(ResilienceCell {
         nodes,
         incidence,
         completed: rep.completed,
@@ -133,7 +141,7 @@ fn sweep_cell(m: &Machine, nodes: u32, incidence: f64, seed: u64) -> ResilienceC
         total_secs: rep.total_secs,
         inflation: rep.completed.then_some(rep.inflation),
         checkpoint_secs: rep.checkpoint_secs,
-    }
+    })
 }
 
 /// The Execute-mode checkpoint-vs-scratch demonstration: a crash lands in
@@ -182,9 +190,15 @@ pub fn resilience_grid(sizes: &[u32]) -> Vec<(u32, f64, u64)> {
     grid
 }
 
-/// Run one grid cell on the Tibidabo model.
-pub fn resilience_cell(nodes: u32, incidence: f64, seed: u64) -> ResilienceCell {
-    sweep_cell(&Machine::tibidabo(), nodes, incidence, seed)
+/// Run one grid cell on the Tibidabo model, taking the fault-free baseline
+/// from `hpl`; fails only if that baseline run does.
+pub fn resilience_cell(
+    nodes: u32,
+    incidence: f64,
+    seed: u64,
+    hpl: &HplShare,
+) -> Result<ResilienceCell, MpiFault> {
+    sweep_cell(&Machine::tibidabo(), nodes, incidence, seed, hpl)
 }
 
 /// Assemble the study artefact from externally-computed cells (in
@@ -204,9 +218,12 @@ pub fn resilience_study_from(
 /// cell, so the whole study is bit-reproducible.
 pub fn resilience_study(sizes: &[u32]) -> ResilienceStudy {
     let m = Machine::tibidabo();
+    let hpl = HplShare::default();
     let cells = resilience_grid(sizes)
         .into_iter()
-        .map(|(nodes, incidence, seed)| sweep_cell(&m, nodes, incidence, seed))
+        .map(|(nodes, incidence, seed)| {
+            sweep_cell(&m, nodes, incidence, seed, &hpl).expect("fault-free baseline must complete")
+        })
         .collect();
     resilience_study_from(cells, resilience_contrast())
 }

@@ -26,8 +26,8 @@
 //!
 //! Event-driven processes must suspend **only** through the engine's leaf
 //! futures; awaiting a foreign future that returns `Pending` without
-//! scheduling a des event would strand the process (debug builds assert on
-//! this).
+//! scheduling a des event would strand the process, so the engine panics
+//! when a poll returns `Pending` without a suspension request.
 //!
 //! Cross-process signalling is intentionally minimal: [`ProcCtx::wake_at`] /
 //! [`Context::wake_at`] schedule a wake-up for a *parked* process.
@@ -44,6 +44,7 @@ use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::task::{Context as TaskContext, Poll, Waker};
@@ -250,7 +251,6 @@ struct ProcSlot {
 }
 
 struct State {
-    now: SimTime,
     seq: u64,
     queue: BinaryHeap<Event>,
     procs: Vec<ProcSlot>,
@@ -269,8 +269,37 @@ impl State {
     }
 }
 
+/// How a process suspends: what its leaf primitive asks the scheduler for.
+#[derive(Clone, Copy, Debug)]
+enum Suspend {
+    /// `advance`: sleep until the given absolute time.
+    Sleep(SimTime),
+    /// `park`: wait for a peer's wake.
+    Park,
+    /// `park_until`: wait for a peer's wake or the deadline.
+    ParkUntil(SimTime),
+}
+
+const SUSPEND_NONE: u8 = 0;
+const SUSPEND_SLEEP: u8 = 1;
+const SUSPEND_PARK: u8 = 2;
+const SUSPEND_PARK_UNTIL: u8 = 3;
+
 struct Shared {
     state: Mutex<State>,
+    /// Current virtual time in nanoseconds. Only the dispatching thread
+    /// writes it, while it holds the state lock and no process runs; a
+    /// process reads it without the lock (it runs on the dispatching thread,
+    /// or — thread-backed — after the resume handshake, which orders the
+    /// write before the read). The sharded coordinator reads it between
+    /// windows, after the barrier.
+    now: AtomicU64,
+    /// The suspension an event-driven process requested during the current
+    /// poll ([`Suspend`] kind and time), handed to the dispatcher instead of
+    /// being applied under the state lock from inside the poll. Written and
+    /// read on the dispatching thread only, so relaxed atomics suffice.
+    suspend_kind: AtomicU8,
+    suspend_at: AtomicU64,
     yield_tx: Sender<()>,
     /// Installed before any spawn and immutable afterwards, so reading it
     /// without the state lock is race-free.
@@ -288,6 +317,39 @@ struct Shared {
 }
 
 impl Shared {
+    /// The current virtual time, read without the state lock.
+    #[inline]
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.now.load(Ordering::Relaxed))
+    }
+
+    /// Record the suspension the polled process asks for; the dispatcher
+    /// applies it ([`apply_suspend`]) under its next state lock.
+    #[inline]
+    fn request_suspend(&self, s: Suspend) {
+        let (kind, at) = match s {
+            Suspend::Sleep(until) => (SUSPEND_SLEEP, until),
+            Suspend::Park => (SUSPEND_PARK, SimTime::ZERO),
+            Suspend::ParkUntil(deadline) => (SUSPEND_PARK_UNTIL, deadline),
+        };
+        self.suspend_at.store(at.as_nanos(), Ordering::Relaxed);
+        self.suspend_kind.store(kind, Ordering::Relaxed);
+    }
+
+    /// Take (and clear) the suspension recorded during the last poll.
+    #[inline]
+    fn take_suspend(&self) -> Option<Suspend> {
+        let at = SimTime::from_nanos(self.suspend_at.load(Ordering::Relaxed));
+        let kind = self.suspend_kind.load(Ordering::Relaxed);
+        self.suspend_kind.store(SUSPEND_NONE, Ordering::Relaxed);
+        match kind {
+            SUSPEND_NONE => None,
+            SUSPEND_SLEEP => Some(Suspend::Sleep(at)),
+            SUSPEND_PARK => Some(Suspend::Park),
+            _ => Some(Suspend::ParkUntil(at)),
+        }
+    }
+
     /// Stamp and forward one **scheduler** event to the installed tracer.
     /// Takes a closure so event construction (and any allocation in it) is
     /// skipped entirely unless the tracer wants [`TraceClass::Proc`] events
@@ -305,7 +367,7 @@ impl Shared {
         if let Some(t) = &self.tracer {
             let seq = st.trace_seq;
             st.trace_seq += 1;
-            t.record(TraceRecord { at: st.now, seq, event });
+            t.record(TraceRecord { at: self.now(), seq, event });
         }
     }
 }
@@ -340,6 +402,10 @@ pub struct Engine {
     /// Abort the run with [`SimError::EventBudgetExhausted`] once this many
     /// events have been dispatched. `None` = unlimited (the default).
     event_budget: Option<u64>,
+    /// The suspension the last polled event process asked for, applied at
+    /// the start of the next dispatch under the same state lock that pops
+    /// the next event — one lock per dispatched event.
+    handoff: Option<(Pid, Suspend)>,
 }
 
 // The sweep harness constructs one engine per scenario cell and drives it on
@@ -367,7 +433,6 @@ impl Engine {
         Engine {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
-                    now: SimTime::ZERO,
                     seq: 0,
                     queue: BinaryHeap::new(),
                     procs: Vec::new(),
@@ -375,6 +440,9 @@ impl Engine {
                     events_dispatched: 0,
                     trace_seq: 0,
                 }),
+                now: AtomicU64::new(0),
+                suspend_kind: AtomicU8::new(SUSPEND_NONE),
+                suspend_at: AtomicU64::new(0),
                 yield_tx,
                 tracer: None,
                 trace_mask: TraceFilter::NONE,
@@ -384,6 +452,7 @@ impl Engine {
             threads: Vec::new(),
             tasks: Vec::new(),
             event_budget: None,
+            handoff: None,
         }
     }
 
@@ -450,8 +519,7 @@ impl Engine {
         let traced_name = self.shared.trace_mask.procs.then(|| name.clone());
         st.procs.push(ProcSlot { name, status: Status::Ready, gen: 0, kind, panic_message: None });
         st.live += 1;
-        let at = st.now;
-        st.push_event(at, pid, 0);
+        st.push_event(self.shared.now(), pid, 0);
         if let Some(name) = traced_name {
             self.shared.trace_with(&mut st, || TraceEvent::ProcSpawn { pid, name });
         }
@@ -630,7 +698,7 @@ impl Engine {
                 let events = st.events_dispatched;
                 self.shared.trace_with(st, || TraceEvent::BudgetExhausted { events, budget });
                 return Err(SimError::EventBudgetExhausted {
-                    at: st.now,
+                    at: self.shared.now(),
                     events,
                     budget,
                     parked: Self::live_process_diag(st),
@@ -653,7 +721,8 @@ impl Engine {
                     }
                 }
                 None => {
-                    return Err(SimError::Deadlock { at: st.now, parked: Self::parked_names(st) })
+                    let at = self.shared.now();
+                    return Err(SimError::Deadlock { at, parked: Self::parked_names(st) });
                 }
             }
         }
@@ -677,7 +746,8 @@ impl Engine {
                     break ev;
                 }
                 None => {
-                    return Err(SimError::Deadlock { at: st.now, parked: Self::parked_names(st) })
+                    let at = self.shared.now();
+                    return Err(SimError::Deadlock { at, parked: Self::parked_names(st) });
                 }
             }
         };
@@ -715,9 +785,12 @@ impl Engine {
         loop {
             let resume = {
                 let mut st = self.shared.state.lock();
+                if let Some((pid, s)) = self.handoff.take() {
+                    apply_suspend(&self.shared, &mut st, pid, s);
+                }
                 if st.live == 0 {
                     return Ok(RunReport {
-                        end_time: st.now,
+                        end_time: self.shared.now(),
                         events: st.events_dispatched,
                         processes: st.procs.len() as u32,
                     });
@@ -727,26 +800,14 @@ impl Engine {
                     None => self.next_event(&mut st)?,
                 };
                 if mc.is_none() {
-                    debug_assert!(ev.at >= st.now, "event queue went backwards in time");
+                    debug_assert!(ev.at >= self.shared.now(), "event queue went backwards in time");
                 }
-                // `max` semantics: a model-checking controller may dispatch
-                // an event that was pushed back behind a slightly later one
-                // (bounded timing skew); virtual time still never reverses.
-                if ev.at > st.now {
-                    st.now = ev.at;
-                }
-                let slot = &mut st.procs[ev.pid.index()];
-                slot.status = Status::Running;
-                slot.gen += 1;
-                let resume = match &slot.kind {
-                    ProcKind::Thread { resume_tx } => Resume::Thread(resume_tx.clone(), ev.pid),
-                    ProcKind::Event => Resume::Event(ev.pid),
-                };
-                self.shared.trace_with(&mut st, || TraceEvent::ProcResume { pid: ev.pid });
+                let resume = start_dispatch(&self.shared, &mut st, &ev);
                 if let Some(ctl) = &mc {
-                    let hash = mc_engine_hash(&st);
-                    if !ctl.observe_dispatch(ev.pid.index(), ev.seq, st.now, hash) {
-                        return Err(SimError::Interrupted { at: st.now });
+                    let now = self.shared.now();
+                    let hash = mc_engine_hash(&st, now);
+                    if !ctl.observe_dispatch(ev.pid.index(), ev.seq, now, hash) {
+                        return Err(SimError::Interrupted { at: now });
                     }
                 }
                 resume
@@ -781,19 +842,23 @@ impl Engine {
                 // wake a task from outside, so a no-op waker suffices.
                 let mut cx = TaskContext::from_waker(Waker::noop());
                 let polled = panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
+                let suspend = self.shared.take_suspend();
                 match polled {
                     Ok(Poll::Pending) => {
-                        // The leaf primitive already recorded the new
-                        // status (Sleeping/Parked) and scheduled whatever
-                        // event will resume us.
-                        debug_assert!(
-                            self.shared.state.lock().procs[pid.index()].status != Status::Running,
+                        // The leaf primitive recorded its suspension; the
+                        // next dispatch applies it under its own lock.
+                        assert!(
+                            suspend.is_some(),
                             "event process returned Pending without blocking on a des primitive"
                         );
+                        self.handoff = suspend.map(|s| (pid, s));
                         self.tasks[pid.index()] = Some(fut);
                     }
                     Ok(Poll::Ready(())) => {
                         let mut st = self.shared.state.lock();
+                        if let Some(s) = suspend {
+                            apply_suspend(&self.shared, &mut st, pid, s);
+                        }
                         st.procs[pid.index()].status = Status::Finished;
                         st.live -= 1;
                         self.shared.trace_with(&mut st, || TraceEvent::ProcFinish { pid });
@@ -833,6 +898,9 @@ impl Engine {
         loop {
             let resume = {
                 let mut st = self.shared.state.lock();
+                if let Some((pid, s)) = self.handoff.take() {
+                    apply_suspend(&self.shared, &mut st, pid, s);
+                }
                 if st.live == 0 {
                     return Ok(());
                 }
@@ -853,19 +921,8 @@ impl Engine {
                         break ev;
                     }
                 };
-                debug_assert!(ev.at >= st.now, "event queue went backwards in time");
-                if ev.at > st.now {
-                    st.now = ev.at;
-                }
-                let slot = &mut st.procs[ev.pid.index()];
-                slot.status = Status::Running;
-                slot.gen += 1;
-                let resume = match &slot.kind {
-                    ProcKind::Thread { resume_tx } => Resume::Thread(resume_tx.clone(), ev.pid),
-                    ProcKind::Event => Resume::Event(ev.pid),
-                };
-                self.shared.trace_with(&mut st, || TraceEvent::ProcResume { pid: ev.pid });
-                resume
+                debug_assert!(ev.at >= self.shared.now(), "event queue went backwards in time");
+                start_dispatch(&self.shared, &mut st, &ev)
             };
             self.execute_resume(resume)?;
         }
@@ -894,7 +951,7 @@ impl Engine {
                 }
             }
             RunReport {
-                end_time: st.now,
+                end_time: self.shared.now(),
                 events: st.events_dispatched,
                 processes: st.procs.len() as u32,
             }
@@ -910,6 +967,49 @@ impl Engine {
 enum Resume {
     Thread(SyncSender<()>, Pid),
     Event(Pid),
+}
+
+/// Hand the engine to the process owning `ev`: advance the clock to the
+/// event, mark the process running in a new generation, trace the resume.
+fn start_dispatch(shared: &Shared, st: &mut State, ev: &Event) -> Resume {
+    // `max` semantics: a model-checking controller may dispatch an event
+    // that was pushed back behind a slightly later one (bounded timing
+    // skew); virtual time still never reverses.
+    if ev.at > shared.now() {
+        shared.now.store(ev.at.as_nanos(), Ordering::Relaxed);
+    }
+    let slot = &mut st.procs[ev.pid.index()];
+    slot.status = Status::Running;
+    slot.gen += 1;
+    let resume = match &slot.kind {
+        ProcKind::Thread { resume_tx } => Resume::Thread(resume_tx.clone(), ev.pid),
+        ProcKind::Event => Resume::Event(ev.pid),
+    };
+    shared.trace_with(st, || TraceEvent::ProcResume { pid: ev.pid });
+    resume
+}
+
+/// Suspend process `pid` as its leaf primitive asked: the status change,
+/// the timer event (if any) and the trace record, in that order.
+fn apply_suspend(shared: &Shared, st: &mut State, pid: Pid, s: Suspend) {
+    let slot = &mut st.procs[pid.index()];
+    let gen = slot.gen;
+    match s {
+        Suspend::Sleep(until) => {
+            slot.status = Status::Sleeping;
+            st.push_event(until, pid, gen);
+            shared.trace_with(st, || TraceEvent::ProcSleep { pid, until });
+        }
+        Suspend::Park => {
+            slot.status = Status::Parked;
+            shared.trace_with(st, || TraceEvent::ProcPark { pid, deadline: None });
+        }
+        Suspend::ParkUntil(deadline) => {
+            slot.status = Status::Parked;
+            st.push_event(deadline.max(shared.now()), pid, gen);
+            shared.trace_with(st, || TraceEvent::ProcPark { pid, deadline: Some(deadline) });
+        }
+    }
 }
 
 /// A cloneable view of one engine's scheduler state, used by the sharded
@@ -950,7 +1050,7 @@ impl EngineHandle {
 
     /// The shard's current virtual time.
     pub(crate) fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        self.shared.now()
     }
 
     /// Status-annotated names of unfinished processes (deadlock reports).
@@ -968,7 +1068,7 @@ impl EngineHandle {
     /// as a multiset). Used by window checkpoints: equal hashes at aligned
     /// barriers certify that a replay reproduced the scheduler state.
     pub(crate) fn state_hash(&self) -> u64 {
-        mc_engine_hash(&self.shared.state.lock())
+        mc_engine_hash(&self.shared.state.lock(), self.shared.now())
     }
 
     /// Emit one coordinator-level trace event (e.g. a window checkpoint or a
@@ -1015,8 +1115,9 @@ impl ProcCtx {
     }
 
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        self.shared.now()
     }
 
     /// Advance this process's virtual time by `dt` (models computation or a
@@ -1099,8 +1200,9 @@ impl ProcCtx {
 }
 
 fn wake_at_impl(shared: &Shared, target: Pid, at: SimTime) {
+    let now = shared.now();
+    assert!(at >= now, "wake_at into the past ({at} < {now})");
     let mut st = shared.state.lock();
-    assert!(at >= st.now, "wake_at into the past ({} < {})", at, st.now);
     let gen = {
         let slot = &st.procs[target.index()];
         assert!(
@@ -1128,7 +1230,7 @@ fn wake_at_impl(shared: &Shared, target: Pid, at: SimTime) {
 /// so runs reaching the same relative state by different tie orders or at
 /// shifted times can merge; resume counts (`gen`) keep successive
 /// iterations of a process loop from aliasing.
-fn mc_engine_hash(st: &State) -> u64 {
+fn mc_engine_hash(st: &State, now: SimTime) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (i, p) in st.procs.iter().enumerate() {
         let code = match p.status {
@@ -1141,7 +1243,7 @@ fn mc_engine_hash(st: &State) -> u64 {
         h = mc::mix(h, (i as u64) << 3 | code);
         h = mc::mix(h, p.gen);
     }
-    let now = st.now.as_nanos();
+    let now = now.as_nanos();
     let mut qh = 0u64;
     for ev in st.queue.iter() {
         if Engine::is_stale(st, ev) {
@@ -1155,9 +1257,9 @@ fn mc_engine_hash(st: &State) -> u64 {
 
 /// Future of [`ProcCtx::advance`].
 ///
-/// First poll: schedules the timer event (identically to the thread-backed
-/// `Context::advance`) and suspends. Second poll (when that event
-/// dispatches): resolves.
+/// First poll: asks the dispatcher to schedule the timer event (identically
+/// to the thread-backed `Context::advance`) and suspends. Second poll (when
+/// that event dispatches): resolves.
 #[must_use = "futures do nothing unless awaited"]
 pub struct Advance<'a> {
     ctx: &'a ProcCtx,
@@ -1172,16 +1274,8 @@ impl Future for Advance<'_> {
             return Poll::Ready(());
         }
         self.suspended = true;
-        let ctx = self.ctx;
-        let mut st = ctx.shared.state.lock();
-        let at = st.now + self.dt;
-        let slot_gen = {
-            let slot = &mut st.procs[ctx.pid.index()];
-            slot.status = Status::Sleeping;
-            slot.gen
-        };
-        st.push_event(at, ctx.pid, slot_gen);
-        ctx.shared.trace_with(&mut st, || TraceEvent::ProcSleep { pid: ctx.pid, until: at });
+        let shared = &self.ctx.shared;
+        shared.request_suspend(Suspend::Sleep(shared.now() + self.dt));
         Poll::Pending
     }
 }
@@ -1200,10 +1294,7 @@ impl Future for Park<'_> {
             return Poll::Ready(());
         }
         self.suspended = true;
-        let ctx = self.ctx;
-        let mut st = ctx.shared.state.lock();
-        st.procs[ctx.pid.index()].status = Status::Parked;
-        ctx.shared.trace_with(&mut st, || TraceEvent::ProcPark { pid: ctx.pid, deadline: None });
+        self.ctx.shared.request_suspend(Suspend::Park);
         Poll::Pending
     }
 }
@@ -1225,19 +1316,7 @@ impl Future for ParkUntil<'_> {
             return Poll::Ready(ctx.now() < self.deadline);
         }
         self.suspended = true;
-        let deadline = self.deadline;
-        let mut st = ctx.shared.state.lock();
-        let at = deadline.max(st.now);
-        let slot_gen = {
-            let slot = &mut st.procs[ctx.pid.index()];
-            slot.status = Status::Parked;
-            slot.gen
-        };
-        st.push_event(at, ctx.pid, slot_gen);
-        ctx.shared.trace_with(&mut st, || TraceEvent::ProcPark {
-            pid: ctx.pid,
-            deadline: Some(deadline),
-        });
+        ctx.shared.request_suspend(Suspend::ParkUntil(self.deadline));
         Poll::Pending
     }
 }
@@ -1261,8 +1340,9 @@ impl Context {
     }
 
     /// Current virtual time.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().now
+        self.shared.now()
     }
 
     /// Advance this process's virtual time by `dt` (models computation or a
@@ -1271,18 +1351,7 @@ impl Context {
         if dt == SimTime::ZERO {
             return;
         }
-        {
-            let mut st = self.shared.state.lock();
-            let at = st.now + dt;
-            let slot_gen = {
-                let slot = &mut st.procs[self.pid.index()];
-                slot.status = Status::Sleeping;
-                slot.gen
-            };
-            st.push_event(at, self.pid, slot_gen);
-            self.shared.trace_with(&mut st, || TraceEvent::ProcSleep { pid: self.pid, until: at });
-        }
-        self.yield_and_wait();
+        self.suspend(Suspend::Sleep(self.now() + dt));
     }
 
     /// Advance to an absolute virtual time (no-op if already past it).
@@ -1297,13 +1366,7 @@ impl Context {
     /// process. Virtual time does not advance on this process's account while
     /// parked; it resumes at whatever time the waker chose.
     pub fn park(&self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.procs[self.pid.index()].status = Status::Parked;
-            self.shared
-                .trace_with(&mut st, || TraceEvent::ProcPark { pid: self.pid, deadline: None });
-        }
-        self.yield_and_wait();
+        self.suspend(Suspend::Park);
     }
 
     /// Park with a timeout: block until another process wakes this one, or
@@ -1316,21 +1379,7 @@ impl Context {
     /// "no answer by t" semantic. A `deadline` at or before the current time
     /// resumes immediately with `false`.
     pub fn park_until(&self, deadline: SimTime) -> bool {
-        {
-            let mut st = self.shared.state.lock();
-            let at = deadline.max(st.now);
-            let slot_gen = {
-                let slot = &mut st.procs[self.pid.index()];
-                slot.status = Status::Parked;
-                slot.gen
-            };
-            st.push_event(at, self.pid, slot_gen);
-            self.shared.trace_with(&mut st, || TraceEvent::ProcPark {
-                pid: self.pid,
-                deadline: Some(deadline),
-            });
-        }
-        self.yield_and_wait();
+        self.suspend(Suspend::ParkUntil(deadline));
         self.now() < deadline
     }
 
@@ -1348,6 +1397,13 @@ impl Context {
     /// "wake only if waiting" protocols).
     pub fn is_parked(&self, target: Pid) -> bool {
         self.shared.state.lock().procs[target.index()].status == Status::Parked
+    }
+
+    /// Apply `s` under the state lock, then hand control back to the engine
+    /// until it resumes this process.
+    fn suspend(&self, s: Suspend) {
+        apply_suspend(&self.shared, &mut self.shared.state.lock(), self.pid, s);
+        self.yield_and_wait();
     }
 
     fn yield_and_wait(&self) {
@@ -1853,6 +1909,83 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| matches!(r.event, TraceEvent::BudgetExhausted { events: 20, budget: 20 })));
+    }
+
+    /// Pins the dispatcher's exact proc-class trace — kind, pid, virtual
+    /// time, emission sequence and the time each suspension names — for a
+    /// program that sleeps, parks, is woken twice (the later wake goes
+    /// stale), times out in `park_until`, and advances by zero.
+    #[test]
+    fn dispatcher_trace_is_pinned() {
+        use crate::trace::{RingRecorder, TraceEvent};
+        let rec = Arc::new(RingRecorder::with_capacity(64));
+        let mut eng = Engine::new().with_tracer(rec.clone());
+        let a = eng.spawn_process("a", |ctx| async move {
+            ctx.advance(SimTime::from_micros(5)).await;
+            ctx.park().await;
+            assert_eq!(ctx.now(), SimTime::from_micros(20));
+            ctx.advance(SimTime::ZERO).await;
+            assert!(!ctx.park_until(SimTime::from_micros(25)).await);
+            assert_eq!(ctx.now(), SimTime::from_micros(25));
+        });
+        eng.spawn_process("b", move |ctx| async move {
+            ctx.advance(SimTime::from_micros(10)).await;
+            ctx.wake_at(a, SimTime::from_micros(20));
+            ctx.wake_at(a, SimTime::from_micros(30));
+            ctx.advance(SimTime::from_micros(40)).await;
+        });
+        let report = eng.run().unwrap();
+        assert_eq!(report.end_time, SimTime::from_micros(50));
+        // Four dispatches of `a`, three of `b`, and the stale wake.
+        assert_eq!(report.events, 8);
+
+        let us = |t: SimTime| t.as_nanos() / 1_000;
+        let got: Vec<(&str, u32, u64, u64, Option<u64>)> = rec
+            .drain()
+            .iter()
+            .map(|r| {
+                let (pid, t) = match &r.event {
+                    TraceEvent::ProcSpawn { pid, .. }
+                    | TraceEvent::ProcResume { pid }
+                    | TraceEvent::ProcFinish { pid } => (pid.0, None),
+                    TraceEvent::ProcSleep { pid, until } => (pid.0, Some(us(*until))),
+                    TraceEvent::ProcPark { pid, deadline } => (pid.0, deadline.map(us)),
+                    TraceEvent::ProcWake { target, at } => (target.0, Some(us(*at))),
+                    other => panic!("unexpected record {other:?}"),
+                };
+                (r.event.kind(), pid, us(r.at), r.seq, t)
+            })
+            .collect();
+        let want = vec![
+            ("proc_spawn", 0, 0, 0, None),
+            ("proc_spawn", 1, 0, 1, None),
+            ("proc_resume", 0, 0, 2, None),
+            ("proc_sleep", 0, 0, 3, Some(5)),
+            ("proc_resume", 1, 0, 4, None),
+            ("proc_sleep", 1, 0, 5, Some(10)),
+            ("proc_resume", 0, 5, 6, None),
+            ("proc_park", 0, 5, 7, None),
+            ("proc_resume", 1, 10, 8, None),
+            ("proc_wake", 0, 10, 9, Some(20)),
+            ("proc_wake", 0, 10, 10, Some(30)),
+            ("proc_sleep", 1, 10, 11, Some(50)),
+            ("proc_resume", 0, 20, 12, None),
+            // The zero advance emits nothing; the wake at 30 dispatches stale.
+            ("proc_park", 0, 20, 13, Some(25)),
+            ("proc_resume", 0, 25, 14, None),
+            ("proc_finish", 0, 25, 15, None),
+            ("proc_resume", 1, 50, 16, None),
+            ("proc_finish", 1, 50, 17, None),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "event process returned Pending without blocking on a des primitive")]
+    fn pending_without_a_des_primitive_panics() {
+        let mut eng = Engine::new();
+        eng.spawn_process("stray", |_ctx| std::future::pending::<()>());
+        let _ = eng.run();
     }
 
     #[test]

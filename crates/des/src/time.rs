@@ -65,7 +65,7 @@ impl SimTime {
         if ns >= u64::MAX as f64 {
             SimTime::MAX
         } else {
-            SimTime(ns.round() as u64)
+            SimTime(round_half_up(ns))
         }
     }
 
@@ -130,6 +130,17 @@ impl SimTime {
             rhs
         }
     }
+}
+
+/// `ns.round() as u64` for `0 <= ns < 2^64`, without the libm call that
+/// `f64::round` compiles to on baseline x86-64: truncate, then round up when
+/// the dropped fraction is at least one half. Exact: below 2^53 the
+/// subtraction `ns - t` incurs no rounding error, and from 2^52 up `ns` is
+/// already integral, so the fraction is exactly zero.
+#[inline]
+fn round_half_up(ns: f64) -> u64 {
+    let t = ns as u64;
+    t + (ns - t as f64 >= 0.5) as u64
 }
 
 impl Add for SimTime {
@@ -208,6 +219,103 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `from_secs_f64` as it was with `f64::round`: the reference the
+    /// integer rounding must reproduce bit for bit.
+    fn reference(s: f64) -> SimTime {
+        if s.is_nan() || s <= 0.0 {
+            return SimTime::ZERO;
+        }
+        let ns = s * 1e9;
+        if ns >= u64::MAX as f64 {
+            SimTime::MAX
+        } else {
+            SimTime(ns.round() as u64)
+        }
+    }
+
+    #[test]
+    fn round_half_up_matches_f64_round_at_the_boundaries() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let below_2_64 = (u64::MAX as f64).next_down();
+        let mut cases = vec![
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE,
+            0.5f64.next_down(),
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            below_2_64,
+        ];
+        // Exact half-nanoseconds and their neighbours, up to the last
+        // half-integer f64 can hold (2^52 - 0.5).
+        for k in [0u64, 1, 2, 3, 1_000, 123_456_789, (1 << 40) + 7, (1 << 52) - 1] {
+            let half = k as f64 + 0.5;
+            cases.extend([half, half.next_down(), half.next_up(), k as f64]);
+        }
+        // Every integer-spaced value between 2^52 and 2^53.
+        cases.extend((0..64u64).map(|i| two52 + (i * 0x1_0000_0001) as f64));
+        for ns in cases {
+            assert_eq!(round_half_up(ns), ns.round() as u64, "ns = {ns:e}");
+        }
+        assert_eq!(round_half_up(below_2_64), below_2_64 as u64);
+    }
+
+    #[test]
+    fn f64_conversion_matches_reference_on_special_values() {
+        let cases = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1.5e-9,
+            2.5e-9,
+            u64::MAX as f64 / 1e9,
+            (u64::MAX as f64).next_down() / 1e9,
+            f64::MAX,
+        ];
+        for s in cases {
+            assert_eq!(SimTime::from_secs_f64(s), reference(s), "s = {s:e}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn f64_conversion_matches_reference_on_any_bits(bits in 0u64..u64::MAX) {
+            let s = f64::from_bits(bits);
+            prop_assert_eq!(SimTime::from_secs_f64(s), reference(s));
+        }
+
+        #[test]
+        fn f64_conversion_matches_reference_on_model_durations(s in 0.0f64..1.0e4) {
+            prop_assert_eq!(SimTime::from_secs_f64(s), reference(s));
+        }
+
+        #[test]
+        fn f64_conversion_matches_reference_near_half_nanoseconds(
+            k in 0u64..(1u64 << 53),
+            nudge in 0u64..3,
+        ) {
+            let half = k as f64 + 0.5;
+            let ns = [half.next_down(), half, half.next_up()][nudge as usize];
+            prop_assert_eq!(round_half_up(ns), ns.round() as u64);
+            let s = ns / 1e9;
+            prop_assert_eq!(SimTime::from_secs_f64(s), reference(s));
+        }
+    }
 
     #[test]
     fn construction_round_trips() {

@@ -14,7 +14,11 @@
 //! compute — that is what reproduces the 96-node weak-scaling numbers
 //! (97 GFLOPS, 51% efficiency).
 
-use simmpi::{JobSpec, Msg, Rank, ReduceOp};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use simmpi::{JobSpec, MpiFault, MpiRun, Msg, Rank};
 use soc_arch::{AccessPattern, WorkProfile};
 
 use crate::mode::Mode;
@@ -453,27 +457,80 @@ async fn verify(
     Some(r_inf / (eps * (a_inf * x_inf + b_inf) * n as f64))
 }
 
-/// Run HPL on a job spec; returns the aggregate result, or the fault (node
-/// crash, timeout, watchdog budget, engine failure) that stopped the run.
-pub fn try_run_hpl(spec: JobSpec, cfg: HplConfig) -> Result<HplResult, simmpi::MpiFault> {
-    let cfg_c = cfg;
-    let run = simmpi::run_mpi(spec, move |mut r| async move {
-        let t0 = r.now();
-        let residual = hpl_rank(&mut r, &cfg_c).await;
-        let dt = (r.now() - t0).as_secs_f64();
-        // Propagate the factorisation time (max over ranks).
-        let tmax = r.allreduce(ReduceOp::Max, vec![dt]).await;
-        (tmax[0], residual)
-    })?;
-    let seconds = run.results[0].0;
-    let residual = run.results[0].1;
-    Ok(HplResult { seconds, gflops: cfg.flops() / seconds / 1e9, residual })
+/// A finished HPL job: the aggregate result plus the simulated run behind
+/// it, whose per-rank busy tallies energy accounting reads. Each rank's
+/// result is its factorisation time and (rank 0, Execute mode) residual.
+#[derive(Debug)]
+pub struct HplRun {
+    /// The aggregate result.
+    pub result: HplResult,
+    /// The simulated job.
+    pub run: MpiRun<(f64, Option<f64>)>,
 }
 
-/// [`try_run_hpl`] for callers on a clean (fault-free, unbudgeted) spec,
-/// where a failure is a programming error.
+/// Run HPL on a job spec: every rank runs [`hpl_rank`] and reports its
+/// factorisation time, and the job's time is the slowest rank's. Returns the
+/// run, or the fault (node crash, timeout, watchdog budget, engine failure)
+/// that stopped it.
+pub fn try_run_hpl(spec: JobSpec, cfg: HplConfig) -> Result<HplRun, MpiFault> {
+    let run = simmpi::run_mpi(spec, move |mut r| async move {
+        let t0 = r.now();
+        let residual = hpl_rank(&mut r, &cfg).await;
+        ((r.now() - t0).as_secs_f64(), residual)
+    })?;
+    let seconds = run.results.iter().map(|r| r.0).fold(0.0, f64::max);
+    let residual = run.results[0].1;
+    Ok(HplRun { result: HplResult { seconds, gflops: cfg.flops() / seconds / 1e9, residual }, run })
+}
+
+/// [`try_run_hpl`]'s result for callers on a clean (fault-free,
+/// unbudgeted) spec, where a failure is a programming error.
 pub fn run_hpl(spec: JobSpec, cfg: HplConfig) -> HplResult {
-    try_run_hpl(spec, cfg).expect("HPL run failed")
+    try_run_hpl(spec, cfg).expect("HPL run failed").result
+}
+
+/// Fault-free HPL runs shared by the consumers of one scope — in `repro`,
+/// one run plan — so each distinct job simulates once however many figures
+/// report it. A run is keyed by everything that decides its result: the job
+/// spec, with its network model and event budget resolved from the
+/// process-wide defaults, and the HPL configuration. Concurrent requests for
+/// one key wait for a single run; a failed run is shared like a finished
+/// one (the simulation is deterministic, so a rerun would fail the same
+/// way). A fresh, empty share simulates every request.
+#[derive(Default)]
+pub struct HplShare {
+    runs: Mutex<HashMap<String, Arc<HplSlot>>>,
+    requests: AtomicUsize,
+    simulated: AtomicUsize,
+}
+
+type HplSlot = OnceLock<Result<Arc<HplRun>, MpiFault>>;
+
+impl HplShare {
+    /// The run of `cfg` on `spec`, simulated by the first request for it.
+    pub fn run(&self, spec: JobSpec, cfg: HplConfig) -> Result<Arc<HplRun>, MpiFault> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let net_model = spec.net_model.unwrap_or_else(simmpi::default_net_model);
+        let budget = spec.event_budget.or_else(simmpi::default_event_budget);
+        let spec = spec.with_net_model(Some(net_model)).with_event_budget(budget);
+        let key = format!("{spec:?} {cfg:?}");
+        let slot = Arc::clone(self.runs.lock().unwrap().entry(key).or_default());
+        slot.get_or_init(|| {
+            self.simulated.fetch_add(1, Ordering::Relaxed);
+            try_run_hpl(spec, cfg).map(Arc::new)
+        })
+        .clone()
+    }
+
+    /// Requests answered so far.
+    pub fn requests(&self) -> usize {
+        self.requests.load(Ordering::Relaxed)
+    }
+
+    /// Simulations run so far (one per distinct job requested).
+    pub fn simulated(&self) -> usize {
+        self.simulated.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]

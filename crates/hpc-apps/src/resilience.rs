@@ -268,41 +268,42 @@ impl ResilienceReport {
 /// `L..` into the map one at a time. The fault plan addresses physical
 /// nodes, so faults scheduled on spare nodes strike only once the spare is
 /// in service (and faults on dead nodes die with them).
+///
+/// The inflation baseline is simulated here first, fault-free and without
+/// checkpoints, through the attempts' own job body (the model checker's
+/// scenarios call this, and their state counts include that engine run);
+/// it panics if the baseline fails. [`run_hpl_resilient_with_baseline`]
+/// takes the baseline from the caller instead.
 pub fn run_hpl_resilient(
     base: JobSpec,
     cfg: HplConfig,
     rc: &ResilienceConfig,
     plan: &FaultPlan,
 ) -> ResilienceReport {
-    try_run_hpl_resilient(base, cfg, rc, plan).expect("fault-free baseline must complete")
+    let spec = base.clone().with_fault_plan(FaultPlan::none());
+    let clean = run_mpi(spec, move |mut r| async move {
+        let t0 = r.now();
+        hpl_rank_ckpt(&mut r, &cfg, None).await;
+        let dt = (r.now() - t0).as_secs_f64();
+        r.allreduce(ReduceOp::Max, vec![dt]).await[0]
+    })
+    .expect("fault-free baseline must complete");
+    run_hpl_resilient_with_baseline(base, cfg, rc, plan, clean.results[0])
 }
 
-/// [`run_hpl_resilient`] surfacing a baseline failure as a typed error: the
-/// fault-free reference run has no fault plan, so it can only fail on a
-/// simulator-level error — most usefully a watchdog
-/// [`EventBudgetExhausted`](des::SimError::EventBudgetExhausted) on a
-/// runaway cell.
-pub fn try_run_hpl_resilient(
+/// [`run_hpl_resilient`] against a fault-free baseline time the caller
+/// already has — in `repro`, the Fig 6 HPL run of the same job, shared
+/// through an [`HplShare`](crate::hpl::HplShare).
+pub fn run_hpl_resilient_with_baseline(
     base: JobSpec,
     cfg: HplConfig,
     rc: &ResilienceConfig,
     plan: &FaultPlan,
-) -> Result<ResilienceReport, MpiFault> {
+    clean_secs: f64,
+) -> ResilienceReport {
     let logical = base.ranks.div_ceil(base.ranks_per_node);
     let physical = base.topology.nodes();
     assert!(logical <= physical, "topology must hold the job (+ spares)");
-
-    // Fault-free baseline for the inflation number.
-    let clean_secs = {
-        let spec = base.clone().with_fault_plan(FaultPlan::none());
-        let run = run_mpi(spec, move |mut r| async move {
-            let t0 = r.now();
-            hpl_rank_ckpt(&mut r, &cfg, None).await;
-            let dt = (r.now() - t0).as_secs_f64();
-            r.allreduce(ReduceOp::Max, vec![dt]).await[0]
-        })?;
-        run.results[0]
-    };
 
     let store = Arc::new(Mutex::new(CkptStore::new(base.ranks as usize)));
     let mut plan = plan.clone();
@@ -400,7 +401,7 @@ pub fn try_run_hpl_resilient(
     if report.completed && clean_secs > 0.0 {
         report.inflation = report.total_secs / clean_secs;
     }
-    Ok(report)
+    report
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use cluster::Machine;
 use serde::{Deserialize, Serialize};
 use simmpi::{JobSpec, MpiFault};
 
-use crate::hpl::{try_run_hpl, HplConfig};
+use crate::hpl::{HplConfig, HplShare};
 use crate::hydro::{try_run_hydro, HydroConfig};
 use crate::md::{try_run_md, MdConfig};
 use crate::registry::{table3, AppId};
@@ -42,12 +42,17 @@ pub struct ScalingSeries {
 }
 
 /// Returns `(seconds, hpl_efficiency)` — the efficiency is only meaningful
-/// for HPL's weak-scaling series.
-fn try_elapsed_for(app: AppId, spec: JobSpec, nodes: u32) -> Result<(f64, f64), MpiFault> {
+/// for HPL's weak-scaling series, whose run comes from `hpl`.
+fn try_elapsed_for(
+    app: AppId,
+    spec: JobSpec,
+    nodes: u32,
+    hpl: &HplShare,
+) -> Result<(f64, f64), MpiFault> {
     let peak_node = spec.platform.soc.peak_gflops_max();
     Ok(match app {
         AppId::Hpl => {
-            let res = try_run_hpl(spec, HplConfig::tibidabo_weak(nodes))?;
+            let res = hpl.run(spec, HplConfig::tibidabo_weak(nodes))?.result;
             (res.seconds, res.gflops / (nodes as f64 * peak_node))
         }
         AppId::Pepc => (try_run_treecode(spec, TreeConfig::fig6())?.0, 0.0),
@@ -89,18 +94,25 @@ pub fn runnable_nodes(app: AppId, node_counts: &[u32]) -> Vec<u32> {
 
 /// Run one (application, node-count) cell on `machine`, surfacing the fault
 /// (watchdog budget, injected crash, engine failure) that stopped the run.
+/// An HPL cell takes its (fault-free) run from `hpl`.
 pub fn try_measure_scaling_cell(
     machine: &Machine,
     app: AppId,
     nodes: u32,
+    hpl: &HplShare,
 ) -> Result<ScalingMeasurement, MpiFault> {
-    let (seconds, hpl_efficiency) = try_elapsed_for(app, machine.job(nodes), nodes)?;
+    let (seconds, hpl_efficiency) = try_elapsed_for(app, machine.job(nodes), nodes, hpl)?;
     Ok(ScalingMeasurement { nodes, seconds, hpl_efficiency })
 }
 
 /// Run one (application, node-count) cell on `machine`.
-pub fn measure_scaling_cell(machine: &Machine, app: AppId, nodes: u32) -> ScalingMeasurement {
-    try_measure_scaling_cell(machine, app, nodes).expect("scaling cell failed")
+pub fn measure_scaling_cell(
+    machine: &Machine,
+    app: AppId,
+    nodes: u32,
+    hpl: &HplShare,
+) -> ScalingMeasurement {
+    try_measure_scaling_cell(machine, app, nodes, hpl).expect("scaling cell failed")
 }
 
 /// Assemble a Fig 6 series from per-cell measurements (in ascending node
@@ -136,16 +148,21 @@ pub fn series_from_measurements(app: AppId, cells: &[ScalingMeasurement]) -> Sca
 /// Run one application's Fig 6 series on `machine` over `node_counts` — the
 /// serial composition of [`runnable_nodes`] → [`measure_scaling_cell`] →
 /// [`series_from_measurements`].
-pub fn scaling_series(machine: &Machine, app: AppId, node_counts: &[u32]) -> ScalingSeries {
+pub fn scaling_series(
+    machine: &Machine,
+    app: AppId,
+    node_counts: &[u32],
+    hpl: &HplShare,
+) -> ScalingSeries {
     let counts = runnable_nodes(app, node_counts);
     let cells: Vec<ScalingMeasurement> =
-        counts.iter().map(|&n| measure_scaling_cell(machine, app, n)).collect();
+        counts.iter().map(|&n| measure_scaling_cell(machine, app, n, hpl)).collect();
     series_from_measurements(app, &cells)
 }
 
 /// Run the complete Fig 6 (all five applications).
-pub fn fig6(machine: &Machine, node_counts: &[u32]) -> Vec<ScalingSeries> {
-    table3().iter().map(|a| scaling_series(machine, a.id, node_counts)).collect()
+pub fn fig6(machine: &Machine, node_counts: &[u32], hpl: &HplShare) -> Vec<ScalingSeries> {
+    table3().iter().map(|a| scaling_series(machine, a.id, node_counts, hpl)).collect()
 }
 
 /// Parallel efficiency of the largest point of a series (speedup / nodes).
@@ -167,8 +184,8 @@ mod tests {
         // The qualitative ordering of Fig 6 at scale.
         let m = tibidabo();
         let counts = [4, 16, 48];
-        let sem = scaling_series(&m, AppId::Specfem3d, &counts);
-        let pepc = scaling_series(&m, AppId::Pepc, &[24, 48]);
+        let sem = scaling_series(&m, AppId::Specfem3d, &counts, &HplShare::default());
+        let pepc = scaling_series(&m, AppId::Pepc, &[24, 48], &HplShare::default());
         let e_sem = final_efficiency(&sem);
         let e_pepc = final_efficiency(&pepc);
         assert!(e_sem > 0.8, "SPECFEM3D efficiency {e_sem}");
@@ -178,7 +195,7 @@ mod tests {
     #[test]
     fn hydro_loses_linearity_beyond_16_nodes() {
         let m = tibidabo();
-        let s = scaling_series(&m, AppId::Hydro, &[4, 16, 64]);
+        let s = scaling_series(&m, AppId::Hydro, &[4, 16, 64], &HplShare::default());
         let e16 = s.points[1].speedup / 16.0;
         let e64 = s.points[2].speedup / 64.0;
         assert!(e16 > 0.75, "HYDRO at 16 nodes: {e16}");
@@ -189,7 +206,7 @@ mod tests {
     fn speedups_are_monotonically_increasing() {
         let m = tibidabo();
         for app in [AppId::Hydro, AppId::Specfem3d, AppId::Gromacs] {
-            let s = scaling_series(&m, app, &[4, 8, 16]);
+            let s = scaling_series(&m, app, &[4, 8, 16], &HplShare::default());
             for w in s.points.windows(2) {
                 assert!(
                     w[1].speedup > w[0].speedup,
@@ -206,7 +223,7 @@ mod tests {
     #[test]
     fn pepc_respects_its_minimum_input_size() {
         let m = tibidabo();
-        let s = scaling_series(&m, AppId::Pepc, &[4, 8, 24, 48]);
+        let s = scaling_series(&m, AppId::Pepc, &[4, 8, 24, 48], &HplShare::default());
         assert_eq!(s.points[0].nodes, 24, "PEPC needs at least 24 nodes");
         // By the paper's convention the 24-node point is the linear anchor.
         assert!((s.points[0].speedup - 24.0).abs() < 1e-9);

@@ -346,14 +346,8 @@ impl Network {
         }
     }
 
-    /// Route from `src` to `dst` as link indices.
-    pub(crate) fn route(&self, src: u32, dst: u32) -> Vec<usize> {
-        let (links, len) = self.route_arr(src, dst);
-        links[..len as usize].iter().map(|&l| l as usize).collect()
-    }
-
-    /// [`Network::route`] in allocation-free form: the link indices inline
-    /// in a fixed array plus the route length. Every topology's routes fit
+    /// Route from `src` to `dst`: the link indices inline in a fixed array
+    /// plus the route length (no allocation). Every topology's routes fit
     /// in 4 links (node up, optional trunk up/down, node down) — the flow
     /// model stores one of these per flow.
     pub(crate) fn route_arr(&self, src: u32, dst: u32) -> ([u32; 4], u8) {
@@ -408,10 +402,11 @@ impl Network {
         if src == dst {
             return depart;
         }
-        let route = self.route(src, dst);
+        let (route, len) = self.route_arr(src, dst);
         let mut head = depart;
         let mut bottleneck = SimTime::ZERO;
-        for &li in &route {
+        for &li in &route[..len as usize] {
+            let li = li as usize;
             if let Some(g) = &mut self.guard {
                 match g.last[li] {
                     Some((d, s)) if depart < d || (depart == d && s != g.source) => {

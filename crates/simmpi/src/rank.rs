@@ -783,11 +783,9 @@ fn collect_run<R>(
     events: u64,
     shards: u32,
 ) -> Result<MpiRun<R>, MpiFault> {
-    let mut st = world.state.lock();
-    let compute_busy = st.ranks.iter().map(|r| r.compute_busy).collect();
-    let comm_busy = st.ranks.iter().map(|r| r.comm_busy).collect();
-    let net = std::mem::take(&mut st.stats);
-    drop(st);
+    let compute_busy = world.busy.iter().map(|b| b.compute.get()).collect();
+    let comm_busy = world.busy.iter().map(|b| b.comm.get()).collect();
+    let net = std::mem::take(&mut world.state.lock().stats);
     let results = Arc::try_unwrap(results)
         .unwrap_or_else(|_| panic!("results still shared"))
         .into_inner()
@@ -879,12 +877,12 @@ impl Rank {
             if crash <= end {
                 let done = crash - self.ctx.now();
                 self.ctx.advance_to(crash).await;
-                self.world.state.lock().ranks[self.rank as usize].compute_busy += done;
+                self.world.busy[self.rank as usize].compute.add(done);
                 self.die_crashed();
             }
         }
         self.ctx.advance(dt).await;
-        self.world.state.lock().ranks[self.rank as usize].compute_busy += dt;
+        self.world.busy[self.rank as usize].compute.add(dt);
         self.phase_end("compute");
     }
 
@@ -904,7 +902,7 @@ impl Rank {
     }
 
     fn tally_comm(&self, dt: SimTime) {
-        self.world.state.lock().ranks[self.rank as usize].comm_busy += dt;
+        self.world.busy[self.rank as usize].comm.add(dt);
     }
 
     /// Whether `peer` runs on a different engine shard (always false on a
@@ -1023,6 +1021,47 @@ impl Rank {
         }
     }
 
+    /// Push an eager payload through any active loss window on its path: a
+    /// dropped frame costs an exponential backoff and a retransmission, and
+    /// exhausting the retry budget fails the run. Only lossy jobs call this.
+    async fn retransmit_through_loss(&self, dst: u32, src_node: u32, dst_node: u32) {
+        let retry = self.world.spec.retry;
+        let mc = des::mc::current();
+        let mut attempts = 0u32;
+        loop {
+            let depart = self.ctx.now();
+            let dropped = {
+                let mut st = self.world.state.lock();
+                let loss = st.net.loss_probability(src_node, dst_node, depart);
+                // Inside a loss window a model-checking controller overrides
+                // the seeded draw with an adversarial verdict; the RNG is
+                // not advanced, and outside MC the draw order is untouched.
+                let dropped = match &mc {
+                    Some(ctl) => loss > 0.0 && ctl.decide_drop(),
+                    None => loss > 0.0 && st.rng.next_f64() < loss,
+                };
+                if dropped {
+                    st.stats.retransmits += 1;
+                }
+                dropped
+            };
+            if !dropped {
+                break;
+            }
+            attempts += 1;
+            self.emit_trace(TraceEvent::MsgDrop { src: self.rank, dst, attempt: attempts });
+            if attempts > retry.max_retries {
+                self.die(MpiFault::Timeout {
+                    rank: self.rank,
+                    peer: Some(dst),
+                    at: depart,
+                    attempts,
+                });
+            }
+            self.advance_comm_or_die(backoff(retry.retrans_base, attempts)).await;
+        }
+    }
+
     /// Blocking send of `msg` to rank `dst` with `tag`.
     ///
     /// Eager messages return once the payload has been injected; rendezvous
@@ -1033,10 +1072,9 @@ impl Rank {
         assert!(dst != self.rank, "self-sends are not supported; restructure the algorithm");
         self.check_crashed();
         self.phase_begin("send");
-        let world = Arc::clone(&self.world);
+        let world = &self.world;
         let proto = world.spec.proto;
-        let o_s = proto.send_overhead(&world.ep);
-        self.advance_comm_or_die(o_s).await;
+        self.advance_comm_or_die(world.send_overhead).await;
 
         let bytes = msg.bytes;
         let src_node = world.spec.node_of(self.rank);
@@ -1100,43 +1138,10 @@ impl Rank {
             return;
         }
 
-        // Eager path: get the payload through any active loss window first.
-        // A dropped frame costs an exponential backoff and a retransmission;
-        // exhausting the budget fails the run.
-        let retry = world.spec.retry;
-        let mc = des::mc::current();
-        let mut attempts = 0u32;
-        loop {
-            let depart = self.ctx.now();
-            let dropped = {
-                let mut st = world.state.lock();
-                let loss = st.net.loss_probability(src_node, dst_node, depart);
-                // Inside a loss window a model-checking controller overrides
-                // the seeded draw with an adversarial verdict; the RNG is
-                // not advanced, and outside MC the draw order is untouched.
-                let dropped = match &mc {
-                    Some(ctl) => loss > 0.0 && ctl.decide_drop(),
-                    None => loss > 0.0 && st.rng.next_f64() < loss,
-                };
-                if dropped {
-                    st.stats.retransmits += 1;
-                }
-                dropped
-            };
-            if !dropped {
-                break;
-            }
-            attempts += 1;
-            self.emit_trace(TraceEvent::MsgDrop { src: self.rank, dst, attempt: attempts });
-            if attempts > retry.max_retries {
-                self.die(MpiFault::Timeout {
-                    rank: self.rank,
-                    peer: Some(dst),
-                    at: depart,
-                    attempts,
-                });
-            }
-            self.advance_comm_or_die(backoff(retry.retrans_base, attempts)).await;
+        // Eager path: get the payload through any active loss window first
+        // (a lossless job draws nothing).
+        if world.lossy {
+            self.retransmit_through_loss(dst, src_node, dst_node).await;
         }
 
         if cross {
@@ -1150,7 +1155,7 @@ impl Rank {
                 tag,
                 msg,
             });
-            let injection = SimTime::from_secs_f64(bytes as f64 / world.cpu_stage_rate());
+            let injection = world.injection(bytes);
             self.ctx.advance(injection).await;
             self.tally_comm(injection);
             self.phase_end("send");
@@ -1164,7 +1169,6 @@ impl Rank {
             self.stamp_guard_source(&mut st);
             let depart = self.ctx.now();
             let wire = world.framed(bytes);
-            let link_bw = st.net.link_bw_bytes;
             st.stats.messages += 1;
             st.stats.payload_bytes += bytes;
             // Under the flow model a cross-node payload rides a fluid flow:
@@ -1174,8 +1178,8 @@ impl Rank {
             // path's (reservation-free) timing under both models.
             let use_flow = world.net_model == NetModel::Flow && src_node != dst_node;
             let delivery = if use_flow {
-                let extra = st.net.path_latency(src_node, dst_node)
-                    + world.endpoint_extra_serial(bytes, link_bw);
+                let extra =
+                    st.net.path_latency(src_node, dst_node) + world.endpoint_extra_serial(bytes);
                 let id = st
                     .flows
                     .as_mut()
@@ -1184,7 +1188,7 @@ impl Rank {
                 Delivery::Flow { id, extra }
             } else {
                 let arrival = st.net.transmit(depart, src_node, dst_node, wire)
-                    + world.endpoint_extra_serial(bytes, link_bw);
+                    + world.endpoint_extra_serial(bytes);
                 Delivery::Eager { available_at: arrival }
             };
             let wake_floor = match delivery {
@@ -1210,7 +1214,7 @@ impl Rank {
             if let Some((pid, at)) = wake {
                 self.ctx.wake_at(pid, at);
             }
-            injection = SimTime::from_secs_f64(bytes as f64 / world.cpu_stage_rate());
+            injection = world.injection(bytes);
         }
         if flow_started && self.tracing() {
             self.emit_trace(TraceEvent::FlowStart { src: self.rank, dst, bytes });
@@ -1236,8 +1240,7 @@ impl Rank {
     pub async fn recv_filtered(&mut self, src: Option<u32>, tag: Option<u32>) -> (u32, u32, Msg) {
         self.check_crashed();
         self.phase_begin("recv");
-        let world = Arc::clone(&self.world);
-        let proto = world.spec.proto;
+        let world = &self.world;
         // A wildcard receive matches on mailbox arrival order, which a
         // windowed run reorders around barriers; the link guard cannot see
         // that dependence, so condemn the schedule explicitly (the job is
@@ -1261,8 +1264,7 @@ impl Rank {
                                 bytes: m.msg.bytes,
                             });
                         }
-                        let o_r = proto.recv_overhead(&world.ep);
-                        self.advance_comm_or_die(o_r).await;
+                        self.advance_comm_or_die(world.recv_overhead).await;
                         self.emit_trace(TraceEvent::MsgDeliver {
                             src: m.src,
                             dst: self.rank,
@@ -1346,7 +1348,7 @@ impl Rank {
             && self.size() >= 3
             && self.world.spec.ranks_per_node == 1
             && msgs.iter().all(|m| !self.world.spec.proto.needs_rendezvous(m.bytes))
-            && !self.world.state.lock().net.has_loss_windows()
+            && !self.world.lossy
     }
 
     /// Sender half of the flow-mode all-to-all fast path: one batched
@@ -1356,11 +1358,9 @@ impl Rank {
     /// per-message chains.
     pub(crate) async fn send_flows_batched(&mut self, tag: u32, outgoing: Vec<(u32, Msg)>) {
         self.check_crashed();
-        let world = Arc::clone(&self.world);
-        let proto = world.spec.proto;
+        let world = &self.world;
         let n = outgoing.len() as u64;
-        let o_s = proto.send_overhead(&world.ep);
-        self.advance_comm_or_die(o_s * n).await;
+        self.advance_comm_or_die(world.send_overhead * n).await;
         let src_node = world.spec.node_of(self.rank);
         let mut total_bytes = 0u64;
         let mut wakes: Vec<des::Pid> = Vec::new();
@@ -1369,7 +1369,6 @@ impl Rank {
         {
             let mut st = world.state.lock();
             let st = &mut *st;
-            let link_bw = st.net.link_bw_bytes;
             for (dst, msg) in outgoing {
                 let bytes = msg.bytes;
                 total_bytes += bytes;
@@ -1377,8 +1376,8 @@ impl Rank {
                 let wire = world.framed(bytes);
                 st.stats.messages += 1;
                 st.stats.payload_bytes += bytes;
-                let extra = st.net.path_latency(src_node, dst_node)
-                    + world.endpoint_extra_serial(bytes, link_bw);
+                let extra =
+                    st.net.path_latency(src_node, dst_node) + world.endpoint_extra_serial(bytes);
                 let id = st
                     .flows
                     .as_mut()
@@ -1412,7 +1411,7 @@ impl Rank {
         for pid in wakes {
             self.ctx.wake_at(pid, depart);
         }
-        let injection = SimTime::from_secs_f64(total_bytes as f64 / world.cpu_stage_rate());
+        let injection = world.injection(total_bytes);
         self.ctx.advance(injection).await;
         self.tally_comm(injection);
     }
@@ -1469,7 +1468,7 @@ impl Rank {
     /// skipped; every `None` slot is filled before returning.
     pub(crate) async fn recv_wire_all(&mut self, tag: u32, out: &mut [Option<Msg>]) {
         self.check_crashed();
-        let world = Arc::clone(&self.world);
+        let world = &self.world;
         let timeout_at = self.recv_deadline();
         let mut missing = out.iter().filter(|m| m.is_none()).count();
         while missing > 0 {
@@ -1545,8 +1544,7 @@ impl Rank {
     /// Charge `n` messages' worth of receive overhead in one advance (the
     /// batched tail of the flow-mode fast path).
     pub(crate) async fn batch_recv_overhead(&mut self, n: u64) {
-        let o_r = self.world.spec.proto.recv_overhead(&self.world.ep);
-        self.advance_comm_or_die(o_r * n).await;
+        self.advance_comm_or_die(self.world.recv_overhead * n).await;
     }
 
     /// Poll flow `id` to completion: advance to each flow transition as the
@@ -1558,23 +1556,26 @@ impl Rank {
     /// can only move later while we sleep — advancing to the estimate and
     /// re-polling therefore observes the true completion time.
     async fn await_flow(&self, id: netsim::FlowId, extra: SimTime) {
-        let world = Arc::clone(&self.world);
         loop {
             let now = self.ctx.now();
-            let status = world
-                .state
-                .lock()
-                .flows
-                .as_mut()
-                .expect("flow model without flow net")
-                .poll(now, id);
+            // One world lock per poll: a finished flow is consumed under the
+            // lock that saw it finish. Consuming drops only the flow's slab
+            // record, which no other flow's progress reads.
+            let status = {
+                let mut st = self.world.state.lock();
+                let flows = st.flows.as_mut().expect("flow model without flow net");
+                let status = flows.poll(now, id);
+                if let FlowStatus::Done { .. } = status {
+                    flows.consume(id);
+                }
+                status
+            };
             match status {
                 FlowStatus::Done { at } => {
                     let arrival = at + extra;
                     if arrival > now {
                         self.advance_to_or_die(arrival).await;
                     }
-                    world.state.lock().flows.as_mut().expect("flow net").consume(id);
                     return;
                 }
                 FlowStatus::InFlight { wake, flows } => {
@@ -1600,13 +1601,11 @@ impl Rank {
         sender_pid: des::Pid,
         rts_arrival: SimTime,
     ) -> (u32, u32, Msg) {
-        let world = Arc::clone(&self.world);
-        let proto = world.spec.proto;
+        let world = &self.world;
         let retry = world.spec.retry;
         // Process the RTS once it has arrived.
         self.advance_to_or_die(rts_arrival).await;
-        let o_r = proto.recv_overhead(&world.ep);
-        self.advance_comm_or_die(o_r).await;
+        self.advance_comm_or_die(world.recv_overhead).await;
 
         if self.cross_shard(src) {
             // The CTS rides the reverse path — the sender's shard's links —
@@ -1622,8 +1621,7 @@ impl Rank {
                 receiver_pid: self.ctx.pid(),
             });
             self.ctx.park().await;
-            let o_r2 = proto.recv_overhead(&world.ep);
-            self.advance_comm_or_die(o_r2).await;
+            self.advance_comm_or_die(world.recv_overhead).await;
             self.emit_trace(TraceEvent::MsgDeliver { src, dst: self.rank, tag, bytes: msg.bytes });
             return (src, tag, msg);
         }
@@ -1641,10 +1639,9 @@ impl Rank {
             // arrival. The RTS/CTS control frames are assumed reliable; loss
             // applies to the bulk transfer below.
             let cts_arrival = st.net.transmit(now, dst_node, src_node, 128)
-                + proto.send_overhead(&world.ep)
-                + proto.recv_overhead(&world.ep);
+                + world.send_overhead
+                + world.recv_overhead;
             let wire = world.framed(msg.bytes);
-            let link_bw = st.net.link_bw_bytes;
             // Push the bulk transfer through any loss window: each drop
             // delays the (remote) sender's departure by the backoff.
             let mut bulk_depart = cts_arrival;
@@ -1677,7 +1674,7 @@ impl Rank {
             }
             let data_arrival: Result<SimTime, (netsim::FlowId, SimTime)> = if use_flow {
                 let extra = st.net.path_latency(src_node, dst_node)
-                    + world.endpoint_extra_serial(msg.bytes, link_bw);
+                    + world.endpoint_extra_serial(msg.bytes);
                 let id = st.flows.as_mut().expect("flow model without flow net").start(
                     now,
                     bulk_depart,
@@ -1688,9 +1685,9 @@ impl Rank {
                 Err((id, extra))
             } else {
                 Ok(st.net.transmit(bulk_depart, src_node, dst_node, wire)
-                    + world.endpoint_extra_serial(msg.bytes, link_bw))
+                    + world.endpoint_extra_serial(msg.bytes))
             };
-            let injection = SimTime::from_secs_f64(msg.bytes as f64 / world.cpu_stage_rate());
+            let injection = world.injection(msg.bytes);
             let sender_done = (bulk_depart + injection).max(now);
             (data_arrival, sender_done, attempts)
         };
@@ -1720,8 +1717,7 @@ impl Rank {
                 }
             }
         }
-        let o_r2 = proto.recv_overhead(&world.ep);
-        self.advance_comm_or_die(o_r2).await;
+        self.advance_comm_or_die(world.recv_overhead).await;
         self.emit_trace(TraceEvent::MsgDeliver { src, dst: self.rank, tag, bytes: msg.bytes });
         (src, tag, msg)
     }

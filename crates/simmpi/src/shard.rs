@@ -190,11 +190,10 @@ fn apply_one(world: &World, st: &mut WorldState, ctx: &ShardCtx, wakers: &ShardW
             let dst_node = world.spec.node_of(dst);
             let bytes = msg.bytes;
             let wire = world.framed(bytes);
-            let link_bw = st.net.link_bw_bytes;
             st.stats.messages += 1;
             st.stats.payload_bytes += bytes;
             let arrival = st.net.transmit(depart, src_node, dst_node, wire)
-                + world.endpoint_extra_serial(bytes, link_bw);
+                + world.endpoint_extra_serial(bytes);
             let dst_state = &mut st.ranks[dst as usize];
             dst_state.mailbox.push_back(InMsg {
                 src,
@@ -242,19 +241,17 @@ fn apply_one(world: &World, st: &mut WorldState, ctx: &ShardCtx, wakers: &ShardW
         Packet::RdvComplete { at, src, dst, bytes, sender_pid, receiver_pid } => {
             let src_node = world.spec.node_of(src);
             let dst_node = world.spec.node_of(dst);
-            let proto = world.spec.proto;
             // CTS travels back; the sender starts the bulk transfer on its
             // arrival (control frames assumed reliable, as on the serial
             // path; no loss windows exist on an eligible run).
             let cts_arrival = st.net.transmit(at, dst_node, src_node, 128)
-                + proto.send_overhead(&world.ep)
-                + proto.recv_overhead(&world.ep);
+                + world.send_overhead
+                + world.recv_overhead;
             let wire = world.framed(bytes);
-            let link_bw = st.net.link_bw_bytes;
             let bulk_depart = cts_arrival;
             let data_arrival = st.net.transmit(bulk_depart, src_node, dst_node, wire)
-                + world.endpoint_extra_serial(bytes, link_bw);
-            let injection = SimTime::from_secs_f64(bytes as f64 / world.cpu_stage_rate());
+                + world.endpoint_extra_serial(bytes);
+            let injection = world.injection(bytes);
             let sender_done = (bulk_depart + injection).max(at);
             wakers.wake_at(ctx.shard_of_rank[src as usize] as usize, sender_pid, sender_done);
             wakers.wake_at(ctx.shard_of_rank[dst as usize] as usize, receiver_pid, data_arrival);

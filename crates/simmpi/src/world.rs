@@ -19,6 +19,7 @@
 //! to serial ones.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use des::{FaultKind, FaultPlan, Pid, SimRng, SimTime};
 use netsim::{EndpointModel, FlowNet, LossWindow, NetModel, Network, ProtocolModel, TopologySpec};
@@ -364,10 +365,33 @@ pub(crate) struct RankState {
     pub mailbox: VecDeque<InMsg>,
     /// Set while the rank is parked inside `recv` waiting for a match.
     pub pending: Option<RecvFilter>,
+}
+
+/// One rank's accumulated busy time, kept off the world lock: only the
+/// rank's own process adds to it (so a relaxed load-add-store is
+/// race-free), and it is read only while every process is suspended — when
+/// the run is collected, or at a window barrier for a checkpoint hash.
+#[derive(Debug, Default)]
+pub(crate) struct BusyTally(AtomicU64);
+
+impl BusyTally {
+    pub(crate) fn add(&self, dt: SimTime) {
+        let total = self.get() + dt;
+        self.0.store(total.as_nanos(), Ordering::Relaxed);
+    }
+
+    pub(crate) fn get(&self) -> SimTime {
+        SimTime::from_nanos(self.0.load(Ordering::Relaxed))
+    }
+}
+
+/// A rank's busy-time tallies.
+#[derive(Debug, Default)]
+pub(crate) struct RankBusy {
     /// Accumulated modelled compute time.
-    pub compute_busy: SimTime,
+    pub compute: BusyTally,
     /// Accumulated communication (protocol CPU) time.
-    pub comm_busy: SimTime,
+    pub comm: BusyTally,
 }
 
 /// Aggregate job statistics.
@@ -400,10 +424,25 @@ pub struct World {
     pub(crate) spec: JobSpec,
     /// The resolved network model (spec override or process-global default).
     pub(crate) net_model: NetModel,
-    pub(crate) ep: EndpointModel,
     /// Timing-cache fingerprint of the job's SoC, computed once so the hot
     /// per-rank `compute` path avoids re-fingerprinting the platform model.
     pub(crate) soc_fp: u64,
+    /// Per-job protocol constants, computed once instead of per message:
+    /// sender and receiver per-message CPU time, the endpoint per-byte
+    /// injection/retirement rate (bytes/s: the CPU copy stage and the attach
+    /// path in series with the DMA pipeline), and the per-byte serialisation
+    /// the endpoint stages add beyond the wire's own (`None` when the wire
+    /// is the bottleneck).
+    pub(crate) send_overhead: SimTime,
+    pub(crate) recv_overhead: SimTime,
+    cpu_stage_rate: f64,
+    extra_secs_per_byte: Option<f64>,
+    /// Whether the fault plan installed any loss windows. They are only ever
+    /// added here, so senders can skip the per-message loss check (which
+    /// needs the world lock) on lossless jobs.
+    pub(crate) lossy: bool,
+    /// Per-rank busy-time tallies, indexed by rank.
+    pub(crate) busy: Vec<RankBusy>,
     pub(crate) state: Mutex<WorldState>,
 }
 
@@ -432,14 +471,30 @@ impl World {
                 }
             }
         }
+        let proto = &spec.proto;
+        let cpu = if proto.per_byte_cpu_ns > 0.0 {
+            ep.scalar_speed * 1e9 / proto.per_byte_cpu_ns
+        } else {
+            f64::INFINITY
+        };
+        let cpu_stage_rate = cpu.min(ep.attach.rate_bytes(ep.scalar_speed));
+        let stream_rate = proto.stream_rate_bytes(&ep, &ep, link_bw);
+        let wire_rate = link_bw * proto.wire_efficiency;
+        let extra_secs_per_byte =
+            (stream_rate < wire_rate).then(|| 1.0 / stream_rate - 1.0 / wire_rate);
         let ranks = (0..spec.ranks).map(|_| RankState::default()).collect();
         // Tag chosen arbitrarily; it only has to differ from the substreams
         // FaultPlan::generate uses for event scheduling.
         let rng = SimRng::new(spec.fault_plan.seed()).substream(0x1055_d4a3);
         World {
+            send_overhead: proto.send_overhead(&ep),
+            recv_overhead: proto.recv_overhead(&ep),
+            cpu_stage_rate,
+            extra_secs_per_byte,
+            lossy: net.has_loss_windows(),
+            busy: (0..spec.ranks).map(|_| RankBusy::default()).collect(),
             spec,
             net_model,
-            ep,
             soc_fp,
             state: Mutex::new(WorldState {
                 net,
@@ -457,31 +512,19 @@ impl World {
         (bytes as f64 / self.spec.proto.wire_efficiency) as u64 + FRAME_BYTES
     }
 
-    /// Endpoint-side per-byte injection/retirement rate (bytes/s): the CPU
-    /// copy stage and the attach path in series with the DMA pipeline.
-    pub(crate) fn cpu_stage_rate(&self) -> f64 {
-        let cpu = if self.spec.proto.per_byte_cpu_ns > 0.0 {
-            self.ep.scalar_speed * 1e9 / self.spec.proto.per_byte_cpu_ns
-        } else {
-            f64::INFINITY
-        };
-        cpu.min(self.ep.attach.rate_bytes(self.ep.scalar_speed))
+    /// CPU time to inject (or retire) a `bytes` payload at the endpoint's
+    /// per-byte rate.
+    pub(crate) fn injection(&self, bytes: u64) -> SimTime {
+        SimTime::from_secs_f64(bytes as f64 / self.cpu_stage_rate)
     }
 
-    /// End-to-end sustained rate between two nodes (homogeneous endpoints).
-    pub(crate) fn stream_rate(&self, link_bw: f64) -> f64 {
-        self.spec.proto.stream_rate_bytes(&self.ep, &self.ep, link_bw)
-    }
-
-    /// Extra serialisation beyond the wire's own, accounting for endpoint
-    /// stages slower than the wire.
-    pub(crate) fn endpoint_extra_serial(&self, bytes: u64, link_bw: f64) -> SimTime {
-        let total = self.stream_rate(link_bw);
-        let wire = link_bw * self.spec.proto.wire_efficiency;
-        if total >= wire {
-            return SimTime::ZERO;
+    /// Extra serialisation of a `bytes` payload beyond the wire's own,
+    /// accounting for endpoint stages slower than the wire.
+    pub(crate) fn endpoint_extra_serial(&self, bytes: u64) -> SimTime {
+        match self.extra_secs_per_byte {
+            Some(k) => SimTime::from_secs_f64(bytes as f64 * k),
+            None => SimTime::ZERO,
         }
-        SimTime::from_secs_f64(bytes as f64 * (1.0 / total - 1.0 / wire))
     }
 
     /// Order-insensitive digest of the message-visible world state for the
@@ -574,8 +617,8 @@ impl World {
                     }
                 },
             );
-            rh = des::mc::mix(rh, r.compute_busy.as_nanos());
-            rh = des::mc::mix(rh, r.comm_busy.as_nanos());
+            rh = des::mc::mix(rh, self.busy[i].compute.get().as_nanos());
+            rh = des::mc::mix(rh, self.busy[i].comm.get().as_nanos());
             let mut mb = 0u64;
             for m in &r.mailbox {
                 let mut mh = des::mc::mix(0x6d, (m.src as u64) << 32 | m.tag as u64);
@@ -704,11 +747,11 @@ mod tests {
     fn endpoint_extra_serial_positive_when_cpu_bound() {
         // Tegra 2 + TCP is CPU-bound at ~65 MB/s < 119 MB/s wire.
         let w = World::new(JobSpec::new(Platform::tegra2(), 2));
-        let extra = w.endpoint_extra_serial(1 << 20, 125e6);
+        let extra = w.endpoint_extra_serial(1 << 20);
         assert!(extra > SimTime::ZERO);
         // Open-MX is wire-bound: no extra.
         let w2 =
             World::new(JobSpec::new(Platform::tegra2(), 2).with_proto(ProtocolModel::open_mx()));
-        assert_eq!(w2.endpoint_extra_serial(1 << 20, 125e6), SimTime::ZERO);
+        assert_eq!(w2.endpoint_extra_serial(1 << 20), SimTime::ZERO);
     }
 }

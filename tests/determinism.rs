@@ -153,6 +153,48 @@ fn mc_counterexample_replays_are_byte_identical() {
     assert_eq!(traces[0], traces[1], "replayed counterexample traces diverged byte-for-byte");
 }
 
+/// The JSON bytes of `arts`, keyed by file stem, must equal the checked-in
+/// goldens byte for byte.
+fn assert_goldens(arts: &[socready::harness::ArtefactOut]) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens");
+    for a in arts {
+        let (stem, json) = a.json.as_ref().expect("artefact without JSON");
+        let want = std::fs::read_to_string(dir.join(format!("{stem}.json"))).expect("golden");
+        assert!(json == &want, "{stem}.json differs from its golden");
+    }
+}
+
+#[test]
+fn each_distinct_fault_free_hpl_job_simulates_once_per_plan() {
+    // Golden scale: Fig 6 runs HPL at 4 and 8 nodes, the headline at 4, the
+    // three resilience cells take their baseline at 2, and the ablation's
+    // Fig 6 and HPL sides repeat 4 and 8 nodes under each pinned network
+    // model. That is 12 requests for 5 distinct jobs: 2, 4 and 8 nodes under
+    // the event model (the default), 4 and 8 under the flow model. Four
+    // workers make concurrent consumers of one job wait for a single run.
+    let plan = RunPlan::from_items(
+        &items(&["fig6", "hpl", "resilience", "ablate-net"]),
+        &RunScales::golden(),
+    );
+    let share = plan.hpl_share();
+    let (arts, _) = run_plan(plan, &SweepConfig::with_jobs(4));
+    assert_eq!((share.requests(), share.simulated()), (12, 5));
+    assert_goldens(&arts);
+}
+
+#[test]
+fn hpl_consumers_without_their_producer_still_match_the_goldens() {
+    // The state `--resume` leaves when it skips Fig 6: the headline and the
+    // resilience cells are the first to ask for their jobs, so they run the
+    // simulations themselves — and must write the same bytes.
+    let plan = RunPlan::from_items(&items(&["hpl", "resilience"]), &RunScales::golden());
+    let share = plan.hpl_share();
+    let (arts, _) = run_plan(plan, &SweepConfig::with_jobs(2));
+    assert_eq!(arts.iter().map(|a| a.key).collect::<Vec<_>>(), ["hpl", "resilience"]);
+    assert_eq!((share.requests(), share.simulated()), (4, 2));
+    assert_goldens(&arts);
+}
+
 #[test]
 fn two_figure_run_reuses_timing_cache() {
     // Fig 3 and Fig 4 sweep the same platforms over the same DVFS points and

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the paper's claims, reproduced end-to-end
 //! through the public API at test-friendly scale.
 
-use socready::apps::hpl::{run_hpl, HplConfig};
+use socready::apps::hpl::{run_hpl, HplConfig, HplShare};
 use socready::apps::{fig6, AppId};
 use socready::kernels::fig3_profiles;
 use socready::mpi::{pingpong, JobSpec};
@@ -115,7 +115,7 @@ fn openmx_beats_tcp_on_latency_everywhere_and_bandwidth_where_cpu_bound() {
 fn fig6_shape_holds_at_reduced_scale() {
     // SPECFEM3D best, PEPC worst, HYDRO in between — the Fig 6 ordering.
     let m = Machine::tibidabo();
-    let series = fig6(&m, &[24, 48]);
+    let series = fig6(&m, &[24, 48], &HplShare::default());
     let eff = |id: AppId| {
         let s = series
             .iter()
