@@ -37,6 +37,11 @@ cargo test --workspace --quiet
 step "golden figures + sweep determinism (in-process)"
 cargo test --quiet --test golden_figures --test determinism
 
+step "performance ledger builds and passes its tests against the workspace"
+# The ledger is its own package (crates/bench/src/bin/ledger/) on the
+# workspace crates' public API: a deletion that breaks the benchmark fails here.
+cargo test --release --offline --locked --manifest-path crates/bench/src/bin/ledger/Cargo.toml
+
 if [[ $quick -eq 0 ]]; then
   step "release build"
   cargo build --release --workspace --quiet
@@ -129,44 +134,7 @@ if [[ $quick -eq 0 ]]; then
     echo "error: flow model only ${flow_speedup:-missing}x the event model (need >= 5x)" >&2
     exit 1
   }
-  # The sharded engine's scaling datum: scale_bench itself asserts the
-  # 1/2/4-shard runs are bit-identical (results and event counts); here we
-  # gate the wall ratio. Shard workers are OS threads, so the >= 1.5x
-  # 2-shard expectation only means something with real cores — a
-  # single-CPU box instead gates bounded overhead (the sharded run may
-  # not collapse below half the serial engine's speed).
-  shard_speedup=$(grep -o '"shard_speedup": [0-9.]*' "$scale_json" | awk '{print $2}')
-  host_cpus=$(grep -o '"host_cpus": [0-9]*' "$scale_json" | awk '{print $2}')
-  if [[ "${host_cpus:-1}" -ge 2 ]]; then
-    awk -v s="$shard_speedup" 'BEGIN { exit !(s != "" && s >= 1.5) }' || {
-      echo "error: 2 engine shards only ${shard_speedup:-missing}x serial (need >= 1.5x on ${host_cpus} cpus)" >&2
-      exit 1
-    }
-  else
-    awk -v s="$shard_speedup" 'BEGIN { exit !(s != "" && s >= 0.5) }' || {
-      echo "error: 2 engine shards at ${shard_speedup:-missing}x serial (need >= 0.5x even on 1 cpu)" >&2
-      exit 1
-    }
-    echo "note: 1 cpu visible; shard gate relaxed to bounded overhead (got ${shard_speedup}x)"
-  fi
-  # Window-checkpoint rollback must beat the legacy wind-down + full rerun
-  # on the same deliberately-condemned job (late-window trip, so the
-  # wind-down has real work left to burn), and both recovery paths must be
-  # byte-identical to the serial reference — scale_bench asserts identity
-  # of the per-rank results; the JSON carries the combined flag.
-  condemn_identical=$(grep -o '"identical": [a-z]*' "$scale_json" | awk '{print $2}')
-  if [[ "$condemn_identical" != "true" ]]; then
-    echo "error: condemned-run recovery not byte-identical to serial (identical=${condemn_identical:-missing})" >&2
-    exit 1
-  fi
-  rollback_wall=$(grep -o '"rollback_wall_secs": [0-9.e-]*' "$scale_json" | awk '{print $2}')
-  legacy_wall=$(grep -o '"legacy_wall_secs": [0-9.e-]*' "$scale_json" | awk '{print $2}')
-  awk -v r="$rollback_wall" -v l="$legacy_wall" 'BEGIN { exit !(r != "" && l != "" && r < l) }' || {
-    echo "error: checkpoint rollback (${rollback_wall:-missing}s) did not beat the legacy full rerun (${legacy_wall:-missing}s)" >&2
-    exit 1
-  }
-  saving=$(grep -o '"rollback_saving": [0-9.e-]*' "$scale_json" | awk '{print $2}')
-  echo "scale smoke OK: event-driven is ${speedup}x the legacy model, NullTracer overhead ${overhead}%, flow net model ${flow_speedup}x the event model, 2-shard engine ${shard_speedup}x serial on ${host_cpus:-1} cpu(s), condemned-run rollback ${saving}x cheaper than a full rerun"
+  echo "scale smoke OK: event-driven is ${speedup}x the legacy model, NullTracer overhead ${overhead}%, flow net model ${flow_speedup}x the event model"
   rm -rf "$scale_dir"
 
   step "net-ablation-smoke: flow model tracks the event model on the goldens"
@@ -276,26 +244,6 @@ if [[ $quick -eq 0 ]]; then
   echo "trace OK: $(wc -l <"$tdir/trace.jsonl") JSONL lines -> $(wc -l <"$tdir/folded.txt") collapsed stacks, artefacts unchanged"
   rm -rf "$tdir"
 
-  step "shards: --shards 4 artefacts byte-identical to the serial engine"
-  # The whole golden sweep once more with every eligible simulation sharded
-  # across 4 DES engines. Stdout and every JSON artefact must match the
-  # serial reference byte-for-byte — the conservative window protocol is
-  # bit-exact, and ineligible jobs must fall back invisibly.
-  shdir=$(mktemp -d)
-  "$repro" --golden --serial --shards 4 --json "$shdir" \
-    >"$shdir/stdout.txt" 2>"$shdir/stderr.txt"
-  diff "$sdir/stdout.txt" "$shdir/stdout.txt" || {
-    echo "error: stdout diverged between --shards 4 and the serial engine" >&2
-    exit 1
-  }
-  diff -r -x '_journal.jsonl' -x '_sweep_stats.json' -x 'stdout.txt' -x 'stderr.txt' \
-    "$sdir" "$shdir" || {
-    echo "error: JSON artefacts diverged between --shards 4 and the serial engine" >&2
-    exit 1
-  }
-  echo "shard byte-identity OK: --shards 4 matches the serial reference"
-  rm -rf "$shdir"
-
   step "supervisor: SIGKILL mid-sweep, then --resume byte-identity"
   # Start a full golden run, SIGKILL it once the journal shows the first
   # completed artefact, then --resume in the same directory. The resumed
@@ -334,39 +282,6 @@ if [[ $quick -eq 0 ]]; then
   fi
   echo "kill+resume OK: resumed directory matches the uninterrupted reference"
   rm -rf "$kdir"
-
-  step "ckpt: SIGKILL a sharded --ckpt-every run mid-job, resume from disk"
-  # A sharded golden run persisting verified window checkpoints is
-  # SIGKILLed as soon as the first checkpoint file hits the disk, then
-  # re-invoked with the same flags plus --resume. The on-disk checkpoints
-  # (docs/CKPT_FORMAT.md) let the rerun of each interrupted simulation
-  # resume and certify mid-job; the finished directory must be
-  # byte-identical to the serial reference. (If the run finishes before
-  # the kill lands, resume skips everything — identity still has to hold.)
-  ckdir=$(mktemp -d)
-  "$repro" --golden --serial --shards 2 --ckpt-every 64 --json "$ckdir" \
-    >"$ckdir/killed_stdout.txt" 2>"$ckdir/killed_stderr.txt" &
-  ckpid=$!
-  for _ in $(seq 1 600); do
-    ls "$ckdir"/_ckpt/job_*.ckpt >/dev/null 2>&1 && break
-    kill -0 "$ckpid" 2>/dev/null || break
-    sleep 0.1
-  done
-  kill -9 "$ckpid" 2>/dev/null || true
-  wait "$ckpid" 2>/dev/null || true
-  ls "$ckdir"/_ckpt/job_*.ckpt >/dev/null 2>&1 || {
-    echo "error: sharded --ckpt-every run wrote no job checkpoint before dying" >&2
-    exit 1
-  }
-  "$repro" --golden --serial --shards 2 --ckpt-every 64 --json "$ckdir" --resume \
-    >"$ckdir/stdout.txt" 2>"$ckdir/stderr.txt"
-  diff -r -x '_journal.jsonl' -x '_sweep_stats.json' -x '_ckpt' -x 'stdout.txt' \
-    -x 'stderr.txt' -x 'killed_*.txt' "$sdir" "$ckdir" || {
-    echo "error: disk-checkpoint resume did not reproduce the reference artefacts" >&2
-    exit 1
-  }
-  echo "ckpt kill+resume OK: $(ls "$ckdir"/_ckpt/job_*.ckpt | wc -l) job checkpoint(s), resumed artefacts match the serial reference"
-  rm -rf "$ckdir"
 
   step "supervisor: injected panic is quarantined, run degrades to exit 3"
   # A cell that always panics must poison only its own artefact: the run

@@ -90,7 +90,7 @@ pub use resilience::{
 pub use supervisor::{
     CellFailure, CellOutcome, CellReport, SupervisorConfig, SupervisorStats, WatchdogMargin,
 };
-pub use sweep::{run_cells, Cell, CellTiming, CkptStats, SweepConfig, SweepStats};
+pub use sweep::{run_cells, Cell, CellTiming, SweepConfig, SweepStats};
 pub use trace::{
     fold_spans, parse_trace, read_trace, render_rank_table, write_trace, FoldedSpans, ParsedTrace,
     SpanEdge,

@@ -75,50 +75,6 @@ pub struct CellTiming {
     pub wall_ms: f64,
 }
 
-/// Condemnation/rollback outcomes accumulated over one sweep (the
-/// `simmpi::condemn_telemetry` counter movement). Reporting only — wall
-/// clocks are host time and must never enter byte-compared artefacts.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
-pub struct CkptStats {
-    /// Sharded runs condemned by the exactness guard during the sweep.
-    pub condemned_runs: u64,
-    /// Engine events the condemned attempts had dispatched when stopped.
-    pub condemned_events: u64,
-    /// Wall-clock seconds spent in condemned sharded attempts.
-    pub condemned_wall_s: f64,
-    /// Window checkpoints the condemned attempts had recorded.
-    pub windows_recorded: u64,
-    /// Recovery-replay barriers re-certified against those checkpoints.
-    pub windows_verified: u64,
-    /// Wall-clock seconds spent in checkpoint-verified serial recoveries.
-    pub recovery_wall_s: f64,
-    /// Lower bound on what the legacy discard-and-rerun path would have
-    /// cost: the condemned attempts' wall (fully wasted there, and a lower
-    /// bound because legacy also winds the dead schedule down) plus the
-    /// serial rerun (same dispatch work as the recovery replay).
-    pub estimated_rerun_wall_s: f64,
-    /// Runs whose on-disk checkpoint certified a bit-identical resume.
-    pub resumed_verified: u64,
-    /// On-disk checkpoints written (fsync'd temp-and-rename commits).
-    pub ckpts_written: u64,
-}
-
-impl From<simmpi::CondemnTelemetry> for CkptStats {
-    fn from(t: simmpi::CondemnTelemetry) -> CkptStats {
-        CkptStats {
-            condemned_runs: t.condemned_runs,
-            condemned_events: t.condemned_events,
-            condemned_wall_s: t.condemned_wall_s,
-            windows_recorded: t.windows_recorded,
-            windows_verified: t.windows_verified,
-            recovery_wall_s: t.recovery_wall_s,
-            estimated_rerun_wall_s: t.condemned_wall_s + t.recovery_wall_s,
-            resumed_verified: t.resumed_verified,
-            ckpts_written: t.ckpts_written,
-        }
-    }
-}
-
 /// Execution report of one sweep: worker count, wall clock, per-cell
 /// timings, and the timing-cache counter movement over the run.
 #[derive(Clone, Debug, Serialize)]
@@ -136,8 +92,6 @@ pub struct SweepStats {
     /// Supervisor outcomes (quarantines, retries, resume skips, watchdog
     /// margins). All-zero for unsupervised [`run_cells`] runs.
     pub supervisor: SupervisorStats,
-    /// Condemnation/rollback outcomes of the sweep's sharded runs.
-    pub ckpt: CkptStats,
 }
 
 impl SweepStats {
@@ -169,7 +123,6 @@ pub fn run_cells<O: Send>(cells: Vec<Cell<O>>, cfg: &SweepConfig) -> (Vec<O>, Sw
     let n = cells.len();
     let started = Instant::now();
     let cache_before = cache_counters();
-    let condemn_before = simmpi::condemn_telemetry();
 
     let slots: Vec<Mutex<Option<(O, f64)>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let labels: Vec<String> = cells.iter().map(|c| c.label.clone()).collect();
@@ -203,7 +156,6 @@ pub fn run_cells<O: Send>(cells: Vec<Cell<O>>, cfg: &SweepConfig) -> (Vec<O>, Sw
         timing_cache: cache_before.delta_to(&cache_counters()),
         cell_timings,
         supervisor: SupervisorStats::default(),
-        ckpt: simmpi::condemn_telemetry().since(&condemn_before).into(),
     };
     (outputs, stats)
 }

@@ -92,12 +92,6 @@ pub fn record_line(rec: &TraceRecord) -> String {
         TraceEvent::FlowReshare { rank, flows } => {
             format!(",\"rank\":{rank},\"flows\":{flows}")
         }
-        TraceEvent::Condemned { reason } => {
-            format!(",\"reason\":{}", esc(reason))
-        }
-        TraceEvent::CkptWindow { window } => {
-            format!(",\"window\":{window}")
-        }
         TraceEvent::JobSubmit { job, tenant, nodes } => {
             format!(",\"job\":{job},\"tenant\":{tenant},\"nodes\":{nodes}")
         }

@@ -129,19 +129,6 @@ pub enum SimError {
         /// Virtual time at which the run was abandoned.
         at: SimTime,
     },
-    /// The run was deliberately abandoned by its coordinator — today this is
-    /// the sharded scheduler stopping *at the condemnation barrier* once the
-    /// exactness guard trips, instead of winding the condemned schedule down
-    /// to completion (see `ShardedEngine`). Like [`SimError::Interrupted`],
-    /// this is not a failure of the simulated program; the caller is
-    /// expected to recover (for the MPI layer: replay from the last
-    /// verified window checkpoint on one engine).
-    Aborted {
-        /// Virtual time at which the run was abandoned.
-        at: SimTime,
-        /// Stable machine-readable reason (e.g. a condemnation reason).
-        reason: &'static str,
-    },
 }
 
 impl std::fmt::Display for SimError {
@@ -168,9 +155,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::Interrupted { at } => {
                 write!(f, "run interrupted at {at} by the model-checking controller")
-            }
-            SimError::Aborted { at, reason } => {
-                write!(f, "run aborted at {at} by its coordinator: {reason}")
             }
         }
     }
@@ -291,8 +275,7 @@ struct Shared {
     /// writes it, while it holds the state lock and no process runs; a
     /// process reads it without the lock (it runs on the dispatching thread,
     /// or — thread-backed — after the resume handshake, which orders the
-    /// write before the read). The sharded coordinator reads it between
-    /// windows, after the barrier.
+    /// write before the read).
     now: AtomicU64,
     /// The suspension an event-driven process requested during the current
     /// poll ([`Suspend`] kind and time), handed to the dispatcher instead of
@@ -877,90 +860,6 @@ impl Engine {
         }
         Ok(())
     }
-
-    /// Dispatch every pending event with `at < limit`, in exactly the order
-    /// [`Engine::run`] would, then return. Used by the sharded runner
-    /// (`des::shard`) to advance one shard through a conservative time
-    /// window, and by checkpoint-verified serial recovery (DESIGN.md §4.10)
-    /// to pause a single-engine replay at each recorded window barrier so
-    /// its state hash can be compared against the checkpoint. After the last
-    /// windowed stretch the engine can hand the run to [`Engine::run`] —
-    /// scheduler state persists across calls.
-    ///
-    /// Returns `Ok(())` when the next live event is at or past `limit`, the
-    /// queue is empty, or every process has finished. An empty queue is
-    /// *not* a deadlock here — the sharded coordinator may refill it with
-    /// cross-shard wakes at the window barrier — so termination and deadlock
-    /// detection belong to the caller. Model checking is not supported in
-    /// windowed mode (the sharded entry points never enable it).
-    pub fn run_window(&mut self, limit: SimTime) -> Result<(), SimError> {
-        debug_assert!(self.shared.mc.is_none(), "windowed runs do not support model checking");
-        loop {
-            let resume = {
-                let mut st = self.shared.state.lock();
-                if let Some((pid, s)) = self.handoff.take() {
-                    apply_suspend(&self.shared, &mut st, pid, s);
-                }
-                if st.live == 0 {
-                    return Ok(());
-                }
-                // Prune stale heads so the limit check sees a live event;
-                // stale events are consumed and counted exactly like the
-                // plain dispatch path, keeping event totals identical to a
-                // single-engine run.
-                let ev = loop {
-                    match st.queue.peek() {
-                        None => return Ok(()),
-                        Some(head) if head.at >= limit => return Ok(()),
-                        Some(_) => {}
-                    }
-                    self.check_budget(&mut st)?;
-                    let ev = st.queue.pop().expect("peeked event vanished");
-                    st.events_dispatched += 1;
-                    if !Self::is_stale(&st, &ev) {
-                        break ev;
-                    }
-                };
-                debug_assert!(ev.at >= self.shared.now(), "event queue went backwards in time");
-                start_dispatch(&self.shared, &mut st, &ev)
-            };
-            self.execute_resume(resume)?;
-        }
-    }
-
-    /// A handle to this engine's scheduler state for the sharded runner:
-    /// lets the coordinator inspect queues and inject cross-shard wakes
-    /// while the shard's worker thread is quiescent between windows.
-    pub(crate) fn handle(&self) -> EngineHandle {
-        EngineHandle { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Collect the final report of a windowed run and tear down any
-    /// thread-backed processes (mirrors the teardown in [`Engine::run`];
-    /// a no-op for fully event-driven jobs).
-    pub(crate) fn finish_windowed(mut self, failed: bool) -> RunReport {
-        let report = {
-            let mut st = self.shared.state.lock();
-            if failed {
-                for slot in &mut st.procs {
-                    if slot.status != Status::Finished {
-                        if let ProcKind::Thread { resume_tx } = &mut slot.kind {
-                            *resume_tx = mpsc::sync_channel(1).0;
-                        }
-                    }
-                }
-            }
-            RunReport {
-                end_time: self.shared.now(),
-                events: st.events_dispatched,
-                processes: st.procs.len() as u32,
-            }
-        };
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        report
-    }
 }
 
 /// How the dispatch loop resumes the process owning the chosen event.
@@ -1008,77 +907,6 @@ fn apply_suspend(shared: &Shared, st: &mut State, pid: Pid, s: Suspend) {
             slot.status = Status::Parked;
             st.push_event(deadline.max(shared.now()), pid, gen);
             shared.trace_with(st, || TraceEvent::ProcPark { pid, deadline: Some(deadline) });
-        }
-    }
-}
-
-/// A cloneable view of one engine's scheduler state, used by the sharded
-/// runner (`des::shard`) between windows, when the shard's worker thread is
-/// parked at a barrier and the engine itself is quiescent.
-#[derive(Clone)]
-pub(crate) struct EngineHandle {
-    shared: Arc<Shared>,
-}
-
-impl EngineHandle {
-    /// Schedule a wake for a parked process (same contract as
-    /// [`ProcCtx::wake_at`]).
-    pub(crate) fn wake_at(&self, target: Pid, at: SimTime) {
-        wake_at_impl(&self.shared, target, at);
-    }
-
-    /// Timestamp of the earliest *live* pending event, pruning (and
-    /// counting, as dispatch would) any stale events sitting on top of the
-    /// queue. `None` if no live event is pending.
-    pub(crate) fn next_live_event_time(&self) -> Option<SimTime> {
-        let mut st = self.shared.state.lock();
-        loop {
-            match st.queue.peek() {
-                None => return None,
-                Some(ev) if !Engine::is_stale(&st, ev) => return Some(ev.at),
-                Some(_) => {}
-            }
-            st.queue.pop();
-            st.events_dispatched += 1;
-        }
-    }
-
-    /// Number of unfinished processes on this shard.
-    pub(crate) fn live(&self) -> u32 {
-        self.shared.state.lock().live
-    }
-
-    /// The shard's current virtual time.
-    pub(crate) fn now(&self) -> SimTime {
-        self.shared.now()
-    }
-
-    /// Status-annotated names of unfinished processes (deadlock reports).
-    pub(crate) fn live_process_diag(&self) -> Vec<String> {
-        Engine::live_process_diag(&self.shared.state.lock())
-    }
-
-    /// Total events this shard has dispatched so far (including stale ones).
-    pub(crate) fn events_dispatched(&self) -> u64 {
-        self.shared.state.lock().events_dispatched
-    }
-
-    /// Order-insensitive structural hash of this shard's scheduler state
-    /// (per-process status + resume generation, plus the live event queue
-    /// as a multiset). Used by window checkpoints: equal hashes at aligned
-    /// barriers certify that a replay reproduced the scheduler state.
-    pub(crate) fn state_hash(&self) -> u64 {
-        mc_engine_hash(&self.shared.state.lock(), self.shared.now())
-    }
-
-    /// Emit one coordinator-level trace event (e.g. a window checkpoint or a
-    /// condemnation) into this shard's trace stream, honouring the installed
-    /// tracer's class filter. Must only be called while the shard's worker
-    /// thread is quiescent at a barrier.
-    pub(crate) fn emit_trace(&self, event: TraceEvent) {
-        if self.shared.trace_mask.accepts(&event) {
-            let mut st = self.shared.state.lock();
-            self.shared.trace_record(&mut st, event);
         }
     }
 }

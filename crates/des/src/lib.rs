@@ -48,18 +48,14 @@
 
 #![warn(missing_docs)]
 
-pub mod ckpt;
 mod engine;
 mod faults;
 pub mod mc;
-mod shard;
 mod time;
 pub mod trace;
 
-pub use ckpt::{CkptLog, CkptPolicy, EngineCkpt, JobCkpt, WindowCkpt};
 pub use engine::{Advance, Context, Engine, Park, ParkUntil, Pid, ProcCtx, RunReport, SimError};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRates, SimRng};
-pub use shard::{ExchangeOutcome, ShardAbort, ShardRun, ShardWakers, ShardedEngine};
 pub use time::SimTime;
 pub use trace::{
     NullTracer, RingRecorder, TraceClass, TraceEvent, TraceFilter, TraceRecord, Tracer,

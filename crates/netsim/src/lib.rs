@@ -36,6 +36,4 @@ pub use eee::{eee_tradeoff, EeeModel, EeeTradeoffPoint};
 pub use flow::{max_min_rates, FlowId, FlowNet, FlowStatus, NetModel};
 pub use penalty::{penalty, penalty_table, snb_penalty, PenaltyRow, SNB_REFERENCE};
 pub use proto::{AttachModel, EndpointModel, ProtocolModel};
-pub use topology::{
-    CondemnReason, LossWindow, Network, Partition, TopologySpec, GUARD_REPLAY_SOURCE,
-};
+pub use topology::{LossWindow, Network, TopologySpec};

@@ -37,20 +37,16 @@ mod imb;
 mod payload;
 mod pingpong;
 mod rank;
-mod shard;
 mod world;
 
 pub use collectives::{ReduceOp, COLL_TAG_BASE};
 pub use error::{JobSpecError, MpiFault};
 pub use imb::{imb_collective, imb_rank_sweep, ImbOp, ImbPoint};
-pub use netsim::{CondemnReason, NetModel};
+pub use netsim::NetModel;
 pub use payload::Msg;
 pub use pingpong::{large_sizes, pingpong, small_sizes, PingPongPoint};
 pub use rank::{
-    condemn_telemetry, default_ckpt_dir, default_ckpt_every, default_condemn_winddown,
-    default_event_budget, default_net_model, default_shards, default_tracer, run_mpi,
-    set_default_ckpt_dir, set_default_ckpt_every, set_default_condemn_winddown,
-    set_default_event_budget, set_default_net_model, set_default_shards, set_default_tracer,
-    CondemnTelemetry, MpiRun, Rank, RecoveryStats,
+    default_event_budget, default_net_model, default_tracer, run_mpi, set_default_event_budget,
+    set_default_net_model, set_default_tracer, MpiRun, Rank,
 };
 pub use world::{JobSpec, NetStats, RetryPolicy};

@@ -6,17 +6,6 @@
 //! engine runs exactly one process at a time the mailbox protocol is
 //! race-free — e.g. a receiver that publishes a pending-receive and then
 //! parks cannot be observed "pending but not yet parked" by any sender.
-//!
-//! Under a sharded run (`JobSpec::with_shards`, see `crate::shard`) several
-//! engines run concurrently against this one world, and the mutex does real
-//! arbitration — but every *cross-shard* interaction (a mailbox push, a
-//! pending-receive wake, a reservation on a link another shard's traffic
-//! uses) is deferred into per-shard outboxes and replayed sequentially, in a
-//! canonical order, at the window barrier. In-window concurrent lock
-//! sections from different shards only ever touch disjoint state (their own
-//! rank's entry, their own partition's links — a placement precondition the
-//! shard planner verifies), which is what keeps sharded runs byte-identical
-//! to serial ones.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,35 +59,6 @@ pub struct JobSpec {
     /// ([`set_default_net_model`](crate::set_default_net_model)), which is
     /// [`NetModel::Event`] unless an experiment driver says otherwise.
     pub net_model: Option<NetModel>,
-    /// How many DES engine shards to run this job across (see
-    /// [`crate::run_mpi`]'s sharded mode). `None` falls back to the
-    /// process-global default
-    /// ([`set_default_shards`](crate::set_default_shards)); `Some(1)` pins
-    /// the serial engine. Requests above 1 are honoured only when the job is
-    /// eligible (event network model, clean fault plan, one rank per node,
-    /// identity node map, no tracer/model-checker, and a partition of the
-    /// topology whose shards do not share links); ineligible jobs fall back
-    /// to the serial engine, so results are identical either way.
-    pub shards: Option<u32>,
-    /// Persist an on-disk job checkpoint every this many verified window
-    /// barriers of a sharded run (see `des::ckpt` and
-    /// [`JobSpec::checkpoint_every`]). `None` falls back to the
-    /// process-global default
-    /// ([`set_default_ckpt_every`](crate::set_default_ckpt_every));
-    /// `validate` rejects `Some(0)`. Only sharded runs have window barriers,
-    /// so the knob is inert on serial jobs.
-    pub ckpt_every: Option<u64>,
-    /// Directory for on-disk job checkpoints (`job_<fingerprint>.ckpt`).
-    /// `None` falls back to the process-global default
-    /// ([`set_default_ckpt_dir`](crate::set_default_ckpt_dir)); checkpoints
-    /// are disabled while no directory is configured.
-    pub ckpt_dir: Option<std::path::PathBuf>,
-    /// Validation/benchmark knob: force-condemn the sharded schedule at this
-    /// 1-based window barrier, exercising the rollback-recovery path on a
-    /// job whose guard would otherwise stay clean. Recovered output is
-    /// byte-identical to the serial reference (that is the property the
-    /// knob exists to demonstrate). `validate` rejects `Some(0)`.
-    pub condemn_at_window: Option<u64>,
 }
 
 /// Message retransmission and receive-timeout policy.
@@ -142,10 +102,6 @@ impl JobSpec {
             node_map: None,
             event_budget: None,
             net_model: None,
-            shards: None,
-            ckpt_every: None,
-            ckpt_dir: None,
-            condemn_at_window: None,
         }
     }
 
@@ -204,37 +160,6 @@ impl JobSpec {
     /// process-global default).
     pub fn with_net_model(mut self, model: Option<NetModel>) -> JobSpec {
         self.net_model = model;
-        self
-    }
-
-    /// Builder: run this job across `shards` DES engine shards (`None`
-    /// keeps the process-global default; `validate` rejects `Some(0)`).
-    pub fn with_shards(mut self, shards: Option<u32>) -> JobSpec {
-        self.shards = shards;
-        self
-    }
-
-    /// Builder: persist an on-disk job checkpoint every `windows` verified
-    /// window barriers of a sharded run (`None` keeps the process-global
-    /// default; `validate` rejects `Some(0)`). Pair with
-    /// [`JobSpec::with_ckpt_dir`] — checkpoints need a directory to land in.
-    pub fn checkpoint_every(mut self, windows: Option<u64>) -> JobSpec {
-        self.ckpt_every = windows;
-        self
-    }
-
-    /// Builder: directory for on-disk job checkpoints (`None` keeps the
-    /// process-global default).
-    pub fn with_ckpt_dir(mut self, dir: Option<std::path::PathBuf>) -> JobSpec {
-        self.ckpt_dir = dir;
-        self
-    }
-
-    /// Builder: force-condemn the sharded schedule at the given 1-based
-    /// window barrier (validation/benchmark knob; `validate` rejects
-    /// `Some(0)`).
-    pub fn with_condemn_at_window(mut self, window: Option<u64>) -> JobSpec {
-        self.condemn_at_window = window;
         self
     }
 
@@ -303,15 +228,6 @@ impl JobSpec {
         if self.event_budget == Some(0) {
             return Err(JobSpecError::BadEventBudget);
         }
-        if self.shards == Some(0) {
-            return Err(JobSpecError::BadShards);
-        }
-        if self.ckpt_every == Some(0) {
-            return Err(JobSpecError::BadCheckpointEvery);
-        }
-        if self.condemn_at_window == Some(0) {
-            return Err(JobSpecError::BadCondemnWindow);
-        }
         Ok(())
     }
 }
@@ -369,8 +285,8 @@ pub(crate) struct RankState {
 
 /// One rank's accumulated busy time, kept off the world lock: only the
 /// rank's own process adds to it (so a relaxed load-add-store is
-/// race-free), and it is read only while every process is suspended — when
-/// the run is collected, or at a window barrier for a checkpoint hash.
+/// race-free), and it is read only once every process has finished, when
+/// the run is collected.
 #[derive(Debug, Default)]
 pub(crate) struct BusyTally(AtomicU64);
 
@@ -574,80 +490,6 @@ impl World {
                 );
             }
             h = des::mc::mix(h, rh);
-        }
-        des::mc::mix(h, st.fault.is_some() as u64)
-    }
-
-    /// Engine-layout-independent digest of the whole simulated world at a
-    /// cut, for window checkpoints (`des::ckpt`). Unlike
-    /// [`World::mc_state_hash`] this certifies *everything* observable in
-    /// the run's outputs — mailboxes, posted receives, accumulated
-    /// busy-time, network statistics, per-link reservation horizons, and
-    /// in-flight fluid flows — with two deliberate layout independences:
-    ///
-    /// * **Mailboxes hash as multisets.** A sharded barrier replay may
-    ///   interleave a rank's local and cross-shard pushes differently from
-    ///   the serial order while matching behaviour stays identical (each
-    ///   `(src, tag)` stream remains FIFO, and the receives that *could*
-    ///   observe the interleaving — wildcards — condemn the schedule before
-    ///   a checkpoint is taken). Order therefore must not influence the
-    ///   hash, or equal cuts would fingerprint unequally.
-    /// * **Pids never hash.** Process ids depend on spawn order inside each
-    ///   engine, so a serial replay's pids differ from the sharded run's;
-    ///   everything is keyed by rank index, and a rendezvous delivery is
-    ///   identified by `(src, tag, rts_arrival)` instead of its parked
-    ///   sender's pid.
-    ///
-    /// Times are absolute (the cut is at one global instant on every
-    /// layout). The RNG is excluded: shard-eligible jobs have clean fault
-    /// plans, so no loss draw ever advances it.
-    pub(crate) fn ckpt_state_hash(&self) -> u64 {
-        let st = self.state.lock();
-        let mut h = 0x636b_7074_776f_726cu64;
-        for (i, r) in st.ranks.iter().enumerate() {
-            let mut rh = des::mc::mix(0xc4a7, i as u64);
-            rh = des::mc::mix(rh, r.pid.is_some() as u64);
-            rh = des::mc::mix(
-                rh,
-                match r.pending {
-                    None => 0,
-                    Some((s, t)) => {
-                        1 | (s.map_or(0, |s| (s as u64 + 1) << 1))
-                            | (t.map_or(0, |t| (t as u64 + 1) << 33))
-                    }
-                },
-            );
-            rh = des::mc::mix(rh, self.busy[i].compute.get().as_nanos());
-            rh = des::mc::mix(rh, self.busy[i].comm.get().as_nanos());
-            let mut mb = 0u64;
-            for m in &r.mailbox {
-                let mut mh = des::mc::mix(0x6d, (m.src as u64) << 32 | m.tag as u64);
-                mh = des::mc::mix(mh, m.msg.bytes);
-                mh = des::mc::mix(
-                    mh,
-                    match m.delivery {
-                        Delivery::Eager { available_at } => {
-                            des::mc::mix(1, available_at.as_nanos())
-                        }
-                        Delivery::Rendezvous { rts_arrival, .. } => {
-                            des::mc::mix(2, rts_arrival.as_nanos())
-                        }
-                        Delivery::Flow { id, extra } => {
-                            des::mc::mix(3 | (id << 2), extra.as_nanos())
-                        }
-                    },
-                );
-                mb = mb.wrapping_add(mh);
-            }
-            rh = des::mc::mix(rh, mb);
-            h = des::mc::mix(h, rh);
-        }
-        h = des::mc::mix(h, st.stats.messages);
-        h = des::mc::mix(h, st.stats.payload_bytes);
-        h = des::mc::mix(h, st.stats.retransmits);
-        h = des::mc::mix(h, st.net.reservation_fingerprint());
-        if let Some(flows) = &st.flows {
-            h = des::mc::mix(h, flows.state_fingerprint());
         }
         des::mc::mix(h, st.fault.is_some() as u64)
     }
