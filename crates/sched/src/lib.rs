@@ -49,8 +49,8 @@ pub use metrics::{ClassSlo, DcReport, DistSummary, TenantUsage};
 pub use model::{job_energy_j, RuntimeModel, ScalingLaw, REF_NODE_GFLOPS};
 pub use placement::{NodeFate, PlacementStore, Reservation};
 pub use policy::{
-    shadow_time, Action, EasyBackfill, FairShare, Fcfs, Policy, QueuedJob, RunningJob, SchedView,
-    SCAN_DEPTH,
+    shadow_time, Action, EasyBackfill, FairShare, Fcfs, PassBuf, Policy, QueuedJob, RunningJob,
+    SchedView, SCAN_DEPTH,
 };
 pub use sim::{DcAudit, DcConfig, DcOutcome, DcSim, RuntimeMode, Tenant};
 pub use workload::{parse_swf, Job, JobId, JobKind, QosClass, SwfError, SyntheticSpec, TenantSpec};

@@ -53,11 +53,21 @@ pub enum NodeFate {
 }
 
 /// The allocatable-node bookkeeping for one machine.
+///
+/// Every operation costs time in the nodes it touches, not in the machine's
+/// size: free nodes are found through a bitset (one bit per node, set while
+/// the node is free), and a job's nodes are released from the list
+/// [`PlacementStore::commit`] handed back, so the per-node `state` is only
+/// ever indexed, never scanned.
 #[derive(Clone, Debug)]
 pub struct PlacementStore {
     state: Vec<NodeState>,
+    /// Bit `n % 64` of word `n / 64` is set iff node `n` is free.
+    free_bits: Vec<u64>,
     free: u32,
     alive: u32,
+    /// Nodes held by outstanding reservations.
+    reserved: u32,
     next_reservation: u64,
     outstanding: u32,
 }
@@ -65,10 +75,15 @@ pub struct PlacementStore {
 impl PlacementStore {
     /// A store with `nodes` free, alive nodes.
     pub fn new(nodes: u32) -> PlacementStore {
+        // Every word full, except the last holds only the nodes left over.
+        let free_bits =
+            (0..nodes.div_ceil(64)).map(|w| u64::MAX >> (64 - (nodes - 64 * w).min(64))).collect();
         PlacementStore {
             state: vec![NodeState::Free; nodes as usize],
+            free_bits,
             free: nodes,
             alive: nodes,
+            reserved: 0,
             next_reservation: 0,
             outstanding: 0,
         }
@@ -92,6 +107,11 @@ impl PlacementStore {
         }
     }
 
+    fn set_free(&mut self, node: u32) {
+        self.state[node as usize] = NodeState::Free;
+        self.free_bits[node as usize / 64] |= 1 << (node % 64);
+    }
+
     /// Phase one: physically hold the `count` lowest-indexed free nodes.
     /// Returns `None` (holding nothing) if fewer than `count` are free.
     pub fn reserve(&mut self, count: u32) -> Option<Reservation> {
@@ -101,27 +121,32 @@ impl PlacementStore {
         let id = self.next_reservation;
         self.next_reservation += 1;
         let mut nodes = Vec::with_capacity(count as usize);
-        for (i, s) in self.state.iter_mut().enumerate() {
-            if *s == NodeState::Free {
-                *s = NodeState::Reserved(id);
-                nodes.push(i as u32);
-                if nodes.len() == count as usize {
-                    break;
-                }
+        for (w, word) in self.free_bits.iter_mut().enumerate() {
+            while *word != 0 && nodes.len() < count as usize {
+                let node = w as u32 * 64 + word.trailing_zeros();
+                *word &= *word - 1;
+                self.state[node as usize] = NodeState::Reserved(id);
+                nodes.push(node);
+            }
+            if nodes.len() == count as usize {
+                break;
             }
         }
         debug_assert_eq!(nodes.len(), count as usize);
         self.free -= count;
+        self.reserved += count;
         self.outstanding += 1;
         Some(Reservation { id, nodes })
     }
 
-    /// Phase two: commit a reservation to `job`. Returns the nodes granted.
+    /// Phase two: commit a reservation to `job`. Returns the nodes granted,
+    /// ascending; hand them back to [`PlacementStore::release`].
     pub fn commit(&mut self, r: Reservation, job: JobId) -> Vec<u32> {
         for &n in &r.nodes {
             debug_assert_eq!(self.state[n as usize], NodeState::Reserved(r.id));
             self.state[n as usize] = NodeState::Busy(job);
         }
+        self.reserved -= r.nodes.len() as u32;
         self.outstanding -= 1;
         r.nodes
     }
@@ -130,20 +155,26 @@ impl PlacementStore {
     pub fn cancel(&mut self, r: Reservation) {
         for &n in &r.nodes {
             debug_assert_eq!(self.state[n as usize], NodeState::Reserved(r.id));
-            self.state[n as usize] = NodeState::Free;
+            self.set_free(n);
         }
         self.free += r.nodes.len() as u32;
+        self.reserved -= r.nodes.len() as u32;
         self.outstanding -= 1;
     }
 
-    /// Free every node committed to `job` (it finished or was killed);
-    /// returns how many were released. Dead nodes the job held stay dead.
-    pub fn release(&mut self, job: JobId) -> u32 {
+    /// Free the nodes [`PlacementStore::commit`] granted `job` (it finished
+    /// or was killed); returns how many were released. Dead nodes the job
+    /// held stay dead.
+    pub fn release(&mut self, job: JobId, granted: &[u32]) -> u32 {
         let mut released = 0;
-        for s in &mut self.state {
-            if *s == NodeState::Busy(job) {
-                *s = NodeState::Free;
-                released += 1;
+        for &n in granted {
+            match self.state[n as usize] {
+                NodeState::Busy(owner) if owner == job => {
+                    self.set_free(n);
+                    released += 1;
+                }
+                NodeState::Dead => {}
+                other => panic!("node {n} of job {job} is {other:?} at release"),
             }
         }
         self.free += released;
@@ -159,6 +190,7 @@ impl PlacementStore {
             NodeState::Dead => NodeFate::AlreadyDead,
             NodeState::Free => {
                 self.state[node as usize] = NodeState::Dead;
+                self.free_bits[node as usize / 64] &= !(1 << (node % 64));
                 self.free -= 1;
                 self.alive -= 1;
                 NodeFate::WasIdle
@@ -174,9 +206,7 @@ impl PlacementStore {
 
     /// Nodes committed to jobs right now (for audits).
     pub fn busy_nodes(&self) -> u32 {
-        self.alive
-            - self.free
-            - self.state.iter().filter(|s| matches!(s, NodeState::Reserved(_))).count() as u32
+        self.alive - self.free - self.reserved
     }
 }
 
@@ -193,7 +223,7 @@ mod tests {
         let granted = p.commit(r, 42);
         assert_eq!(granted, vec![0, 1, 2]);
         assert_eq!(p.owner(1), Some(42));
-        assert_eq!(p.release(42), 3);
+        assert_eq!(p.release(42, &granted), 3);
         assert_eq!(p.free_nodes(), 8);
         assert_eq!(p.owner(1), None);
     }
@@ -215,13 +245,13 @@ mod tests {
     fn failed_nodes_leave_the_pool_forever() {
         let mut p = PlacementStore::new(4);
         let r = p.reserve(2).unwrap();
-        p.commit(r, 1);
+        let granted = p.commit(r, 1);
         assert_eq!(p.fail_node(0), NodeFate::WasRunning(1));
         assert_eq!(p.fail_node(0), NodeFate::AlreadyDead);
         assert_eq!(p.fail_node(3), NodeFate::WasIdle);
         assert_eq!(p.alive_nodes(), 2);
         // The job still holds node 1 until released; node 0 stays dead.
-        assert_eq!(p.release(1), 1);
+        assert_eq!(p.release(1, &granted), 1);
         assert_eq!(p.free_nodes(), 2);
         let r = p.reserve(2).expect("the two survivors");
         assert_eq!(r.nodes(), &[1, 2], "dead nodes are never allocated");

@@ -52,7 +52,8 @@ pub struct SchedView<'a> {
     pub alive_nodes: u32,
     /// The wait queue in queue order (head first).
     pub queue: &'a [QueuedJob],
-    /// Currently running jobs, in start order.
+    /// Currently running jobs, sorted by `(est_end, id)`: the order
+    /// [`shadow_time`] consumes them in.
     pub running: &'a [RunningJob],
     /// Per-tenant fair-share weights (not necessarily normalised).
     pub tenant_shares: &'a [f64],
@@ -70,16 +71,31 @@ pub enum Action {
     Preempt(JobId),
 }
 
+/// The buffers one scheduling pass fills. The simulator owns them and
+/// lends them to every [`Policy::decide`], so once they have grown a pass
+/// allocates nothing, and a policy needs no state of its own to reuse them.
+#[derive(Debug, Default)]
+pub struct PassBuf {
+    /// The pass's actions, in the order the simulator applies them. Empty
+    /// when `decide` is called.
+    pub actions: Vec<Action>,
+    /// `(est_end, nodes)` of the jobs an EASY pass starts, for its shadow.
+    ends: Vec<(SimTime, u32)>,
+    /// `(tenant deficit, queue index)` of a fair-share pass's scan window.
+    keys: Vec<(f64, usize)>,
+}
+
 /// A scheduling policy.
 pub trait Policy {
     /// Stable policy name (report rows, artefact keys).
     fn name(&self) -> &'static str;
 
-    /// Propose actions for this pass. `Start` indices refer to the queue
-    /// *before* any action is applied; the simulator starts them in the
-    /// returned order and ignores indices whose reservation no longer fits
-    /// (which a correct policy never produces).
-    fn decide(&mut self, view: &SchedView<'_>) -> Vec<Action>;
+    /// Propose this pass's actions by pushing them onto `pass.actions`.
+    /// `Start` indices refer to the queue *before* any action is applied;
+    /// the simulator starts them in the given order and ignores indices
+    /// whose reservation no longer fits (which a correct policy never
+    /// produces).
+    fn decide(&mut self, view: &SchedView<'_>, pass: &mut PassBuf);
 
     /// Whether the policy reads [`SchedView::tenant_usage`]. When `false`
     /// (the default) the simulator skips the per-pass usage projection,
@@ -96,27 +112,75 @@ pub const SCAN_DEPTH: usize = 128;
 
 /// When the head job cannot start now, the earliest time it is *guaranteed*
 /// to fit, assuming running jobs end at their wall-limit bounds and nothing
-/// else starts: walk running jobs by ascending `est_end`, accumulating freed
-/// nodes until `need` fits. Returns `(shadow_time, extra)` where `extra` is
-/// how many nodes beyond `need` will be free at that instant — the headroom
-/// a backfill job may hold past the shadow time without delaying the head.
+/// else starts: release jobs by ascending `(est_end, nodes)`, accumulating
+/// freed nodes until `need` fits. Returns `(shadow_time, extra)` where
+/// `extra` is how many nodes beyond `need` will be free at that instant —
+/// the headroom a backfill job may hold past the shadow time without
+/// delaying the head.
+///
+/// `running` must be sorted by `(est_end, id)`, as [`SchedView::running`]
+/// is, and `starts` (jobs starting in this pass but not yet in `running`,
+/// as `(est_end, nodes)`) must be sorted. The two are merged in one walk
+/// that stops at the first `est_end` where `need` fits, so the cost is the
+/// prefix walked, not the running set. Within that last instant the jobs
+/// are released narrowest first, which fixes `extra`.
 ///
 /// Returns `None` when `need` exceeds free plus every running job's nodes
 /// (the pool is too small; the caller handles unplaceable jobs).
-pub fn shadow_time(need: u32, free: u32, running: &[RunningJob]) -> Option<(SimTime, u32)> {
+pub fn shadow_time(
+    need: u32,
+    free: u32,
+    running: &[RunningJob],
+    starts: &[(SimTime, u32)],
+) -> Option<(SimTime, u32)> {
+    debug_assert!(
+        running.windows(2).all(|w| (w[0].est_end, w[0].id) < (w[1].est_end, w[1].id)),
+        "running jobs out of (est_end, id) order"
+    );
+    debug_assert!(starts.windows(2).all(|w| w[0] <= w[1]), "pass starts out of order");
     if need <= free {
         return Some((SimTime::ZERO, free - need));
     }
-    let mut ends: Vec<(SimTime, u32)> = running.iter().map(|r| (r.est_end, r.nodes)).collect();
-    ends.sort();
+    let (mut r, mut s) = (0, 0);
     let mut avail = free;
-    for (end, nodes) in ends {
-        avail += nodes;
-        if avail >= need {
-            return Some((end, avail - need));
+    loop {
+        let at = match (running.get(r), starts.get(s)) {
+            (Some(j), Some(&(end, _))) => j.est_end.min(end),
+            (Some(j), None) => j.est_end,
+            (None, Some(&(end, _))) => end,
+            (None, None) => return None,
+        };
+        let r_end = r + running[r..].iter().take_while(|j| j.est_end == at).count();
+        let s_end = s + starts[s..].iter().take_while(|e| e.0 == at).count();
+        let group = &running[r..r_end];
+        let group_starts = &starts[s..s_end];
+        let freed: u32 = group.iter().map(|j| j.nodes).sum::<u32>()
+            + group_starts.iter().map(|e| e.1).sum::<u32>();
+        if avail + freed >= need {
+            return Some((at, narrowest_first_extra(need - avail, group, group_starts)));
         }
+        avail += freed;
+        (r, s) = (r_end, s_end);
     }
-    None
+}
+
+/// Release one instant's jobs narrowest first until `short` more nodes are
+/// free; return the overshoot. Walks the distinct widths upwards, so it
+/// needs no sorted copy of the group.
+fn narrowest_first_extra(short: u32, running: &[RunningJob], starts: &[(SimTime, u32)]) -> u32 {
+    let widths = || running.iter().map(|j| j.nodes).chain(starts.iter().map(|e| e.1));
+    let mut freed = 0;
+    let mut below = 0;
+    loop {
+        let width =
+            widths().filter(|&w| w > below).min().expect("the instant's jobs cover the shortfall");
+        let count = widths().filter(|&w| w == width).count() as u32;
+        freed += width * count.min((short - freed).div_ceil(width));
+        if freed >= short {
+            return freed - short;
+        }
+        below = width;
+    }
 }
 
 /// First-come first-served, no backfilling: start jobs strictly in queue
@@ -129,17 +193,15 @@ impl Policy for Fcfs {
         "fcfs"
     }
 
-    fn decide(&mut self, view: &SchedView<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn decide(&mut self, view: &SchedView<'_>, pass: &mut PassBuf) {
         let mut free = view.free_nodes;
         for (i, q) in view.queue.iter().enumerate() {
             if q.job.nodes > free {
                 break;
             }
             free -= q.job.nodes;
-            actions.push(Action::Start(i));
+            pass.actions.push(Action::Start(i));
         }
-        actions
     }
 }
 
@@ -156,39 +218,33 @@ impl Policy for EasyBackfill {
         "easy"
     }
 
-    fn decide(&mut self, view: &SchedView<'_>) -> Vec<Action> {
-        let mut actions = Vec::new();
+    fn decide(&mut self, view: &SchedView<'_>, pass: &mut PassBuf) {
         let mut free = view.free_nodes;
         // FCFS prefix: start in order while the head fits.
         let mut head = 0;
         while head < view.queue.len() && view.queue[head].job.nodes <= free {
             free -= view.queue[head].job.nodes;
-            actions.push(Action::Start(head));
+            pass.actions.push(Action::Start(head));
             head += 1;
         }
         if free == 0 {
-            return actions; // nothing can backfill; skip the shadow work
+            return; // nothing can backfill; skip the shadow work
         }
         let Some(blocked) = view.queue.get(head) else {
-            return actions; // queue drained
+            return; // queue drained
         };
         // Shadow reservation for the blocked head, counting the jobs this
         // pass just started (their est_end bounds their wall-limit kills).
-        let mut running: Vec<RunningJob> = view.running.to_vec();
-        for a in &actions {
-            if let Action::Start(i) = a {
-                let q = &view.queue[*i];
-                running.push(RunningJob {
-                    id: q.job.id,
-                    tenant: q.job.tenant,
-                    nodes: q.job.nodes,
-                    start: view.now,
-                    est_end: view.now + SimTime::from_secs_f64(q.job.est_secs),
-                });
-            }
-        }
-        let Some((shadow, extra)) = shadow_time(blocked.job.nodes, free, &running) else {
-            return actions; // head is unplaceable; the simulator rejects it
+        pass.ends.clear();
+        pass.ends.extend(
+            view.queue[..head]
+                .iter()
+                .map(|q| (view.now + SimTime::from_secs_f64(q.job.est_secs), q.job.nodes)),
+        );
+        pass.ends.sort_unstable();
+        let Some((shadow, extra)) = shadow_time(blocked.job.nodes, free, view.running, &pass.ends)
+        else {
+            return; // head is unplaceable; the simulator rejects it
         };
         let shadow = view.now.max(shadow);
         let mut extra = extra;
@@ -208,10 +264,9 @@ impl Policy for EasyBackfill {
                 if !fits_before_shadow {
                     extra -= q.job.nodes;
                 }
-                actions.push(Action::Start(i));
+                pass.actions.push(Action::Start(i));
             }
         }
-        actions
     }
 }
 
@@ -278,65 +333,75 @@ impl Policy for FairShare {
         true
     }
 
-    fn decide(&mut self, view: &SchedView<'_>) -> Vec<Action> {
+    fn decide(&mut self, view: &SchedView<'_>, pass: &mut PassBuf) {
         // Order the scan window by (tenant deficit, queue position): the
-        // most underserved tenant's oldest job first. total_cmp keeps the
-        // order deterministic even with equal deficits.
-        let window = view.queue.len().min(SCAN_DEPTH);
-        let mut order: Vec<usize> = (0..window).collect();
-        order.sort_by(|&a, &b| {
-            let da = Self::deficit(view.tenant_shares, view.tenant_usage, view.queue[a].job.tenant);
-            let db = Self::deficit(view.tenant_shares, view.tenant_usage, view.queue[b].job.tenant);
-            da.total_cmp(&db).then(a.cmp(&b))
-        });
-        let mut actions = Vec::new();
+        // most underserved tenant's oldest job first. Each deficit is
+        // computed once; total_cmp keeps the order deterministic even with
+        // equal deficits, and the position makes every key distinct.
+        let window = &view.queue[..view.queue.len().min(SCAN_DEPTH)];
+        pass.keys.clear();
+        pass.keys.extend(
+            window.iter().enumerate().map(|(i, q)| {
+                (Self::deficit(view.tenant_shares, view.tenant_usage, q.job.tenant), i)
+            }),
+        );
+        pass.keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut free = view.free_nodes;
-        for &i in &order {
+        let mut head_started = false;
+        for &(_, i) in &pass.keys {
             let q = &view.queue[i];
             if q.job.nodes <= free {
                 free -= q.job.nodes;
-                actions.push(Action::Start(i));
+                pass.actions.push(Action::Start(i));
+                head_started |= i == 0;
             }
         }
-        if !self.preempt || actions.iter().any(|a| matches!(a, Action::Start(0))) {
-            return actions;
+        if !self.preempt || head_started {
+            return;
         }
         // The head (oldest job of the pass's most underserved tenant among
         // the unstartable) may preempt if it has starved.
-        let Some(head) = view.queue.first() else { return actions };
+        let Some(head) = view.queue.first() else { return };
         let waited = (view.now - head.job.submit).as_secs_f64();
         if waited < self.starvation_s {
-            return actions;
+            return;
         }
         let head_deficit = Self::deficit(view.tenant_shares, view.tenant_usage, head.job.tenant);
         // Victims: most recently started jobs of tenants more served than
         // the head's tenant, newest first, never the head's own tenant.
-        let mut victims: Vec<&RunningJob> = view
-            .running
-            .iter()
-            .filter(|r| {
-                r.tenant != head.job.tenant
-                    && Self::deficit(view.tenant_shares, view.tenant_usage, r.tenant) > head_deficit
-            })
-            .collect();
-        victims.sort_by(|a, b| b.start.cmp(&a.start).then(b.id.cmp(&a.id)));
+        // Each round picks the newest `(start, id)` older than the last
+        // victim.
+        let started = pass.actions.len();
         let mut reclaimed = free;
-        let mut evicted = Vec::new();
-        for v in victims.into_iter().take(self.max_preempts_per_pass as usize) {
+        let mut newer_than: Option<(SimTime, JobId)> = None;
+        for _ in 0..self.max_preempts_per_pass {
             if reclaimed >= head.job.nodes {
                 break;
             }
+            let Some(v) = view
+                .running
+                .iter()
+                .filter(|r| newer_than.is_none_or(|bound| (r.start, r.id) < bound))
+                .filter(|r| {
+                    r.tenant != head.job.tenant
+                        && Self::deficit(view.tenant_shares, view.tenant_usage, r.tenant)
+                            > head_deficit
+                })
+                .max_by_key(|r| (r.start, r.id))
+            else {
+                break;
+            };
             reclaimed += v.nodes;
-            evicted.push(Action::Preempt(v.id));
+            newer_than = Some((v.start, v.id));
+            pass.actions.push(Action::Preempt(v.id));
         }
-        if reclaimed >= head.job.nodes && !evicted.is_empty() {
+        let evicted = pass.actions.len() - started;
+        if reclaimed >= head.job.nodes && evicted > 0 {
             // Evictions first; the freed nodes let the next pass start the
             // head (the simulator reruns a pass after applying preemptions).
-            let mut out = evicted;
-            out.extend(actions);
-            out
+            pass.actions.rotate_right(evicted);
         } else {
-            actions
+            pass.actions.truncate(started);
         }
     }
 }
@@ -372,6 +437,13 @@ mod tests {
         }
     }
 
+    /// One pass of `policy` over `view`, on fresh buffers.
+    fn decide(policy: &mut impl Policy, view: &SchedView<'_>) -> Vec<Action> {
+        let mut pass = PassBuf::default();
+        policy.decide(view, &mut pass);
+        pass.actions
+    }
+
     fn view<'a>(
         free: u32,
         alive: u32,
@@ -395,7 +467,7 @@ mod tests {
     fn fcfs_stops_at_the_first_blocked_job() {
         let q = vec![job(0, 0, 2, 0.0, 10.0), job(1, 0, 8, 1.0, 10.0), job(2, 0, 1, 2.0, 10.0)];
         let v = view(4, 8, &q, &[], &[1.0], &[0.0]);
-        assert_eq!(Fcfs.decide(&v), vec![Action::Start(0)], "job 2 fits but FCFS won't jump");
+        assert_eq!(decide(&mut Fcfs, &v), vec![Action::Start(0)], "job 2 fits but FCFS won't jump");
     }
 
     #[test]
@@ -406,10 +478,10 @@ mod tests {
         let run = vec![running(100, 0, 4, 2000.0)];
         let long = vec![job(0, 0, 8, 0.0, 1e6), job(1, 0, 4, 1.0, 2000.0)];
         let v = view(4, 8, &long, &run, &[1.0], &[0.0]);
-        assert_eq!(EasyBackfill.decide(&v), vec![], "a 2000s backfill would delay the head");
+        assert_eq!(decide(&mut EasyBackfill, &v), vec![], "a 2000s backfill would delay the head");
         let short = vec![job(0, 0, 8, 0.0, 1e6), job(1, 0, 4, 1.0, 500.0)];
         let v = view(4, 8, &short, &run, &[1.0], &[0.0]);
-        assert_eq!(EasyBackfill.decide(&v), vec![Action::Start(1)]);
+        assert_eq!(decide(&mut EasyBackfill, &v), vec![Action::Start(1)]);
     }
 
     #[test]
@@ -419,7 +491,7 @@ mod tests {
         let run = vec![running(100, 0, 6, 2000.0)];
         let q = vec![job(0, 0, 8, 0.0, 1e6), job(1, 0, 2, 1.0, 1e9)];
         let v = view(4, 10, &q, &run, &[1.0], &[0.0]);
-        assert_eq!(EasyBackfill.decide(&v), vec![Action::Start(1)]);
+        assert_eq!(decide(&mut EasyBackfill, &v), vec![Action::Start(1)]);
     }
 
     #[test]
@@ -427,7 +499,7 @@ mod tests {
         let q = vec![job(0, 0, 4, 0.0, 10.0), job(1, 1, 4, 1.0, 10.0)];
         // Tenant 0 has consumed far more than its share.
         let v = view(4, 8, &q, &[], &[0.5, 0.5], &[1e6, 0.0]);
-        let acts = FairShare::new().decide(&v);
+        let acts = decide(&mut FairShare::new(), &v);
         assert_eq!(acts, vec![Action::Start(1)], "tenant 1 is owed capacity");
     }
 
@@ -437,20 +509,20 @@ mod tests {
         let run = vec![running(100, 1, 4, 5000.0), running(101, 1, 4, 6000.0)];
         let q = vec![job(0, 0, 8, 0.0, 10.0)]; // waited 1000s > 600s
         let v = view(0, 8, &q, &run, &[0.5, 0.5], &[0.0, 1e6]);
-        let acts = FairShare::preempting().decide(&v);
+        let acts = decide(&mut FairShare::preempting(), &v);
         assert_eq!(acts, vec![Action::Preempt(101), Action::Preempt(100)]);
         // Without preemption: nothing to do.
-        assert_eq!(FairShare::new().decide(&v), vec![]);
+        assert_eq!(decide(&mut FairShare::new(), &v), vec![]);
     }
 
     #[test]
     fn shadow_time_accumulates_wall_limit_releases() {
         let run = vec![running(1, 0, 2, 100.0), running(2, 0, 4, 200.0)];
         // need 5, free 1: after t=100 → 3 free; after t=200 → 7 free.
-        let (t, extra) = shadow_time(5, 1, &run).unwrap();
+        let (t, extra) = shadow_time(5, 1, &run, &[]).unwrap();
         assert_eq!(t, SimTime::from_secs_f64(200.0));
         assert_eq!(extra, 2);
-        assert_eq!(shadow_time(8, 1, &run), None, "wider than the whole pool");
-        assert_eq!(shadow_time(1, 1, &run), Some((SimTime::ZERO, 0)));
+        assert_eq!(shadow_time(8, 1, &run, &[]), None, "wider than the whole pool");
+        assert_eq!(shadow_time(1, 1, &run, &[]), Some((SimTime::ZERO, 0)));
     }
 }

@@ -15,6 +15,7 @@
 //! queue until its crash budget runs out.
 
 use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
@@ -24,7 +25,7 @@ use des::{FaultKind, FaultPlan, SimTime, TraceEvent, TraceRecord, Tracer};
 use crate::metrics::{ClassSlo, DcReport, DistSummary, TenantUsage};
 use crate::model::{job_energy_j, RuntimeModel};
 use crate::placement::{NodeFate, PlacementStore};
-use crate::policy::{shadow_time, Action, Policy, QueuedJob, RunningJob, SchedView};
+use crate::policy::{shadow_time, Action, PassBuf, Policy, QueuedJob, RunningJob, SchedView};
 use crate::workload::{Job, JobId, JobKind, QosClass};
 
 /// How a job's run length is determined.
@@ -130,6 +131,8 @@ struct RunningRec {
     tenant: u32,
     qos: QosClass,
     nodes: u32,
+    /// The nodes placement granted, which `release` frees.
+    granted: Vec<u32>,
     submit: SimTime,
     start: SimTime,
     est_end: SimTime,
@@ -149,6 +152,8 @@ pub struct DcSim {
     model: RuntimeModel,
     policy: Box<dyn Policy>,
     tenants: Vec<Tenant>,
+    /// The tenants' fair-share weights, as every pass's view shows them.
+    shares: Vec<f64>,
     cfg: DcConfig,
     tracer: Option<Arc<dyn Tracer>>,
 
@@ -167,6 +172,14 @@ pub struct DcSim {
     next_epoch: u64,
     trace_seq: u64,
     pass_needed: bool,
+
+    // Per-pass buffers, reused so a pass allocates nothing once grown.
+    /// Per-tenant usage projected to `now` (fair-share passes only).
+    usage: Vec<f64>,
+    /// The policy's actions and scratch.
+    pass: PassBuf,
+    /// Absolute queue indices started in the current round.
+    started: Vec<usize>,
 
     // Accounting.
     busy_node_secs: f64,
@@ -207,6 +220,7 @@ impl DcSim {
             machine,
             model,
             policy,
+            shares: tenants.iter().map(|t| t.share).collect(),
             tenants,
             cfg,
             tracer: None,
@@ -221,6 +235,9 @@ impl DcSim {
             next_epoch: 0,
             trace_seq: 0,
             pass_needed: false,
+            usage: Vec::new(),
+            pass: PassBuf::default(),
+            started: Vec::new(),
             busy_node_secs: 0.0,
             capacity_node_secs: 0.0,
             last_capacity_at: SimTime::ZERO,
@@ -350,13 +367,13 @@ impl DcSim {
     }
 
     fn on_finish(&mut self, job: JobId, epoch: u64) {
-        let Some(rec) = self.running.get(&job) else { return };
-        if rec.epoch != epoch {
+        let Entry::Occupied(entry) = self.running.entry(job) else { return };
+        if entry.get().epoch != epoch {
             return; // stale departure from before a crash/preemption restart
         }
-        let rec = self.running.remove(&job).expect("checked above");
+        let rec = entry.remove();
         self.remove_running_view(job, rec.est_end);
-        let released = self.placement.release(job);
+        let released = self.placement.release(job, &rec.granted);
         debug_assert_eq!(released, rec.nodes);
         let elapsed = (self.now - rec.start).as_secs_f64();
         self.account_usage(&rec, elapsed);
@@ -416,7 +433,7 @@ impl DcSim {
     fn kill_running(&mut self, job: JobId, from_crash: bool) {
         let rec = self.running.remove(&job).expect("victim is running");
         self.remove_running_view(job, rec.est_end);
-        self.placement.release(job); // surviving nodes; the dead one is gone
+        self.placement.release(job, &rec.granted); // survivors; the dead one is gone
         let elapsed = (self.now - rec.start).as_secs_f64();
         self.account_usage(&rec, elapsed);
         self.energy_total_j += job_energy_j(&self.machine, rec.nodes, elapsed, rec.busy_frac);
@@ -498,44 +515,40 @@ impl DcSim {
             if self.qhead == self.queue.len() {
                 break;
             }
-            let usage_now = if self.policy.needs_usage() {
-                let mut u = self.tenant_node_secs.clone();
+            self.usage.clear();
+            if self.policy.needs_usage() {
+                self.usage.extend_from_slice(&self.tenant_node_secs);
                 for r in &self.running_view {
-                    if let Some(t) = u.get_mut(r.tenant as usize) {
+                    if let Some(t) = self.usage.get_mut(r.tenant as usize) {
                         *t += r.nodes as f64 * (self.now - r.start).as_secs_f64();
                     }
                 }
-                u
-            } else {
-                Vec::new()
+            }
+            self.pass.actions.clear();
+            let view = SchedView {
+                now: self.now,
+                free_nodes: self.placement.free_nodes(),
+                alive_nodes: self.placement.alive_nodes(),
+                queue: &self.queue[self.qhead..],
+                running: &self.running_view,
+                tenant_shares: &self.shares,
+                tenant_usage: &self.usage,
             };
-            let shares: Vec<f64> = self.tenants.iter().map(|t| t.share).collect();
-            let actions = {
-                let view = SchedView {
-                    now: self.now,
-                    free_nodes: self.placement.free_nodes(),
-                    alive_nodes: self.placement.alive_nodes(),
-                    queue: &self.queue[self.qhead..],
-                    running: &self.running_view,
-                    tenant_shares: &shares,
-                    tenant_usage: &usage_now,
-                };
-                self.policy.decide(&view)
-            };
-            if actions.is_empty() {
+            self.policy.decide(&view, &mut self.pass);
+            if self.pass.actions.is_empty() {
                 break;
             }
-            let mut started: Vec<usize> = Vec::new();
+            self.started.clear();
             let mut preempted = false;
-            for a in actions {
-                match a {
+            for k in 0..self.pass.actions.len() {
+                match self.pass.actions[k] {
                     Action::Start(i) => {
                         let idx = self.qhead + i;
-                        if started.contains(&idx) {
+                        if self.started.contains(&idx) {
                             continue; // defensive against a buggy policy
                         }
                         if self.start_job(idx) {
-                            started.push(idx);
+                            self.started.push(idx);
                         }
                     }
                     Action::Preempt(id) => {
@@ -546,7 +559,7 @@ impl DcSim {
                     }
                 }
             }
-            self.compact_queue(&mut started);
+            self.compact_queue();
             if !preempted {
                 break;
             }
@@ -560,48 +573,45 @@ impl DcSim {
     /// the reservation does not fit (a policy overcommit; the job stays
     /// queued).
     fn start_job(&mut self, idx: usize) -> bool {
-        let q = self.queue[idx].clone();
-        let Some(res) = self.placement.reserve(q.job.nodes) else { return false };
-        self.placement.commit(res, q.job.id);
+        let q = &self.queue[idx];
+        let job = &q.job;
+        let Some(res) = self.placement.reserve(job.nodes) else { return false };
+        let granted = self.placement.commit(res, job.id);
         let run_secs = match self.cfg.runtime {
-            RuntimeMode::Analytic => self.model.job_secs(&q.job),
-            RuntimeMode::Recorded => q.job.work,
+            RuntimeMode::Analytic => self.model.job_secs(job),
+            RuntimeMode::Recorded => job.work,
         };
-        let wall_killed = run_secs > q.job.est_secs;
-        let duration = run_secs.min(q.job.est_secs);
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        let est_end = self.now + SimTime::from_secs_f64(q.job.est_secs);
+        let duration = run_secs.min(job.est_secs);
+        let est_end = self.now + SimTime::from_secs_f64(job.est_secs);
         let finish_at = self.now + SimTime::from_secs_f64(duration).max(SimTime::from_nanos(1));
-        let busy_frac = self.model.busy_frac(q.job.kind, q.job.nodes, q.job.work);
-        self.running.insert(
-            q.job.id,
-            RunningRec {
-                epoch,
-                tenant: q.job.tenant,
-                qos: q.job.qos,
-                nodes: q.job.nodes,
-                submit: q.job.submit,
-                start: self.now,
-                est_end,
-                wall_killed,
-                resubmits: q.resubmits,
-                busy_frac,
-                kind_back: (q.job.kind, q.job.work),
-            },
-        );
+        let rec = RunningRec {
+            epoch: self.next_epoch,
+            tenant: job.tenant,
+            qos: job.qos,
+            nodes: job.nodes,
+            granted,
+            submit: job.submit,
+            start: self.now,
+            est_end,
+            wall_killed: run_secs > job.est_secs,
+            resubmits: q.resubmits,
+            busy_frac: self.model.busy_frac(job.kind, job.nodes, job.work),
+            kind_back: (job.kind, job.work),
+        };
+        let (id, wait) = (job.id, self.now - job.submit);
+        self.next_epoch += 1;
         self.insert_running_view(RunningJob {
-            id: q.job.id,
-            tenant: q.job.tenant,
-            nodes: q.job.nodes,
+            id,
+            tenant: rec.tenant,
+            nodes: rec.nodes,
             start: self.now,
             est_end,
         });
-        self.push_event(finish_at, Ev::Finish { job: q.job.id, epoch });
-        let wait = self.now - q.job.submit;
-        self.emit(TraceEvent::JobStart { job: q.job.id, nodes: q.job.nodes, wait });
+        self.push_event(finish_at, Ev::Finish { job: id, epoch: rec.epoch });
+        self.emit(TraceEvent::JobStart { job: id, nodes: rec.nodes, wait });
+        self.running.insert(id, rec);
         if self.cfg.audit {
-            if let Some(bound) = self.head_bounds.remove(&q.job.id) {
+            if let Some(bound) = self.head_bounds.remove(&id) {
                 if self.now > bound {
                     self.audit.head_bound_violations += 1;
                 }
@@ -610,26 +620,25 @@ impl DcSim {
         true
     }
 
-    /// Drop started entries from the queue. Fast path: all starts were the
-    /// FCFS prefix, so the head offset just advances; otherwise rebuild.
-    fn compact_queue(&mut self, started: &mut [usize]) {
-        if started.is_empty() {
-            return;
-        }
-        started.sort_unstable();
-        let prefix = started.iter().enumerate().all(|(k, &idx)| idx == self.qhead + k);
-        if prefix {
-            self.qhead += started.len();
-        } else {
-            let mut keep = Vec::with_capacity(self.queue.len() - self.qhead - started.len());
-            for (idx, q) in self.queue.drain(self.qhead..).enumerate() {
-                if started.binary_search(&(idx + self.qhead)).is_err() {
-                    keep.push(q);
-                }
+    /// Drop this round's started entries from the live queue. The survivors
+    /// between the head and the last started entry shift back over them, so
+    /// the started entries collect at the front, where the head offset
+    /// skips them. Only that window moves, however long the queue behind
+    /// it; a pure FCFS prefix moves nothing.
+    fn compact_queue(&mut self) {
+        self.started.sort_unstable();
+        let Some(&last) = self.started.last() else { return };
+        let mut unpassed = self.started.len();
+        let mut write = last;
+        for read in (self.qhead..=last).rev() {
+            if unpassed > 0 && self.started[unpassed - 1] == read {
+                unpassed -= 1;
+            } else {
+                self.queue.swap(read, write);
+                write -= 1;
             }
-            self.queue.truncate(self.qhead);
-            self.queue.append(&mut keep);
         }
+        self.qhead += self.started.len();
         // Reclaim the dead prefix once it dominates the buffer.
         if self.qhead > 64 && self.qhead * 2 > self.queue.len() {
             self.queue.drain(..self.qhead);
@@ -652,9 +661,12 @@ impl DcSim {
         // Record the blocked head's shadow bound the first time we see it.
         if let Some(head) = self.queue.get(self.qhead) {
             if !self.head_bounds.contains_key(&head.job.id) {
-                if let Some((shadow, _)) =
-                    shadow_time(head.job.nodes, self.placement.free_nodes(), &self.running_view)
-                {
+                if let Some((shadow, _)) = shadow_time(
+                    head.job.nodes,
+                    self.placement.free_nodes(),
+                    &self.running_view,
+                    &[],
+                ) {
                     self.head_bounds.insert(head.job.id, self.now.max(shadow));
                 }
             }

@@ -179,10 +179,25 @@ proptest! {
     }
 }
 
-/// A random op sequence for the placement-store property: each tuple drives
-/// one reserve/commit/cancel/release/fail decision.
-fn placement_ops() -> impl Strategy<Value = Vec<(u8, u32, u32)>> {
-    proptest::collection::vec((0u8..5, 1u32..17, 0u32..16), 1..120)
+/// A machine size and a random op sequence for the placement-store
+/// property: each tuple drives one reserve/commit/cancel/release/fail
+/// decision. 16 nodes fit in one bitset word; 130 span three, so
+/// reservations cross 64-node word boundaries. Half the requests are at
+/// most 8 nodes wide, so the free pool fragments.
+fn placement_ops() -> impl Strategy<Value = (u32, Vec<(u8, u32, u32)>)> {
+    (0u8..2, proptest::collection::vec((0u8..5, 0u32..1 << 16, 0u32..1 << 16), 1..120)).prop_map(
+        |(big, ops)| {
+            let size = if big == 1 { 130 } else { 16 };
+            let ops = ops
+                .into_iter()
+                .map(|(op, c, n)| {
+                    let count = if c % 2 == 0 { 1 + (c / 2) % 8 } else { 1 + (c / 2) % size };
+                    (op, count, n % size)
+                })
+                .collect();
+            (size, ops)
+        },
+    )
 }
 
 proptest! {
@@ -190,15 +205,15 @@ proptest! {
 
     /// Two-phase placement never double-books: under any interleaving of
     /// reserve, commit, cancel, release and node failure, every node has at
-    /// most one owner, committed jobs never share nodes, reservations never
-    /// hand out dead or busy nodes, and the free/alive counters always agree
-    /// with a recount from scratch.
+    /// most one owner, committed jobs never share nodes, every reservation
+    /// holds exactly the lowest-indexed free nodes (so dead and busy nodes
+    /// are never handed out), and the free/alive counters always agree with
+    /// a recount from scratch.
     #[test]
-    fn placement_store_never_double_books(ops in placement_ops()) {
+    fn placement_store_never_double_books((size, ops) in placement_ops()) {
         use socready::sched::{NodeFate, PlacementStore, Reservation};
         use std::collections::HashMap;
-        const NODES: u32 = 16;
-        let mut store = PlacementStore::new(NODES);
+        let mut store = PlacementStore::new(size);
         let mut held: Vec<Reservation> = Vec::new();
         let mut running: HashMap<u64, Vec<u32>> = HashMap::new(); // job -> nodes
         let mut dead: Vec<u32> = Vec::new();
@@ -206,21 +221,20 @@ proptest! {
         for (op, count, node) in ops {
             match op {
                 0 => {
-                    if let Some(r) = store.reserve(count) {
-                        // A fresh hold may not overlap any outstanding hold,
-                        // any running job's nodes, or any dead node.
-                        for &n in r.nodes() {
-                            prop_assert!(!dead.contains(&n), "reserved dead node {n}");
-                            prop_assert!(
-                                held.iter().all(|h| !h.nodes().contains(&n)),
-                                "node {n} reserved twice"
-                            );
-                            prop_assert!(
-                                running.values().all(|ns| !ns.contains(&n)),
-                                "node {n} reserved while busy"
-                            );
+                    // The model's free pool, ascending.
+                    let free: Vec<u32> = (0..size)
+                        .filter(|n| {
+                            !dead.contains(n)
+                                && held.iter().all(|h| !h.nodes().contains(n))
+                                && running.values().all(|ns| !ns.contains(n))
+                        })
+                        .collect();
+                    match store.reserve(count) {
+                        Some(r) => {
+                            prop_assert_eq!(r.nodes(), &free[..count as usize]);
+                            held.push(r);
                         }
-                        held.push(r);
+                        None => prop_assert!(free.len() < count as usize, "refused a fit"),
                     }
                 }
                 1 => {
@@ -241,7 +255,7 @@ proptest! {
                     if let Some(&job) = running.keys().min_by_key(|j| *j ^ count as u64) {
                         let nodes = running.remove(&job).unwrap();
                         let live = nodes.iter().filter(|n| !dead.contains(n)).count() as u32;
-                        prop_assert_eq!(store.release(job), live);
+                        prop_assert_eq!(store.release(job, &nodes), live);
                     }
                 }
                 _ => {
@@ -255,7 +269,7 @@ proptest! {
                                 dead.push(node);
                                 let live =
                                     nodes.iter().filter(|n| !dead.contains(n)).count() as u32;
-                                prop_assert_eq!(store.release(job), live);
+                                prop_assert_eq!(store.release(job, &nodes), live);
                             }
                             NodeFate::WasIdle => dead.push(node),
                             NodeFate::AlreadyDead => prop_assert!(false, "dead set diverged"),
@@ -266,11 +280,11 @@ proptest! {
             // Counter/model agreement after every op.
             let busy: u32 = running.values().flatten().filter(|n| !dead.contains(n)).count() as u32;
             let reserved: u32 = held.iter().map(|r| r.nodes().len() as u32).sum();
-            prop_assert_eq!(store.alive_nodes(), NODES - dead.len() as u32);
+            prop_assert_eq!(store.alive_nodes(), size - dead.len() as u32);
             prop_assert_eq!(store.free_nodes(), store.alive_nodes() - busy - reserved);
             prop_assert_eq!(store.busy_nodes(), busy);
-            for (&job, nodes) in &running {
-                for &n in nodes {
+            for (&job, granted) in &running {
+                for &n in granted {
                     if !dead.contains(&n) {
                         prop_assert!(store.owner(n) == Some(job), "node {n} lost its owner");
                     }
@@ -363,6 +377,223 @@ proptest! {
             + out.report.unplaceable;
         prop_assert!(departed == 400, "a job vanished or departed twice");
         prop_assert!(out.audit.max_busy_nodes <= 192);
+    }
+}
+
+/// The copy-and-sort shadow computation EASY passes used to run: every
+/// running job and pass start by ascending `(est_end, nodes)`, freeing
+/// nodes until `need` fits. The oracle for `sched::shadow_time`'s walk.
+fn shadow_oracle(
+    need: u32,
+    free: u32,
+    running: &[socready::sched::RunningJob],
+    starts: &[(socready::des::SimTime, u32)],
+) -> Option<(socready::des::SimTime, u32)> {
+    if need <= free {
+        return Some((socready::des::SimTime::ZERO, free - need));
+    }
+    let mut ends: Vec<_> =
+        running.iter().map(|r| (r.est_end, r.nodes)).chain(starts.iter().copied()).collect();
+    ends.sort();
+    let mut avail = free;
+    for (end, nodes) in ends {
+        avail += nodes;
+        if avail >= need {
+            return Some((end, avail - need));
+        }
+    }
+    None
+}
+
+/// The fair-share pass as first written: the scan window sorted by a
+/// comparator that recomputes both tenants' deficits, and the eviction
+/// candidates collected and sorted newest first. The oracle for
+/// `FairShare::decide`.
+fn fair_oracle(
+    policy: &socready::sched::FairShare,
+    view: &socready::sched::SchedView<'_>,
+) -> Vec<socready::sched::Action> {
+    use socready::sched::{Action, RunningJob, SCAN_DEPTH};
+    let deficit = |tenant: u32| {
+        let share = view.tenant_shares.get(tenant as usize).copied().unwrap_or(0.0);
+        let used = view.tenant_usage.get(tenant as usize).copied().unwrap_or(0.0);
+        if share <= 0.0 {
+            f64::INFINITY
+        } else {
+            used / share
+        }
+    };
+    let window = view.queue.len().min(SCAN_DEPTH);
+    let mut order: Vec<usize> = (0..window).collect();
+    order.sort_by(|&a, &b| {
+        let da = deficit(view.queue[a].job.tenant);
+        let db = deficit(view.queue[b].job.tenant);
+        da.total_cmp(&db).then(a.cmp(&b))
+    });
+    let mut actions = Vec::new();
+    let mut free = view.free_nodes;
+    for &i in &order {
+        let q = &view.queue[i];
+        if q.job.nodes <= free {
+            free -= q.job.nodes;
+            actions.push(Action::Start(i));
+        }
+    }
+    if !policy.preempt || actions.iter().any(|a| matches!(a, Action::Start(0))) {
+        return actions;
+    }
+    let Some(head) = view.queue.first() else { return actions };
+    if (view.now - head.job.submit).as_secs_f64() < policy.starvation_s {
+        return actions;
+    }
+    let head_deficit = deficit(head.job.tenant);
+    let mut victims: Vec<&RunningJob> = view
+        .running
+        .iter()
+        .filter(|r| r.tenant != head.job.tenant && deficit(r.tenant) > head_deficit)
+        .collect();
+    victims.sort_by(|a, b| b.start.cmp(&a.start).then(b.id.cmp(&a.id)));
+    let mut reclaimed = free;
+    let mut evicted = Vec::new();
+    for v in victims.into_iter().take(policy.max_preempts_per_pass as usize) {
+        if reclaimed >= head.job.nodes {
+            break;
+        }
+        reclaimed += v.nodes;
+        evicted.push(Action::Preempt(v.id));
+    }
+    if reclaimed >= head.job.nodes && !evicted.is_empty() {
+        evicted.extend(actions);
+        evicted
+    } else {
+        actions
+    }
+}
+
+/// `(est_end slot, nodes)` pairs: six slots ten seconds apart, so many jobs
+/// share an `est_end`, and widths from `min_width` up to 64 that mix
+/// powers of two with odd sizes.
+fn timed_widths(max_len: usize, min_width: u32) -> impl Strategy<Value = Vec<(u64, u32)>> {
+    let width = move |r: u32| match r % 4 {
+        0 => 8,
+        1 => 16,
+        2 => min_width + (r / 4) % (5 - min_width),
+        _ => min_width + (r / 4) % (65 - min_width),
+    };
+    proptest::collection::vec((0u64..6, 0u32..1 << 16), 0..max_len)
+        .prop_map(move |v| v.into_iter().map(|(slot, r)| (slot, width(r))).collect())
+}
+
+/// Running jobs from `(slot, nodes)` pairs, in the `(est_end, id)` order
+/// the simulator keeps. Ids are a scrambled permutation, so that order is
+/// not width order within a tie.
+fn running_set(pairs: &[(u64, u32)], tenants: &[u32]) -> Vec<socready::sched::RunningJob> {
+    use socready::des::SimTime;
+    let mut running: Vec<_> = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, &(slot, nodes))| socready::sched::RunningJob {
+            id: (i as u64 * 7919) % 997,
+            tenant: tenants.get(i).copied().unwrap_or(0),
+            nodes,
+            start: SimTime::from_secs(100 * (slot % 3)),
+            est_end: SimTime::from_secs(1000 + 10 * slot),
+        })
+        .collect();
+    running.sort_by_key(|r| (r.est_end, r.id));
+    running
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The EASY shadow walk over the `(est_end, id)`-sorted running set,
+    /// merged with the pass's own starts, returns exactly what copying both
+    /// and sorting by `(est_end, nodes)` returns: the same instant and the
+    /// same headroom, with dense `est_end` ties and mixed widths. A head
+    /// wider than everything never fits.
+    #[test]
+    fn shadow_walk_matches_the_sorted_copy(
+        running in timed_widths(40, 1),
+        starts in timed_widths(8, 0),
+        free in 0u32..8,
+        need in 1u32..400,
+    ) {
+        use socready::des::SimTime;
+        use socready::sched::shadow_time;
+        let running = running_set(&running, &[]);
+        let mut starts: Vec<(SimTime, u32)> = starts
+            .iter()
+            .map(|&(slot, nodes)| (SimTime::from_secs(1000 + 10 * slot), nodes))
+            .collect();
+        starts.sort_unstable();
+        let pool = free
+            + running.iter().map(|r| r.nodes).sum::<u32>()
+            + starts.iter().map(|s| s.1).sum::<u32>();
+        for need in [need, pool, pool.max(1) - 1] {
+            let (walk, oracle) = (
+                shadow_time(need, free, &running, &starts),
+                shadow_oracle(need, free, &running, &starts),
+            );
+            prop_assert!(walk == oracle, "need {}: {:?} vs {:?}", need, walk, oracle);
+        }
+        prop_assert_eq!(shadow_time(pool + 1, free, &running, &starts), None);
+    }
+
+    /// Fair-share with each deficit computed once and sorted by
+    /// `(deficit, position)` starts and evicts exactly what the comparator
+    /// that recomputed deficits did, including equal deficits across
+    /// tenants, zero-share and unknown tenants (infinite deficit), queues
+    /// longer than the scan window, and the newest-first eviction order.
+    #[test]
+    fn fair_share_order_matches_the_recomputing_comparator(
+        queue in proptest::collection::vec((0u32..5, 0u32..17, 0u64..11), 0..200),
+        running in timed_widths(30, 1),
+        victim_tenants in proptest::collection::vec(0u32..5, 30..31),
+        shares in proptest::collection::vec(0usize..4, 0..4)
+            .prop_map(|v| v.iter().map(|&k| [0.0, 0.5, 1.0, 2.0][k]).collect::<Vec<f64>>()),
+        usage in proptest::collection::vec(0usize..4, 0..4)
+            .prop_map(|v| v.iter().map(|&k| [0.0, 1.0, 2.0, 4.0][k]).collect::<Vec<f64>>()),
+        free in 0u32..64,
+        preempt in (0u8..2).prop_map(|b| b == 1),
+        max_preempts_per_pass in 0u32..4,
+        starvation_s in (0u8..2).prop_map(|b| f64::from(b) * 600.0),
+    ) {
+        use socready::des::SimTime;
+        use socready::sched::{
+            FairShare, Job, JobKind, PassBuf, Policy, QosClass, QueuedJob, SchedView,
+        };
+        let queue: Vec<QueuedJob> = queue
+            .iter()
+            .enumerate()
+            .map(|(i, &(tenant, nodes, submit))| QueuedJob {
+                job: Job {
+                    id: 5000 + i as u64,
+                    tenant,
+                    qos: QosClass::Standard,
+                    kind: JobKind::Stencil,
+                    submit: SimTime::from_secs(100 * submit),
+                    nodes,
+                    work: 10.0,
+                    est_secs: 20.0,
+                },
+                resubmits: 0,
+            })
+            .collect();
+        let running = running_set(&running, &victim_tenants);
+        let view = SchedView {
+            now: SimTime::from_secs(1000),
+            free_nodes: free,
+            alive_nodes: 1024,
+            queue: &queue,
+            running: &running,
+            tenant_shares: &shares,
+            tenant_usage: &usage,
+        };
+        let mut policy = FairShare { preempt, starvation_s, max_preempts_per_pass };
+        let mut pass = PassBuf::default();
+        policy.decide(&view, &mut pass);
+        prop_assert_eq!(pass.actions, fair_oracle(&policy, &view));
     }
 }
 
