@@ -102,10 +102,9 @@ if [[ $quick -eq 0 ]]; then
   rm -rf "$dc_s" "$dc_p"
 
   step "scale smoke: event-driven process model under time/RSS budget"
-  # The 1024-process thread-vs-event ring plus the 4096-rank ping-ring must
-  # finish inside a fixed wall-clock budget, stay inside a fixed RSS budget
-  # (no thread-per-rank stacks), and show the event-driven model is at least
-  # 10x the legacy model in events/sec.
+  # The 1024-process event ring plus the 4096-rank ping-ring must finish
+  # inside a fixed wall-clock budget and stay inside a fixed RSS budget (no
+  # thread-per-rank stacks).
   scale_dir=$(mktemp -d)
   scale_json="$scale_dir/BENCH_scale.json"
   if [[ -x /usr/bin/time ]]; then
@@ -124,11 +123,6 @@ if [[ $quick -eq 0 ]]; then
     echo "error: BENCH_scale.json missing the 4096-rank datum" >&2
     exit 1
   }
-  speedup=$(grep -o '"speedup": [0-9.]*' "$scale_json" | awk '{print $2}')
-  awk -v s="$speedup" 'BEGIN { exit !(s >= 10.0) }' || {
-    echo "error: event-driven model only ${speedup}x the legacy model (need >= 10x)" >&2
-    exit 1
-  }
   # The trace layer's enabled-but-uninterested residual (an installed
   # NullTracer) must stay under 2% of the untraced ring.
   overhead=$(grep -o '"trace_overhead_pct": [0-9.]*' "$scale_json" | awk '{print $2}')
@@ -145,7 +139,7 @@ if [[ $quick -eq 0 ]]; then
     echo "error: flow model only ${flow_speedup:-missing}x the event model (need >= 5x)" >&2
     exit 1
   }
-  echo "scale smoke OK: event-driven is ${speedup}x the legacy model, NullTracer overhead ${overhead}%, flow net model ${flow_speedup}x the event model"
+  echo "scale smoke OK: NullTracer overhead ${overhead}%, flow net model ${flow_speedup}x the event model"
   rm -rf "$scale_dir"
 
   step "net-ablation-smoke: flow model tracks the event model on the goldens"

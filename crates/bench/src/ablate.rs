@@ -8,17 +8,16 @@
 //! (`tests/goldens/ablate_net.json`), and gated by the `net-ablation-smoke`
 //! stage of `ci.sh`.
 //!
-//! Each cell pins its model on the job spec ([`cluster::Machine::with_net_model`] /
-//! [`simmpi::JobSpec::with_net_model`]) rather than through the process-wide
-//! default, so ablation cells stay deterministic under any `--jobs` schedule
-//! and are unaffected by `--net-model`.
+//! Each cell overrides only the network model of the run's options, so
+//! ablation cells stay deterministic under any `--jobs` schedule and are
+//! unaffected by `--net-model`.
 
 use cluster::Machine;
 use hpc_apps::hpl::HplShare;
 use serde::Serialize;
-use simmpi::NetModel;
+use simmpi::{NetModel, RunOpts};
 
-use crate::fig67::{fig7_cases, fig7_panel_on, try_hpl_headline_on};
+use crate::fig67::{fig7_cases, fig7_panel, hpl_headline};
 use crate::table::render_table;
 
 /// The figures the ablation compares, in artefact order.
@@ -93,48 +92,45 @@ pub struct AblateNet {
     pub figures: Vec<AblateFigure>,
 }
 
-/// Regenerate one figure's observables under one model. Fig 6 and HPL run at
-/// the invocation's scales, taking their HPL runs from `hpl`; Fig 7 always
-/// runs its six full panels.
+/// Regenerate one figure's observables under `opts` with its network model
+/// replaced by `model`. Fig 6 and HPL run at the invocation's scales, taking
+/// their HPL runs from `hpl`; Fig 7 always runs its six full panels.
 pub fn ablate_side(
     figure: &'static str,
     model: NetModel,
     fig6_nodes: &[u32],
     hpl_nodes: u32,
+    opts: &RunOpts,
     hpl: &HplShare,
 ) -> Result<AblateSide, simmpi::MpiFault> {
-    let pin = Some(model);
+    let opts = RunOpts { net_model: model, ..opts.clone() };
     let points = match figure {
-        "fig6" => {
-            let m = Machine::tibidabo().with_net_model(pin);
-            hpc_apps::fig6(&m, fig6_nodes, hpl)
-                .iter()
-                .flat_map(|s| {
-                    s.points.iter().map(move |p| AblatePoint {
-                        label: format!("{}|n={}/t", s.app, p.nodes),
-                        value: p.seconds,
-                    })
+        "fig6" => hpc_apps::fig6(&Machine::tibidabo(), fig6_nodes, &opts, hpl)?
+            .iter()
+            .flat_map(|s| {
+                s.points.iter().map(move |p| AblatePoint {
+                    label: format!("{}|n={}/t", s.app, p.nodes),
+                    value: p.seconds,
                 })
-                .collect()
-        }
-        "fig7" => fig7_cases()
-            .into_iter()
-            .flat_map(|(label, plat, freq, proto)| {
-                let p = fig7_panel_on(label, plat, freq, proto, pin);
-                let lat = p.latency.iter().map(|x| AblatePoint {
-                    label: format!("{label}|lat/{}B", x.bytes),
-                    value: x.latency_us,
-                });
-                let bw = p.bandwidth.iter().map(|x| AblatePoint {
-                    label: format!("{label}|bw/{}B", x.bytes),
-                    value: x.bandwidth_mbs,
-                });
-                lat.chain(bw).collect::<Vec<_>>()
             })
             .collect(),
+        "fig7" => {
+            let mut points = Vec::new();
+            for (label, plat, freq, proto) in fig7_cases() {
+                let p = fig7_panel(label, plat, freq, proto, &opts)?;
+                points.extend(p.latency.iter().map(|x| AblatePoint {
+                    label: format!("{label}|lat/{}B", x.bytes),
+                    value: x.latency_us,
+                }));
+                points.extend(p.bandwidth.iter().map(|x| AblatePoint {
+                    label: format!("{label}|bw/{}B", x.bytes),
+                    value: x.bandwidth_mbs,
+                }));
+            }
+            points
+        }
         "hpl" => {
-            let m = Machine::tibidabo().with_net_model(pin);
-            let h = try_hpl_headline_on(&m, hpl_nodes, hpl)?;
+            let h = hpl_headline(hpl_nodes, &opts, hpl)?;
             vec![
                 AblatePoint { label: format!("HPL|n={}/t", h.nodes), value: h.seconds },
                 AblatePoint { label: format!("HPL|n={}/gflops", h.nodes), value: h.gflops },
@@ -285,10 +281,11 @@ mod tests {
     #[test]
     fn ablate_side_small_hpl_runs_under_both_models() {
         let hpl = HplShare::default();
-        let ev = ablate_side("hpl", NetModel::Event, &[], 2, &hpl).unwrap();
-        let fl = ablate_side("hpl", NetModel::Flow, &[], 2, &hpl).unwrap();
+        let opts = RunOpts::default();
+        let ev = ablate_side("hpl", NetModel::Event, &[], 2, &opts, &hpl).unwrap();
+        let fl = ablate_side("hpl", NetModel::Flow, &[], 2, &opts, &hpl).unwrap();
         assert_eq!(ev.points.len(), fl.points.len());
-        // One job per model: the pinned models key distinct runs.
+        // One job per model: the overridden models key distinct runs.
         assert_eq!((hpl.requests(), hpl.simulated()), (2, 2));
         // The two models agree on the headline to a few percent even at a
         // toy scale — the merged artefact quantifies the exact gap.

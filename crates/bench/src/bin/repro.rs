@@ -60,7 +60,8 @@ use bench::{
     read_journal, run_plan_supervised, write_json_atomic, ArtefactOutcome, CellOutcome,
     McOverrides, RunPlan, RunScales, SupervisorConfig, SweepConfig, WriteOutcome,
 };
-use des::{RingRecorder, TraceFilter};
+use des::{RingRecorder, TraceFilter, Tracer};
+use simmpi::{NetModel, RunOpts};
 
 struct Opts {
     items: Vec<String>,
@@ -69,8 +70,8 @@ struct Opts {
     /// with a `+flow` suffix under `--net-model flow` — the artefacts of the
     /// two models must never verify against each other on `--resume`).
     scale_name: String,
-    /// Process-wide network model override (`--net-model`).
-    net_model: Option<simmpi::NetModel>,
+    /// `--net-model`, when given.
+    net_model: Option<NetModel>,
     json_dir: Option<PathBuf>,
     sweep: SweepConfig,
     sup: SupervisorConfig,
@@ -203,7 +204,7 @@ fn parse_args() -> Opts {
     let mut mc = None;
     let mut mc_replay = None;
     let mut mc_overrides = McOverrides::default();
-    let mut net_model: Option<simmpi::NetModel> = None;
+    let mut net_model: Option<NetModel> = None;
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         args.next().unwrap_or_else(|| die(&format!("{flag} needs a value")))
@@ -222,7 +223,7 @@ fn parse_args() -> Opts {
             "--ablate-net" => items.push("ablate-net".into()),
             "--net-model" => {
                 let v = value(&mut args, "--net-model");
-                net_model = Some(simmpi::NetModel::parse(&v).unwrap_or_else(|e| die(&e)));
+                net_model = Some(NetModel::parse(&v).unwrap_or_else(|e| die(&e)));
             }
             "--json" => json_dir = Some(PathBuf::from(value(&mut args, "--json"))),
             "--jobs" => {
@@ -336,7 +337,7 @@ fn parse_args() -> Opts {
     // The fingerprint must distinguish the models: a flow-model run may not
     // --resume past artefacts an event-model run journaled, and vice versa.
     let scale_name = match net_model {
-        Some(simmpi::NetModel::Flow) => format!("{base_scale}+flow"),
+        Some(NetModel::Flow) => format!("{base_scale}+flow"),
         _ => base_scale.to_string(),
     };
     let sweep = if serial {
@@ -374,15 +375,12 @@ fn parse_args() -> Opts {
     }
 }
 
-/// Install the process-global trace recorder when `--trace` was given;
-/// returns the recorder so the caller can dump it at exit. Every simulated
-/// engine the sweep starts from here on records into this one ring.
-fn install_tracer(opts: &Opts) -> Option<Arc<RingRecorder>> {
+/// The run's trace recorder when `--trace` was given. Every simulation of
+/// the run records into this one ring; the caller dumps it at exit.
+fn trace_recorder(opts: &Opts) -> Option<Arc<RingRecorder>> {
     let path = opts.trace_path.as_ref()?;
-    let rec = Arc::new(RingRecorder::with_capacity(TRACE_CAPACITY).with_filter(opts.trace_filter));
-    simmpi::set_default_tracer(Some(rec.clone()));
     eprintln!("tracing to {} (capacity {TRACE_CAPACITY} records)", path.display());
-    Some(rec)
+    Some(Arc::new(RingRecorder::with_capacity(TRACE_CAPACITY).with_filter(opts.trace_filter)))
 }
 
 /// Drain the recorder and write the JSONL trace file. Trace I/O failures
@@ -412,18 +410,10 @@ fn dump_trace(opts: &Opts, rec: &RingRecorder) -> bool {
     }
 }
 
-/// Map a journaled scale name back to its scales. The `+flow` suffix (a
-/// `--net-model flow` run) also restores the process-wide flow model, so
-/// `--fsck` re-derives artefacts under the model that produced them.
+/// Map a journaled scale name (without any `+flow` suffix) back to its
+/// scales.
 fn scales_by_name(name: &str) -> Option<RunScales> {
-    let base = match name.strip_suffix("+flow") {
-        Some(b) => {
-            simmpi::set_default_net_model(simmpi::NetModel::Flow);
-            b
-        }
-        None => name,
-    };
-    match base {
+    match name {
         "golden" => Some(RunScales::golden()),
         "quick" => Some(RunScales::quick()),
         "full" => Some(RunScales::full()),
@@ -462,11 +452,8 @@ fn verified_artifacts(
         .collect()
 }
 
-/// Run the supervised sweep; returns the process exit code.
-fn run_supervised(opts: &Opts) -> i32 {
-    if let Some(budget) = opts.event_budget {
-        simmpi::set_default_event_budget(Some(budget));
-    }
+/// Run the supervised sweep under `run`; returns the process exit code.
+fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
     let want = |k: &str| opts.items.iter().any(|i| i == "all" || i == k);
     if want("fig6") {
         eprintln!(
@@ -482,7 +469,7 @@ fn run_supervised(opts: &Opts) -> i32 {
         );
     }
 
-    let mut plan = RunPlan::from_items(&opts.items, &opts.scales);
+    let mut plan = RunPlan::from_items(&opts.items, &opts.scales, run);
     if let Some(needle) = &opts.inject_panic {
         let hit = plan.inject_panic(needle);
         if hit == 0 {
@@ -641,15 +628,16 @@ fn run_supervised(opts: &Opts) -> i32 {
     }
 }
 
-/// Run a bounded model-checking search (`--mc SCENARIO`); returns the
-/// process exit code (0 = no violation, 3 = violation found). On violation,
-/// the minimized counterexample is replayed once with a dedicated recorder
-/// to persist a replayable decision file plus its structured trace.
-fn run_mc(opts: &Opts, name: &str) -> i32 {
+/// Run a bounded model-checking search (`--mc SCENARIO`) under `run`;
+/// returns the process exit code (0 = no violation, 3 = violation found).
+/// On violation, the minimized counterexample is replayed once with a
+/// dedicated recorder to persist a replayable decision file plus its
+/// structured trace.
+fn run_mc(opts: &Opts, run: &RunOpts, name: &str) -> i32 {
     let sc = bench::mc_scenario(name).expect("validated in parse_args");
     let cfg = sc.config(&opts.mc_overrides);
     eprintln!("model checking {name} (strategy dfs, bounded)...");
-    let report = sc.explore(&cfg);
+    let report = sc.explore(&cfg, run);
     print!("{}", bench::mc::render_report(sc, &cfg, &report));
     // Wall-derived numbers are nondeterministic; keep them off stdout.
     eprintln!(
@@ -665,7 +653,7 @@ fn run_mc(opts: &Opts, name: &str) -> i32 {
     // the trace of the minimized failing schedule.
     let dir = opts.json_dir.clone().unwrap_or_else(|| PathBuf::from("repro_out"));
     let rec = Arc::new(RingRecorder::with_capacity(TRACE_CAPACITY).with_filter(opts.trace_filter));
-    let replayed = sc.replay(&cfg, ce.decisions.clone(), Some(rec.clone()));
+    let replayed = sc.replay(&cfg, ce.decisions.clone(), Some(rec.clone()), run);
     if let Some(d) = &replayed.divergence {
         eprintln!("warning: counterexample replay diverged: {d}");
     }
@@ -683,18 +671,18 @@ fn run_mc(opts: &Opts, name: &str) -> i32 {
     EXIT_DEGRADED
 }
 
-/// Reproduce a recorded counterexample (`--mc-replay FILE`); returns the
-/// process exit code (3 when the violation reproduces, 0 when the run now
-/// passes — i.e. the protocol was fixed).
-fn run_mc_replay(_opts: &Opts, path: &Path) -> i32 {
+/// Reproduce a recorded counterexample (`--mc-replay FILE`) under `run`;
+/// returns the process exit code (3 when the violation reproduces, 0 when
+/// the run now passes — i.e. the protocol was fixed).
+fn run_mc_replay(run: &RunOpts, path: &Path) -> i32 {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
     let parsed = bench::parse_counterexample(&text).unwrap_or_else(|e| die(&e));
     let sc = bench::mc_scenario(&parsed.scenario).expect("parse validated the scenario");
-    // No controller-carried tracer: with `--trace` the process-global
-    // recorder (installed in main) captures the replayed run and is dumped
-    // on exit like any other run's trace.
-    let rep = sc.replay(&parsed.config, parsed.decisions, None);
+    // No controller-carried tracer: with `--trace` the run's recorder
+    // captures the replayed run and is dumped on exit like any other run's
+    // trace.
+    let rep = sc.replay(&parsed.config, parsed.decisions, None, run);
     print!("{}", bench::mc::render_replay(&parsed.scenario, &rep));
     match rep.outcome {
         des::mc::RunOutcome::Violation { .. } => EXIT_DEGRADED,
@@ -703,15 +691,22 @@ fn run_mc_replay(_opts: &Opts, path: &Path) -> i32 {
 }
 
 /// Verify every journaled artefact against the files on disk, re-derive the
-/// broken ones, and report orphans. Returns the process exit code: 0 when
-/// everything verified, 3 when anything needed repair (or still fails).
-fn run_fsck(opts: &Opts) -> i32 {
+/// broken ones under `run`, and report orphans. Returns the process exit
+/// code: 0 when everything verified, 3 when anything needed repair (or still
+/// fails).
+fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
     let dir = opts.json_dir.as_ref().expect("checked in parse_args");
     let st = read_journal(dir);
     if st.fingerprint.is_empty() {
         die(&format!("no journal found in {}", dir.display()));
     }
-    let scales = scales_by_name(&st.scale)
+    // A `+flow` scale name marks a `--net-model flow` run: re-derive its
+    // artefacts under the model that produced them.
+    let (base_scale, run) = match st.scale.strip_suffix("+flow") {
+        Some(base) => (base, RunOpts { net_model: NetModel::Flow, ..run.clone() }),
+        None => (st.scale.as_str(), run.clone()),
+    };
+    let scales = scales_by_name(base_scale)
         .unwrap_or_else(|| die(&format!("journal has unknown scale '{}'", st.scale)));
 
     let mut broken: Vec<String> = Vec::new();
@@ -756,10 +751,7 @@ fn run_fsck(opts: &Opts) -> i32 {
     }
 
     eprintln!("fsck: re-deriving {} artefact(s): {}", broken.len(), broken.join(", "));
-    if let Some(budget) = opts.event_budget {
-        simmpi::set_default_event_budget(Some(budget));
-    }
-    let plan = RunPlan::from_items(&broken, &scales);
+    let plan = RunPlan::from_items(&broken, &scales, &run);
     let mut journal = match Journal::open_append(dir) {
         Ok(j) => Some(j),
         Err(e) => {
@@ -815,18 +807,25 @@ fn run_fsck(opts: &Opts) -> i32 {
 fn main() {
     let opts = parse_args();
     if let Some(model) = opts.net_model {
-        simmpi::set_default_net_model(model);
         eprintln!("network model: {}", model.name());
     }
-    let tracer = install_tracer(&opts);
-    let mut code = if let Some(name) = opts.mc.clone() {
-        run_mc(&opts, &name)
-    } else if let Some(path) = opts.mc_replay.clone() {
-        run_mc_replay(&opts, &path)
+    let tracer = trace_recorder(&opts);
+    // The run's options, decided once here (`--fsck` takes the network
+    // model from the journal instead); every simulation of the run gets them
+    // on its job spec.
+    let run = RunOpts {
+        net_model: opts.net_model.unwrap_or_default(),
+        event_budget: opts.event_budget,
+        tracer: tracer.clone().map(|rec| rec as Arc<dyn Tracer>),
+    };
+    let mut code = if let Some(name) = &opts.mc {
+        run_mc(&opts, &run, name)
+    } else if let Some(path) = &opts.mc_replay {
+        run_mc_replay(&run, path)
     } else if opts.fsck {
-        run_fsck(&opts)
+        run_fsck(&opts, &run)
     } else {
-        run_supervised(&opts)
+        run_supervised(&opts, &run)
     };
     if let Some(rec) = tracer {
         if !dump_trace(&opts, &rec) && code == 0 {

@@ -1,9 +1,8 @@
 //! Scale benchmark for the event-driven process model: writes
-//! `BENCH_scale.json` (events/sec for the legacy thread-backed model vs the
-//! event-driven model on the same DES workload, a 4096-rank simmpi
-//! ping-ring as the peak-ranks datum, the overhead of an installed
-//! [`NullTracer`] over the zero-tracer path, a dense alltoall under the
-//! per-message event model vs the fair-sharing flow model (`net_flow` —
+//! `BENCH_scale.json` (events/sec of a 1024-process DES token ring, a
+//! 4096-rank simmpi ping-ring as the peak-ranks datum, the overhead of an
+//! installed [`NullTracer`] over the zero-tracer path, a dense alltoall under
+//! the per-message event model vs the fair-sharing flow model (`net_flow` —
 //! `ci.sh` gates the flow model's wall speedup at >= 5x), the model checker's
 //! exploration rate in distinct states/sec on the `retry-lossy` scenario,
 //! and the datacenter scheduler's replay rate in jobs/sec at 10⁵ and 10⁶
@@ -13,11 +12,10 @@
 //! cargo run --release -p bench --bin scale_bench -- [out.json]
 //! ```
 //!
-//! The workload is a token ring at the `des` level — each process parks
-//! until the token arrives, advances virtual time one microsecond, and
-//! wakes its successor — because that is the communication skeleton both
-//! process kinds can run verbatim (`simmpi` itself is event-driven only).
-//! Events/sec is scheduler events dispatched over wall-clock seconds.
+//! The ring workload is a token ring at the `des` level — each process
+//! parks until the token arrives, advances virtual time one microsecond,
+//! and wakes its successor. Events/sec is scheduler events dispatched over
+//! wall-clock seconds.
 //!
 //! The trace-overhead measurement alternates untraced, NullTracer, and
 //! recording-RingRecorder rings and keeps the best wall time of each, so
@@ -31,10 +29,10 @@ use std::time::Instant;
 
 use des::{Engine, NullTracer, Pid, RingRecorder, SimTime, Tracer};
 use serde::Serialize;
-use simmpi::{run_mpi, JobSpec, Msg, NetModel};
+use simmpi::{run_mpi, JobSpec, Msg, NetModel, RunOpts};
 use soc_arch::Platform;
 
-/// One process model's measurement on the DES token ring.
+/// One measurement on the DES token ring.
 #[derive(Serialize)]
 struct RingResult {
     model: &'static str,
@@ -182,10 +180,8 @@ struct McThroughput {
 /// The artefact: the perf trajectory entry this PR starts.
 #[derive(Serialize)]
 struct ScaleBench {
-    /// DES token ring at 1024 processes, both process kinds.
+    /// DES token ring at 1024 processes.
     ring_1024: Vec<RingResult>,
-    /// events/sec(event-driven) / events/sec(thread-backed).
-    speedup: f64,
     /// The largest simmpi job exercised (ranks in one engine).
     peak_ranks: u32,
     /// Wall seconds of the peak-rank ping-ring.
@@ -245,42 +241,6 @@ fn ring_event_with(procs: u32, laps: u32, tracer: Option<Arc<dyn Tracer>>) -> Ri
     }
 }
 
-/// The identical ring on legacy thread-backed processes (one OS thread per
-/// process — the model every rank used before this PR).
-fn ring_thread(procs: u32, laps: u32) -> RingResult {
-    let mut engine = Engine::new();
-    let pids: Arc<Mutex<Vec<Pid>>> = Arc::new(Mutex::new(Vec::with_capacity(procs as usize)));
-    for i in 0..procs {
-        let ring = Arc::clone(&pids);
-        let pid = engine
-            .spawn(format!("ring{i}"), move |ctx| {
-                for lap in 0..laps {
-                    if !(lap == 0 && i == 0) {
-                        ctx.park();
-                    }
-                    ctx.advance(SimTime::from_micros(1));
-                    if !(lap == laps - 1 && i == procs - 1) {
-                        let next = ring.lock().unwrap()[((i + 1) % procs) as usize];
-                        ctx.wake_at(next, ctx.now());
-                    }
-                }
-            })
-            .expect("thread spawn failed (OS thread limit?)");
-        pids.lock().unwrap().push(pid);
-    }
-    let t0 = Instant::now();
-    let report = engine.run().expect("thread ring must complete");
-    let wall = t0.elapsed().as_secs_f64();
-    RingResult {
-        model: "thread",
-        processes: procs,
-        laps,
-        events: report.events,
-        wall_secs: wall,
-        events_per_sec: report.events as f64 / wall,
-    }
-}
-
 /// Measure the trace layer's cost on the event ring. Runs alternate between
 /// the three configurations, best-of-`rounds` wall each, so one noisy run
 /// cannot skew the ratios either way. The gated NullTracer residual is
@@ -319,7 +279,7 @@ fn trace_overhead(procs: u32, laps: u32, rounds: u32) -> TraceOverhead {
 fn mc_throughput() -> McThroughput {
     let sc = bench::mc_scenario("retry-lossy").expect("scenario registered");
     let cfg = sc.config(&bench::McOverrides::default());
-    let report = sc.explore(&cfg);
+    let report = sc.explore(&cfg, &RunOpts::default());
     assert!(report.violation.is_none(), "retry-lossy must satisfy its predicates");
     let wall = report.wall.as_secs_f64();
     McThroughput {
@@ -381,7 +341,7 @@ fn net_flow_bench(ranks: u32, rounds: u32, bytes: u64) -> NetFlowBench {
     NetFlowBench { ranks, rounds, bytes_per_pair: bytes, event, flow, flow_speedup, event_ratio }
 }
 
-/// 4096-rank simmpi ping-ring: the job the legacy model could not host.
+/// 4096-rank simmpi ping-ring: the peak-ranks datum.
 fn peak_ring(ranks: u32) -> (f64, u64) {
     let spec = JobSpec::new(Platform::tegra2(), ranks);
     let t0 = Instant::now();
@@ -405,22 +365,12 @@ fn main() {
     let out = std::env::args().nth(1).unwrap_or_else(|| "BENCH_scale.json".into());
     let procs = 1024;
 
-    // The thread ring pays two context switches per hop, so keep its lap
-    // count modest; events/sec normalises the comparison.
-    eprintln!("ring: {procs} thread-backed processes ...");
-    let thread = ring_thread(procs, 4);
-    eprintln!(
-        "  {:>9.0} events/s ({} events in {:.2}s)",
-        thread.events_per_sec, thread.events, thread.wall_secs
-    );
     eprintln!("ring: {procs} event-driven processes ...");
     let event = ring_event(procs, 64);
     eprintln!(
         "  {:>9.0} events/s ({} events in {:.2}s)",
         event.events_per_sec, event.events, event.wall_secs
     );
-    let speedup = event.events_per_sec / thread.events_per_sec;
-    eprintln!("  event-driven is {speedup:.1}x the legacy model");
 
     let peak_ranks = 4096;
     eprintln!("simmpi: {peak_ranks}-rank ping-ring ...");
@@ -474,8 +424,7 @@ fn main() {
     let sched_throughput = SchedThroughput { runs: sched_runs };
 
     let bench = ScaleBench {
-        ring_1024: vec![thread, event],
-        speedup,
+        ring_1024: vec![event],
         peak_ranks,
         peak_wall_secs,
         peak_messages,

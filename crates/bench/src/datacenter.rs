@@ -9,7 +9,7 @@
 //! active: node crashes shrink the allocatable pool mid-campaign and the
 //! victims resubmit or fail. A final cell validates the analytic
 //! [`RuntimeModel`] the replays price jobs with against the real
-//! `simmpi`/`des` stack (`hpc_apps::try_measure_scaling_cell`).
+//! `simmpi`/`des` stack (`hpc_apps::measure_scaling_cell`).
 //!
 //! Stream length scales with the run (`RunScales::datacenter_jobs`): 10⁴ at
 //! `--golden`, 10⁵ at `--quick`, 10⁶ at full scale. Everything is
@@ -26,6 +26,7 @@ use sched::{
     SyntheticSpec, Tenant,
 };
 use serde::Serialize;
+use simmpi::RunOpts;
 
 /// Fraction of machine capacity every stream offers: high enough that real
 /// queues form (waits, backfill opportunities, SLO pressure), low enough
@@ -123,13 +124,17 @@ pub struct DcValidation {
     pub rel_err_pct: f64,
 }
 
-/// Run the validation cell at `target_nodes`.
-pub fn datacenter_validation(target_nodes: u32) -> Result<DcValidation, simmpi::MpiFault> {
+/// Run the validation cell at `target_nodes` under `opts`.
+pub fn datacenter_validation(
+    target_nodes: u32,
+    opts: &RunOpts,
+) -> Result<DcValidation, simmpi::MpiFault> {
     let machine = Machine::tibidabo();
     let model = RuntimeModel::for_machine(&machine);
     let no_hpl = HplShare::default();
-    let anchor = hpc_apps::try_measure_scaling_cell(&machine, AppId::Hydro, 1, &no_hpl)?;
-    let target = hpc_apps::try_measure_scaling_cell(&machine, AppId::Hydro, target_nodes, &no_hpl)?;
+    let cell = |n| hpc_apps::measure_scaling_cell(&machine, AppId::Hydro, n, opts, &no_hpl);
+    let anchor = cell(1)?;
+    let target = cell(target_nodes)?;
     // run_secs(kind, 1, work) == node_speed · work, so the anchor pins work.
     let work = anchor.seconds / model.node_speed;
     let predicted = model.run_secs(JobKind::Stencil, target_nodes, work);
@@ -209,7 +214,7 @@ mod tests {
 
     #[test]
     fn validation_cell_predicts_within_reason() {
-        let v = datacenter_validation(4).expect("validation simulation");
+        let v = datacenter_validation(4, &RunOpts::default()).expect("validation simulation");
         assert!(v.anchor_secs > 0.0 && v.simulated_secs > 0.0);
         assert!(
             v.rel_err_pct.abs() < 60.0,

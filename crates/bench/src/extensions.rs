@@ -5,7 +5,7 @@
 
 use cluster::{risk_table, EccRisk, GOOGLE_ANNUAL_INCIDENCE};
 use netsim::{eee_tradeoff, EeeModel};
-use simmpi::{imb_collective, ImbOp, JobSpec};
+use simmpi::{imb_collective, ImbOp, JobSpec, MpiFault, RunOpts};
 use soc_arch::{roofline, Platform};
 
 use crate::table::{f, render_table};
@@ -73,16 +73,18 @@ pub fn roofline_render() -> String {
     )
 }
 
-/// IMB collectives on the Tibidabo model.
-pub fn imb_render() -> String {
+/// IMB collectives on the Tibidabo model, run under `opts`.
+pub fn imb_render(opts: &RunOpts) -> Result<String, MpiFault> {
     let mk = |p: u32| {
-        JobSpec::new(Platform::tegra2(), p).with_topology(netsim::TopologySpec::tibidabo())
+        JobSpec::new(Platform::tegra2(), p)
+            .with_topology(netsim::TopologySpec::tibidabo())
+            .with_opts(opts.clone())
     };
     let mut rows = Vec::new();
     for op in [ImbOp::Barrier, ImbOp::Bcast, ImbOp::Allreduce, ImbOp::Exchange] {
         for ranks in [8u32, 32, 96] {
             let bytes = if op == ImbOp::Barrier { 0 } else { 8192 };
-            let pt = imb_collective(mk(ranks), op, bytes, 2);
+            let pt = imb_collective(mk(ranks), op, bytes, 2)?;
             rows.push(vec![
                 op.name().to_string(),
                 ranks.to_string(),
@@ -91,11 +93,11 @@ pub fn imb_render() -> String {
             ]);
         }
     }
-    render_table(
+    Ok(render_table(
         "IMB collectives on the Tibidabo interconnect (TCP/IP)",
         &["operation", "ranks", "bytes", "time (us)"],
         &rows,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -111,7 +113,7 @@ mod tests {
 
     #[test]
     fn imb_table_covers_all_ops() {
-        let s = imb_render();
+        let s = imb_render(&RunOpts::default()).unwrap();
         for op in ["Barrier", "Bcast", "Allreduce", "Exchange"] {
             assert!(s.contains(op), "missing {op}");
         }

@@ -6,7 +6,7 @@ use hpc_apps::hpl::{HplConfig, HplShare};
 use hpc_apps::{fig6 as fig6_series, ScalingSeries};
 use netsim::{penalty_table, PenaltyRow, ProtocolModel};
 use serde::Serialize;
-use simmpi::{pingpong, JobSpec, NetModel, PingPongPoint};
+use simmpi::{pingpong, JobSpec, MpiFault, PingPongPoint, RunOpts};
 use soc_arch::Platform;
 use soc_power::EfficiencyReport;
 
@@ -64,9 +64,9 @@ pub struct Fig6 {
 /// Generate Fig 6 on the Tibidabo model over the given node counts
 /// (use [`hpc_apps::FIG6_NODES`] for the full figure; smaller lists for
 /// quick runs).
-pub fn fig6(nodes: &[u32]) -> Fig6 {
-    let m = Machine::tibidabo();
-    Fig6 { nodes: nodes.to_vec(), series: fig6_series(&m, nodes, &HplShare::default()) }
+pub fn fig6(nodes: &[u32], opts: &RunOpts) -> Result<Fig6, MpiFault> {
+    let series = fig6_series(&Machine::tibidabo(), nodes, opts, &HplShare::default())?;
+    Ok(Fig6 { nodes: nodes.to_vec(), series })
 }
 
 impl Fig6 {
@@ -125,42 +125,31 @@ pub(crate) fn fig7_cases() -> Vec<(&'static str, Platform, f64, ProtocolModel)> 
     ]
 }
 
-/// Run one Fig 7 panel: the small-message latency sweep and the large-message
-/// bandwidth sweep for one (platform, protocol, frequency) case.
+/// Run one Fig 7 panel under `opts`: the small-message latency sweep and
+/// the large-message bandwidth sweep for one (platform, protocol,
+/// frequency) case.
 pub(crate) fn fig7_panel(
     label: &str,
     plat: Platform,
     freq: f64,
     proto: ProtocolModel,
-) -> Fig7Panel {
-    fig7_panel_on(label, plat, freq, proto, None)
-}
-
-/// [`fig7_panel`] with the job pinned to a specific network model — the
-/// `--ablate-net` harness runs every panel under both models regardless of
-/// the process-wide default.
-pub(crate) fn fig7_panel_on(
-    label: &str,
-    plat: Platform,
-    freq: f64,
-    proto: ProtocolModel,
-    model: Option<NetModel>,
-) -> Fig7Panel {
+    opts: &RunOpts,
+) -> Result<Fig7Panel, MpiFault> {
     let small = simmpi::small_sizes();
     let large: Vec<u64> = (10..=24).map(|e| 1u64 << e).collect();
-    let spec = JobSpec::new(plat, 2).with_freq(freq).with_proto(proto).with_net_model(model);
-    let latency = pingpong(spec.clone(), &small, 2);
-    let bandwidth = pingpong(spec, &large, 1);
-    Fig7Panel { label: label.to_string(), latency, bandwidth }
+    let spec = JobSpec::new(plat, 2).with_freq(freq).with_proto(proto).with_opts(opts.clone());
+    let latency = pingpong(spec.clone(), &small, 2)?;
+    let bandwidth = pingpong(spec, &large, 1)?;
+    Ok(Fig7Panel { label: label.to_string(), latency, bandwidth })
 }
 
 /// Generate Fig 7 (both rows of panels: latency and bandwidth).
-pub fn fig7() -> Fig7 {
+pub fn fig7(opts: &RunOpts) -> Result<Fig7, MpiFault> {
     let panels = fig7_cases()
         .into_iter()
-        .map(|(label, plat, freq, proto)| fig7_panel(label, plat, freq, proto))
-        .collect();
-    Fig7 { panels }
+        .map(|(label, plat, freq, proto)| fig7_panel(label, plat, freq, proto, opts))
+        .collect::<Result<_, _>>()?;
+    Ok(Fig7 { panels })
 }
 
 impl Fig7 {
@@ -226,30 +215,16 @@ pub struct HplHeadline {
     pub green: EfficiencyReport,
 }
 
-/// Run the weak-scaling HPL headline on `nodes` Tibidabo nodes.
-pub fn hpl_headline(nodes: u32) -> HplHeadline {
-    try_hpl_headline(nodes).expect("HPL headline run failed")
-}
-
-/// [`hpl_headline`], surfacing the fault (watchdog event budget, injected
-/// crash, engine failure) that stopped the run instead of panicking.
-pub fn try_hpl_headline(nodes: u32) -> Result<HplHeadline, simmpi::MpiFault> {
-    try_hpl_headline_on(&Machine::tibidabo(), nodes, &HplShare::default())
-}
-
-/// [`try_hpl_headline`] on an explicit machine — lets the `--ablate-net`
-/// harness pin the machine's network model while keeping the same weak-scaling
-/// HPL configuration — with the run taken from `hpl` (the Fig 6 point of
-/// the same size is the same job).
-pub fn try_hpl_headline_on(
-    m: &Machine,
-    nodes: u32,
-    hpl: &HplShare,
-) -> Result<HplHeadline, simmpi::MpiFault> {
+/// Run the weak-scaling HPL headline on `nodes` Tibidabo nodes under
+/// `opts`, taking the run from `hpl` (the Fig 6 point of the same size is
+/// the same job). Surfaces the fault (watchdog event budget, engine failure)
+/// that stopped the run.
+pub fn hpl_headline(nodes: u32, opts: &RunOpts, hpl: &HplShare) -> Result<HplHeadline, MpiFault> {
+    let m = Machine::tibidabo();
     let cfg = HplConfig::tibidabo_weak(nodes);
-    let run = hpl.run(m.job(nodes), cfg)?;
+    let run = hpl.run(m.job(nodes).with_opts(opts.clone()), cfg)?;
     let (seconds, gflops) = (run.result.seconds, run.result.gflops);
-    let green = green500(m, &run.run, nodes, 1.0, gflops);
+    let green = green500(&m, &run.run, nodes, 1.0, gflops);
     Ok(HplHeadline {
         nodes,
         n: cfg.n,
@@ -316,7 +291,7 @@ mod tests {
 
     #[test]
     fn fig7_headline_values_match_section_4_1() {
-        let fg = fig7();
+        let fg = fig7(&RunOpts::default()).unwrap();
         let t2_tcp = fg.small_latency_us("Tegra2 TCP").unwrap();
         let t2_omx = fg.small_latency_us("Tegra2 Open-MX").unwrap();
         assert!((88.0..112.0).contains(&t2_tcp), "T2 TCP {t2_tcp}");
@@ -331,7 +306,7 @@ mod tests {
 
     #[test]
     fn small_fig6_runs_quickly_and_sanely() {
-        let fg = fig6(&[4, 8]);
+        let fg = fig6(&[4, 8], &RunOpts::default()).unwrap();
         assert_eq!(fg.series.len(), 5);
         let rendered = fg.render();
         assert!(rendered.contains("HPL"));
@@ -340,7 +315,7 @@ mod tests {
 
     #[test]
     fn hpl_headline_small_scale() {
-        let h = hpl_headline(4);
+        let h = hpl_headline(4, &RunOpts::default(), &HplShare::default()).unwrap();
         assert!(h.gflops > 0.0);
         assert!(h.efficiency > 0.4 && h.efficiency < 0.9, "{}", h.efficiency);
         assert!(h.green.mflops_per_watt > 80.0);

@@ -2,8 +2,8 @@
 //!
 //! One generator per paper artefact (every table and figure), each returning
 //! serialisable data plus a text rendering. The `repro` binary drives them;
-//! the criterion benches under `benches/` measure the underlying kernels and
-//! simulations.
+//! the performance ledger (`src/bin/ledger/`) times `repro` end to end and
+//! layer by layer.
 //!
 //! | artefact | function |
 //! |---|---|
@@ -72,7 +72,7 @@ pub use fig345::{
 };
 pub use fig67::{
     fig6, fig7, hpl_headline, latency_penalty, latency_penalty_render, table3_render,
-    table4_render, try_hpl_headline, try_hpl_headline_on, Fig6, Fig7, Fig7Panel, HplHeadline,
+    table4_render, Fig6, Fig7, Fig7Panel, HplHeadline,
 };
 pub use journal::{read_journal, run_fingerprint, Journal, JsonlWriter, ResumeState};
 pub use mc::{

@@ -27,7 +27,7 @@ use hpc_apps::hpl::HplConfig;
 use hpc_apps::resilience::{run_hpl_resilient, ResilienceConfig, ResilienceReport};
 use netsim::TopologySpec;
 use serde::{Serialize, Value};
-use simmpi::{run_mpi, JobSpec, MpiFault, Msg};
+use simmpi::{run_mpi, JobSpec, MpiFault, Msg, RunOpts};
 use soc_arch::Platform;
 
 /// CLI-level overrides applied on top of a scenario's base [`McConfig`].
@@ -48,7 +48,7 @@ pub struct McScenario {
     /// One-line description shown in reports and `--help` errors.
     pub summary: &'static str,
     base: fn() -> McConfig,
-    run: fn() -> RunOutcome,
+    run: fn(&RunOpts) -> RunOutcome,
 }
 
 impl McScenario {
@@ -68,22 +68,24 @@ impl McScenario {
     }
 
     /// Run the bounded search under `cfg` (obtain it from
-    /// [`McScenario::config`] so overrides apply).
-    pub fn explore(&self, cfg: &McConfig) -> McReport {
-        let mut run = self.run;
-        des::mc::explore(cfg, &mut run)
+    /// [`McScenario::config`] so overrides apply). Every explored run takes
+    /// its network model and tracer from `opts`; each scenario keeps its own
+    /// event budget.
+    pub fn explore(&self, cfg: &McConfig, opts: &RunOpts) -> McReport {
+        des::mc::explore(cfg, &mut || (self.run)(opts))
     }
 
-    /// Replay a recorded decision prefix through this scenario, feeding the
-    /// run's trace to `tracer` (the counterexample artefact pipeline).
+    /// Replay a recorded decision prefix through this scenario under `opts`,
+    /// feeding the run's trace to `tracer` (the counterexample artefact
+    /// pipeline) in preference to the tracer of `opts`.
     pub fn replay(
         &self,
         cfg: &McConfig,
         decisions: Vec<Decision>,
         tracer: Option<Arc<dyn Tracer>>,
+        opts: &RunOpts,
     ) -> ReplayReport {
-        let mut run = self.run;
-        des::mc::replay(cfg, decisions, tracer, &mut run)
+        des::mc::replay(cfg, decisions, tracer, &mut || (self.run)(opts))
     }
 }
 
@@ -164,10 +166,11 @@ fn retry_lossy_cfg() -> McConfig {
     }
 }
 
-fn retry_lossy_run() -> RunOutcome {
+fn retry_lossy_run(opts: &RunOpts) -> RunOutcome {
     let spec = JobSpec::new(Platform::tegra2(), RETRY_RANKS)
         .with_topology(TopologySpec::Star { nodes: RETRY_RANKS })
         .with_fault_plan(lossy_plan(RETRY_RANKS))
+        .with_opts(opts.clone())
         .with_event_budget(Some(20_000));
     let run = run_mpi(spec, |mut r| async move {
         let p = r.size();
@@ -221,9 +224,10 @@ fn retry_lossy_broken_cfg() -> McConfig {
 /// number it already delivered ([`des::mc::choose`] models the spurious
 /// timeout) and the receiver does not deduplicate — the model checker must
 /// find the duplicate delivery.
-fn retry_lossy_broken_run() -> RunOutcome {
+fn retry_lossy_broken_run(opts: &RunOpts) -> RunOutcome {
     let spec = JobSpec::new(Platform::tegra2(), 2)
         .with_topology(TopologySpec::Star { nodes: 2 })
+        .with_opts(opts.clone())
         .with_event_budget(Some(20_000));
     let run = run_mpi(spec, |mut r| async move {
         if r.rank() == 0 {
@@ -278,11 +282,26 @@ fn resilience_cfg() -> ResilienceConfig {
 }
 
 /// Map one resilient-HPL campaign outcome to a model-checking verdict:
-/// explorer interrupts are [`RunOutcome::Pruned`], the
-/// [`ResilienceReport::check_invariants`] safety predicate runs first, and a
+/// explorer interrupts are [`RunOutcome::Pruned`], a failed fault-free
+/// baseline is a liveness violation, the
+/// [`ResilienceReport::check_invariants`] safety predicate runs next, and a
 /// campaign that had enough spares but did not complete is a liveness
 /// violation.
-fn hpl_verdict(rep: &ResilienceReport, rc: &ResilienceConfig, spares: u32) -> RunOutcome {
+fn hpl_verdict(
+    rep: Result<ResilienceReport, MpiFault>,
+    rc: &ResilienceConfig,
+    spares: u32,
+) -> RunOutcome {
+    let rep = match rep {
+        Ok(rep) => rep,
+        Err(MpiFault::Engine(SimError::Interrupted { .. })) => return RunOutcome::Pruned,
+        Err(fault) => {
+            return RunOutcome::Violation {
+                property: "liveness.baseline".into(),
+                detail: format!("fault-free baseline failed: {fault}"),
+            }
+        }
+    };
     if let Some(MpiFault::Engine(SimError::Interrupted { .. })) = &rep.fatal {
         return RunOutcome::Pruned;
     }
@@ -310,7 +329,7 @@ fn ckpt_crash_cfg() -> McConfig {
     McConfig { explore_sched: false, ..McConfig::default() }
 }
 
-fn ckpt_crash_run() -> RunOutcome {
+fn ckpt_crash_run(opts: &RunOpts) -> RunOutcome {
     // One crash of node 1 at one of six instants spanning the ~1.1 ms
     // checkpointed factorisation, including mid-checkpoint-write windows.
     let slot = des::mc::choose(6);
@@ -319,17 +338,17 @@ fn ckpt_crash_run() -> RunOutcome {
         FaultPlan::from_events(vec![FaultEvent { at, kind: FaultKind::NodeCrash { node: 1 } }]);
     let base = JobSpec::new(Platform::tegra2(), 2)
         .with_topology(TopologySpec::Star { nodes: 3 })
+        .with_opts(opts.clone())
         .with_event_budget(Some(200_000));
     let rc = resilience_cfg();
-    let rep = run_hpl_resilient(base, HplConfig::small(32, 8), &rc, &plan);
-    hpl_verdict(&rep, &rc, 1)
+    hpl_verdict(run_hpl_resilient(base, HplConfig::small(32, 8), &rc, &plan), &rc, 1)
 }
 
 fn spare_race_cfg() -> McConfig {
     McConfig { explore_sched: false, ..McConfig::default() }
 }
 
-fn spare_race_run() -> RunOutcome {
+fn spare_race_run(opts: &RunOpts) -> RunOutcome {
     // Two crashes with two spares: the first always takes node 1; the
     // second strikes either the surviving original node 0 or the spare
     // (node 2) just promoted in node 1's place, at every combination of a
@@ -346,10 +365,10 @@ fn spare_race_run() -> RunOutcome {
     ]);
     let base = JobSpec::new(Platform::tegra2(), 2)
         .with_topology(TopologySpec::Star { nodes: 4 })
+        .with_opts(opts.clone())
         .with_event_budget(Some(200_000));
     let rc = resilience_cfg();
-    let rep = run_hpl_resilient(base, HplConfig::small(32, 8), &rc, &plan);
-    hpl_verdict(&rep, &rc, 2)
+    hpl_verdict(run_hpl_resilient(base, HplConfig::small(32, 8), &rc, &plan), &rc, 2)
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +602,7 @@ mod tests {
     fn broken_fixture_yields_a_replayable_counterexample() {
         let sc = mc_scenario("retry-lossy-broken").unwrap();
         let cfg = sc.config(&McOverrides::default());
-        let report = sc.explore(&cfg);
+        let report = sc.explore(&cfg, &RunOpts::default());
         let ce = report.violation.expect("the seeded duplicate-delivery bug must be found");
         assert_eq!(ce.property, "safety.exactly-once");
         assert!(
@@ -597,7 +616,7 @@ mod tests {
         let parsed = parse_counterexample(&text).expect("round-trip parse");
         assert_eq!(parsed.scenario, sc.name);
         assert_eq!(parsed.decisions, ce.decisions);
-        let rep = sc.replay(&parsed.config, parsed.decisions, None);
+        let rep = sc.replay(&parsed.config, parsed.decisions, None, &RunOpts::default());
         assert!(
             matches!(&rep.outcome, RunOutcome::Violation { property, .. }
                 if *property == ce.property),
@@ -611,7 +630,7 @@ mod tests {
     fn ckpt_crash_space_is_exhausted_and_clean() {
         let sc = mc_scenario("ckpt-crash").unwrap();
         let cfg = sc.config(&McOverrides::default());
-        let report = sc.explore(&cfg);
+        let report = sc.explore(&cfg, &RunOpts::default());
         assert!(report.violation.is_none(), "violation: {:?}", report.violation);
         assert!(report.exhausted, "truncated by {:?}", report.truncated_by);
         assert!(report.runs >= 6, "all six crash slots must be explored");

@@ -15,6 +15,10 @@
 //! Wall-clock timings and cache counters are nondeterministic and live only
 //! in [`SweepStats`] — they never enter an artefact.
 //!
+//! Every simulating cell runs its jobs under the plan's [`RunOpts`] (network
+//! model, event budget, tracer): the caller decides them once and the plan
+//! hands a copy to each cell's driver.
+//!
 //! Fig 6's HPL points, the HPL headline, the resilience baselines and the
 //! network ablation all report fault-free HPL runs, often of the same job.
 //! A plan owns one [`HplShare`] that those cells read, so each distinct job
@@ -27,6 +31,7 @@ use std::time::Instant;
 
 use hpc_apps::hpl::HplShare;
 use hpc_apps::{AppId, ScalingMeasurement};
+use simmpi::RunOpts;
 use soc_arch::{cache_counters, Platform};
 
 use crate::ablate::{ablate_merge, ablate_side, AblateSide, ABLATE_FIGURES};
@@ -35,9 +40,7 @@ use crate::datacenter::{
     datacenter_cell, datacenter_study_from, datacenter_validation, DcValidation, DATACENTER_CASES,
 };
 use crate::fig345::{fig34_base_energy, fig34_series_for, fig5_rows_for, SweepSeries};
-use crate::fig67::{
-    fig7_cases, fig7_panel, try_hpl_headline_on, Fig6, Fig7, Fig7Panel, HplHeadline,
-};
+use crate::fig67::{fig7_cases, fig7_panel, hpl_headline, Fig6, Fig7, Fig7Panel, HplHeadline};
 use crate::resilience::{
     resilience_cell, resilience_contrast, resilience_grid, resilience_study_from, ResilienceCell,
     ResilienceContrast,
@@ -297,7 +300,7 @@ fn fig5_artefact() -> ArtefactSpec {
     }
 }
 
-fn fig6_artefact(nodes: Vec<u32>, hpl: &Arc<HplShare>) -> ArtefactSpec {
+fn fig6_artefact(nodes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
     // One cell per (application, runnable node count): the grid the paper's
     // Fig 6 wall time is actually spent on, so it parallelises across both
     // axes. The merge regroups by application in Table 3 order.
@@ -308,9 +311,10 @@ fn fig6_artefact(nodes: Vec<u32>, hpl: &Arc<HplShare>) -> ArtefactSpec {
         let app = *app;
         for &n in counts {
             let ticket = HplTicket::new(hpl);
+            let opts = opts.clone();
             cells.push(Cell::new(format!("fig6/{app:?}/n={n}"), move || {
                 let machine = cluster::Machine::tibidabo();
-                match ticket.with(|h| hpc_apps::try_measure_scaling_cell(&machine, app, n, h)) {
+                match ticket.with(|h| hpc_apps::measure_scaling_cell(&machine, app, n, &opts, h)) {
                     Ok(m) => CellOutput::Scaling(m),
                     Err(e) => CellOutput::Failed(e.to_string()),
                 }
@@ -346,12 +350,16 @@ fn fig6_artefact(nodes: Vec<u32>, hpl: &Arc<HplShare>) -> ArtefactSpec {
     }
 }
 
-fn fig7_artefact() -> ArtefactSpec {
+fn fig7_artefact(opts: &RunOpts) -> ArtefactSpec {
     let cells = fig7_cases()
         .into_iter()
         .map(|(label, plat, freq, proto)| {
+            let opts = opts.clone();
             Cell::new(format!("fig7/{label}"), move || {
-                CellOutput::Panel7(Box::new(fig7_panel(label, plat.clone(), freq, proto)))
+                match fig7_panel(label, plat.clone(), freq, proto, &opts) {
+                    Ok(p) => CellOutput::Panel7(Box::new(p)),
+                    Err(e) => CellOutput::Failed(e.to_string()),
+                }
             })
         })
         .collect();
@@ -377,14 +385,14 @@ fn fig7_artefact() -> ArtefactSpec {
     }
 }
 
-fn hpl_artefact(nodes: u32, hpl: &Arc<HplShare>) -> ArtefactSpec {
+fn hpl_artefact(nodes: u32, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
     let ticket = HplTicket::new(hpl);
-    let machine = cluster::Machine::tibidabo();
+    let opts = opts.clone();
     ArtefactSpec {
         key: "hpl",
         json_stem: Some("hpl_headline"),
         cells: vec![Cell::new(format!("hpl/n={nodes}"), move || {
-            match ticket.with(|h| try_hpl_headline_on(&machine, nodes, h)) {
+            match ticket.with(|h| hpl_headline(nodes, &opts, h)) {
                 Ok(h) => CellOutput::Hpl(Box::new(h)),
                 Err(e) => CellOutput::Failed(e.to_string()),
             }
@@ -403,21 +411,24 @@ fn hpl_artefact(nodes: u32, hpl: &Arc<HplShare>) -> ArtefactSpec {
     }
 }
 
-fn resilience_artefact(sizes: Vec<u32>, hpl: &Arc<HplShare>) -> ArtefactSpec {
+fn resilience_artefact(sizes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
     let mut cells: Vec<Cell<CellOutput>> = resilience_grid(&sizes)
         .into_iter()
         .map(|(nodes, incidence, seed)| {
             let ticket = HplTicket::new(hpl);
+            let opts = opts.clone();
             Cell::new(format!("resilience/n={nodes}/i={incidence}"), move || {
-                match ticket.with(|h| resilience_cell(nodes, incidence, seed, h)) {
+                match ticket.with(|h| resilience_cell(nodes, incidence, seed, &opts, h)) {
                     Ok(c) => CellOutput::ResCell(Box::new(c)),
                     Err(e) => CellOutput::Failed(e.to_string()),
                 }
             })
         })
         .collect();
-    cells.push(Cell::new("resilience/contrast", || {
-        CellOutput::Contrast(Box::new(resilience_contrast()))
+    let opts = opts.clone();
+    cells.push(Cell::new("resilience/contrast", move || match resilience_contrast(&opts) {
+        Ok(c) => CellOutput::Contrast(Box::new(c)),
+        Err(e) => CellOutput::Failed(e.to_string()),
     }));
     ArtefactSpec {
         key: "resilience",
@@ -445,17 +456,20 @@ fn resilience_artefact(sizes: Vec<u32>, hpl: &Arc<HplShare>) -> ArtefactSpec {
     }
 }
 
-fn ablate_net_artefact(scales: &RunScales, hpl: &Arc<HplShare>) -> ArtefactSpec {
+fn ablate_net_artefact(scales: &RunScales, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
     // One cell per (figure, model): six independent regenerations, each
-    // pinning its model on the job spec, merged into the accuracy table.
+    // overriding the network model of the run's options, merged into the
+    // accuracy table.
     let mut cells = Vec::new();
     for figure in ABLATE_FIGURES {
         for model in [netsim::NetModel::Event, netsim::NetModel::Flow] {
             let fig6_nodes = scales.fig6_nodes.clone();
             let hpl_nodes = scales.hpl_nodes;
             let ticket = HplTicket::new(hpl);
+            let opts = opts.clone();
             cells.push(Cell::new(format!("ablate-net/{figure}/{}", model.name()), move || {
-                match ticket.with(|h| ablate_side(figure, model, &fig6_nodes, hpl_nodes, h)) {
+                match ticket.with(|h| ablate_side(figure, model, &fig6_nodes, hpl_nodes, &opts, h))
+                {
                     Ok(s) => CellOutput::Ablate(Box::new(s)),
                     Err(e) => CellOutput::Failed(e.to_string()),
                 }
@@ -484,7 +498,7 @@ fn ablate_net_artefact(scales: &RunScales, hpl: &Arc<HplShare>) -> ArtefactSpec 
     }
 }
 
-fn datacenter_artefact(jobs: u64, validation_nodes: u32) -> ArtefactSpec {
+fn datacenter_artefact(jobs: u64, validation_nodes: u32, opts: &RunOpts) -> ArtefactSpec {
     let mut cells: Vec<Cell<CellOutput>> = DATACENTER_CASES
         .iter()
         .map(|case| {
@@ -493,8 +507,9 @@ fn datacenter_artefact(jobs: u64, validation_nodes: u32) -> ArtefactSpec {
             })
         })
         .collect();
+    let opts = opts.clone();
     cells.push(Cell::new(format!("datacenter/validation/n={validation_nodes}"), move || {
-        match datacenter_validation(validation_nodes) {
+        match datacenter_validation(validation_nodes, &opts) {
             Ok(v) => CellOutput::DcVal(Box::new(v)),
             Err(e) => CellOutput::Failed(e.to_string()),
         }
@@ -528,8 +543,8 @@ fn datacenter_artefact(jobs: u64, validation_nodes: u32) -> ArtefactSpec {
 impl RunPlan {
     /// Enumerate the cells for the requested `items` (the `repro` item keys,
     /// where `all` selects everything) at the given scales, in canonical
-    /// paper order.
-    pub fn from_items(items: &[String], scales: &RunScales) -> RunPlan {
+    /// paper order. Every simulating cell runs its jobs under `opts`.
+    pub fn from_items(items: &[String], scales: &RunScales, opts: &RunOpts) -> RunPlan {
         let want = |k: &str| items.iter().any(|i| i == "all" || i == k);
         let mut artefacts = Vec::new();
         let hpl = Arc::new(HplShare::default());
@@ -593,21 +608,22 @@ impl RunPlan {
             artefacts.push(text_artefact("table3", crate::table3_render));
         }
         if want("fig6") {
-            artefacts.push(fig6_artefact(scales.fig6_nodes.clone(), &hpl));
+            artefacts.push(fig6_artefact(scales.fig6_nodes.clone(), opts, &hpl));
         }
         if want("fig7") {
-            artefacts.push(fig7_artefact());
+            artefacts.push(fig7_artefact(opts));
         }
         if want("table4") {
             artefacts.push(text_artefact("table4", crate::table4_render));
         }
         if want("hpl") {
-            artefacts.push(hpl_artefact(scales.hpl_nodes, &hpl));
+            artefacts.push(hpl_artefact(scales.hpl_nodes, opts, &hpl));
         }
         if want("latency-penalty") {
             artefacts.push(text_artefact("latency-penalty", crate::latency_penalty_render));
         }
         if want("extensions") {
+            let opts = opts.clone();
             artefacts.push(ArtefactSpec {
                 key: "extensions",
                 json_stem: None,
@@ -615,7 +631,10 @@ impl RunPlan {
                     Cell::new("extensions/ecc", || CellOutput::Text(crate::ecc_risk_render())),
                     Cell::new("extensions/eee", || CellOutput::Text(crate::eee_render())),
                     Cell::new("extensions/roofline", || CellOutput::Text(crate::roofline_render())),
-                    Cell::new("extensions/imb", || CellOutput::Text(crate::imb_render())),
+                    Cell::new("extensions/imb", move || match crate::imb_render(&opts) {
+                        Ok(t) => CellOutput::Text(t),
+                        Err(e) => CellOutput::Failed(e.to_string()),
+                    }),
                 ],
                 merge: Box::new(|outs| {
                     let blocks = outs
@@ -630,15 +649,16 @@ impl RunPlan {
             });
         }
         if want("resilience") {
-            artefacts.push(resilience_artefact(scales.resilience_sizes.clone(), &hpl));
+            artefacts.push(resilience_artefact(scales.resilience_sizes.clone(), opts, &hpl));
         }
         if want("ablate-net") {
-            artefacts.push(ablate_net_artefact(scales, &hpl));
+            artefacts.push(ablate_net_artefact(scales, opts, &hpl));
         }
         if want("datacenter") {
             artefacts.push(datacenter_artefact(
                 scales.datacenter_jobs,
                 scales.datacenter_validation_nodes,
+                opts,
             ));
         }
         RunPlan { artefacts, hpl }
@@ -768,8 +788,9 @@ impl SupervisedArtefact {
 ///
 /// ```
 /// use bench::{run_plan_supervised, RunPlan, RunScales, SupervisorConfig, SweepConfig};
+/// use simmpi::RunOpts;
 ///
-/// let plan = RunPlan::from_items(&["table3".to_string()], &RunScales::golden());
+/// let plan = RunPlan::from_items(&["table3".to_string()], &RunScales::golden(), &RunOpts::default());
 /// let (artefacts, stats) = run_plan_supervised(
 ///     plan,
 ///     &SweepConfig::serial(),
@@ -841,13 +862,14 @@ pub fn run_plan_supervised(
 mod tests {
     use super::*;
 
-    fn items(keys: &[&str]) -> Vec<String> {
-        keys.iter().map(|s| s.to_string()).collect()
+    fn golden_plan(keys: &[&str]) -> RunPlan {
+        let items: Vec<String> = keys.iter().map(|s| s.to_string()).collect();
+        RunPlan::from_items(&items, &RunScales::golden(), &RunOpts::default())
     }
 
     #[test]
     fn plan_orders_artefacts_canonically() {
-        let plan = RunPlan::from_items(&items(&["all"]), &RunScales::golden());
+        let plan = golden_plan(&["all"]);
         assert_eq!(
             plan.keys(),
             vec![
@@ -877,9 +899,9 @@ mod tests {
 
     #[test]
     fn single_item_plans_are_minimal() {
-        let plan = RunPlan::from_items(&items(&["fig2"]), &RunScales::golden());
+        let plan = golden_plan(&["fig2"]);
         assert_eq!(plan.keys(), vec!["fig2a", "fig2b"]);
-        let plan = RunPlan::from_items(&items(&["table4"]), &RunScales::golden());
+        let plan = golden_plan(&["table4"]);
         assert_eq!(plan.cell_count(), 1);
     }
 
@@ -887,7 +909,7 @@ mod tests {
     fn parallel_run_matches_serial_bytes() {
         // The tentpole invariant on a cheap subset: renders and JSON from a
         // multi-worker run are byte-identical to the serial schedule.
-        let mk = || RunPlan::from_items(&items(&["fig3", "fig5", "fig7"]), &RunScales::golden());
+        let mk = || golden_plan(&["fig3", "fig5", "fig7"]);
         let (serial, s1) = run_plan(mk(), &SweepConfig::serial());
         let (parallel, s8) = run_plan(mk(), &SweepConfig::with_jobs(8));
         assert_eq!(s1.cells, s8.cells);
@@ -919,10 +941,7 @@ mod tests {
 
     #[test]
     fn fig34_plan_output_matches_direct_generator() {
-        let (arts, _) = run_plan(
-            RunPlan::from_items(&items(&["fig4"]), &RunScales::golden()),
-            &SweepConfig::with_jobs(4),
-        );
+        let (arts, _) = run_plan(golden_plan(&["fig4"]), &SweepConfig::with_jobs(4));
         assert_eq!(arts.len(), 1);
         assert_eq!(arts[0].blocks, vec![crate::fig4().render()]);
     }

@@ -27,7 +27,7 @@ use hpc_apps::hpl::{HplConfig, HplShare};
 use hpc_apps::resilience::{run_hpl_resilient, run_hpl_resilient_with_baseline, ResilienceConfig};
 use netsim::TopologySpec;
 use serde::Serialize;
-use simmpi::{JobSpec, MpiFault};
+use simmpi::{JobSpec, MpiFault, RunOpts};
 use soc_arch::Platform;
 
 use crate::table::{f, render_table};
@@ -105,6 +105,7 @@ fn sweep_cell(
     nodes: u32,
     incidence: f64,
     seed: u64,
+    opts: &RunOpts,
     hpl: &HplShare,
 ) -> Result<ResilienceCell, MpiFault> {
     let cfg = HplConfig::tibidabo_weak(nodes);
@@ -127,8 +128,9 @@ fn sweep_cell(
     let plan = FaultPlan::generate(seed, m.nodes(), horizon, &rates);
 
     // The fault-free baseline is the Fig 6 HPL job of the same size.
-    let clean_secs = hpl.run(m.job(nodes), cfg)?.result.seconds;
-    let rep = run_hpl_resilient_with_baseline(m.job(nodes), cfg, &rc, &plan, clean_secs);
+    let job = m.job(nodes).with_opts(opts.clone());
+    let clean_secs = hpl.run(job.clone(), cfg)?.result.seconds;
+    let rep = run_hpl_resilient_with_baseline(job, cfg, &rc, &plan, clean_secs);
     Ok(ResilienceCell {
         nodes,
         incidence,
@@ -146,13 +148,16 @@ fn sweep_cell(
 
 /// The Execute-mode checkpoint-vs-scratch demonstration: a crash lands in
 /// every attempt window, so only the checkpointing policy can finish.
-pub fn resilience_contrast() -> ResilienceContrast {
+/// Fails only if a fault-free baseline run does.
+pub fn resilience_contrast(opts: &RunOpts) -> Result<ResilienceContrast, MpiFault> {
     let crash = |node: u32, us: u64| FaultEvent {
         at: SimTime::from_micros(us),
         kind: FaultKind::NodeCrash { node },
     };
     let plan = FaultPlan::from_events(vec![crash(1, 1000), crash(2, 2100), crash(3, 3200)]);
-    let base = JobSpec::new(Platform::tegra2(), 2).with_topology(TopologySpec::Star { nodes: 8 });
+    let base = JobSpec::new(Platform::tegra2(), 2)
+        .with_topology(TopologySpec::Star { nodes: 8 })
+        .with_opts(opts.clone());
     let cfg = HplConfig::small(64, 8);
     let rc = ResilienceConfig {
         ckpt_every_panels: 2,
@@ -161,17 +166,17 @@ pub fn resilience_contrast() -> ResilienceContrast {
         max_attempts: 3,
         ..ResilienceConfig::default()
     };
-    let with = run_hpl_resilient(base.clone(), cfg, &rc, &plan);
+    let with = run_hpl_resilient(base.clone(), cfg, &rc, &plan)?;
     let without =
-        run_hpl_resilient(base, cfg, &ResilienceConfig { ckpt_every_panels: 0, ..rc }, &plan);
-    ResilienceContrast {
+        run_hpl_resilient(base, cfg, &ResilienceConfig { ckpt_every_panels: 0, ..rc }, &plan)?;
+    Ok(ResilienceContrast {
         with_ckpt_completed: with.completed,
         with_ckpt_attempts: with.attempts,
         with_ckpt_crashes: with.crashes,
         with_ckpt_residual: with.residual,
         no_ckpt_completed: without.completed,
         no_ckpt_attempts: without.attempts,
-    }
+    })
 }
 
 /// Enumerate the sweep grid for `sizes`: `(nodes, incidence, seed)` per
@@ -190,15 +195,16 @@ pub fn resilience_grid(sizes: &[u32]) -> Vec<(u32, f64, u64)> {
     grid
 }
 
-/// Run one grid cell on the Tibidabo model, taking the fault-free baseline
-/// from `hpl`; fails only if that baseline run does.
+/// Run one grid cell on the Tibidabo model under `opts`, taking the
+/// fault-free baseline from `hpl`; fails only if that baseline run does.
 pub fn resilience_cell(
     nodes: u32,
     incidence: f64,
     seed: u64,
+    opts: &RunOpts,
     hpl: &HplShare,
 ) -> Result<ResilienceCell, MpiFault> {
-    sweep_cell(&Machine::tibidabo(), nodes, incidence, seed, hpl)
+    sweep_cell(&Machine::tibidabo(), nodes, incidence, seed, opts, hpl)
 }
 
 /// Assemble the study artefact from externally-computed cells (in
@@ -216,16 +222,13 @@ pub fn resilience_study_from(
 /// `sizes` are logical node counts on the Tibidabo model (≤ 96 so the
 /// 192-node topology always has spares). The fault schedule is seeded per
 /// cell, so the whole study is bit-reproducible.
-pub fn resilience_study(sizes: &[u32]) -> ResilienceStudy {
-    let m = Machine::tibidabo();
+pub fn resilience_study(sizes: &[u32], opts: &RunOpts) -> Result<ResilienceStudy, MpiFault> {
     let hpl = HplShare::default();
     let cells = resilience_grid(sizes)
         .into_iter()
-        .map(|(nodes, incidence, seed)| {
-            sweep_cell(&m, nodes, incidence, seed, &hpl).expect("fault-free baseline must complete")
-        })
-        .collect();
-    resilience_study_from(cells, resilience_contrast())
+        .map(|(nodes, incidence, seed)| resilience_cell(nodes, incidence, seed, opts, &hpl))
+        .collect::<Result<_, _>>()?;
+    Ok(resilience_study_from(cells, resilience_contrast(opts)?))
 }
 
 impl ResilienceStudy {
@@ -293,7 +296,7 @@ mod tests {
 
     #[test]
     fn contrast_shows_checkpointing_is_load_bearing() {
-        let c = resilience_contrast();
+        let c = resilience_contrast(&RunOpts::default()).unwrap();
         assert!(c.with_ckpt_completed);
         assert!(c.with_ckpt_residual.unwrap() < 16.0);
         assert!(!c.no_ckpt_completed);
@@ -302,7 +305,7 @@ mod tests {
 
     #[test]
     fn tiny_sweep_produces_full_grid_and_renders() {
-        let s = resilience_study(&[2]);
+        let s = resilience_study(&[2], &RunOpts::default()).unwrap();
         assert_eq!(s.cells.len(), INCIDENCE_GRID.len());
         assert!(s.cells.iter().all(|c| c.clean_secs > 0.0));
         let text = s.render();

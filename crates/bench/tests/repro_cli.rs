@@ -2,6 +2,7 @@
 //! EXPERIMENTS.md documents the same flags, change both together), and the
 //! exit-code discipline (0 help, 2 usage errors).
 
+use std::path::Path;
 use std::process::Command;
 
 fn repro(args: &[&str]) -> std::process::Output {
@@ -110,10 +111,14 @@ fn flow_model_runs_are_byte_identical_across_processes() {
     // hash seeds, id counters) that leaks into artefact bytes. In-process
     // determinism is covered by tests/determinism.rs; this is the stronger
     // cross-process form.
+    let dirs: Vec<_> = (0..2)
+        .map(|run| {
+            std::env::temp_dir().join(format!("repro_flow_det_{}_{run}", std::process::id()))
+        })
+        .collect();
     let mut jsons = Vec::new();
-    for run in 0..2 {
-        let dir = std::env::temp_dir().join(format!("repro_flow_det_{}_{run}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create artefact dir");
+    for (run, dir) in dirs.iter().enumerate() {
+        std::fs::create_dir_all(dir).expect("create artefact dir");
         let out = repro(&[
             "--golden",
             "--figure",
@@ -130,7 +135,28 @@ fn flow_model_runs_are_byte_identical_across_processes() {
             String::from_utf8_lossy(&out.stderr)
         );
         jsons.push(std::fs::read(dir.join("fig6.json")).expect("fig6.json written"));
-        std::fs::remove_dir_all(&dir).ok();
     }
     assert_eq!(jsons[0], jsons[1], "flow-model fig6.json diverged between processes");
+
+    // The flag took effect: the event-model golden has different bytes.
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/fig6.json");
+    let golden = std::fs::read(golden).expect("fig6 golden");
+    assert_ne!(jsons[0], golden, "--net-model flow wrote the event-model fig6.json");
+
+    // `--fsck` re-derives a lost artefact under the model its journal
+    // records, with no `--net-model` flag on its own command line.
+    let dir = &dirs[1];
+    std::fs::remove_file(dir.join("fig6.json")).expect("delete fig6.json");
+    let out = repro(&["--fsck", "--json", dir.to_str().expect("tmp path is UTF-8")]);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "a repaired run exits 3:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let repaired = std::fs::read(dir.join("fig6.json")).expect("fsck re-derived fig6.json");
+    assert_eq!(repaired, jsons[0], "--fsck re-derived fig6.json under the wrong model");
+    for dir in &dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

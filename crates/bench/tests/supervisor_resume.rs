@@ -13,6 +13,7 @@ use bench::{
     SupervisorConfig, SweepConfig,
 };
 use proptest::prelude::*;
+use simmpi::RunOpts;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("bench_itest_{tag}_{}", std::process::id()));
@@ -98,7 +99,7 @@ fn resume_after_truncated_artifact_rederives_it_byte_identically() {
     let mut journal = Journal::create(&dir, &items, "golden").unwrap();
     let run = |journal: &mut Journal, skip: &dyn Fn(&'static str) -> bool| {
         let mut executed: Vec<&'static str> = Vec::new();
-        let plan = RunPlan::from_items(&items, &scales);
+        let plan = RunPlan::from_items(&items, &scales, &RunOpts::default());
         run_plan_supervised(plan, &SweepConfig::serial(), &sup, skip, |art| match &art.outcome {
             ArtefactOutcome::Completed(out) => {
                 executed.push(art.key);
@@ -157,7 +158,7 @@ fn injected_panic_quarantines_one_artifact_and_spares_the_rest() {
 
     let run =
         |dir: &PathBuf, sabotage: bool| {
-            let mut plan = RunPlan::from_items(&items, &scales);
+            let mut plan = RunPlan::from_items(&items, &scales, &RunOpts::default());
             if sabotage {
                 assert!(plan.inject_panic("fig5") > 0);
             }

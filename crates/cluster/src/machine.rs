@@ -1,6 +1,6 @@
 //! Cluster machine models: the Tibidabo prototype (§4) and what-if variants.
 
-use netsim::{NetModel, ProtocolModel, TopologySpec};
+use netsim::{ProtocolModel, TopologySpec};
 use simmpi::JobSpec;
 use soc_arch::Platform;
 use soc_power::PowerModel;
@@ -22,9 +22,6 @@ pub struct Machine {
     pub switches: u32,
     /// Power per switch, watts.
     pub switch_power_w: f64,
-    /// Network model override for jobs on this machine (`None` = the
-    /// process-wide default, see [`simmpi::default_net_model`]).
-    pub net_model: Option<NetModel>,
 }
 
 impl Machine {
@@ -42,7 +39,6 @@ impl Machine {
             proto: ProtocolModel::tcp_ip(),
             switches: 5, // 4 edge + 1 core
             switch_power_w: 25.0,
-            net_model: None,
         }
     }
 
@@ -61,7 +57,6 @@ impl Machine {
             proto: ProtocolModel::tcp_ip(),
             switches: edges + 1,
             switch_power_w: 25.0,
-            net_model: None,
         }
     }
 
@@ -76,7 +71,6 @@ impl Machine {
             proto: ProtocolModel::open_mx(),
             switches: nodes.div_ceil(48),
             switch_power_w: 25.0,
-            net_model: None,
         }
     }
 
@@ -91,15 +85,7 @@ impl Machine {
             proto: ProtocolModel::open_mx(),
             switches: nodes.div_ceil(48),
             switch_power_w: 25.0,
-            net_model: None,
         }
-    }
-
-    /// Pin this machine's jobs to `model` regardless of the process-wide
-    /// default network model.
-    pub fn with_net_model(mut self, model: Option<NetModel>) -> Machine {
-        self.net_model = model;
-        self
     }
 
     /// Total node count.
@@ -108,12 +94,11 @@ impl Machine {
     }
 
     /// A `simmpi` job spec for `ranks` ranks on this machine at the node's
-    /// maximum frequency.
+    /// maximum frequency, with default run options.
     pub fn job(&self, ranks: u32) -> JobSpec {
         JobSpec::new(self.platform.clone(), ranks)
             .with_proto(self.proto)
             .with_topology(self.topology)
-            .with_net_model(self.net_model)
     }
 
     /// Peak FP64 GFLOPS of `n` nodes at fmax.
@@ -143,10 +128,9 @@ mod tests {
         assert_eq!(j.proto.name, "TCP/IP");
         assert_eq!(j.topology, TopologySpec::tibidabo());
         assert!(j.validate().is_ok());
-        // No machine pins a model by default; with_net_model threads through.
-        assert_eq!(j.net_model, None);
-        let pinned = Machine::tibidabo().with_net_model(Some(NetModel::Flow));
-        assert_eq!(pinned.job(4).net_model, Some(NetModel::Flow));
+        // A machine describes hardware: its jobs run with default options.
+        assert_eq!(j.opts.net_model, netsim::NetModel::Event);
+        assert!(j.opts.event_budget.is_none() && j.opts.tracer.is_none());
     }
 
     #[test]

@@ -2,35 +2,25 @@
 //!
 //! # Execution model
 //!
-//! Simulated actors ("processes") come in two kinds behind the same
-//! [`Pid`]/event-queue surface:
+//! Simulated actors ("processes", [`Engine::spawn_process`]) are stackless
+//! coroutines: `async` blocks whose only suspension points are the engine's
+//! own leaf primitives ([`ProcCtx::advance`], [`ProcCtx::park`],
+//! [`ProcCtx::park_until`]). The engine polls the process's future inline —
+//! on the engine's own thread — whenever an event for it dispatches, so a
+//! 4096-rank cluster runs in **one** OS thread with no context switches.
 //!
-//! * **Event-driven processes** ([`Engine::spawn_process`]) are stackless
-//!   coroutines: `async` blocks whose only suspension points are the engine's
-//!   own leaf primitives ([`ProcCtx::advance`], [`ProcCtx::park`],
-//!   [`ProcCtx::park_until`]). The engine polls the process's future inline —
-//!   on the engine's own thread — whenever an event for it dispatches, so a
-//!   4096-rank cluster runs in **one** OS thread with no context switches.
-//! * **Thread-backed processes** ([`Engine::spawn`]) are the original
-//!   compatibility path: ordinary OS threads, with control handed over through
-//!   rendezvous channels. Exactly one thread — either the engine or a single
-//!   process — runs at any instant. They remain useful for actors that must
-//!   block inside foreign code, and as the legacy baseline for benchmarks.
-//!
-//! Both kinds share one event queue ordered by `(time, insertion sequence)`,
+//! Processes share one event queue ordered by `(time, insertion sequence)`,
 //! and only one process executes at a time, so simulations are
 //! **bit-deterministic**: the same program produces the same event trace on
-//! every run, regardless of OS scheduling — and regardless of which process
-//! kind each actor uses, as long as it performs the same primitive calls in
-//! the same order.
+//! every run, regardless of OS scheduling.
 //!
-//! Event-driven processes must suspend **only** through the engine's leaf
-//! futures; awaiting a foreign future that returns `Pending` without
-//! scheduling a des event would strand the process, so the engine panics
-//! when a poll returns `Pending` without a suspension request.
+//! Processes must suspend **only** through the engine's leaf futures;
+//! awaiting a foreign future that returns `Pending` without scheduling a des
+//! event would strand the process, so the engine panics when a poll returns
+//! `Pending` without a suspension request.
 //!
-//! Cross-process signalling is intentionally minimal: [`ProcCtx::wake_at`] /
-//! [`Context::wake_at`] schedule a wake-up for a *parked* process.
+//! Cross-process signalling is intentionally minimal: [`ProcCtx::wake_at`]
+//! schedules a wake-up for a *parked* process.
 //! Higher-level abstractions (mailboxes, MPI-style matching, network links)
 //! are built on top of this in the `simmpi` and `netsim` crates.
 //!
@@ -45,23 +35,14 @@ use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::task::{Context as TaskContext, Poll, Waker};
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
 use crate::mc;
 use crate::time::SimTime;
 use crate::trace::{TraceEvent, TraceFilter, TraceRecord, Tracer};
-
-/// Stack size for thread-backed compatibility processes. Simulated actors
-/// carry little real stack (the deep work lives in heap-allocated model
-/// state), so this is deliberately small — the 8 MiB platform default made
-/// thread-per-rank runs exhaust address space long before the scheduler
-/// became the bottleneck.
-const COMPAT_STACK_SIZE: usize = 512 << 10;
 
 /// Identifier of a simulated process, assigned in spawn order. The default
 /// value is the first-spawned process's id.
@@ -93,15 +74,6 @@ pub enum SimError {
         process: String,
         /// Best-effort stringified panic payload.
         message: String,
-    },
-    /// The OS refused to create a thread for a thread-backed process (for
-    /// example when the process/thread limit is hit). Event-driven processes
-    /// never hit this — they allocate no OS resources.
-    SpawnFailed {
-        /// Name of the process that could not be spawned.
-        process: String,
-        /// Stringified OS error.
-        reason: String,
     },
     /// The simulation dispatched more events than its configured budget
     /// (see [`Engine::set_event_budget`]). This is the watchdog that turns a
@@ -139,9 +111,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::ProcessPanic { process, message } => {
                 write!(f, "process '{process}' panicked: {message}")
-            }
-            SimError::SpawnFailed { process, reason } => {
-                write!(f, "failed to spawn thread for process '{process}': {reason}")
             }
             SimError::EventBudgetExhausted { at, events, budget, parked } => {
                 write!(
@@ -215,23 +184,11 @@ impl Ord for Event {
     }
 }
 
-/// How a process is executed when its event dispatches.
-enum ProcKind {
-    /// OS thread; the engine resumes it over this channel and waits for the
-    /// yield handshake.
-    Thread { resume_tx: SyncSender<()> },
-    /// Stackless coroutine; the engine polls its future (stored in
-    /// [`Engine::tasks`]) inline.
-    Event,
-}
-
 struct ProcSlot {
     name: String,
     status: Status,
     /// Bumped every time the process resumes; used to invalidate stale events.
     gen: u64,
-    kind: ProcKind,
-    panic_message: Option<String>,
 }
 
 struct State {
@@ -273,17 +230,15 @@ struct Shared {
     state: Mutex<State>,
     /// Current virtual time in nanoseconds. Only the dispatching thread
     /// writes it, while it holds the state lock and no process runs; a
-    /// process reads it without the lock (it runs on the dispatching thread,
-    /// or — thread-backed — after the resume handshake, which orders the
-    /// write before the read).
+    /// process reads it without the lock (it runs on the dispatching
+    /// thread).
     now: AtomicU64,
-    /// The suspension an event-driven process requested during the current
-    /// poll ([`Suspend`] kind and time), handed to the dispatcher instead of
+    /// The suspension a process requested during the current poll
+    /// ([`Suspend`] kind and time), handed to the dispatcher instead of
     /// being applied under the state lock from inside the poll. Written and
     /// read on the dispatching thread only, so relaxed atomics suffice.
     suspend_kind: AtomicU8,
     suspend_at: AtomicU64,
-    yield_tx: Sender<()>,
     /// Installed before any spawn and immutable afterwards, so reading it
     /// without the state lock is race-free.
     tracer: Option<Arc<dyn Tracer>>,
@@ -359,9 +314,9 @@ type ProcFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
 /// A deterministic discrete-event simulation.
 ///
-/// Spawn event-driven processes with [`Engine::spawn_process`] (preferred) or
-/// thread-backed ones with [`Engine::spawn`], then drive them to completion
-/// with [`Engine::run`]. See the module docs for the execution model.
+/// Spawn processes with [`Engine::spawn_process`], then drive them to
+/// completion with [`Engine::run`]. See the module docs for the execution
+/// model.
 ///
 /// ```
 /// use des::{Engine, SimTime};
@@ -377,15 +332,12 @@ type ProcFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 /// ```
 pub struct Engine {
     shared: Arc<Shared>,
-    yield_rx: Receiver<()>,
-    threads: Vec<JoinHandle<()>>,
-    /// Futures of event-driven processes, indexed by pid; `None` for
-    /// thread-backed pids and for finished event processes.
+    /// Process futures, indexed by pid; `None` once a process finished.
     tasks: Vec<Option<ProcFuture>>,
     /// Abort the run with [`SimError::EventBudgetExhausted`] once this many
     /// events have been dispatched. `None` = unlimited (the default).
     event_budget: Option<u64>,
-    /// The suspension the last polled event process asked for, applied at
+    /// The suspension the last polled process asked for, applied at
     /// the start of the next dispatch under the same state lock that pops
     /// the next event — one lock per dispatched event.
     handoff: Option<(Pid, Suspend)>,
@@ -412,7 +364,6 @@ impl Default for Engine {
 impl Engine {
     /// Create an empty simulation at time zero.
     pub fn new() -> Self {
-        let (yield_tx, yield_rx) = mpsc::channel();
         Engine {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
@@ -426,13 +377,10 @@ impl Engine {
                 now: AtomicU64::new(0),
                 suspend_kind: AtomicU8::new(SUSPEND_NONE),
                 suspend_at: AtomicU64::new(0),
-                yield_tx,
                 tracer: None,
                 trace_mask: TraceFilter::NONE,
                 mc: None,
             }),
-            yield_rx,
-            threads: Vec::new(),
             tasks: Vec::new(),
             event_budget: None,
             handoff: None,
@@ -495,21 +443,7 @@ impl Engine {
         shared.mc = Some(ctl);
     }
 
-    /// Register a new process slot and its time-zero start event.
-    fn register(&mut self, name: String, kind: ProcKind) -> Pid {
-        let mut st = self.shared.state.lock();
-        let pid = Pid(st.procs.len() as u32);
-        let traced_name = self.shared.trace_mask.procs.then(|| name.clone());
-        st.procs.push(ProcSlot { name, status: Status::Ready, gen: 0, kind, panic_message: None });
-        st.live += 1;
-        st.push_event(self.shared.now(), pid, 0);
-        if let Some(name) = traced_name {
-            self.shared.trace_with(&mut st, || TraceEvent::ProcSpawn { pid, name });
-        }
-        pid
-    }
-
-    /// Spawn an **event-driven** process that becomes runnable at time zero.
+    /// Spawn a process that becomes runnable at time zero.
     ///
     /// `f` is called immediately with the process's [`ProcCtx`] and must
     /// return the future that *is* the process — typically an `async move`
@@ -518,8 +452,7 @@ impl Engine {
     /// No OS resources are allocated, so spawning cannot fail and tens of
     /// thousands of processes are cheap.
     ///
-    /// Processes spawned before [`Engine::run`] start in spawn order,
-    /// regardless of kind.
+    /// Processes spawned before [`Engine::run`] start in spawn order.
     ///
     /// ```
     /// use des::{Engine, SimTime};
@@ -540,7 +473,19 @@ impl Engine {
         F: FnOnce(ProcCtx) -> Fut,
         Fut: Future<Output = ()> + Send + 'static,
     {
-        let pid = self.register(name.into(), ProcKind::Event);
+        let name = name.into();
+        let pid = {
+            let mut st = self.shared.state.lock();
+            let pid = Pid(st.procs.len() as u32);
+            let traced_name = self.shared.trace_mask.procs.then(|| name.clone());
+            st.procs.push(ProcSlot { name, status: Status::Ready, gen: 0 });
+            st.live += 1;
+            st.push_event(self.shared.now(), pid, 0);
+            if let Some(name) = traced_name {
+                self.shared.trace_with(&mut st, || TraceEvent::ProcSpawn { pid, name });
+            }
+            pid
+        };
         let ctx = ProcCtx { pid, shared: Arc::clone(&self.shared) };
         let fut = f(ctx);
         if self.tasks.len() <= pid.index() {
@@ -548,95 +493,6 @@ impl Engine {
         }
         self.tasks[pid.index()] = Some(Box::pin(fut));
         pid
-    }
-
-    /// Spawn a **thread-backed** process that becomes runnable at time zero
-    /// (compatibility path; prefer [`Engine::spawn_process`]).
-    ///
-    /// The closure receives a [`Context`] for interacting with virtual time.
-    /// Processes spawned before [`Engine::run`] start in spawn order.
-    ///
-    /// Returns [`SimError::SpawnFailed`] if the OS refuses to create the
-    /// backing thread (e.g. the process's thread limit is hit); the engine
-    /// stays usable and already-spawned processes are unaffected.
-    pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> Result<Pid, SimError>
-    where
-        F: FnOnce(&Context) + Send + 'static,
-    {
-        let name = name.into();
-        let (resume_tx, resume_rx) = mpsc::sync_channel(1);
-        let pid = self.register(name.clone(), ProcKind::Thread { resume_tx });
-        let ctx = Context { pid, shared: Arc::clone(&self.shared), resume_rx };
-        let shared = Arc::clone(&self.shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("des-{name}"))
-            .stack_size(COMPAT_STACK_SIZE)
-            .spawn(move || {
-                // Wait for the first resume before touching any state.
-                if ctx.resume_rx.recv().is_err() {
-                    return; // engine dropped before start
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-                let finished_clean = result.is_ok();
-                let mut st = shared.state.lock();
-                let slot = &mut st.procs[ctx.pid.index()];
-                slot.status = Status::Finished;
-                if let Err(payload) = result {
-                    // `&*payload`, not `&payload`: a `&Box<dyn Any>` would
-                    // unsize to `&dyn Any` with the Box itself as the Any.
-                    slot.panic_message = Some(panic_payload_to_string(&*payload));
-                }
-                st.live -= 1;
-                if finished_clean {
-                    shared.trace_with(&mut st, || TraceEvent::ProcFinish { pid: ctx.pid });
-                }
-                drop(st);
-                let _ = shared.yield_tx.send(());
-            });
-        match spawned {
-            Ok(handle) => {
-                self.threads.push(handle);
-                Ok(pid)
-            }
-            Err(err) => {
-                // Retire the slot we just registered: mark it finished so its
-                // time-zero event dispatches as stale and `run` doesn't wait
-                // on a process that never existed.
-                let mut st = self.shared.state.lock();
-                st.procs[pid.index()].status = Status::Finished;
-                st.live -= 1;
-                Err(SimError::SpawnFailed { process: name, reason: err.to_string() })
-            }
-        }
-    }
-
-    /// Run the simulation until every process finishes.
-    ///
-    /// Returns a [`RunReport`] on success, [`SimError::Deadlock`] if the event
-    /// queue drains while processes are parked, or [`SimError::ProcessPanic`]
-    /// if any process panicked.
-    pub fn run(mut self) -> Result<RunReport, SimError> {
-        let result = self.drive();
-        if result.is_err() {
-            // Unblock any still-parked process threads: replacing a slot's
-            // resume sender drops the old one, so the thread's `recv` fails,
-            // it unwinds quietly (see `yield_and_wait`), the unwind is caught
-            // by the process wrapper, and the thread exits cleanly.
-            // (Event-driven processes need no teardown: their futures are
-            // simply dropped with the engine.)
-            let mut st = self.shared.state.lock();
-            for slot in &mut st.procs {
-                if slot.status != Status::Finished {
-                    if let ProcKind::Thread { resume_tx } = &mut slot.kind {
-                        *resume_tx = mpsc::sync_channel(1).0;
-                    }
-                }
-            }
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        result
     }
 
     /// Whether `ev` no longer targets the generation its process is in
@@ -763,10 +619,16 @@ impl Engine {
         Ok(chosen)
     }
 
-    fn drive(&mut self) -> Result<RunReport, SimError> {
+    /// Run the simulation until every process finishes.
+    ///
+    /// Returns a [`RunReport`] on success, [`SimError::Deadlock`] if the event
+    /// queue drains while processes are parked, or [`SimError::ProcessPanic`]
+    /// if any process panicked. Processes still suspended when a run aborts
+    /// are dropped with the engine.
+    pub fn run(mut self) -> Result<RunReport, SimError> {
         let mc = self.shared.mc.clone();
         loop {
-            let resume = {
+            let pid = {
                 let mut st = self.shared.state.lock();
                 if let Some((pid, s)) = self.handoff.take() {
                     apply_suspend(&self.shared, &mut st, pid, s);
@@ -785,7 +647,7 @@ impl Engine {
                 if mc.is_none() {
                     debug_assert!(ev.at >= self.shared.now(), "event queue went backwards in time");
                 }
-                let resume = start_dispatch(&self.shared, &mut st, &ev);
+                start_dispatch(&self.shared, &mut st, &ev);
                 if let Some(ctl) = &mc {
                     let now = self.shared.now();
                     let hash = mc_engine_hash(&st, now);
@@ -793,84 +655,58 @@ impl Engine {
                         return Err(SimError::Interrupted { at: now });
                     }
                 }
-                resume
+                ev.pid
             };
-            self.execute_resume(resume)?;
+            self.poll_process(pid)?;
         }
     }
 
-    /// Resume the process selected by the dispatch loop and poll/step it
-    /// until it suspends again (or finishes, or panics).
-    fn execute_resume(&mut self, resume: Resume) -> Result<(), SimError> {
-        match resume {
-            Resume::Thread(resume_tx, pid) => {
-                resume_tx.send(()).expect("des process thread died outside the engine protocol");
-                // Block until the resumed process yields back.
-                self.yield_rx.recv().expect("all des process threads disappeared");
-                // If the process panicked, surface it immediately.
-                let st = self.shared.state.lock();
-                let slot = &st.procs[pid.index()];
-                if let Some(msg) = &slot.panic_message {
-                    return Err(SimError::ProcessPanic {
-                        process: slot.name.clone(),
-                        message: msg.clone(),
-                    });
-                }
+    /// Poll the process selected by the dispatch loop until it suspends
+    /// again (or finishes, or panics).
+    fn poll_process(&mut self, pid: Pid) -> Result<(), SimError> {
+        let mut fut =
+            self.tasks[pid.index()].take().expect("process resumed without a stored future");
+        // The engine is the only scheduler: nothing ever needs to wake a task
+        // from outside, so a no-op waker suffices.
+        let mut cx = TaskContext::from_waker(Waker::noop());
+        let polled = panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
+        let suspend = self.shared.take_suspend();
+        match polled {
+            Ok(Poll::Pending) => {
+                // The leaf primitive recorded its suspension; the next
+                // dispatch applies it under its own lock.
+                assert!(
+                    suspend.is_some(),
+                    "event process returned Pending without blocking on a des primitive"
+                );
+                self.handoff = suspend.map(|s| (pid, s));
+                self.tasks[pid.index()] = Some(fut);
             }
-            Resume::Event(pid) => {
-                let mut fut = self.tasks[pid.index()]
-                    .take()
-                    .expect("event process resumed without a stored future");
-                // The engine is the only scheduler: nothing ever needs to
-                // wake a task from outside, so a no-op waker suffices.
-                let mut cx = TaskContext::from_waker(Waker::noop());
-                let polled = panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-                let suspend = self.shared.take_suspend();
-                match polled {
-                    Ok(Poll::Pending) => {
-                        // The leaf primitive recorded its suspension; the
-                        // next dispatch applies it under its own lock.
-                        assert!(
-                            suspend.is_some(),
-                            "event process returned Pending without blocking on a des primitive"
-                        );
-                        self.handoff = suspend.map(|s| (pid, s));
-                        self.tasks[pid.index()] = Some(fut);
-                    }
-                    Ok(Poll::Ready(())) => {
-                        let mut st = self.shared.state.lock();
-                        if let Some(s) = suspend {
-                            apply_suspend(&self.shared, &mut st, pid, s);
-                        }
-                        st.procs[pid.index()].status = Status::Finished;
-                        st.live -= 1;
-                        self.shared.trace_with(&mut st, || TraceEvent::ProcFinish { pid });
-                    }
-                    Err(payload) => {
-                        let message = panic_payload_to_string(&*payload);
-                        let mut st = self.shared.state.lock();
-                        st.live -= 1;
-                        let slot = &mut st.procs[pid.index()];
-                        slot.status = Status::Finished;
-                        slot.panic_message = Some(message.clone());
-                        return Err(SimError::ProcessPanic { process: slot.name.clone(), message });
-                    }
+            Ok(Poll::Ready(())) => {
+                let mut st = self.shared.state.lock();
+                if let Some(s) = suspend {
+                    apply_suspend(&self.shared, &mut st, pid, s);
                 }
+                st.procs[pid.index()].status = Status::Finished;
+                st.live -= 1;
+                self.shared.trace_with(&mut st, || TraceEvent::ProcFinish { pid });
+            }
+            Err(payload) => {
+                let message = panic_payload_to_string(&*payload);
+                let mut st = self.shared.state.lock();
+                st.live -= 1;
+                let slot = &mut st.procs[pid.index()];
+                slot.status = Status::Finished;
+                return Err(SimError::ProcessPanic { process: slot.name.clone(), message });
             }
         }
         Ok(())
     }
 }
 
-/// How the dispatch loop resumes the process owning the chosen event.
-enum Resume {
-    Thread(SyncSender<()>, Pid),
-    Event(Pid),
-}
-
 /// Hand the engine to the process owning `ev`: advance the clock to the
 /// event, mark the process running in a new generation, trace the resume.
-fn start_dispatch(shared: &Shared, st: &mut State, ev: &Event) -> Resume {
+fn start_dispatch(shared: &Shared, st: &mut State, ev: &Event) {
     // `max` semantics: a model-checking controller may dispatch an event
     // that was pushed back behind a slightly later one (bounded timing
     // skew); virtual time still never reverses.
@@ -880,12 +716,7 @@ fn start_dispatch(shared: &Shared, st: &mut State, ev: &Event) -> Resume {
     let slot = &mut st.procs[ev.pid.index()];
     slot.status = Status::Running;
     slot.gen += 1;
-    let resume = match &slot.kind {
-        ProcKind::Thread { resume_tx } => Resume::Thread(resume_tx.clone(), ev.pid),
-        ProcKind::Event => Resume::Event(ev.pid),
-    };
     shared.trace_with(st, || TraceEvent::ProcResume { pid: ev.pid });
-    resume
 }
 
 /// Suspend process `pid` as its leaf primitive asked: the status change,
@@ -921,12 +752,11 @@ fn panic_payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// An event-driven process's handle to the simulation: virtual-time queries,
-/// time advance, parking, and waking peers.
+/// A process's handle to the simulation: virtual-time queries, time
+/// advance, parking, and waking peers.
 ///
-/// Unlike the thread-backed [`Context`], a `ProcCtx` is owned, cheap to
-/// clone, and `'static`, so it can be moved into the `async` block that
-/// implements the process. The async methods ([`ProcCtx::advance`],
+/// A `ProcCtx` is owned, cheap to clone, and `'static`, so it can be moved
+/// into the `async` block that implements the process. The async methods ([`ProcCtx::advance`],
 /// [`ProcCtx::park`], [`ProcCtx::park_until`]) are the process's only legal
 /// suspension points.
 #[derive(Clone)]
@@ -1085,9 +915,8 @@ fn mc_engine_hash(st: &State, now: SimTime) -> u64 {
 
 /// Future of [`ProcCtx::advance`].
 ///
-/// First poll: asks the dispatcher to schedule the timer event (identically
-/// to the thread-backed `Context::advance`) and suspends. Second poll (when
-/// that event dispatches): resolves.
+/// First poll: asks the dispatcher to schedule the timer event and suspends.
+/// Second poll (when that event dispatches): resolves.
 #[must_use = "futures do nothing unless awaited"]
 pub struct Advance<'a> {
     ctx: &'a ProcCtx,
@@ -1149,123 +978,11 @@ impl Future for ParkUntil<'_> {
     }
 }
 
-/// A thread-backed process's handle to the simulation: virtual-time queries,
-/// time advance, parking, and waking peers.
-///
-/// A `Context` is only usable from within the process closure it was created
-/// for; it is handed to the closure by [`Engine::spawn`].
-pub struct Context {
-    pid: Pid,
-    shared: Arc<Shared>,
-    resume_rx: Receiver<()>,
-}
-
-impl Context {
-    /// This process's id.
-    #[inline]
-    pub fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    /// Current virtual time.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        self.shared.now()
-    }
-
-    /// Advance this process's virtual time by `dt` (models computation or a
-    /// fixed delay). Other processes may run in the interim.
-    pub fn advance(&self, dt: SimTime) {
-        if dt == SimTime::ZERO {
-            return;
-        }
-        self.suspend(Suspend::Sleep(self.now() + dt));
-    }
-
-    /// Advance to an absolute virtual time (no-op if already past it).
-    pub fn advance_to(&self, at: SimTime) {
-        let now = self.now();
-        if at > now {
-            self.advance(at - now);
-        }
-    }
-
-    /// Block until another process calls [`Context::wake_at`] targeting this
-    /// process. Virtual time does not advance on this process's account while
-    /// parked; it resumes at whatever time the waker chose.
-    pub fn park(&self) {
-        self.suspend(Suspend::Park);
-    }
-
-    /// Park with a timeout: block until another process wakes this one, or
-    /// until virtual time `deadline` — whichever comes first.
-    ///
-    /// Returns `true` if a peer's wake resumed the process **strictly
-    /// before** `deadline`, `false` on timeout. A wake landing exactly at
-    /// `deadline` counts as a timeout (the self-scheduled timeout event was
-    /// enqueued first and wins the tie), which gives retry loops a crisp
-    /// "no answer by t" semantic. A `deadline` at or before the current time
-    /// resumes immediately with `false`.
-    pub fn park_until(&self, deadline: SimTime) -> bool {
-        self.suspend(Suspend::ParkUntil(deadline));
-        self.now() < deadline
-    }
-
-    /// Schedule a wake-up for `target` at absolute time `at` (must be `>=`
-    /// now). The target must currently be **parked**; waking a running,
-    /// sleeping, or finished process is a protocol violation and panics.
-    ///
-    /// Multiple wakes may target the same parked process; the earliest one
-    /// resumes it and the rest are discarded as stale.
-    pub fn wake_at(&self, target: Pid, at: SimTime) {
-        wake_at_impl(&self.shared, target, at);
-    }
-
-    /// Whether `target` is currently parked (usable for mailbox-style
-    /// "wake only if waiting" protocols).
-    pub fn is_parked(&self, target: Pid) -> bool {
-        self.shared.state.lock().procs[target.index()].status == Status::Parked
-    }
-
-    /// Apply `s` under the state lock, then hand control back to the engine
-    /// until it resumes this process.
-    fn suspend(&self, s: Suspend) {
-        apply_suspend(&self.shared, &mut self.shared.state.lock(), self.pid, s);
-        self.yield_and_wait();
-    }
-
-    fn yield_and_wait(&self) {
-        // A send/recv failure means the engine aborted the run (e.g. another
-        // process died) and dropped our channel. Unwind with
-        // `resume_unwind` — not `panic!` — so the panic hook doesn't print a
-        // message and backtrace for every process parked at teardown.
-        if self.shared.yield_tx.send(()).is_err() || self.resume_rx.recv().is_err() {
-            std::panic::resume_unwind(Box::new("des process resumed after engine abort"));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use parking_lot::Mutex as PMutex;
     use std::sync::Arc;
-
-    #[test]
-    fn single_process_advances_time() {
-        let mut eng = Engine::new();
-        eng.spawn("p", |ctx| {
-            assert_eq!(ctx.now(), SimTime::ZERO);
-            ctx.advance(SimTime::from_micros(5));
-            assert_eq!(ctx.now(), SimTime::from_micros(5));
-            ctx.advance(SimTime::from_micros(7));
-            assert_eq!(ctx.now(), SimTime::from_micros(12));
-        })
-        .unwrap();
-        let rep = eng.run().unwrap();
-        assert_eq!(rep.end_time, SimTime::from_micros(12));
-        assert_eq!(rep.processes, 1);
-    }
 
     #[test]
     fn single_event_process_advances_time() {
@@ -1307,7 +1024,9 @@ mod tests {
                 }
             });
         }
-        eng.run().unwrap();
+        let rep = eng.run().unwrap();
+        // Two start events plus eight advances.
+        assert_eq!(rep.events, 10);
         let got = trace.lock().clone();
         // Merged by virtual time; ties broken by event insertion order.
         assert_eq!(
@@ -1325,46 +1044,6 @@ mod tests {
         );
     }
 
-    /// The two process kinds must produce the *same* event trace for the same
-    /// program — that equivalence is what makes the event-driven port of the
-    /// MPI stack behaviour-preserving.
-    #[test]
-    fn thread_and_event_processes_interleave_identically() {
-        fn run(kind: &str) -> Vec<(&'static str, u64)> {
-            let trace = Arc::new(PMutex::new(Vec::new()));
-            let mut eng = Engine::new();
-            for (name, step) in [("a", 3u64), ("b", 5u64)] {
-                let trace = Arc::clone(&trace);
-                match kind {
-                    "thread" => {
-                        eng.spawn(name, move |ctx| {
-                            for i in 0..4u64 {
-                                ctx.advance(SimTime::from_micros(step));
-                                trace.lock().push((name, step * (i + 1)));
-                            }
-                        })
-                        .unwrap();
-                    }
-                    _ => {
-                        eng.spawn_process(name, move |ctx| async move {
-                            for i in 0..4u64 {
-                                ctx.advance(SimTime::from_micros(step)).await;
-                                trace.lock().push((name, step * (i + 1)));
-                            }
-                        });
-                    }
-                }
-            }
-            let rep = eng.run().unwrap();
-            // Both kinds must push identical event sequences: 2 start events
-            // plus 8 advances.
-            assert_eq!(rep.events, 10);
-            let got = trace.lock().clone();
-            got
-        }
-        assert_eq!(run("thread"), run("event"));
-    }
-
     #[test]
     fn park_and_wake_handshake() {
         let mut eng = Engine::new();
@@ -1378,34 +1057,6 @@ mod tests {
         });
         let rep = eng.run().unwrap();
         assert_eq!(rep.end_time, SimTime::from_micros(42));
-    }
-
-    #[test]
-    fn mixed_kind_park_and_wake() {
-        // A thread-backed process wakes an event-driven one and vice versa.
-        let mut eng = Engine::new();
-        let ev_waiter = eng.spawn_process("ev-waiter", |ctx| async move {
-            ctx.park().await;
-            assert_eq!(ctx.now(), SimTime::from_micros(7));
-        });
-        let th_waiter = eng
-            .spawn("th-waiter", |ctx| {
-                ctx.park();
-                assert_eq!(ctx.now(), SimTime::from_micros(9));
-            })
-            .unwrap();
-        eng.spawn_process("ev-waker", move |ctx| async move {
-            ctx.advance(SimTime::from_micros(5)).await;
-            ctx.wake_at(th_waiter, SimTime::from_micros(9));
-        });
-        eng.spawn("th-waker", move |ctx| {
-            ctx.advance(SimTime::from_micros(3));
-            ctx.wake_at(ev_waiter, SimTime::from_micros(7));
-        })
-        .unwrap();
-        let rep = eng.run().unwrap();
-        assert_eq!(rep.end_time, SimTime::from_micros(9));
-        assert_eq!(rep.processes, 4);
     }
 
     #[test]
@@ -1428,23 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_is_reported() {
-        let mut eng = Engine::new();
-        eng.spawn("stuck", |ctx| {
-            ctx.advance(SimTime::from_micros(3));
-            ctx.park(); // nobody will wake us
-        })
-        .unwrap();
-        match eng.run() {
-            Err(SimError::Deadlock { at, parked }) => {
-                assert_eq!(at, SimTime::from_micros(3));
-                assert_eq!(parked, vec!["stuck".to_string()]);
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn deadlock_names_event_driven_processes() {
         let mut eng = Engine::new();
         eng.spawn_process("ev-stuck-a", |ctx| async move {
@@ -1460,19 +1094,6 @@ mod tests {
                 assert_eq!(parked, vec!["ev-stuck-a".to_string(), "ev-stuck-b".to_string()]);
             }
             other => panic!("expected deadlock, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn process_panic_is_reported() {
-        let mut eng = Engine::new();
-        eng.spawn("boom", |_ctx| panic!("kaboom")).unwrap();
-        match eng.run() {
-            Err(SimError::ProcessPanic { process, message }) => {
-                assert_eq!(process, "boom");
-                assert!(message.contains("kaboom"));
-            }
-            other => panic!("expected panic report, got {other:?}"),
         }
     }
 
@@ -1517,25 +1138,6 @@ mod tests {
             assert_eq!(ctx.now(), SimTime::from_micros(9));
         });
         assert!(eng.run().is_ok());
-    }
-
-    #[test]
-    fn many_processes_scale() {
-        let counter = Arc::new(PMutex::new(0u64));
-        let mut eng = Engine::new();
-        for i in 0..64 {
-            let counter = Arc::clone(&counter);
-            eng.spawn(format!("p{i}"), move |ctx| {
-                for _ in 0..10 {
-                    ctx.advance(SimTime::from_nanos(100 + i));
-                }
-                *counter.lock() += 1;
-            })
-            .unwrap();
-        }
-        let rep = eng.run().unwrap();
-        assert_eq!(*counter.lock(), 64);
-        assert_eq!(rep.processes, 64);
     }
 
     #[test]
@@ -1658,28 +1260,6 @@ mod tests {
         let unbounded = run(None);
         assert_eq!(bounded, unbounded);
         assert_eq!(bounded.end_time, SimTime::from_micros(30));
-    }
-
-    #[test]
-    fn budget_abort_tears_down_thread_processes() {
-        // A thread-backed bystander must not hang the teardown when the
-        // budget aborts the run mid-flight.
-        let mut eng = Engine::new();
-        eng.set_event_budget(Some(5));
-        eng.spawn_process("spinner", |ctx| async move {
-            loop {
-                ctx.advance(SimTime::from_micros(1)).await;
-            }
-        });
-        eng.spawn("parked", |ctx| {
-            ctx.park(); // never woken
-        })
-        .unwrap();
-        match eng.run() {
-            Err(SimError::EventBudgetExhausted { .. }) => {}
-            other => panic!("expected budget exhaustion, got {other:?}"),
-        }
-        // `run` returning at all proves the parked thread was unblocked.
     }
 
     #[test]
@@ -1814,26 +1394,5 @@ mod tests {
         let mut eng = Engine::new();
         eng.spawn_process("stray", |_ctx| std::future::pending::<()>());
         let _ = eng.run();
-    }
-
-    #[test]
-    fn mixed_spawn_order_is_start_order() {
-        let trace = Arc::new(PMutex::new(Vec::new()));
-        let mut eng = Engine::new();
-        for (i, kind) in ["ev", "th", "ev", "th"].iter().enumerate() {
-            let trace = Arc::clone(&trace);
-            if *kind == "ev" {
-                eng.spawn_process(format!("p{i}"), move |_ctx| async move {
-                    trace.lock().push(i);
-                });
-            } else {
-                eng.spawn(format!("p{i}"), move |_ctx| {
-                    trace.lock().push(i);
-                })
-                .unwrap();
-            }
-        }
-        eng.run().unwrap();
-        assert_eq!(*trace.lock(), vec![0, 1, 2, 3]);
     }
 }

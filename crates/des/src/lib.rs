@@ -15,9 +15,6 @@
 //!    written as straight-line Rust (real loops, real data, real control
 //!    flow, `async`/`.await` at the timing points) instead of hand-rolled
 //!    state machines — and thousands of ranks fit in a single OS thread.
-//!    A thread-backed compatibility path ([`Engine::spawn`]) keeps the old
-//!    one-OS-thread-per-process model available behind the same [`Pid`]
-//!    surface.
 //!
 //! ## Example: two actors exchanging a timed signal
 //!
@@ -54,7 +51,7 @@ pub mod mc;
 mod time;
 pub mod trace;
 
-pub use engine::{Advance, Context, Engine, Park, ParkUntil, Pid, ProcCtx, RunReport, SimError};
+pub use engine::{Advance, Engine, Park, ParkUntil, Pid, ProcCtx, RunReport, SimError};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRates, SimRng};
 pub use time::SimTime;
 pub use trace::{

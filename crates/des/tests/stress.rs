@@ -27,15 +27,13 @@ fn two_hundred_processes_with_chained_wakes() {
     // closures, so run a driver process that performs all the wakes as the
     // relay progresses.
     let pids_c = pids.clone();
-    eng.spawn("driver", move |ctx| {
-        for (i, &pid) in pids_c.iter().enumerate().skip(1) {
+    eng.spawn_process("driver", move |ctx| async move {
+        for &pid in pids_c.iter().skip(1) {
             // Wake each successor at a strictly increasing time.
-            ctx.advance(SimTime::from_micros(2));
-            let _ = i;
+            ctx.advance(SimTime::from_micros(2)).await;
             ctx.wake_at(pid, ctx.now() + SimTime::from_micros(1));
         }
-    })
-    .unwrap();
+    });
     let report = eng.run().unwrap();
     assert_eq!(report.processes, n + 1);
     let got = order.lock().clone();
@@ -50,12 +48,11 @@ fn two_hundred_processes_with_chained_wakes() {
 fn heavy_event_volume_completes() {
     let mut eng = Engine::new();
     for i in 0..32 {
-        eng.spawn(format!("spinner{i}"), move |ctx| {
+        eng.spawn_process(format!("spinner{i}"), move |ctx| async move {
             for _ in 0..2000 {
-                ctx.advance(SimTime::from_nanos(100 + i));
+                ctx.advance(SimTime::from_nanos(100 + i)).await;
             }
-        })
-        .unwrap();
+        });
     }
     let report = eng.run().unwrap();
     assert!(report.events >= 32 * 2000);

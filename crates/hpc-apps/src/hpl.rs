@@ -472,7 +472,7 @@ pub struct HplRun {
 /// factorisation time, and the job's time is the slowest rank's. Returns the
 /// run, or the fault (node crash, timeout, watchdog budget, engine failure)
 /// that stopped it.
-pub fn try_run_hpl(spec: JobSpec, cfg: HplConfig) -> Result<HplRun, MpiFault> {
+pub fn run_hpl(spec: JobSpec, cfg: HplConfig) -> Result<HplRun, MpiFault> {
     let run = simmpi::run_mpi(spec, move |mut r| async move {
         let t0 = r.now();
         let residual = hpl_rank(&mut r, &cfg).await;
@@ -483,20 +483,13 @@ pub fn try_run_hpl(spec: JobSpec, cfg: HplConfig) -> Result<HplRun, MpiFault> {
     Ok(HplRun { result: HplResult { seconds, gflops: cfg.flops() / seconds / 1e9, residual }, run })
 }
 
-/// [`try_run_hpl`]'s result for callers on a clean (fault-free,
-/// unbudgeted) spec, where a failure is a programming error.
-pub fn run_hpl(spec: JobSpec, cfg: HplConfig) -> HplResult {
-    try_run_hpl(spec, cfg).expect("HPL run failed").result
-}
-
 /// Fault-free HPL runs shared by the consumers of one scope — in `repro`,
 /// one run plan — so each distinct job simulates once however many figures
 /// report it. A run is keyed by everything that decides its result: the job
-/// spec, with its network model and event budget resolved from the
-/// process-wide defaults, and the HPL configuration. Concurrent requests for
-/// one key wait for a single run; a failed run is shared like a finished
-/// one (the simulation is deterministic, so a rerun would fail the same
-/// way). A fresh, empty share simulates every request.
+/// spec, run options included, and the HPL configuration. Concurrent
+/// requests for one key wait for a single run; a failed run is shared like a
+/// finished one (the simulation is deterministic, so a rerun would fail the
+/// same way). A fresh, empty share simulates every request.
 #[derive(Default)]
 pub struct HplShare {
     runs: Mutex<HashMap<String, Arc<HplSlot>>>,
@@ -510,14 +503,11 @@ impl HplShare {
     /// The run of `cfg` on `spec`, simulated by the first request for it.
     pub fn run(&self, spec: JobSpec, cfg: HplConfig) -> Result<Arc<HplRun>, MpiFault> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let net_model = spec.net_model.unwrap_or_else(simmpi::default_net_model);
-        let budget = spec.event_budget.or_else(simmpi::default_event_budget);
-        let spec = spec.with_net_model(Some(net_model)).with_event_budget(budget);
         let key = format!("{spec:?} {cfg:?}");
         let slot = Arc::clone(self.runs.lock().unwrap().entry(key).or_default());
         slot.get_or_init(|| {
             self.simulated.fetch_add(1, Ordering::Relaxed);
-            try_run_hpl(spec, cfg).map(Arc::new)
+            run_hpl(spec, cfg).map(Arc::new)
         })
         .clone()
     }
@@ -544,14 +534,14 @@ mod tests {
 
     #[test]
     fn single_rank_execute_solves_correctly() {
-        let res = run_hpl(spec(1), HplConfig::small(32, 8));
+        let res = run_hpl(spec(1), HplConfig::small(32, 8)).unwrap().result;
         let r = res.residual.expect("rank 0 must verify");
         assert!(r < 16.0, "HPL residual {r}");
     }
 
     #[test]
     fn four_ranks_execute_solves_correctly() {
-        let res = run_hpl(spec(4), HplConfig::small(64, 8));
+        let res = run_hpl(spec(4), HplConfig::small(64, 8)).unwrap().result;
         let r = res.residual.expect("rank 0 must verify");
         assert!(r < 16.0, "HPL residual {r}");
         assert!(res.gflops > 0.0);
@@ -560,7 +550,7 @@ mod tests {
     #[test]
     fn uneven_blocks_and_ranks_still_solve() {
         // n not divisible by nb*p: exercises edge blocks.
-        let res = run_hpl(spec(3), HplConfig::small(56, 8));
+        let res = run_hpl(spec(3), HplConfig::small(56, 8)).unwrap().result;
         assert!(res.residual.unwrap() < 16.0);
     }
 
@@ -568,14 +558,14 @@ mod tests {
     fn pivoting_is_actually_exercised() {
         // With random off-diagonal entries some pivots must differ from the
         // diagonal; the residual staying small proves the swap bookkeeping.
-        let res = run_hpl(spec(2), HplConfig::small(48, 8));
+        let res = run_hpl(spec(2), HplConfig::small(48, 8)).unwrap().result;
         assert!(res.residual.unwrap() < 16.0);
     }
 
     #[test]
     fn model_mode_runs_and_reports_time() {
         let cfg = HplConfig { n: 512, nb: 64, mode: Mode::Model };
-        let res = run_hpl(spec(4), cfg);
+        let res = run_hpl(spec(4), cfg).unwrap().result;
         assert!(res.seconds > 0.0);
         assert!(res.residual.is_none());
         assert!(res.gflops > 0.0);
@@ -584,7 +574,7 @@ mod tests {
     #[test]
     fn model_mode_efficiency_is_plausible_fraction_of_peak() {
         let cfg = HplConfig { n: 1024, nb: 128, mode: Mode::Model };
-        let res = run_hpl(spec(2), cfg);
+        let res = run_hpl(spec(2), cfg).unwrap().result;
         let peak = Platform::tegra2().soc.peak_gflops_max() * 2.0;
         let eff = res.gflops / peak;
         assert!(eff > 0.2 && eff < 0.8, "efficiency {eff}");

@@ -240,7 +240,7 @@ pub async fn hydro_rank(r: &mut Rank, cfg: &HydroConfig) -> f64 {
 
 /// Run HYDRO; returns `(elapsed_seconds, total_mass)`, or the fault that
 /// stopped the run.
-pub fn try_run_hydro(spec: JobSpec, cfg: HydroConfig) -> Result<(f64, f64), simmpi::MpiFault> {
+pub fn run_hydro(spec: JobSpec, cfg: HydroConfig) -> Result<(f64, f64), simmpi::MpiFault> {
     let run = simmpi::run_mpi(spec, move |mut r| async move {
         let t0 = r.now();
         let mass = hydro_rank(&mut r, &cfg).await;
@@ -250,11 +250,6 @@ pub fn try_run_hydro(spec: JobSpec, cfg: HydroConfig) -> Result<(f64, f64), simm
         (dt, total[0])
     })?;
     Ok((run.results.iter().map(|x| x.0).fold(0.0, f64::max), run.results[0].1))
-}
-
-/// [`try_run_hydro`] for callers on a clean spec.
-pub fn run_hydro(spec: JobSpec, cfg: HydroConfig) -> (f64, f64) {
-    try_run_hydro(spec, cfg).expect("HYDRO run failed")
 }
 
 #[cfg(test)]
@@ -269,17 +264,17 @@ mod tests {
     #[test]
     fn mass_is_conserved_single_rank() {
         let cfg = HydroConfig::small();
-        let (_, mass) = run_hydro(spec(1), cfg);
+        let (_, mass) = run_hydro(spec(1), cfg).unwrap();
         // Initial mass: 1.0 everywhere + 1.0 extra inside the disc.
-        let (_, mass0) = run_hydro(spec(1), HydroConfig { steps: 0, ..cfg });
+        let (_, mass0) = run_hydro(spec(1), HydroConfig { steps: 0, ..cfg }).unwrap();
         assert!((mass - mass0).abs() / mass0 < 1e-9, "{mass} vs {mass0}");
     }
 
     #[test]
     fn decomposition_matches_single_rank_exactly() {
         let cfg = HydroConfig::small();
-        let (_, m1) = run_hydro(spec(1), cfg);
-        let (_, m4) = run_hydro(spec(4), cfg);
+        let (_, m1) = run_hydro(spec(1), cfg).unwrap();
+        let (_, m4) = run_hydro(spec(4), cfg).unwrap();
         assert!((m1 - m4).abs() < 1e-9, "{m1} vs {m4}");
     }
 
@@ -308,8 +303,8 @@ mod tests {
     #[test]
     fn model_mode_scales_with_ranks() {
         let cfg = HydroConfig { mode: Mode::Model, nx: 512, ny: 512, steps: 4, dt: 1e-3, dx: 0.1 };
-        let (t2, _) = run_hydro(spec(2), cfg);
-        let (t8, _) = run_hydro(spec(8), cfg);
+        let (t2, _) = run_hydro(spec(2), cfg).unwrap();
+        let (t8, _) = run_hydro(spec(8), cfg).unwrap();
         assert!(t8 < t2, "strong scaling: {t8} !< {t2}");
     }
 
@@ -317,8 +312,8 @@ mod tests {
     fn uneven_row_distribution_covers_grid() {
         // 32 rows over 5 ranks: 7,7,6,6,6.
         let cfg = HydroConfig::small();
-        let (_, m5) = run_hydro(spec(5), cfg);
-        let (_, m1) = run_hydro(spec(1), cfg);
+        let (_, m5) = run_hydro(spec(5), cfg).unwrap();
+        let (_, m1) = run_hydro(spec(1), cfg).unwrap();
         assert!((m5 - m1).abs() < 1e-9);
     }
 }

@@ -41,6 +41,5 @@ pub use mode::Mode;
 pub use registry::{table3, AppId, AppSpec};
 pub use scaling::{
     fig6, final_efficiency, measure_scaling_cell, runnable_nodes, scaling_series,
-    series_from_measurements, try_measure_scaling_cell, ScalingMeasurement, ScalingPoint,
-    ScalingSeries, FIG6_NODES,
+    series_from_measurements, ScalingMeasurement, ScalingPoint, ScalingSeries, FIG6_NODES,
 };

@@ -272,7 +272,7 @@ pub async fn md_rank(r: &mut Rank, cfg: &MdConfig) -> (f64, f64) {
 
 /// Run MD; returns `(elapsed_seconds, total_kinetic, total_potential)`, or
 /// the fault that stopped the run.
-pub fn try_run_md(spec: JobSpec, cfg: MdConfig) -> Result<(f64, f64, f64), simmpi::MpiFault> {
+pub fn run_md(spec: JobSpec, cfg: MdConfig) -> Result<(f64, f64, f64), simmpi::MpiFault> {
     let run = simmpi::run_mpi(spec, move |mut r| async move {
         let t0 = r.now();
         let (ke, pe) = md_rank(&mut r, &cfg).await;
@@ -283,11 +283,6 @@ pub fn try_run_md(spec: JobSpec, cfg: MdConfig) -> Result<(f64, f64, f64), simmp
     })?;
     let t = run.results.iter().map(|x| x.0).fold(0.0, f64::max);
     Ok((t, run.results[0].1, run.results[0].2))
-}
-
-/// [`try_run_md`] for callers on a clean spec.
-pub fn run_md(spec: JobSpec, cfg: MdConfig) -> (f64, f64, f64) {
-    try_run_md(spec, cfg).expect("MD run failed")
 }
 
 #[cfg(test)]
@@ -383,8 +378,8 @@ mod tests {
     #[test]
     fn parallel_energies_match_serial() {
         let cfg = MdConfig::small();
-        let (_, ke1, pe1) = run_md(spec(1), cfg);
-        let (_, ke4, pe4) = run_md(spec(4), cfg);
+        let (_, ke1, pe1) = run_md(spec(1), cfg).unwrap();
+        let (_, ke4, pe4) = run_md(spec(4), cfg).unwrap();
         assert!((ke1 - ke4).abs() < 1e-9 * (1.0 + ke1.abs()), "{ke1} vs {ke4}");
         assert!((pe1 - pe4).abs() < 1e-9 * (1.0 + pe1.abs()), "{pe1} vs {pe4}");
     }
@@ -392,7 +387,7 @@ mod tests {
     #[test]
     fn energy_stays_bounded_over_short_run() {
         let cfg = MdConfig { steps: 50, ..MdConfig::small() };
-        let (_, ke, _) = run_md(spec(2), cfg);
+        let (_, ke, _) = run_md(spec(2), cfg).unwrap();
         assert!(ke.is_finite() && ke < 1000.0, "kinetic energy blew up: {ke}");
     }
 
@@ -400,8 +395,8 @@ mod tests {
     fn model_mode_scales_strongly_but_sublinearly() {
         let cfg = MdConfig::fig6();
         let cfg = MdConfig { steps: 2, ..cfg };
-        let (t4, _, _) = run_md(spec(4), cfg);
-        let (t16, _, _) = run_md(spec(16), cfg);
+        let (t4, _, _) = run_md(spec(4), cfg).unwrap();
+        let (t16, _, _) = run_md(spec(16), cfg).unwrap();
         let s = t4 / t16;
         assert!(s > 2.0 && s < 4.0, "4->16 speedup {s}");
     }

@@ -272,23 +272,23 @@ impl ResilienceReport {
 /// The inflation baseline is simulated here first, fault-free and without
 /// checkpoints, through the attempts' own job body (the model checker's
 /// scenarios call this, and their state counts include that engine run);
-/// it panics if the baseline fails. [`run_hpl_resilient_with_baseline`]
-/// takes the baseline from the caller instead.
+/// the fault that stops the baseline, if any, is returned instead of a
+/// report. [`run_hpl_resilient_with_baseline`] takes the baseline from the
+/// caller instead.
 pub fn run_hpl_resilient(
     base: JobSpec,
     cfg: HplConfig,
     rc: &ResilienceConfig,
     plan: &FaultPlan,
-) -> ResilienceReport {
+) -> Result<ResilienceReport, MpiFault> {
     let spec = base.clone().with_fault_plan(FaultPlan::none());
     let clean = run_mpi(spec, move |mut r| async move {
         let t0 = r.now();
         hpl_rank_ckpt(&mut r, &cfg, None).await;
         let dt = (r.now() - t0).as_secs_f64();
         r.allreduce(ReduceOp::Max, vec![dt]).await[0]
-    })
-    .expect("fault-free baseline must complete");
-    run_hpl_resilient_with_baseline(base, cfg, rc, plan, clean.results[0])
+    })?;
+    Ok(run_hpl_resilient_with_baseline(base, cfg, rc, plan, clean.results[0]))
 }
 
 /// [`run_hpl_resilient`] against a fault-free baseline time the caller
@@ -433,7 +433,8 @@ mod tests {
             HplConfig::small(32, 8),
             &ResilienceConfig::default(),
             &FaultPlan::none(),
-        );
+        )
+        .unwrap();
         assert!(rep.completed);
         assert_eq!(rep.attempts, 1);
         assert_eq!((rep.crashes, rep.timeouts, rep.spares_used), (0, 0, 0));
@@ -451,7 +452,8 @@ mod tests {
             HplConfig::small(48, 8),
             &ResilienceConfig::default(),
             &plan,
-        );
+        )
+        .unwrap();
         assert!(rep.completed, "fatal: {:?}", rep.fatal);
         assert_eq!(rep.crashes, 1);
         assert_eq!(rep.spares_used, 1);
@@ -463,7 +465,8 @@ mod tests {
     #[test]
     fn invariant_checks_accept_real_outcomes_and_reject_forged_ones() {
         let rc = ResilienceConfig::default();
-        let rep = run_hpl_resilient(base(2, 3), HplConfig::small(32, 8), &rc, &FaultPlan::none());
+        let rep = run_hpl_resilient(base(2, 3), HplConfig::small(32, 8), &rc, &FaultPlan::none())
+            .unwrap();
         assert_eq!(rep.check_invariants(&rc, 1), Ok(()));
 
         // Forged outcomes each trip exactly the invariant they violate.
@@ -500,7 +503,8 @@ mod tests {
                 ..ResilienceConfig::default()
             },
             &plan,
-        );
+        )
+        .unwrap();
         assert!(!rep.completed);
         assert_eq!(rep.crashes, 2);
         assert_eq!(rep.spares_used, 1);
@@ -523,7 +527,7 @@ mod tests {
             max_attempts: 3,
             ..ResilienceConfig::default()
         };
-        let with = run_hpl_resilient(base(2, 8), cfg, &rc, &plan);
+        let with = run_hpl_resilient(base(2, 8), cfg, &rc, &plan).unwrap();
         assert!(with.completed, "checkpointing run failed: {:?}", with.fatal);
         assert!(with.crashes >= 1, "{with:?}");
         assert!(with.checkpoint_secs > 0.0);
@@ -535,7 +539,8 @@ mod tests {
             cfg,
             &ResilienceConfig { ckpt_every_panels: 0, ..rc },
             &plan,
-        );
+        )
+        .unwrap();
         assert!(!without.completed, "{without:?}");
         assert_eq!(without.attempts, rc.max_attempts);
     }
@@ -554,7 +559,8 @@ mod tests {
             HplConfig::small(48, 8),
             &ResilienceConfig { ckpt_every_panels: 2, ..ResilienceConfig::default() },
             &plan,
-        );
+        )
+        .unwrap();
         assert!(rep.completed, "fatal: {:?}", rep.fatal);
         assert_eq!(rep.sdc_detected, 1, "the flip must be caught: {rep:?}");
         assert!(rep.residual.unwrap() < 16.0);
@@ -570,7 +576,8 @@ mod tests {
             HplConfig { n: 512, nb: 64, mode: Mode::Model },
             &ResilienceConfig { apply_bit_flips: false, ..ResilienceConfig::default() },
             &plan,
-        );
+        )
+        .unwrap();
         assert!(rep.completed, "fatal: {:?}", rep.fatal);
         assert!(rep.residual.is_none());
         assert!(rep.inflation > 1.0);

@@ -6,14 +6,14 @@
 
 use cluster::Machine;
 use serde::{Deserialize, Serialize};
-use simmpi::{JobSpec, MpiFault};
+use simmpi::{JobSpec, MpiFault, RunOpts};
 
 use crate::hpl::{HplConfig, HplShare};
-use crate::hydro::{try_run_hydro, HydroConfig};
-use crate::md::{try_run_md, MdConfig};
+use crate::hydro::{run_hydro, HydroConfig};
+use crate::md::{run_md, MdConfig};
 use crate::registry::{table3, AppId};
-use crate::sem::{try_run_sem, SemConfig};
-use crate::treecode::{try_run_treecode, TreeConfig};
+use crate::sem::{run_sem, SemConfig};
+use crate::treecode::{run_treecode, TreeConfig};
 
 /// The node counts of the Fig 6 x-axis.
 pub const FIG6_NODES: [u32; 7] = [4, 8, 16, 24, 32, 64, 96];
@@ -43,7 +43,7 @@ pub struct ScalingSeries {
 
 /// Returns `(seconds, hpl_efficiency)` — the efficiency is only meaningful
 /// for HPL's weak-scaling series, whose run comes from `hpl`.
-fn try_elapsed_for(
+fn elapsed_for(
     app: AppId,
     spec: JobSpec,
     nodes: u32,
@@ -55,10 +55,10 @@ fn try_elapsed_for(
             let res = hpl.run(spec, HplConfig::tibidabo_weak(nodes))?.result;
             (res.seconds, res.gflops / (nodes as f64 * peak_node))
         }
-        AppId::Pepc => (try_run_treecode(spec, TreeConfig::fig6())?.0, 0.0),
-        AppId::Hydro => (try_run_hydro(spec, HydroConfig::fig6())?.0, 0.0),
-        AppId::Gromacs => (try_run_md(spec, MdConfig::fig6())?.0, 0.0),
-        AppId::Specfem3d => (try_run_sem(spec, SemConfig::fig6())?.0, 0.0),
+        AppId::Pepc => (run_treecode(spec, TreeConfig::fig6())?.0, 0.0),
+        AppId::Hydro => (run_hydro(spec, HydroConfig::fig6())?.0, 0.0),
+        AppId::Gromacs => (run_md(spec, MdConfig::fig6())?.0, 0.0),
+        AppId::Specfem3d => (run_sem(spec, SemConfig::fig6())?.0, 0.0),
     })
 }
 
@@ -92,27 +92,19 @@ pub fn runnable_nodes(app: AppId, node_counts: &[u32]) -> Vec<u32> {
     counts
 }
 
-/// Run one (application, node-count) cell on `machine`, surfacing the fault
-/// (watchdog budget, injected crash, engine failure) that stopped the run.
-/// An HPL cell takes its (fault-free) run from `hpl`.
-pub fn try_measure_scaling_cell(
-    machine: &Machine,
-    app: AppId,
-    nodes: u32,
-    hpl: &HplShare,
-) -> Result<ScalingMeasurement, MpiFault> {
-    let (seconds, hpl_efficiency) = try_elapsed_for(app, machine.job(nodes), nodes, hpl)?;
-    Ok(ScalingMeasurement { nodes, seconds, hpl_efficiency })
-}
-
-/// Run one (application, node-count) cell on `machine`.
+/// Run one (application, node-count) cell on `machine` under `opts`,
+/// surfacing the fault (watchdog budget, injected crash, engine failure)
+/// that stopped the run. An HPL cell takes its (fault-free) run from `hpl`.
 pub fn measure_scaling_cell(
     machine: &Machine,
     app: AppId,
     nodes: u32,
+    opts: &RunOpts,
     hpl: &HplShare,
-) -> ScalingMeasurement {
-    try_measure_scaling_cell(machine, app, nodes, hpl).expect("scaling cell failed")
+) -> Result<ScalingMeasurement, MpiFault> {
+    let spec = machine.job(nodes).with_opts(opts.clone());
+    let (seconds, hpl_efficiency) = elapsed_for(app, spec, nodes, hpl)?;
+    Ok(ScalingMeasurement { nodes, seconds, hpl_efficiency })
 }
 
 /// Assemble a Fig 6 series from per-cell measurements (in ascending node
@@ -152,17 +144,24 @@ pub fn scaling_series(
     machine: &Machine,
     app: AppId,
     node_counts: &[u32],
+    opts: &RunOpts,
     hpl: &HplShare,
-) -> ScalingSeries {
-    let counts = runnable_nodes(app, node_counts);
-    let cells: Vec<ScalingMeasurement> =
-        counts.iter().map(|&n| measure_scaling_cell(machine, app, n, hpl)).collect();
-    series_from_measurements(app, &cells)
+) -> Result<ScalingSeries, MpiFault> {
+    let cells = runnable_nodes(app, node_counts)
+        .into_iter()
+        .map(|n| measure_scaling_cell(machine, app, n, opts, hpl))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(series_from_measurements(app, &cells))
 }
 
 /// Run the complete Fig 6 (all five applications).
-pub fn fig6(machine: &Machine, node_counts: &[u32], hpl: &HplShare) -> Vec<ScalingSeries> {
-    table3().iter().map(|a| scaling_series(machine, a.id, node_counts, hpl)).collect()
+pub fn fig6(
+    machine: &Machine,
+    node_counts: &[u32],
+    opts: &RunOpts,
+    hpl: &HplShare,
+) -> Result<Vec<ScalingSeries>, MpiFault> {
+    table3().iter().map(|a| scaling_series(machine, a.id, node_counts, opts, hpl)).collect()
 }
 
 /// Parallel efficiency of the largest point of a series (speedup / nodes).
@@ -179,13 +178,17 @@ mod tests {
         Machine::tibidabo()
     }
 
+    fn series(m: &Machine, app: AppId, node_counts: &[u32]) -> ScalingSeries {
+        scaling_series(m, app, node_counts, &RunOpts::default(), &HplShare::default()).unwrap()
+    }
+
     #[test]
     fn specfem_scales_best_and_pepc_worst() {
         // The qualitative ordering of Fig 6 at scale.
         let m = tibidabo();
         let counts = [4, 16, 48];
-        let sem = scaling_series(&m, AppId::Specfem3d, &counts, &HplShare::default());
-        let pepc = scaling_series(&m, AppId::Pepc, &[24, 48], &HplShare::default());
+        let sem = series(&m, AppId::Specfem3d, &counts);
+        let pepc = series(&m, AppId::Pepc, &[24, 48]);
         let e_sem = final_efficiency(&sem);
         let e_pepc = final_efficiency(&pepc);
         assert!(e_sem > 0.8, "SPECFEM3D efficiency {e_sem}");
@@ -195,7 +198,7 @@ mod tests {
     #[test]
     fn hydro_loses_linearity_beyond_16_nodes() {
         let m = tibidabo();
-        let s = scaling_series(&m, AppId::Hydro, &[4, 16, 64], &HplShare::default());
+        let s = series(&m, AppId::Hydro, &[4, 16, 64]);
         let e16 = s.points[1].speedup / 16.0;
         let e64 = s.points[2].speedup / 64.0;
         assert!(e16 > 0.75, "HYDRO at 16 nodes: {e16}");
@@ -206,7 +209,7 @@ mod tests {
     fn speedups_are_monotonically_increasing() {
         let m = tibidabo();
         for app in [AppId::Hydro, AppId::Specfem3d, AppId::Gromacs] {
-            let s = scaling_series(&m, app, &[4, 8, 16], &HplShare::default());
+            let s = series(&m, app, &[4, 8, 16]);
             for w in s.points.windows(2) {
                 assert!(
                     w[1].speedup > w[0].speedup,
@@ -223,7 +226,7 @@ mod tests {
     #[test]
     fn pepc_respects_its_minimum_input_size() {
         let m = tibidabo();
-        let s = scaling_series(&m, AppId::Pepc, &[4, 8, 24, 48], &HplShare::default());
+        let s = series(&m, AppId::Pepc, &[4, 8, 24, 48]);
         assert_eq!(s.points[0].nodes, 24, "PEPC needs at least 24 nodes");
         // By the paper's convention the 24-node point is the linear anchor.
         assert!((s.points[0].speedup - 24.0).abs() < 1e-9);

@@ -329,7 +329,7 @@ pub async fn sem_rank(r: &mut Rank, cfg: &SemConfig) -> f64 {
 
 /// Run the SEM code; returns `(elapsed_seconds, global_energy)`, or the
 /// fault that stopped the run.
-pub fn try_run_sem(spec: JobSpec, cfg: SemConfig) -> Result<(f64, f64), simmpi::MpiFault> {
+pub fn run_sem(spec: JobSpec, cfg: SemConfig) -> Result<(f64, f64), simmpi::MpiFault> {
     let run = simmpi::run_mpi(spec, move |mut r| async move {
         let t0 = r.now();
         let e = sem_rank(&mut r, &cfg).await;
@@ -339,11 +339,6 @@ pub fn try_run_sem(spec: JobSpec, cfg: SemConfig) -> Result<(f64, f64), simmpi::
         (dt, tot[0])
     })?;
     Ok((run.results.iter().map(|x| x.0).fold(0.0, f64::max), run.results[0].1))
-}
-
-/// [`try_run_sem`] for callers on a clean spec.
-pub fn run_sem(spec: JobSpec, cfg: SemConfig) -> (f64, f64) {
-    try_run_sem(spec, cfg).expect("SEM run failed")
 }
 
 #[cfg(test)]
@@ -381,8 +376,8 @@ mod tests {
     #[test]
     fn energy_is_approximately_conserved() {
         let cfg = SemConfig::small();
-        let (_, e_end) = run_sem(spec(1), cfg);
-        let (_, e_start) = run_sem(spec(1), SemConfig { steps: 1, ..cfg });
+        let (_, e_end) = run_sem(spec(1), cfg).unwrap();
+        let (_, e_start) = run_sem(spec(1), SemConfig { steps: 1, ..cfg }).unwrap();
         let drift = (e_end - e_start).abs() / e_start;
         assert!(drift < 0.02, "energy drift {drift} ({e_start} -> {e_end})");
     }
@@ -390,8 +385,8 @@ mod tests {
     #[test]
     fn parallel_matches_serial_bitwise() {
         let cfg = SemConfig::small();
-        let (_, e1) = run_sem(spec(1), cfg);
-        let (_, e4) = run_sem(spec(4), cfg);
+        let (_, e1) = run_sem(spec(1), cfg).unwrap();
+        let (_, e4) = run_sem(spec(4), cfg).unwrap();
         assert!((e1 - e4).abs() < 1e-12 * e1.abs().max(1.0), "{e1} vs {e4}");
     }
 
@@ -432,8 +427,8 @@ mod tests {
     fn model_mode_scales_nearly_ideally() {
         // SPECFEM3D's signature: compute-dense elements + tiny halos.
         let cfg = SemConfig { steps: 5, ..SemConfig::fig6() };
-        let (t4, _) = run_sem(spec(4), cfg);
-        let (t16, _) = run_sem(spec(16), cfg);
+        let (t4, _) = run_sem(spec(4), cfg).unwrap();
+        let (t16, _) = run_sem(spec(16), cfg).unwrap();
         let s = t4 / t16;
         assert!(s > 3.0, "4->16 speedup {s} should be near 4");
     }

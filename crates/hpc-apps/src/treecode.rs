@@ -320,7 +320,7 @@ pub async fn treecode_rank(r: &mut Rank, cfg: &TreeConfig) -> f64 {
 
 /// Run the tree code; returns `(elapsed_seconds, global_field_sum)`, or the
 /// fault that stopped the run.
-pub fn try_run_treecode(spec: JobSpec, cfg: TreeConfig) -> Result<(f64, f64), simmpi::MpiFault> {
+pub fn run_treecode(spec: JobSpec, cfg: TreeConfig) -> Result<(f64, f64), simmpi::MpiFault> {
     let run = simmpi::run_mpi(spec, move |mut r| async move {
         let t0 = r.now();
         let f = treecode_rank(&mut r, &cfg).await;
@@ -330,11 +330,6 @@ pub fn try_run_treecode(spec: JobSpec, cfg: TreeConfig) -> Result<(f64, f64), si
         (dt, total[0])
     })?;
     Ok((run.results.iter().map(|x| x.0).fold(0.0, f64::max), run.results[0].1))
-}
-
-/// [`try_run_treecode`] for callers on a clean spec.
-pub fn run_treecode(spec: JobSpec, cfg: TreeConfig) -> (f64, f64) {
-    try_run_treecode(spec, cfg).expect("treecode run failed")
 }
 
 #[cfg(test)]
@@ -389,8 +384,8 @@ mod tests {
     #[test]
     fn parallel_field_sum_matches_single_rank() {
         let cfg = TreeConfig::small();
-        let (_, f1) = run_treecode(spec(1), cfg);
-        let (_, f4) = run_treecode(spec(4), cfg);
+        let (_, f1) = run_treecode(spec(1), cfg).unwrap();
+        let (_, f4) = run_treecode(spec(4), cfg).unwrap();
         assert!((f1 - f4).abs() < 1e-9 * f1.abs().max(1.0), "{f1} vs {f4}");
     }
 
@@ -399,8 +394,8 @@ mod tests {
         // The allgather term is why PEPC scales poorly: doubling ranks does
         // not halve the runtime.
         let cfg = TreeConfig { n: 60_000, steps: 2, mode: Mode::Model, ..TreeConfig::small() };
-        let (t8, _) = run_treecode(spec(8), cfg);
-        let (t16, _) = run_treecode(spec(16), cfg);
+        let (t8, _) = run_treecode(spec(8), cfg).unwrap();
+        let (t16, _) = run_treecode(spec(16), cfg).unwrap();
         let speedup = t8 / t16;
         assert!(speedup > 1.0, "more ranks should still help a bit: {speedup}");
         assert!(speedup < 1.9, "scaling should be clearly sub-linear: {speedup}");

@@ -5,6 +5,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::MpiFault;
 use crate::payload::Msg;
 use crate::rank::run_mpi;
 use crate::world::JobSpec;
@@ -48,8 +49,14 @@ impl ImbOp {
 }
 
 /// Run one IMB collective benchmark: `reps` operations of `op` at `bytes`
-/// payload on the given job, reporting the mean time per operation.
-pub fn imb_collective(spec: JobSpec, op: ImbOp, bytes: u64, reps: u32) -> ImbPoint {
+/// payload on the given job, reporting the mean time per operation, or the
+/// fault that stopped the job.
+pub fn imb_collective(
+    spec: JobSpec,
+    op: ImbOp,
+    bytes: u64,
+    reps: u32,
+) -> Result<ImbPoint, MpiFault> {
     assert!(reps >= 1);
     let ranks = spec.ranks;
     let run = run_mpi(spec, move |mut r| async move {
@@ -80,10 +87,9 @@ pub fn imb_collective(spec: JobSpec, op: ImbOp, bytes: u64, reps: u32) -> ImbPoi
             }
         }
         (r.now() - t0).as_micros_f64() / reps as f64
-    })
-    .expect("IMB benchmark failed");
+    })?;
     let time_us = run.results.iter().cloned().fold(0.0, f64::max);
-    ImbPoint { ranks, bytes, time_us }
+    Ok(ImbPoint { ranks, bytes, time_us })
 }
 
 /// Sweep a collective over rank counts at a fixed size.
@@ -93,7 +99,7 @@ pub fn imb_rank_sweep(
     ranks: &[u32],
     bytes: u64,
     reps: u32,
-) -> Vec<ImbPoint> {
+) -> Result<Vec<ImbPoint>, MpiFault> {
     ranks.iter().map(|&p| imb_collective(mk_spec(p), op, bytes, reps)).collect()
 }
 
@@ -108,7 +114,7 @@ mod tests {
 
     #[test]
     fn barrier_scales_logarithmically() {
-        let pts = imb_rank_sweep(spec, ImbOp::Barrier, &[2, 4, 16], 0, 2);
+        let pts = imb_rank_sweep(spec, ImbOp::Barrier, &[2, 4, 16], 0, 2).unwrap();
         // 16 ranks need 4 dissemination rounds vs 1 for 2 ranks: the ratio
         // must be near 4, far from the linear 8.
         let ratio = pts[2].time_us / pts[0].time_us;
@@ -117,33 +123,33 @@ mod tests {
 
     #[test]
     fn allreduce_time_grows_with_size_and_ranks() {
-        let small = imb_collective(spec(4), ImbOp::Allreduce, 64, 2);
-        let big = imb_collective(spec(4), ImbOp::Allreduce, 64 * 1024, 2);
+        let small = imb_collective(spec(4), ImbOp::Allreduce, 64, 2).unwrap();
+        let big = imb_collective(spec(4), ImbOp::Allreduce, 64 * 1024, 2).unwrap();
         assert!(big.time_us > small.time_us);
-        let more_ranks = imb_collective(spec(16), ImbOp::Allreduce, 64, 2);
+        let more_ranks = imb_collective(spec(16), ImbOp::Allreduce, 64, 2).unwrap();
         assert!(more_ranks.time_us > small.time_us);
     }
 
     #[test]
     fn bcast_is_cheaper_than_allreduce() {
         // Allreduce = reduce + bcast in this implementation.
-        let b = imb_collective(spec(8), ImbOp::Bcast, 4096, 2);
-        let a = imb_collective(spec(8), ImbOp::Allreduce, 4096, 2);
+        let b = imb_collective(spec(8), ImbOp::Bcast, 4096, 2).unwrap();
+        let a = imb_collective(spec(8), ImbOp::Allreduce, 4096, 2).unwrap();
         assert!(b.time_us < a.time_us, "bcast {} !< allreduce {}", b.time_us, a.time_us);
     }
 
     #[test]
     fn exchange_is_rank_count_insensitive() {
         // Nearest-neighbour exchange does constant work per rank.
-        let p4 = imb_collective(spec(4), ImbOp::Exchange, 8192, 2);
-        let p16 = imb_collective(spec(16), ImbOp::Exchange, 8192, 2);
+        let p4 = imb_collective(spec(4), ImbOp::Exchange, 8192, 2).unwrap();
+        let p16 = imb_collective(spec(16), ImbOp::Exchange, 8192, 2).unwrap();
         let ratio = p16.time_us / p4.time_us;
         assert!(ratio < 1.6, "exchange should not blow up with ranks: {ratio}");
     }
 
     #[test]
     fn single_rank_collectives_cost_nothing_on_the_wire() {
-        let b = imb_collective(spec(1), ImbOp::Barrier, 0, 3);
+        let b = imb_collective(spec(1), ImbOp::Barrier, 0, 3).unwrap();
         assert_eq!(b.time_us, 0.0);
     }
 }

@@ -45,8 +45,5 @@ pub use imb::{imb_collective, imb_rank_sweep, ImbOp, ImbPoint};
 pub use netsim::NetModel;
 pub use payload::Msg;
 pub use pingpong::{large_sizes, pingpong, small_sizes, PingPongPoint};
-pub use rank::{
-    default_event_budget, default_net_model, default_tracer, run_mpi, set_default_event_budget,
-    set_default_net_model, set_default_tracer, MpiRun, Rank,
-};
-pub use world::{JobSpec, NetStats, RetryPolicy};
+pub use rank::{run_mpi, MpiRun, Rank};
+pub use world::{JobSpec, NetStats, RetryPolicy, RunOpts};

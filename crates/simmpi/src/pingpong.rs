@@ -4,6 +4,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::MpiFault;
 use crate::payload::Msg;
 use crate::rank::run_mpi;
 use crate::world::JobSpec;
@@ -21,8 +22,8 @@ pub struct PingPongPoint {
 
 /// Run the IMB ping-pong between ranks 0 and 1 of a 2-rank job, for each
 /// message size, with `reps` exchanges per size (the reported value is the
-/// mean half-RTT).
-pub fn pingpong(spec: JobSpec, sizes: &[u64], reps: u32) -> Vec<PingPongPoint> {
+/// mean half-RTT). Returns the fault that stopped the job, if one did.
+pub fn pingpong(spec: JobSpec, sizes: &[u64], reps: u32) -> Result<Vec<PingPongPoint>, MpiFault> {
     assert!(spec.ranks == 2, "ping-pong needs exactly two ranks");
     assert!(reps >= 1);
     let sizes_owned: Vec<u64> = sizes.to_vec();
@@ -48,10 +49,9 @@ pub fn pingpong(spec: JobSpec, sizes: &[u64], reps: u32) -> Vec<PingPongPoint> {
             }
             times_us
         }
-    })
-    .expect("ping-pong simulation failed");
+    })?;
 
-    sizes
+    Ok(sizes
         .iter()
         .zip(&run.results[0])
         .map(|(&bytes, &latency_us)| PingPongPoint {
@@ -59,7 +59,7 @@ pub fn pingpong(spec: JobSpec, sizes: &[u64], reps: u32) -> Vec<PingPongPoint> {
             latency_us,
             bandwidth_mbs: if latency_us > 0.0 { bytes as f64 / latency_us } else { 0.0 },
         })
-        .collect()
+        .collect())
 }
 
 /// The message sizes of Fig 7(a–c): 0–64 bytes.
@@ -84,28 +84,28 @@ mod tests {
 
     #[test]
     fn tegra2_tcp_small_message_latency_near_100us() {
-        let pts = pingpong(t2_spec(ProtocolModel::tcp_ip()), &[4], 3);
+        let pts = pingpong(t2_spec(ProtocolModel::tcp_ip()), &[4], 3).unwrap();
         assert!((90.0..112.0).contains(&pts[0].latency_us), "latency {} us", pts[0].latency_us);
     }
 
     #[test]
     fn tegra2_openmx_small_message_latency_near_65us() {
-        let pts = pingpong(t2_spec(ProtocolModel::open_mx()), &[4], 3);
+        let pts = pingpong(t2_spec(ProtocolModel::open_mx()), &[4], 3).unwrap();
         assert!((58.0..72.0).contains(&pts[0].latency_us), "latency {} us", pts[0].latency_us);
     }
 
     #[test]
     fn tegra2_bandwidth_saturates_near_protocol_limits() {
         // Fig 7(d): TCP tops out near 65 MB/s, Open-MX near 117 MB/s.
-        let tcp = pingpong(t2_spec(ProtocolModel::tcp_ip()), &[16 << 20], 1);
-        let omx = pingpong(t2_spec(ProtocolModel::open_mx()), &[16 << 20], 1);
+        let tcp = pingpong(t2_spec(ProtocolModel::tcp_ip()), &[16 << 20], 1).unwrap();
+        let omx = pingpong(t2_spec(ProtocolModel::open_mx()), &[16 << 20], 1).unwrap();
         assert!((58.0..72.0).contains(&tcp[0].bandwidth_mbs), "TCP {}", tcp[0].bandwidth_mbs);
         assert!((105.0..122.0).contains(&omx[0].bandwidth_mbs), "OMX {}", omx[0].bandwidth_mbs);
     }
 
     #[test]
     fn bandwidth_grows_with_message_size() {
-        let pts = pingpong(t2_spec(ProtocolModel::tcp_ip()), &[64, 4096, 1 << 20], 1);
+        let pts = pingpong(t2_spec(ProtocolModel::tcp_ip()), &[64, 4096, 1 << 20], 1).unwrap();
         assert!(pts[0].bandwidth_mbs < pts[1].bandwidth_mbs);
         assert!(pts[1].bandwidth_mbs < pts[2].bandwidth_mbs);
     }
@@ -119,8 +119,8 @@ mod tests {
             .with_proto(ProtocolModel::tcp_ip());
         let t2 =
             JobSpec::new(Platform::tegra2(), 2).with_freq(1.0).with_proto(ProtocolModel::tcp_ip());
-        let le5 = pingpong(e5, &[4], 2)[0].latency_us;
-        let lt2 = pingpong(t2, &[4], 2)[0].latency_us;
+        let le5 = pingpong(e5, &[4], 2).unwrap()[0].latency_us;
+        let lt2 = pingpong(t2, &[4], 2).unwrap()[0].latency_us;
         assert!(le5 > lt2, "Exynos {le5} us should exceed Tegra2 {lt2} us");
     }
 

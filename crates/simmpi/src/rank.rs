@@ -37,10 +37,9 @@
 //! instant and `run_mpi` reports it.
 
 use std::future::Future;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use des::{Engine, ProcCtx, SimTime, TraceEvent, Tracer};
+use des::{Engine, ProcCtx, SimTime, TraceEvent};
 use netsim::{FlowStatus, NetModel};
 use parking_lot::Mutex;
 use soc_arch::WorkProfile;
@@ -48,69 +47,6 @@ use soc_arch::WorkProfile;
 use crate::error::MpiFault;
 use crate::payload::Msg;
 use crate::world::{matches, Delivery, InMsg, JobSpec, NetStats, World};
-
-/// Process-global default engine-event budget applied to every [`run_mpi`]
-/// job whose spec leaves `event_budget` unset. `0` = unlimited.
-static DEFAULT_EVENT_BUDGET: AtomicU64 = AtomicU64::new(0);
-
-/// Set the process-global default event budget for jobs that do not set
-/// [`JobSpec::event_budget`] themselves (the `repro --max-cell-events`
-/// plumbing: one switch bounds every simulation a sweep runs without
-/// threading a parameter through every driver signature). `None` or
-/// `Some(0)` removes the default.
-pub fn set_default_event_budget(budget: Option<u64>) {
-    DEFAULT_EVENT_BUDGET.store(budget.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The current process-global default event budget, if any.
-pub fn default_event_budget() -> Option<u64> {
-    match DEFAULT_EVENT_BUDGET.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Process-global default tracer installed on every [`run_mpi`] engine (the
-/// same one-switch pattern as the event budget: `repro --trace` enables
-/// tracing for every simulation a sweep runs without threading a parameter
-/// through every driver signature).
-static DEFAULT_TRACER: std::sync::Mutex<Option<Arc<dyn Tracer>>> = std::sync::Mutex::new(None);
-
-/// Install (or, with `None`, remove) the process-global default
-/// [`Tracer`](des::Tracer). Every subsequent [`run_mpi`] engine gets it via
-/// [`Engine::set_tracer`](des::Engine::set_tracer); jobs already running are
-/// unaffected. Tracing is observational only — results stay bit-identical.
-pub fn set_default_tracer(tracer: Option<Arc<dyn Tracer>>) {
-    *DEFAULT_TRACER.lock().expect("default tracer lock poisoned") = tracer;
-}
-
-/// The current process-global default tracer, if any.
-pub fn default_tracer() -> Option<Arc<dyn Tracer>> {
-    DEFAULT_TRACER.lock().expect("default tracer lock poisoned").clone()
-}
-
-/// Process-global default network model for jobs whose spec leaves
-/// [`JobSpec::net_model`] unset (the `repro --net-model` plumbing; same
-/// one-switch pattern as the event budget and tracer). `0` = event, `1` =
-/// flow.
-static DEFAULT_NET_MODEL: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-global default [`NetModel`] applied to every subsequent
-/// [`run_mpi`] job that does not pin one via
-/// [`JobSpec::with_net_model`](crate::JobSpec::with_net_model). Jobs already
-/// running are unaffected.
-pub fn set_default_net_model(model: NetModel) {
-    DEFAULT_NET_MODEL.store(matches!(model, NetModel::Flow) as u8, Ordering::Relaxed);
-}
-
-/// The current process-global default network model
-/// ([`NetModel::Event`] unless overridden).
-pub fn default_net_model() -> NetModel {
-    match DEFAULT_NET_MODEL.load(Ordering::Relaxed) {
-        0 => NetModel::Event,
-        _ => NetModel::Flow,
-    }
-}
 
 /// A rank's handle to the simulated job. Passed by value to the rank body
 /// closure by [`run_mpi`]; the body moves it into its `async` block.
@@ -200,21 +136,18 @@ where
     Fut: Future<Output = R> + Send + 'static,
 {
     spec.validate().map_err(MpiFault::InvalidSpec)?;
-    // The process-global defaults are snapshotted here, once: a concurrent
-    // `set_default_*` cannot affect a job that already started.
-    let budget = spec.event_budget.or_else(default_event_budget);
-    let tracer = default_tracer();
+    let mut engine = Engine::new().with_event_budget(spec.opts.event_budget);
+    let tracer = spec.opts.tracer.clone();
     let world = Arc::new(World::new(spec));
     let nranks = world.spec.ranks;
     let results: Arc<Mutex<Vec<Option<R>>>> =
         Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
 
-    let mut engine = Engine::new().with_event_budget(budget);
     // Under a model-checking run (see `des::mc`), wire the thread's
     // controller into this engine: it arbitrates delivery orderings and
     // message drops, and hashes the world's message state for
     // deduplication. The controller's tracer (used for counterexample
-    // replays) takes precedence over the process-global default.
+    // replays) takes precedence over the job's own.
     let mc = des::mc::current();
     if let Some(ctl) = &mc {
         engine.set_mc(Arc::clone(ctl));
@@ -586,7 +519,7 @@ impl Rank {
             // polls, so the receiver is woken immediately to start polling.
             // Same-node transfers never cross a link and keep the event
             // path's (reservation-free) timing under both models.
-            let use_flow = world.net_model == NetModel::Flow && src_node != dst_node;
+            let use_flow = world.spec.opts.net_model == NetModel::Flow && src_node != dst_node;
             let delivery = if use_flow {
                 let extra =
                     st.net.path_latency(src_node, dst_node) + world.endpoint_extra_serial(bytes);
@@ -747,7 +680,7 @@ impl Rank {
     /// network), a lossless network (the batch skips per-message loss
     /// draws), and enough ranks for batching to matter.
     pub(crate) fn flow_alltoall_ok(&self, msgs: &[Msg]) -> bool {
-        self.world.net_model == NetModel::Flow
+        self.world.spec.opts.net_model == NetModel::Flow
             && self.size() >= 3
             && self.world.spec.ranks_per_node == 1
             && msgs.iter().all(|m| !self.world.spec.proto.needs_rendezvous(m.bytes))
@@ -1014,7 +947,7 @@ impl Rank {
         let dst_node = world.spec.node_of(self.rank);
         // As on the eager path, cross-node bulk data rides a fluid flow under
         // the flow model; its arrival emerges from fair sharing below.
-        let use_flow = world.net_model == NetModel::Flow && src_node != dst_node;
+        let use_flow = world.spec.opts.net_model == NetModel::Flow && src_node != dst_node;
         let (data_arrival, sender_done, bulk_drops) = {
             let mut st = world.state.lock();
             let now = self.ctx.now();

@@ -9,8 +9,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use des::{FaultKind, FaultPlan, Pid, SimRng, SimTime};
+use des::{FaultKind, FaultPlan, Pid, SimRng, SimTime, Tracer};
 use netsim::{EndpointModel, FlowNet, LossWindow, NetModel, Network, ProtocolModel, TopologySpec};
 use parking_lot::Mutex;
 use soc_arch::Platform;
@@ -45,20 +46,42 @@ pub struct JobSpec {
     /// driver re-run a job on surviving nodes plus spares without changing
     /// rank numbering. `None` = identity.
     pub node_map: Option<Vec<u32>>,
-    /// Watchdog budget on dispatched engine events for this job. `None`
-    /// falls back to the process-global default
-    /// ([`set_default_event_budget`](crate::set_default_event_budget));
-    /// exhaustion surfaces as
+    /// How the job runs: network model, event budget and tracer.
+    pub opts: RunOpts,
+}
+
+/// How a job is run, as opposed to what it runs: the network model its
+/// transfers use, a watchdog budget on dispatched engine events, and the
+/// tracer its engine reports to. `repro` builds one from its flags
+/// (`--net-model`, `--max-cell-events`, `--trace`) and every job of the run
+/// carries a copy on its [`JobSpec`]. The default is the event model, no
+/// budget and no tracer.
+#[derive(Clone, Default)]
+pub struct RunOpts {
+    /// Which network model transfers use.
+    pub net_model: NetModel,
+    /// Watchdog budget on dispatched engine events; exhaustion surfaces as
     /// [`MpiFault::Engine`]`(`[`SimError::EventBudgetExhausted`]`)`.
+    /// `None` is unlimited.
     ///
-    /// [`MpiFault::Engine`]: crate::MpiFault::Engine
     /// [`SimError::EventBudgetExhausted`]: des::SimError::EventBudgetExhausted
     pub event_budget: Option<u64>,
-    /// Which network model transfers use. `None` falls back to the
-    /// process-global default
-    /// ([`set_default_net_model`](crate::set_default_net_model)), which is
-    /// [`NetModel::Event`] unless an experiment driver says otherwise.
-    pub net_model: Option<NetModel>,
+    /// Observer installed on the job's engine. Tracing never changes a
+    /// result.
+    pub tracer: Option<Arc<dyn Tracer>>,
+}
+
+/// Prints the tracer as its presence alone: a tracer has no `Debug`, and
+/// tracing changes no result, so two specs that differ only in their
+/// tracer's identity describe the same job.
+impl std::fmt::Debug for RunOpts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunOpts")
+            .field("net_model", &self.net_model)
+            .field("event_budget", &self.event_budget)
+            .field("traced", &self.tracer.is_some())
+            .finish()
+    }
 }
 
 /// Message retransmission and receive-timeout policy.
@@ -100,8 +123,7 @@ impl JobSpec {
             fault_plan: FaultPlan::none(),
             retry: RetryPolicy::default(),
             node_map: None,
-            event_budget: None,
-            net_model: None,
+            opts: RunOpts::default(),
         }
     }
 
@@ -149,17 +171,22 @@ impl JobSpec {
         self
     }
 
-    /// Builder: bound this job to at most `budget` dispatched engine events
-    /// (a simulated-event watchdog; `validate` rejects `Some(0)`).
-    pub fn with_event_budget(mut self, budget: Option<u64>) -> JobSpec {
-        self.event_budget = budget;
+    /// Builder: set how the job runs.
+    pub fn with_opts(mut self, opts: RunOpts) -> JobSpec {
+        self.opts = opts;
         self
     }
 
-    /// Builder: pin the network model for this job (`None` keeps the
-    /// process-global default).
+    /// Builder: bound this job to at most `budget` dispatched engine events
+    /// (a simulated-event watchdog; `validate` rejects `Some(0)`).
+    pub fn with_event_budget(mut self, budget: Option<u64>) -> JobSpec {
+        self.opts.event_budget = budget;
+        self
+    }
+
+    /// Builder: set the network model (`None` is the event model).
     pub fn with_net_model(mut self, model: Option<NetModel>) -> JobSpec {
-        self.net_model = model;
+        self.opts.net_model = model.unwrap_or_default();
         self
     }
 
@@ -225,7 +252,7 @@ impl JobSpec {
                 reason: "recv_timeout must be positive when set",
             });
         }
-        if self.event_budget == Some(0) {
+        if self.opts.event_budget == Some(0) {
             return Err(JobSpecError::BadEventBudget);
         }
         Ok(())
@@ -338,8 +365,6 @@ pub(crate) struct WorldState {
 /// The shared world of one job.
 pub struct World {
     pub(crate) spec: JobSpec,
-    /// The resolved network model (spec override or process-global default).
-    pub(crate) net_model: NetModel,
     /// Timing-cache fingerprint of the job's SoC, computed once so the hot
     /// per-rank `compute` path avoids re-fingerprinting the platform model.
     pub(crate) soc_fp: u64,
@@ -367,10 +392,9 @@ impl World {
         spec.validate().expect("invalid job spec");
         let soc_fp = soc_arch::soc_fingerprint(&spec.platform.soc);
         let ep = EndpointModel::for_platform(&spec.platform, spec.freq_ghz);
-        let net_model = spec.net_model.unwrap_or_else(crate::rank::default_net_model);
         let link_bw = spec.platform.eth_mbit.max(1000) as f64 / 8.0 * 1e6; // cluster NICs are 1GbE
         let link_latency = SimTime::from_micros_f64(1.25);
-        let flows = (net_model == NetModel::Flow)
+        let flows = (spec.opts.net_model == NetModel::Flow)
             .then(|| FlowNet::new(spec.topology, link_bw, link_latency));
         let mut net = Network::new(spec.topology, link_bw, link_latency);
         // Link-degradation faults live in the network layer as loss windows;
@@ -410,7 +434,6 @@ impl World {
             lossy: net.has_loss_windows(),
             busy: (0..spec.ranks).map(|_| RankBusy::default()).collect(),
             spec,
-            net_model,
             soc_fp,
             state: Mutex::new(WorldState {
                 net,

@@ -44,7 +44,7 @@ fn main() {
     println!("\nSPECFEM3D-style SEM strong scaling on each machine ({nodes} nodes):");
     for m in &machines {
         let cfg = SemConfig { steps: 10, ..SemConfig::fig6() };
-        let (t, _) = run_sem(m.job(nodes), cfg);
+        let (t, _) = run_sem(m.job(nodes), cfg).expect("SEM run failed");
         println!("  {:<28} {:>8.2} s/10 steps", m.name, t);
     }
 

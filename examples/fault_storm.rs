@@ -60,7 +60,7 @@ fn main() {
         max_attempts: 8,
         ..ResilienceConfig::default()
     };
-    let rep = run_hpl_resilient(base.clone(), cfg, &rc, &storm);
+    let rep = run_hpl_resilient(base.clone(), cfg, &rc, &storm).expect("baseline failed");
     println!("\ncrash storm with checkpoint/restart:");
     println!("  completed      : {}", rep.completed);
     println!("  attempts       : {}", rep.attempts);
@@ -87,7 +87,8 @@ fn main() {
         HplConfig::small(48, 8),
         &ResilienceConfig { ckpt_every_panels: 2, ..ResilienceConfig::default() },
         &flip,
-    );
+    )
+    .expect("baseline failed");
     println!("\nDRAM bit-flip (silent data corruption):");
     println!("  SDC detected   : {} (attempts: {})", sdc.sdc_detected, sdc.attempts);
     println!("  final residual : {:?} — verified after rollback", sdc.residual);
@@ -99,7 +100,8 @@ fn main() {
         cfg,
         &ResilienceConfig { ckpt_every_panels: 0, max_attempts: 3, ..rc },
         &storm,
-    );
+    )
+    .expect("baseline failed");
     println!("\nsame storm, restart-from-scratch (no checkpoints):");
     println!(
         "  completed      : {} after {} attempts ({} crashes)",

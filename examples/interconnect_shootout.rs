@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
-use des::RingRecorder;
-use socready::mpi::{pingpong, run_mpi, JobSpec, Msg};
+use des::{RingRecorder, Tracer};
+use socready::mpi::{pingpong, run_mpi, JobSpec, Msg, RunOpts};
 use socready::net::{penalty_table, ProtocolModel};
 use socready::prelude::*;
 
@@ -48,9 +48,10 @@ fn trace_arg() -> Option<std::path::PathBuf> {
 fn main() {
     let trace_path = trace_arg();
     let recorder = trace_path.as_ref().map(|_| Arc::new(RingRecorder::with_capacity(1 << 20)));
-    if let Some(rec) = &recorder {
-        simmpi::set_default_tracer(Some(rec.clone()));
-    }
+    let opts = RunOpts {
+        tracer: recorder.clone().map(|rec| rec as Arc<dyn Tracer>),
+        ..RunOpts::default()
+    };
     let cases = [
         ("Tegra2  (PCIe NIC)  TCP/IP ", Platform::tegra2(), 1.0, ProtocolModel::tcp_ip()),
         ("Tegra2  (PCIe NIC)  Open-MX", Platform::tegra2(), 1.0, ProtocolModel::open_mx()),
@@ -61,9 +62,9 @@ fn main() {
     ];
     println!("{:<30} {:>12} {:>12}", "configuration", "latency (us)", "BW (MB/s)");
     for (name, plat, freq, proto) in cases {
-        let spec = JobSpec::new(plat, 2).with_freq(freq).with_proto(proto);
-        let lat = pingpong(spec.clone(), &[4], 3)[0].latency_us;
-        let bw = pingpong(spec, &[16 << 20], 1)[0].bandwidth_mbs;
+        let spec = JobSpec::new(plat, 2).with_freq(freq).with_proto(proto).with_opts(opts.clone());
+        let lat = pingpong(spec.clone(), &[4], 3).expect("ping-pong failed")[0].latency_us;
+        let bw = pingpong(spec, &[16 << 20], 1).expect("ping-pong failed")[0].bandwidth_mbs;
         println!("{name:<30} {lat:>12.1} {bw:>12.1}");
     }
     println!("\npaper: Tegra2 100/65 us, 65/117 MB/s; Exynos 125/93 us, 63/69 MB/s (75 @1.4GHz)");
@@ -73,7 +74,8 @@ fn main() {
     for (name, proto) in
         [("TCP/IP ", ProtocolModel::tcp_ip()), ("Open-MX", ProtocolModel::open_mx())]
     {
-        let spec = JobSpec::new(Platform::tegra2(), ranks).with_proto(proto);
+        let spec =
+            JobSpec::new(Platform::tegra2(), ranks).with_proto(proto).with_opts(opts.clone());
         let run = run_mpi(spec, |mut r| async move {
             let p = r.size();
             if p > 1 {

@@ -15,9 +15,10 @@
 
 use std::sync::Arc;
 
-use des::RingRecorder;
+use des::{RingRecorder, Tracer};
 use socready::apps::hpl::{run_hpl, HplConfig};
 use socready::apps::Mode;
+use socready::mpi::RunOpts;
 use socready::prelude::*;
 
 /// `--ranks N` (also accepts a bare positional count for compatibility).
@@ -59,9 +60,10 @@ fn main() {
     let nodes: u32 = ranks_arg(16);
     let trace_path = trace_arg();
     let recorder = trace_path.as_ref().map(|_| Arc::new(RingRecorder::with_capacity(1 << 20)));
-    if let Some(rec) = &recorder {
-        simmpi::set_default_tracer(Some(rec.clone()));
-    }
+    let opts = RunOpts {
+        tracer: recorder.clone().map(|rec| rec as Arc<dyn Tracer>),
+        ..RunOpts::default()
+    };
     // Beyond the prototype's 192 nodes, switch to the §7-style scaled model
     // (same Tegra-2 node and GbE tree, more edge switches).
     let m = if nodes > Machine::tibidabo().nodes() {
@@ -74,7 +76,7 @@ fn main() {
 
     // 1. Correctness first: a real factorisation with pivoting on 4 ranks.
     let small = HplConfig::small(96, 8);
-    let res = run_hpl(m.job(4), small);
+    let res = run_hpl(m.job(4).with_opts(opts.clone()), small).expect("HPL run failed").result;
     println!(
         "Execute mode, N=96 on 4 ranks: residual = {:.3} (HPL passes < 16)",
         res.residual.expect("verification runs on rank 0")
@@ -89,7 +91,7 @@ fn main() {
         cfg.nb,
         Mode::Model
     );
-    let run = run_mpi(m.job(nodes), move |mut r| async move {
+    let run = run_mpi(m.job(nodes).with_opts(opts), move |mut r| async move {
         let t0 = r.now();
         socready::apps::hpl::hpl_rank(&mut r, &cfg).await;
         (r.now() - t0).as_secs_f64()

@@ -4,8 +4,8 @@
 //! that makes the parallel sweep cheap: figure cells share model
 //! evaluations, so a two-figure run must hit the cache. And the tracing
 //! invariant: recording a structured trace never changes a single artefact
-//! byte (`ci.sh` additionally proves this at the `repro --trace` binary
-//! level on a quick sweep).
+//! byte, and the trace itself is deterministic (`ci.sh` additionally proves
+//! the first at the `repro --trace` binary level on a quick sweep).
 
 use std::sync::Arc;
 
@@ -13,16 +13,20 @@ use des::mc::RunOutcome;
 use des::RingRecorder;
 use socready::harness::trace::record_line;
 use socready::harness::{
-    counterexample_json, mc_scenario, run_plan, McOverrides, RunPlan, RunScales, SweepConfig,
+    counterexample_json, mc_scenario, run_plan, ArtefactOut, McOverrides, RunPlan, RunScales,
+    SweepConfig,
 };
+use socready::mpi::RunOpts;
 
-fn items(keys: &[&str]) -> Vec<String> {
-    keys.iter().map(|s| s.to_string()).collect()
+/// A golden-scale plan of `keys` whose simulations run under `opts`.
+fn golden_plan(keys: &[&str], opts: &RunOpts) -> RunPlan {
+    let items: Vec<String> = keys.iter().map(|s| s.to_string()).collect();
+    RunPlan::from_items(&items, &RunScales::golden(), opts)
 }
 
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical_across_all_artefacts() {
-    let mk = || RunPlan::from_items(&items(&["all"]), &RunScales::golden());
+    let mk = || golden_plan(&["all"], &RunOpts::default());
     let (serial, stats1) = run_plan(mk(), &SweepConfig::with_jobs(1));
     let (parallel, stats8) = run_plan(mk(), &SweepConfig::with_jobs(8));
 
@@ -45,32 +49,41 @@ fn jobs_1_and_jobs_8_are_byte_identical_across_all_artefacts() {
 
 #[test]
 fn traced_run_produces_byte_identical_artefacts() {
-    // Same golden-scale artefacts, once recording into a ring tracer and
-    // once untraced. Fig 7 is chosen because its ping-pong cells spawn real
-    // simmpi engines (fig5/table3 are closed-form models that never reach
-    // the DES, so they would leave the ring empty); table3 rides along as a
-    // no-JSON artefact. The traced run goes first: the process-wide timing
-    // cache would otherwise satisfy its cells without spawning a single
-    // engine. The recorder observes every engine the process spawns while
-    // installed (other tests running in parallel may add noise records —
-    // harmless, the assertion is on artefact bytes, not on the trace).
-    let mk = || RunPlan::from_items(&items(&["fig7", "table3"]), &RunScales::golden());
-    let rec = Arc::new(RingRecorder::with_capacity(1 << 20));
-    simmpi::set_default_tracer(Some(rec.clone()));
-    let (traced, _) = run_plan(mk(), &SweepConfig::serial());
-    simmpi::set_default_tracer(None);
+    // Fig 7's ping-pong cells and the HPL headline spawn real simmpi
+    // engines (closed-form figures never reach the DES). Each traced plan
+    // records into its own ring through its run options, so the trace is
+    // asserted exactly: two traced runs record the same lines, and both
+    // write the untraced run's artefacts.
+    let traced = || {
+        let rec = Arc::new(RingRecorder::with_capacity(1 << 20));
+        let opts = RunOpts { tracer: Some(rec.clone()), ..RunOpts::default() };
+        let (arts, _) = run_plan(golden_plan(&["fig7", "hpl"], &opts), &SweepConfig::serial());
+        assert_eq!(rec.dropped(), 0, "the trace must fit the ring");
+        let lines: Vec<String> = rec.drain().iter().map(record_line).collect();
+        (arts, lines)
+    };
+    let (first, first_trace) = traced();
+    let (second, second_trace) = traced();
+    let (untraced, _) =
+        run_plan(golden_plan(&["fig7", "hpl"], &RunOpts::default()), &SweepConfig::serial());
 
-    let (untraced, _) = run_plan(mk(), &SweepConfig::serial());
+    assert!(!first_trace.is_empty(), "the traced run must actually have recorded events");
+    assert!(first_trace == second_trace, "two traced runs recorded different traces");
+    for traced in [&first, &second] {
+        assert_same_artefacts(&untraced, traced, "tracing");
+    }
+}
 
-    assert!(!rec.is_empty(), "the traced run must actually have recorded events");
-    assert_eq!(untraced.len(), traced.len());
-    for (a, b) in untraced.iter().zip(&traced) {
+/// `b` renders the same text and JSON as `a`, artefact by artefact.
+fn assert_same_artefacts(a: &[ArtefactOut], b: &[ArtefactOut], what: &str) {
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(b) {
         assert_eq!(a.key, b.key);
-        assert_eq!(a.blocks, b.blocks, "{}: rendered text changed under tracing", a.key);
+        assert_eq!(a.blocks, b.blocks, "{}: rendered text changed under {what}", a.key);
         assert_eq!(
             a.json.as_ref().map(|(_, j)| j),
             b.json.as_ref().map(|(_, j)| j),
-            "{}: JSON bytes changed under tracing",
+            "{}: JSON bytes changed under {what}",
             a.key
         );
     }
@@ -82,25 +95,24 @@ fn mc_counterexample_replays_are_byte_identical() {
     // two independent bounded searches over the broken-retry fixture find
     // the same minimal decision prefix (byte-identical JSON), and replaying
     // that prefix twice produces byte-identical trace lines. Each replay
-    // records through its own ctl-carried RingRecorder — NOT the process
-    // global tracer, which other tests running in parallel would pollute.
+    // records through its own ctl-carried RingRecorder.
     let sc = mc_scenario("retry-lossy-broken").expect("fixture scenario registered");
     let cfg = sc.config(&McOverrides::default());
 
     let mut jsons = Vec::new();
     for _ in 0..2 {
-        let report = sc.explore(&cfg);
+        let report = sc.explore(&cfg, &RunOpts::default());
         let ce = report.violation.expect("broken fixture must yield a counterexample");
         jsons.push(counterexample_json(sc.name, &cfg, &ce));
     }
     assert_eq!(jsons[0], jsons[1], "counterexample JSON diverged between searches");
 
-    let report = sc.explore(&cfg);
+    let report = sc.explore(&cfg, &RunOpts::default());
     let ce = report.violation.expect("broken fixture must yield a counterexample");
     let mut traces = Vec::new();
     for _ in 0..2 {
         let rec = Arc::new(RingRecorder::with_capacity(1 << 20));
-        let rep = sc.replay(&cfg, ce.decisions.clone(), Some(rec.clone()));
+        let rep = sc.replay(&cfg, ce.decisions.clone(), Some(rec.clone()), &RunOpts::default());
         assert!(rep.divergence.is_none(), "replay diverged: {:?}", rep.divergence);
         match &rep.outcome {
             RunOutcome::Violation { property, .. } => {
@@ -118,7 +130,7 @@ fn mc_counterexample_replays_are_byte_identical() {
 
 /// The JSON bytes of `arts`, keyed by file stem, must equal the checked-in
 /// goldens byte for byte.
-fn assert_goldens(arts: &[socready::harness::ArtefactOut]) {
+fn assert_goldens(arts: &[ArtefactOut]) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens");
     for a in arts {
         let (stem, json) = a.json.as_ref().expect("artefact without JSON");
@@ -135,10 +147,7 @@ fn each_distinct_fault_free_hpl_job_simulates_once_per_plan() {
     // model. That is 12 requests for 5 distinct jobs: 2, 4 and 8 nodes under
     // the event model (the default), 4 and 8 under the flow model. Four
     // workers make concurrent consumers of one job wait for a single run.
-    let plan = RunPlan::from_items(
-        &items(&["fig6", "hpl", "resilience", "ablate-net"]),
-        &RunScales::golden(),
-    );
+    let plan = golden_plan(&["fig6", "hpl", "resilience", "ablate-net"], &RunOpts::default());
     let share = plan.hpl_share();
     let (arts, _) = run_plan(plan, &SweepConfig::with_jobs(4));
     assert_eq!((share.requests(), share.simulated()), (12, 5));
@@ -150,7 +159,7 @@ fn hpl_consumers_without_their_producer_still_match_the_goldens() {
     // The state `--resume` leaves when it skips Fig 6: the headline and the
     // resilience cells are the first to ask for their jobs, so they run the
     // simulations themselves — and must write the same bytes.
-    let plan = RunPlan::from_items(&items(&["hpl", "resilience"]), &RunScales::golden());
+    let plan = golden_plan(&["hpl", "resilience"], &RunOpts::default());
     let share = plan.hpl_share();
     let (arts, _) = run_plan(plan, &SweepConfig::with_jobs(2));
     assert_eq!(arts.iter().map(|a| a.key).collect::<Vec<_>>(), ["hpl", "resilience"]);
@@ -163,7 +172,7 @@ fn two_figure_run_reuses_timing_cache() {
     // Fig 3 and Fig 4 sweep the same platforms over the same DVFS points and
     // kernels (threads differ, but the shared Tegra2@1GHz baseline and the
     // serial Tegra2 series coincide), so the second figure must score hits.
-    let plan = RunPlan::from_items(&items(&["fig3", "fig4"]), &RunScales::golden());
+    let plan = golden_plan(&["fig3", "fig4"], &RunOpts::default());
     let (_, stats) = run_plan(plan, &SweepConfig::with_jobs(2));
     assert!(
         stats.timing_cache.hits > 0,
@@ -182,20 +191,10 @@ fn flow_model_ablation_is_byte_identical_across_schedules() {
     // whole flow fast path — max-min re-shares, the batched alltoall
     // receiver, and flow start/finish event ordering — under a parallel
     // sweep schedule.
-    let mk = || RunPlan::from_items(&items(&["ablate-net"]), &RunScales::golden());
+    let mk = || golden_plan(&["ablate-net"], &RunOpts::default());
     let (serial, _) = run_plan(mk(), &SweepConfig::with_jobs(1));
     let (parallel, stats8) = run_plan(mk(), &SweepConfig::with_jobs(8));
 
     assert_eq!(stats8.jobs, 8);
-    assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(&parallel) {
-        assert_eq!(a.key, b.key, "artefact order diverged");
-        assert_eq!(a.blocks, b.blocks, "{}: ablation text diverged across schedules", a.key);
-        assert_eq!(
-            a.json.as_ref().map(|(_, j)| j),
-            b.json.as_ref().map(|(_, j)| j),
-            "{}: ablation JSON diverged across schedules",
-            a.key
-        );
-    }
+    assert_same_artefacts(&serial, &parallel, "8 workers");
 }

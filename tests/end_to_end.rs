@@ -4,7 +4,7 @@
 use socready::apps::hpl::{run_hpl, HplConfig, HplShare};
 use socready::apps::{fig6, AppId};
 use socready::kernels::fig3_profiles;
-use socready::mpi::{pingpong, JobSpec};
+use socready::mpi::{pingpong, JobSpec, RunOpts};
 use socready::net::ProtocolModel;
 use socready::power::{suite_energy, PowerModel};
 use socready::prelude::*;
@@ -50,7 +50,7 @@ fn arm_platforms_win_on_energy_to_solution() {
 fn hpl_small_execute_is_correct_on_the_tibidabo_network() {
     // Real LU with pivoting over the tree topology (not just the test star).
     let m = Machine::tibidabo();
-    let res = run_hpl(m.job(6), HplConfig::small(72, 8));
+    let res = run_hpl(m.job(6), HplConfig::small(72, 8)).unwrap().result;
     assert!(res.residual.unwrap() < 16.0, "residual {}", res.residual.unwrap());
 }
 
@@ -98,10 +98,10 @@ fn openmx_beats_tcp_on_latency_everywhere_and_bandwidth_where_cpu_bound() {
     for plat in [Platform::tegra2(), Platform::exynos5250()] {
         let tcp = JobSpec::new(plat.clone(), 2).with_freq(1.0).with_proto(ProtocolModel::tcp_ip());
         let omx = JobSpec::new(plat.clone(), 2).with_freq(1.0).with_proto(ProtocolModel::open_mx());
-        let lat_tcp = pingpong(tcp.clone(), &[4], 2)[0].latency_us;
-        let lat_omx = pingpong(omx.clone(), &[4], 2)[0].latency_us;
-        let bw_tcp = pingpong(tcp, &[8 << 20], 1)[0].bandwidth_mbs;
-        let bw_omx = pingpong(omx, &[8 << 20], 1)[0].bandwidth_mbs;
+        let lat_tcp = pingpong(tcp.clone(), &[4], 2).unwrap()[0].latency_us;
+        let lat_omx = pingpong(omx.clone(), &[4], 2).unwrap()[0].latency_us;
+        let bw_tcp = pingpong(tcp, &[8 << 20], 1).unwrap()[0].bandwidth_mbs;
+        let bw_omx = pingpong(omx, &[8 << 20], 1).unwrap()[0].bandwidth_mbs;
         assert!(lat_omx < lat_tcp, "{}: {lat_omx} !< {lat_tcp}", plat.id);
         if plat.id == "tegra2" {
             assert!(bw_omx > 1.5 * bw_tcp, "{}: {bw_omx} !>> {bw_tcp}", plat.id);
@@ -115,7 +115,7 @@ fn openmx_beats_tcp_on_latency_everywhere_and_bandwidth_where_cpu_bound() {
 fn fig6_shape_holds_at_reduced_scale() {
     // SPECFEM3D best, PEPC worst, HYDRO in between — the Fig 6 ordering.
     let m = Machine::tibidabo();
-    let series = fig6(&m, &[24, 48], &HplShare::default());
+    let series = fig6(&m, &[24, 48], &RunOpts::default(), &HplShare::default()).unwrap();
     let eff = |id: AppId| {
         let s = series
             .iter()

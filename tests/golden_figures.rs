@@ -23,6 +23,7 @@ use std::sync::OnceLock;
 
 use serde_json::Value;
 use socready::harness::{run_plan, ArtefactOut, RunPlan, RunScales, SweepConfig};
+use socready::mpi::RunOpts;
 
 /// Relative tolerance for float leaves.
 const REL_TOL: f64 = 1e-9;
@@ -37,7 +38,8 @@ fn goldens_dir() -> PathBuf {
 fn artefacts() -> &'static [ArtefactOut] {
     static RUN: OnceLock<Vec<ArtefactOut>> = OnceLock::new();
     RUN.get_or_init(|| {
-        let plan = RunPlan::from_items(&["all".to_string()], &RunScales::golden());
+        let plan =
+            RunPlan::from_items(&["all".to_string()], &RunScales::golden(), &RunOpts::default());
         run_plan(plan, &SweepConfig::with_jobs(4)).0
     })
 }
