@@ -14,6 +14,21 @@
 //! **bit-deterministic**: the same program produces the same event trace on
 //! every run, regardless of OS scheduling.
 //!
+//! # One thread by type
+//!
+//! An engine is built, run and dropped inside one call on one thread, so
+//! its state is shared with its processes through an `Rc` and guarded by a
+//! `RefCell`, not an `Arc` and a lock: [`Engine`] and [`ProcCtx`] are not
+//! `Send`. The engine never holds its state borrow while it polls a
+//! process, and a process never holds it across a suspension point.
+//!
+//! A suspending process's timer (from `advance` or `park_until`) does not
+//! go through the queue on its own: it takes part in the very next pop.
+//! If the queue's top is earlier, the two swap places with one sift-down;
+//! otherwise the timer dispatches without touching the heap. The result is
+//! exactly that of pushing the timer and then popping, so the event order,
+//! the dispatch count and every budget-abort point are unchanged.
+//!
 //! Processes must suspend **only** through the engine's leaf futures;
 //! awaiting a foreign future that returns `Pending` without scheduling a des
 //! event would strand the process, so the engine panics when a poll returns
@@ -30,15 +45,14 @@
 //! reported as a stamped [`crate::TraceRecord`]. Without a tracer the
 //! emission sites are a single `Option` check.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context as TaskContext, Poll, Waker};
-
-use parking_lot::Mutex;
 
 use crate::mc;
 use crate::time::SimTime;
@@ -203,10 +217,16 @@ struct State {
 }
 
 impl State {
-    fn push_event(&mut self, at: SimTime, pid: Pid, gen: u64) {
+    /// A new event, numbered with the next insertion sequence.
+    fn new_event(&mut self, at: SimTime, pid: Pid, gen: u64) -> Event {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { at, seq, pid, gen });
+        Event { at, seq, pid, gen }
+    }
+
+    fn push_event(&mut self, at: SimTime, pid: Pid, gen: u64) {
+        let ev = self.new_event(at, pid, gen);
+        self.queue.push(ev);
     }
 }
 
@@ -221,26 +241,15 @@ enum Suspend {
     ParkUntil(SimTime),
 }
 
-const SUSPEND_NONE: u8 = 0;
-const SUSPEND_SLEEP: u8 = 1;
-const SUSPEND_PARK: u8 = 2;
-const SUSPEND_PARK_UNTIL: u8 = 3;
-
 struct Shared {
-    state: Mutex<State>,
-    /// Current virtual time in nanoseconds. Only the dispatching thread
-    /// writes it, while it holds the state lock and no process runs; a
-    /// process reads it without the lock (it runs on the dispatching
-    /// thread).
-    now: AtomicU64,
-    /// The suspension a process requested during the current poll
-    /// ([`Suspend`] kind and time), handed to the dispatcher instead of
-    /// being applied under the state lock from inside the poll. Written and
-    /// read on the dispatching thread only, so relaxed atomics suffice.
-    suspend_kind: AtomicU8,
-    suspend_at: AtomicU64,
-    /// Installed before any spawn and immutable afterwards, so reading it
-    /// without the state lock is race-free.
+    state: RefCell<State>,
+    /// Current virtual time. Only the dispatcher writes it, between polls;
+    /// a process reads it without borrowing the state.
+    now: Cell<SimTime>,
+    /// The suspension a process requested during the current poll, handed
+    /// to the dispatcher instead of being applied from inside the poll.
+    suspend: Cell<Option<Suspend>>,
+    /// Installed before any spawn and immutable afterwards.
     tracer: Option<Arc<dyn Tracer>>,
     /// The installed tracer's [`Tracer::interest`] mask, cached at install
     /// time ([`TraceFilter::NONE`] with no tracer). Every emission site
@@ -255,37 +264,17 @@ struct Shared {
 }
 
 impl Shared {
-    /// The current virtual time, read without the state lock.
+    /// The current virtual time, read without borrowing the state.
     #[inline]
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.now.load(Ordering::Relaxed))
+        self.now.get()
     }
 
     /// Record the suspension the polled process asks for; the dispatcher
-    /// applies it ([`apply_suspend`]) under its next state lock.
+    /// applies it ([`apply_suspend`]) in its next dispatch.
     #[inline]
     fn request_suspend(&self, s: Suspend) {
-        let (kind, at) = match s {
-            Suspend::Sleep(until) => (SUSPEND_SLEEP, until),
-            Suspend::Park => (SUSPEND_PARK, SimTime::ZERO),
-            Suspend::ParkUntil(deadline) => (SUSPEND_PARK_UNTIL, deadline),
-        };
-        self.suspend_at.store(at.as_nanos(), Ordering::Relaxed);
-        self.suspend_kind.store(kind, Ordering::Relaxed);
-    }
-
-    /// Take (and clear) the suspension recorded during the last poll.
-    #[inline]
-    fn take_suspend(&self) -> Option<Suspend> {
-        let at = SimTime::from_nanos(self.suspend_at.load(Ordering::Relaxed));
-        let kind = self.suspend_kind.load(Ordering::Relaxed);
-        self.suspend_kind.store(SUSPEND_NONE, Ordering::Relaxed);
-        match kind {
-            SUSPEND_NONE => None,
-            SUSPEND_SLEEP => Some(Suspend::Sleep(at)),
-            SUSPEND_PARK => Some(Suspend::Park),
-            _ => Some(Suspend::ParkUntil(at)),
-        }
+        self.suspend.set(Some(s));
     }
 
     /// Stamp and forward one **scheduler** event to the installed tracer.
@@ -310,7 +299,10 @@ impl Shared {
     }
 }
 
-type ProcFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+type ProcFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
+
+/// The model checker's domain state probe (see [`Engine::set_state_probe`]).
+type StateProbe = Box<dyn Fn(SimTime) -> u64>;
 
 /// A deterministic discrete-event simulation.
 ///
@@ -331,28 +323,29 @@ type ProcFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 /// assert_eq!(report.end_time, SimTime::from_micros(30));
 /// ```
 pub struct Engine {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     /// Process futures, indexed by pid; `None` once a process finished.
     tasks: Vec<Option<ProcFuture>>,
     /// Abort the run with [`SimError::EventBudgetExhausted`] once this many
     /// events have been dispatched. `None` = unlimited (the default).
     event_budget: Option<u64>,
-    /// The suspension the last polled process asked for, applied at
-    /// the start of the next dispatch under the same state lock that pops
-    /// the next event — one lock per dispatched event.
+    /// The suspension the last polled process asked for, applied at the
+    /// start of the next dispatch, whose first pop takes its timer event.
     handoff: Option<(Pid, Suspend)>,
+    /// Hash of the simulated program's own state, folded into every
+    /// model-checking observation. `None` hashes as 0.
+    probe: Option<StateProbe>,
 }
 
-// The sweep harness constructs one engine per scenario cell and drives it on
-// whatever worker thread claims the cell, so `Engine` (and everything a cell
-// returns) must stay `Send`. Compile-time check: a non-Send field sneaking in
-// breaks the build here, not in a downstream crate.
+// Every engine is built and run inside one call on one thread: `run_mpi`,
+// the tests, the ledger's token ring. The sweep runs each cell's closure on
+// its worker thread, so only the cell's result crosses threads: what a run
+// returns must stay `Send`. Compile-time check, so a non-Send field in a
+// result breaks the build here, not in a downstream crate.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
-    assert_send::<Engine>();
     assert_send::<RunReport>();
     assert_send::<SimError>();
-    assert_send::<ProcCtx>();
 };
 
 impl Default for Engine {
@@ -365,8 +358,8 @@ impl Engine {
     /// Create an empty simulation at time zero.
     pub fn new() -> Self {
         Engine {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
+            shared: Rc::new(Shared {
+                state: RefCell::new(State {
                     seq: 0,
                     queue: BinaryHeap::new(),
                     procs: Vec::new(),
@@ -374,9 +367,8 @@ impl Engine {
                     events_dispatched: 0,
                     trace_seq: 0,
                 }),
-                now: AtomicU64::new(0),
-                suspend_kind: AtomicU8::new(SUSPEND_NONE),
-                suspend_at: AtomicU64::new(0),
+                now: Cell::new(SimTime::ZERO),
+                suspend: Cell::new(None),
                 tracer: None,
                 trace_mask: TraceFilter::NONE,
                 mc: None,
@@ -384,6 +376,7 @@ impl Engine {
             tasks: Vec::new(),
             event_budget: None,
             handoff: None,
+            probe: None,
         }
     }
 
@@ -414,7 +407,7 @@ impl Engine {
     /// Must be called **before** any process is spawned (spawning hands out
     /// clones of the engine's shared state); calling it later panics.
     pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
-        let shared = Arc::get_mut(&mut self.shared)
+        let shared = Rc::get_mut(&mut self.shared)
             .expect("set_tracer must be called before any process is spawned");
         shared.trace_mask = tracer.interest();
         shared.tracer = Some(tracer);
@@ -437,10 +430,19 @@ impl Engine {
     ///
     /// Like [`Engine::set_tracer`], must be called before any spawn.
     pub fn set_mc(&mut self, ctl: Arc<mc::McCtl>) {
-        let shared = Arc::get_mut(&mut self.shared)
+        let shared = Rc::get_mut(&mut self.shared)
             .expect("set_mc must be called before any process is spawned");
         ctl.begin_epoch();
         shared.mc = Some(ctl);
+    }
+
+    /// Install the domain state probe for model checking (e.g. a hash of
+    /// `simmpi` mailboxes). Each dispatch the controller observes folds in
+    /// `f(now)`. The probe runs between polls, so it may borrow the
+    /// simulated program's state but must not touch the engine. Without a
+    /// controller it is never called.
+    pub fn set_state_probe(&mut self, f: impl Fn(SimTime) -> u64 + 'static) {
+        self.probe = Some(Box::new(f));
     }
 
     /// Spawn a process that becomes runnable at time zero.
@@ -471,11 +473,11 @@ impl Engine {
     pub fn spawn_process<F, Fut>(&mut self, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(ProcCtx) -> Fut,
-        Fut: Future<Output = ()> + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         let name = name.into();
         let pid = {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.state.borrow_mut();
             let pid = Pid(st.procs.len() as u32);
             let traced_name = self.shared.trace_mask.procs.then(|| name.clone());
             st.procs.push(ProcSlot { name, status: Status::Ready, gen: 0 });
@@ -486,7 +488,7 @@ impl Engine {
             }
             pid
         };
-        let ctx = ProcCtx { pid, shared: Arc::clone(&self.shared) };
+        let ctx = ProcCtx { pid, shared: Rc::clone(&self.shared) };
         let fut = f(ctx);
         if self.tasks.len() <= pid.index() {
             self.tasks.resize_with(pid.index() + 1, || None);
@@ -549,20 +551,33 @@ impl Engine {
 
     /// The plain dispatch path: earliest live event wins, stale events are
     /// consumed and counted.
-    fn next_event(&self, st: &mut State) -> Result<Event, SimError> {
+    ///
+    /// `incoming` is the timer the process that just suspended asked for.
+    /// It takes part in the first pop as if it had been pushed first: when
+    /// the queue's top is earlier, the two swap places (one sift-down) and
+    /// the old top dispatches; otherwise `incoming` dispatches without
+    /// touching the heap.
+    fn next_event(&self, st: &mut State, mut incoming: Option<Event>) -> Result<Event, SimError> {
         loop {
             self.check_budget(st)?;
-            match st.queue.pop() {
-                Some(ev) => {
-                    st.events_dispatched += 1;
-                    if !Self::is_stale(st, &ev) {
-                        return Ok(ev);
+            let ev = match incoming.take() {
+                Some(inc) => match st.queue.peek_mut() {
+                    // The heap is a max-heap on the inverted order:
+                    // `top > inc` means the top is earlier.
+                    Some(mut top) if *top > inc => std::mem::replace(&mut *top, inc),
+                    _ => inc,
+                },
+                None => match st.queue.pop() {
+                    Some(ev) => ev,
+                    None => {
+                        let at = self.shared.now();
+                        return Err(SimError::Deadlock { at, parked: Self::parked_names(st) });
                     }
-                }
-                None => {
-                    let at = self.shared.now();
-                    return Err(SimError::Deadlock { at, parked: Self::parked_names(st) });
-                }
+                },
+            };
+            st.events_dispatched += 1;
+            if !Self::is_stale(st, &ev) {
+                return Ok(ev);
             }
         }
     }
@@ -629,10 +644,11 @@ impl Engine {
         let mc = self.shared.mc.clone();
         loop {
             let pid = {
-                let mut st = self.shared.state.lock();
-                if let Some((pid, s)) = self.handoff.take() {
-                    apply_suspend(&self.shared, &mut st, pid, s);
-                }
+                let mut st = self.shared.state.borrow_mut();
+                let incoming = self
+                    .handoff
+                    .take()
+                    .and_then(|(pid, s)| apply_suspend(&self.shared, &mut st, pid, s));
                 if st.live == 0 {
                     return Ok(RunReport {
                         end_time: self.shared.now(),
@@ -641,8 +657,13 @@ impl Engine {
                     });
                 }
                 let ev = match &mc {
-                    Some(ctl) => self.next_event_mc(&mut st, ctl)?,
-                    None => self.next_event(&mut st)?,
+                    Some(ctl) => {
+                        if let Some(ev) = incoming {
+                            st.queue.push(ev);
+                        }
+                        self.next_event_mc(&mut st, ctl)?
+                    }
+                    None => self.next_event(&mut st, incoming)?,
                 };
                 if mc.is_none() {
                     debug_assert!(ev.at >= self.shared.now(), "event queue went backwards in time");
@@ -651,7 +672,8 @@ impl Engine {
                 if let Some(ctl) = &mc {
                     let now = self.shared.now();
                     let hash = mc_engine_hash(&st, now);
-                    if !ctl.observe_dispatch(ev.pid.index(), ev.seq, now, hash) {
+                    let probe_hash = self.probe.as_ref().map_or(0, |f| f(now));
+                    if !ctl.observe_dispatch(ev.pid.index(), ev.seq, now, hash, probe_hash) {
                         return Err(SimError::Interrupted { at: now });
                     }
                 }
@@ -670,11 +692,11 @@ impl Engine {
         // from outside, so a no-op waker suffices.
         let mut cx = TaskContext::from_waker(Waker::noop());
         let polled = panic::catch_unwind(AssertUnwindSafe(|| fut.as_mut().poll(&mut cx)));
-        let suspend = self.shared.take_suspend();
+        let suspend = self.shared.suspend.take();
         match polled {
             Ok(Poll::Pending) => {
                 // The leaf primitive recorded its suspension; the next
-                // dispatch applies it under its own lock.
+                // dispatch applies it.
                 assert!(
                     suspend.is_some(),
                     "event process returned Pending without blocking on a des primitive"
@@ -683,9 +705,11 @@ impl Engine {
                 self.tasks[pid.index()] = Some(fut);
             }
             Ok(Poll::Ready(())) => {
-                let mut st = self.shared.state.lock();
+                let mut st = self.shared.state.borrow_mut();
                 if let Some(s) = suspend {
-                    apply_suspend(&self.shared, &mut st, pid, s);
+                    if let Some(ev) = apply_suspend(&self.shared, &mut st, pid, s) {
+                        st.queue.push(ev);
+                    }
                 }
                 st.procs[pid.index()].status = Status::Finished;
                 st.live -= 1;
@@ -693,7 +717,7 @@ impl Engine {
             }
             Err(payload) => {
                 let message = panic_payload_to_string(&*payload);
-                let mut st = self.shared.state.lock();
+                let mut st = self.shared.state.borrow_mut();
                 st.live -= 1;
                 let slot = &mut st.procs[pid.index()];
                 slot.status = Status::Finished;
@@ -711,7 +735,7 @@ fn start_dispatch(shared: &Shared, st: &mut State, ev: &Event) {
     // that was pushed back behind a slightly later one (bounded timing
     // skew); virtual time still never reverses.
     if ev.at > shared.now() {
-        shared.now.store(ev.at.as_nanos(), Ordering::Relaxed);
+        shared.now.set(ev.at);
     }
     let slot = &mut st.procs[ev.pid.index()];
     slot.status = Status::Running;
@@ -720,24 +744,28 @@ fn start_dispatch(shared: &Shared, st: &mut State, ev: &Event) {
 }
 
 /// Suspend process `pid` as its leaf primitive asked: the status change,
-/// the timer event (if any) and the trace record, in that order.
-fn apply_suspend(shared: &Shared, st: &mut State, pid: Pid, s: Suspend) {
+/// the timer event (if any) and the trace record, in that order. The timer
+/// is returned, already numbered, for the caller to queue or dispatch.
+fn apply_suspend(shared: &Shared, st: &mut State, pid: Pid, s: Suspend) -> Option<Event> {
     let slot = &mut st.procs[pid.index()];
     let gen = slot.gen;
     match s {
         Suspend::Sleep(until) => {
             slot.status = Status::Sleeping;
-            st.push_event(until, pid, gen);
+            let ev = st.new_event(until, pid, gen);
             shared.trace_with(st, || TraceEvent::ProcSleep { pid, until });
+            Some(ev)
         }
         Suspend::Park => {
             slot.status = Status::Parked;
             shared.trace_with(st, || TraceEvent::ProcPark { pid, deadline: None });
+            None
         }
         Suspend::ParkUntil(deadline) => {
             slot.status = Status::Parked;
-            st.push_event(deadline.max(shared.now()), pid, gen);
+            let ev = st.new_event(deadline.max(shared.now()), pid, gen);
             shared.trace_with(st, || TraceEvent::ProcPark { pid, deadline: Some(deadline) });
+            Some(ev)
         }
     }
 }
@@ -759,10 +787,18 @@ fn panic_payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 /// into the `async` block that implements the process. The async methods ([`ProcCtx::advance`],
 /// [`ProcCtx::park`], [`ProcCtx::park_until`]) are the process's only legal
 /// suspension points.
+///
+/// It shares the engine's state through an `Rc`, so it cannot leave the
+/// engine's thread:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<des::ProcCtx>();
+/// ```
 #[derive(Clone)]
 pub struct ProcCtx {
     pid: Pid,
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl ProcCtx {
@@ -823,12 +859,6 @@ impl ProcCtx {
         wake_at_impl(&self.shared, target, at);
     }
 
-    /// Whether `target` is currently parked (usable for mailbox-style
-    /// "wake only if waiting" protocols).
-    pub fn is_parked(&self, target: Pid) -> bool {
-        self.shared.state.lock().procs[target.index()].status == Status::Parked
-    }
-
     /// Whether the installed [`Tracer`] (if any) is interested in at least
     /// one event class.
     ///
@@ -851,7 +881,7 @@ impl ProcCtx {
     /// [`Tracer::interest`] mask excludes the event's class.
     pub fn emit_trace(&self, event: TraceEvent) {
         if self.shared.trace_mask.accepts_class(event.class()) {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.state.borrow_mut();
             self.shared.trace_record(&mut st, event);
         }
     }
@@ -860,7 +890,7 @@ impl ProcCtx {
 fn wake_at_impl(shared: &Shared, target: Pid, at: SimTime) {
     let now = shared.now();
     assert!(at >= now, "wake_at into the past ({at} < {now})");
-    let mut st = shared.state.lock();
+    let mut st = shared.state.borrow_mut();
     let gen = {
         let slot = &st.procs[target.index()];
         assert!(

@@ -16,6 +16,12 @@
 //!    flow, `async`/`.await` at the timing points) instead of hand-rolled
 //!    state machines — and thousands of ranks fit in a single OS thread.
 //!
+//! An engine lives on the thread that runs it: its state is shared with
+//! its processes through `Rc` and `RefCell`, with no lock or atomic on the
+//! dispatch path, and [`Engine`] and [`ProcCtx`] are not `Send`. Several
+//! engines can run at once on different threads (the sweep harness does);
+//! only their results cross between them.
+//!
 //! ## Example: two actors exchanging a timed signal
 //!
 //! ```

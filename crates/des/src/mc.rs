@@ -21,16 +21,17 @@
 //!
 //! After each dispatch the controller hashes an abstraction of the global
 //! state: per-process status and resume count, the pending event queue as a
-//! multiset of `(time-to-fire, process)` pairs, a domain probe supplied by
-//! the simulation (e.g. simmpi mailbox contents), and a salt folding in the
-//! environment decisions (drops, [`choose`] values) taken so far. Two runs
-//! reaching the same hash at the same-or-smaller decision depth are
-//! considered equivalent and the later one is pruned (DFS only; the random
-//! walk merely counts hits). Resume counts make the hash loop-safe: a
-//! process iterating a loop advances its own counter, so successive
-//! iterations never alias. The hash abstracts absolute virtual time and
-//! payload contents — dedup is a sound-ish heuristic, not a proof of
-//! equivalence, which is the usual trade of hash-based stateless search.
+//! multiset of `(time-to-fire, process)` pairs, a domain probe the
+//! simulation installs on its engine (e.g. simmpi mailbox contents, see
+//! [`Engine::set_state_probe`](crate::Engine::set_state_probe)), and a salt
+//! folding in the environment decisions (drops, [`choose`] values) taken so
+//! far. Two runs reaching the same hash at the same-or-smaller decision
+//! depth are considered equivalent and the later one is pruned (DFS only;
+//! the random walk merely counts hits). Resume counts make the hash
+//! loop-safe: a process iterating a loop advances its own counter, so
+//! successive iterations never alias. The hash abstracts absolute virtual
+//! time and payload contents — dedup is a sound-ish heuristic, not a proof
+//! of equivalence, which is the usual trade of hash-based stateless search.
 //!
 //! ## Reduction
 //!
@@ -342,8 +343,6 @@ struct RunRecord {
     divergence: Option<String>,
 }
 
-type StateProbe = Box<dyn Fn(SimTime) -> u64 + Send>;
-
 /// The per-run model-checking controller.
 ///
 /// Installed for the duration of one execution (via [`with_ctl`] /
@@ -360,7 +359,6 @@ pub struct McCtl {
     max_drops: u32,
     prune_on_seen: bool,
     shared: Option<Arc<Mutex<SharedStats>>>,
-    probe: Mutex<Option<StateProbe>>,
     tracer: Option<Arc<dyn Tracer>>,
     inner: Mutex<CtlInner>,
 }
@@ -381,7 +379,6 @@ impl McCtl {
             max_drops: cfg.max_drops,
             prune_on_seen,
             shared,
-            probe: Mutex::new(None),
             tracer,
             inner: Mutex::new(CtlInner { prefix, rng, ..CtlInner::default() }),
         })
@@ -422,13 +419,6 @@ impl McCtl {
         self.inner.lock().epoch += 1;
     }
 
-    /// Install the domain state probe (e.g. a hash of simmpi mailboxes).
-    /// The probe runs under the engine state lock with the current virtual
-    /// time; it must not touch the engine.
-    pub fn set_state_probe(&self, f: impl Fn(SimTime) -> u64 + Send + 'static) {
-        *self.probe.lock() = Some(Box::new(f));
-    }
-
     /// Pick among ≥ 2 simultaneously enabled events. Returns an index into
     /// `enabled`. Called by the engine dispatch loop only.
     pub fn sched_pick(&self, enabled: &[EnabledChoice]) -> usize {
@@ -455,15 +445,20 @@ impl McCtl {
         chosen as usize
     }
 
-    /// Record a dispatched event and observe the post-choice state.
-    /// Returns `false` when the run should be abandoned because the state
-    /// was already covered (the engine then aborts with
+    /// Record a dispatched event and observe the post-choice state: the
+    /// engine's scheduler hash and the hash of the engine's domain state
+    /// probe ([`Engine::set_state_probe`](crate::Engine::set_state_probe),
+    /// 0 without one). Returns `false` when the run should be abandoned
+    /// because the state was already covered (the engine then aborts with
     /// [`SimError::Interrupted`](crate::SimError::Interrupted)).
-    pub fn observe_dispatch(&self, pid: usize, seq: u64, at: SimTime, engine_hash: u64) -> bool {
-        let probe_hash = {
-            let p = self.probe.lock();
-            p.as_ref().map(|f| f(at)).unwrap_or(0)
-        };
+    pub fn observe_dispatch(
+        &self,
+        pid: usize,
+        seq: u64,
+        at: SimTime,
+        engine_hash: u64,
+        probe_hash: u64,
+    ) -> bool {
         let (hash, depth, in_prefix) = {
             let mut g = self.inner.lock();
             let epoch = g.epoch;

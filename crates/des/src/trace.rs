@@ -297,8 +297,9 @@ pub struct TraceRecord {
 /// Receives trace records from a running engine.
 ///
 /// Implementations must be cheap and non-blocking: `record` is called from
-/// the engine's hot dispatch path (with scheduler state locked), so a slow
-/// tracer slows the simulation — it can never alter its outcome.
+/// the engine's hot dispatch path (with scheduler state borrowed, so it
+/// must not call back into the engine), so a slow tracer slows the
+/// simulation — it can never alter its outcome.
 pub trait Tracer: Send + Sync {
     /// Observe one stamped event.
     fn record(&self, rec: TraceRecord);

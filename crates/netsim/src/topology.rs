@@ -92,7 +92,9 @@ pub struct Network {
     /// Wire bandwidth of a node link, bytes/s.
     pub link_bw_bytes: f64,
     links: Vec<Link>,
-    loss_windows: Vec<LossWindow>,
+    /// Loss windows indexed by node, so a path's check scans only its two
+    /// endpoints' windows. Empty until the first window is added.
+    loss_windows: Vec<Vec<LossWindow>>,
 }
 
 /// Index layout within `links`:
@@ -229,19 +231,24 @@ impl Network {
     pub fn add_loss_window(&mut self, window: LossWindow) {
         debug_assert!(window.node < self.nodes());
         debug_assert!((0.0..1.0).contains(&window.loss));
-        self.loss_windows.push(window);
+        if self.loss_windows.is_empty() {
+            self.loss_windows.resize_with(self.nodes() as usize, Vec::new);
+        }
+        self.loss_windows[window.node as usize].push(window);
     }
 
     /// Drop probability for a frame departing at `at` on the `src -> dst`
     /// path: the worst loss window active on either endpoint (0.0 when the
     /// path is clean). Self-sends never traverse a link and never lose.
     pub fn loss_probability(&self, src: u32, dst: u32, at: SimTime) -> f64 {
-        if src == dst {
+        if src == dst || self.loss_windows.is_empty() {
             return 0.0;
         }
-        self.loss_windows
+        let windows = &self.loss_windows;
+        windows[src as usize]
             .iter()
-            .filter(|w| (w.node == src || w.node == dst) && w.from <= at && at < w.until)
+            .chain(&windows[dst as usize])
+            .filter(|w| w.from <= at && at < w.until)
             .map(|w| w.loss)
             .fold(0.0, f64::max)
     }

@@ -36,12 +36,13 @@
 //! The first fault to strike wins; the engine aborts the run at that virtual
 //! instant and `run_mpi` reports it.
 
+use std::cell::RefCell;
 use std::future::Future;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use des::{Engine, ProcCtx, SimTime, TraceEvent};
 use netsim::{FlowStatus, NetModel};
-use parking_lot::Mutex;
 use soc_arch::WorkProfile;
 
 use crate::error::MpiFault;
@@ -53,7 +54,7 @@ use crate::world::{matches, Delivery, InMsg, JobSpec, NetStats, World};
 pub struct Rank {
     ctx: ProcCtx,
     rank: u32,
-    world: Arc<World>,
+    world: Rc<World>,
     /// Physical node hosting this rank.
     node: u32,
     /// When this rank's node crashes, per the fault plan.
@@ -131,17 +132,17 @@ impl<R> MpiRun<R> {
 ///   unrelated to injected faults.
 pub fn run_mpi<R, F, Fut>(spec: JobSpec, body: F) -> Result<MpiRun<R>, MpiFault>
 where
-    R: Send + 'static,
+    R: 'static,
     F: Fn(Rank) -> Fut,
-    Fut: Future<Output = R> + Send + 'static,
+    Fut: Future<Output = R> + 'static,
 {
     spec.validate().map_err(MpiFault::InvalidSpec)?;
     let mut engine = Engine::new().with_event_budget(spec.opts.event_budget);
     let tracer = spec.opts.tracer.clone();
-    let world = Arc::new(World::new(spec));
+    let world = Rc::new(World::new(spec));
     let nranks = world.spec.ranks;
-    let results: Arc<Mutex<Vec<Option<R>>>> =
-        Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
+    let results: Rc<RefCell<Vec<Option<R>>>> =
+        Rc::new(RefCell::new((0..nranks).map(|_| None).collect()));
 
     // Under a model-checking run (see `des::mc`), wire the thread's
     // controller into this engine: it arbitrates delivery orderings and
@@ -151,16 +152,16 @@ where
     let mc = des::mc::current();
     if let Some(ctl) = &mc {
         engine.set_mc(Arc::clone(ctl));
-        let world_for_probe = Arc::clone(&world);
-        ctl.set_state_probe(move |now| world_for_probe.mc_state_hash(now));
+        let world_for_probe = Rc::clone(&world);
+        engine.set_state_probe(move |now| world_for_probe.mc_state_hash(now));
     }
     if let Some(tracer) = mc.as_ref().and_then(|c| c.tracer()).or(tracer) {
         engine.set_tracer(tracer);
     }
     for r in 0..nranks {
         let pid = engine.spawn_process(format!("rank{r}"), |ctx| {
-            let world_for_rank = Arc::clone(&world);
-            let results = Arc::clone(&results);
+            let world_for_rank = Rc::clone(&world);
+            let results = Rc::clone(&results);
             let node = world_for_rank.spec.node_of(r);
             let plan = &world_for_rank.spec.fault_plan;
             let crash_at = plan.crash_time(node);
@@ -170,23 +171,23 @@ where
             let fut = body(rank);
             async move {
                 let out = fut.await;
-                results.lock()[r as usize] = Some(out);
+                results.borrow_mut()[r as usize] = Some(out);
             }
         });
-        world.state.lock().ranks[r as usize].pid = Some(pid);
+        world.state.borrow_mut().ranks[r as usize].pid = Some(pid);
     }
     let report = match engine.run() {
         Ok(report) => report,
         Err(e) => {
             // A rank that died on purpose recorded why before unwinding.
-            let recorded = world.state.lock().fault.take();
+            let recorded = world.state.borrow_mut().fault.take();
             return Err(recorded.unwrap_or(MpiFault::Engine(e)));
         }
     };
     let compute_busy = world.busy.iter().map(|b| b.compute.get()).collect();
     let comm_busy = world.busy.iter().map(|b| b.comm.get()).collect();
-    let net = std::mem::take(&mut world.state.lock().stats);
-    let results = Arc::try_unwrap(results)
+    let net = std::mem::take(&mut world.state.borrow_mut().stats);
+    let results = Rc::try_unwrap(results)
         .unwrap_or_else(|_| panic!("results still shared"))
         .into_inner()
         .into_iter()
@@ -314,10 +315,10 @@ impl Rank {
 
     /// Record `fault` as the run's outcome (first one wins) and unwind this
     /// rank's process. The engine aborts the run; `run_mpi` reports the
-    /// recorded fault. Must not be called with the world lock held.
+    /// recorded fault. Must not be called while the world state is borrowed.
     fn die(&self, fault: MpiFault) -> ! {
         {
-            let mut st = self.world.state.lock();
+            let mut st = self.world.state.borrow_mut();
             if st.fault.is_none() {
                 st.fault = Some(fault);
             }
@@ -415,7 +416,7 @@ impl Rank {
         loop {
             let depart = self.ctx.now();
             let dropped = {
-                let mut st = self.world.state.lock();
+                let mut st = self.world.state.borrow_mut();
                 let loss = st.net.loss_probability(src_node, dst_node, depart);
                 // Inside a loss window a model-checking controller overrides
                 // the seeded draw with an adversarial verdict; the RNG is
@@ -467,7 +468,7 @@ impl Rank {
         if proto.needs_rendezvous(bytes) {
             // RTS: a minimal frame to the receiver.
             let wake = {
-                let mut st = world.state.lock();
+                let mut st = world.state.borrow_mut();
                 let depart = self.ctx.now();
                 let rts_arrival = st.net.transmit(depart, src_node, dst_node, 128);
                 st.stats.messages += 1;
@@ -509,7 +510,7 @@ impl Rank {
         let injection;
         let flow_started;
         {
-            let mut st = world.state.lock();
+            let mut st = world.state.borrow_mut();
             let depart = self.ctx.now();
             let wire = world.framed(bytes);
             st.stats.messages += 1;
@@ -636,12 +637,13 @@ impl Rank {
         }
     }
 
-    /// One mailbox scan under the world lock: find the first message matching
-    /// `filter` and decide how the receive proceeds. Flow deliveries poll the
-    /// fluid network here (settling it to `now`), which is why this returns
-    /// [`Scan`] rather than awaiting in place — the lock must drop first.
+    /// One mailbox scan under one world-state borrow: find the first message
+    /// matching `filter` and decide how the receive proceeds. Flow
+    /// deliveries poll the fluid network here (settling it to `now`), which
+    /// is why this returns [`Scan`] rather than awaiting in place — the
+    /// borrow must end first.
     fn scan_mailbox(&self, filter: &crate::world::RecvFilter) -> Scan {
-        let mut st = self.world.state.lock();
+        let mut st = self.world.state.borrow_mut();
         let st = &mut *st;
         let now = self.ctx.now();
         let me_idx = self.rank as usize;
@@ -689,7 +691,7 @@ impl Rank {
 
     /// Sender half of the flow-mode all-to-all fast path: one batched
     /// send-overhead advance covering every peer, all flows started at a
-    /// single departure instant under one lock, then one batched injection
+    /// single departure instant under one borrow, then one batched injection
     /// advance — O(1) engine events for the whole fan-out instead of O(P)
     /// per-message chains.
     pub(crate) async fn send_flows_batched(&mut self, tag: u32, outgoing: Vec<(u32, Msg)>) {
@@ -703,7 +705,7 @@ impl Rank {
         let mut enqueued: Vec<(u32, u32, u64)> = Vec::with_capacity(outgoing.len());
         let depart = self.ctx.now();
         {
-            let mut st = world.state.lock();
+            let mut st = world.state.borrow_mut();
             let st = &mut *st;
             for (dst, msg) in outgoing {
                 let bytes = msg.bytes;
@@ -792,11 +794,11 @@ impl Rank {
     }
 
     /// Fully batched receiver half of the fast path: drain every peer's
-    /// `tag` message in whole-mailbox passes under one lock. Each pass takes
+    /// `tag` message in whole-mailbox passes under one borrow. Each pass takes
     /// everything that has arrived and computes one wake — the earliest
     /// arrival or flow transition across ALL still-missing messages — so a
-    /// P-way fan-in costs O(flow transitions) lock round-trips instead of
-    /// O(P). Used when tracing is off; traced runs go through
+    /// P-way fan-in costs O(flow transitions) borrows instead of O(P).
+    /// Used when tracing is off; traced runs go through
     /// [`Rank::recv_wire`] per peer, which emits the per-message flow events
     /// in their documented order.
     ///
@@ -813,7 +815,7 @@ impl Rank {
                 Park,
             }
             let step = {
-                let mut st = world.state.lock();
+                let mut st = world.state.borrow_mut();
                 let st = &mut *st;
                 let now = self.ctx.now();
                 let me_idx = self.rank as usize;
@@ -894,11 +896,11 @@ impl Rank {
     async fn await_flow(&self, id: netsim::FlowId, extra: SimTime) {
         loop {
             let now = self.ctx.now();
-            // One world lock per poll: a finished flow is consumed under the
-            // lock that saw it finish. Consuming drops only the flow's slab
+            // One world-state borrow per poll: a finished flow is consumed
+            // under the borrow that saw it finish. Consuming drops only the flow's slab
             // record, which no other flow's progress reads.
             let status = {
-                let mut st = self.world.state.lock();
+                let mut st = self.world.state.borrow_mut();
                 let flows = st.flows.as_mut().expect("flow model without flow net");
                 let status = flows.poll(now, id);
                 if let FlowStatus::Done { .. } = status {
@@ -949,7 +951,7 @@ impl Rank {
         // the flow model; its arrival emerges from fair sharing below.
         let use_flow = world.spec.opts.net_model == NetModel::Flow && src_node != dst_node;
         let (data_arrival, sender_done, bulk_drops) = {
-            let mut st = world.state.lock();
+            let mut st = world.state.borrow_mut();
             let now = self.ctx.now();
             // CTS travels back; the sender starts the bulk transfer on its
             // arrival. The RTS/CTS control frames are assumed reliable; loss
@@ -1065,8 +1067,8 @@ impl Rank {
     }
 }
 
-/// Outcome of one mailbox scan ([`Rank::scan_mailbox`]); the world lock is
-/// released before any of the (awaiting) follow-ups run.
+/// Outcome of one mailbox scan ([`Rank::scan_mailbox`]); the world-state
+/// borrow ends before any of the (awaiting) follow-ups run.
 enum Scan {
     /// A matched message whose data has arrived: consume it.
     Deliver(InMsg),

@@ -1,19 +1,19 @@
 //! The shared state of a simulated MPI job: rank mailboxes, the network, and
 //! message-matching/rendezvous machinery.
 //!
-//! Lock discipline: the world mutex is only ever held between two yields of
-//! the same process (never across `advance`/`park`), and because the DES
-//! engine runs exactly one process at a time the mailbox protocol is
-//! race-free — e.g. a receiver that publishes a pending-receive and then
-//! parks cannot be observed "pending but not yet parked" by any sender.
+//! Borrow discipline: the world lives on the engine's one thread, shared by
+//! `Rc`, and its state is a `RefCell` borrowed only between two yields of
+//! the same process (never across `advance`/`park`). Because the DES engine
+//! runs exactly one process at a time the mailbox protocol is race-free —
+//! e.g. a receiver that publishes a pending-receive and then parks cannot
+//! be observed "pending but not yet parked" by any sender.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use des::{FaultKind, FaultPlan, Pid, SimRng, SimTime, Tracer};
 use netsim::{EndpointModel, FlowNet, LossWindow, NetModel, Network, ProtocolModel, TopologySpec};
-use parking_lot::Mutex;
 use soc_arch::Platform;
 
 use crate::error::{JobSpecError, MpiFault};
@@ -310,21 +310,19 @@ pub(crate) struct RankState {
     pub pending: Option<RecvFilter>,
 }
 
-/// One rank's accumulated busy time, kept off the world lock: only the
-/// rank's own process adds to it (so a relaxed load-add-store is
-/// race-free), and it is read only once every process has finished, when
-/// the run is collected.
+/// One rank's accumulated busy time, kept out of the world state: only the
+/// rank's own process adds to it, and it is read only once every process
+/// has finished, when the run is collected.
 #[derive(Debug, Default)]
-pub(crate) struct BusyTally(AtomicU64);
+pub(crate) struct BusyTally(Cell<SimTime>);
 
 impl BusyTally {
     pub(crate) fn add(&self, dt: SimTime) {
-        let total = self.get() + dt;
-        self.0.store(total.as_nanos(), Ordering::Relaxed);
+        self.0.set(self.0.get() + dt);
     }
 
     pub(crate) fn get(&self) -> SimTime {
-        SimTime::from_nanos(self.0.load(Ordering::Relaxed))
+        self.0.get()
     }
 }
 
@@ -380,11 +378,11 @@ pub struct World {
     extra_secs_per_byte: Option<f64>,
     /// Whether the fault plan installed any loss windows. They are only ever
     /// added here, so senders can skip the per-message loss check (which
-    /// needs the world lock) on lossless jobs.
+    /// borrows the world state) on lossless jobs.
     pub(crate) lossy: bool,
     /// Per-rank busy-time tallies, indexed by rank.
     pub(crate) busy: Vec<RankBusy>,
-    pub(crate) state: Mutex<WorldState>,
+    pub(crate) state: RefCell<WorldState>,
 }
 
 impl World {
@@ -435,7 +433,7 @@ impl World {
             busy: (0..spec.ranks).map(|_| RankBusy::default()).collect(),
             spec,
             soc_fp,
-            state: Mutex::new(WorldState {
+            state: RefCell::new(WorldState {
                 net,
                 flows,
                 ranks,
@@ -476,7 +474,7 @@ impl World {
     /// influence future protocol behaviour under the controller (drops come
     /// from the controller, not the RNG).
     pub(crate) fn mc_state_hash(&self, now: SimTime) -> u64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let now_ns = now.as_nanos();
         let mut h = 0x6d63_776f_726c_6421u64;
         for (i, r) in st.ranks.iter().enumerate() {
@@ -587,7 +585,7 @@ mod tests {
             kind: FaultKind::LinkDegrade { node: 1, loss: 0.5, duration: SimTime::from_millis(2) },
         }]);
         let w = World::new(JobSpec::new(Platform::tegra2(), 4).with_fault_plan(plan));
-        let st = w.state.lock();
+        let st = w.state.borrow();
         assert_eq!(st.net.loss_probability(0, 1, SimTime::from_millis(2)), 0.5);
         assert_eq!(st.net.loss_probability(0, 1, SimTime::from_millis(4)), 0.0);
     }
