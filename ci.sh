@@ -323,6 +323,8 @@ if [[ $quick -eq 0 ]]; then
   # A real protocol scenario must enumerate its bounded space to exhaustion
   # with no violation; the broken-retry fixture must yield a replayable
   # counterexample (exit 3) whose replay reproduces the violation (exit 3).
+  # The counterexample's trace and a `--trace`d replay take the one tracer
+  # path (the run options), so the two files must be byte-identical.
   mdir=$(mktemp -d)
   timeout 120 "$repro" --mc ckpt-crash --max-cell-seconds 60 \
     >"$mdir/pass.txt" 2>"$mdir/pass.stderr.txt"
@@ -356,7 +358,8 @@ if [[ $quick -eq 0 ]]; then
     exit 1
   }
   set +e
-  timeout 120 "$repro" --mc-replay "$ce" >"$mdir/replay.txt" 2>"$mdir/replay.stderr.txt"
+  timeout 120 "$repro" --mc-replay "$ce" --trace "$mdir/replay.trace.jsonl" \
+    >"$mdir/replay.txt" 2>"$mdir/replay.stderr.txt"
   rc=$?
   set -e
   if [[ $rc -ne 3 ]]; then
@@ -369,7 +372,12 @@ if [[ $quick -eq 0 ]]; then
     cat "$mdir/replay.txt" >&2 || true
     exit 1
   }
+  cmp "$mdir/replay.trace.jsonl" "$mdir/mc_retry-lossy-broken.trace.jsonl" || {
+    echo "error: a traced replay differs from the counterexample's trace" >&2
+    exit 1
+  }
   echo "mc smoke OK: ckpt-crash exhausted, broken fixture counterexample found and replayed"
+  echo "  (traced replay byte-identical to the counterexample trace)"
   rm -rf "$mdir"
 fi
 

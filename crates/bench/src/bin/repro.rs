@@ -30,7 +30,7 @@
 //! ```
 //!
 //! The run is decomposed into independent scenario cells and executed under
-//! the sweep supervisor (`bench::run_plan_supervised`): artefacts settle
+//! the sweep supervisor (`bench::run_plan`): artefacts settle
 //! sequentially in canonical paper order (cells fan out over `--jobs`
 //! workers inside each artefact), so stdout and every JSON artefact are
 //! byte-identical for any `--jobs` value. A panicking or watchdogged cell
@@ -57,8 +57,8 @@ use std::time::Duration;
 use bench::artifact::checksum_on_disk;
 use bench::journal::{run_fingerprint, Journal};
 use bench::{
-    read_journal, run_plan_supervised, write_json_atomic, ArtefactOutcome, CellOutcome,
-    McOverrides, RunPlan, RunScales, SupervisorConfig, SweepConfig, WriteOutcome,
+    read_journal, run_plan, write_json_atomic, ArtefactOutcome, CellOutcome, McOverrides, RunPlan,
+    RunScales, SupervisorConfig, WriteOutcome,
 };
 use des::{RingRecorder, TraceFilter, Tracer};
 use simmpi::{NetModel, RunOpts};
@@ -73,7 +73,9 @@ struct Opts {
     /// `--net-model`, when given.
     net_model: Option<NetModel>,
     json_dir: Option<PathBuf>,
-    sweep: SweepConfig,
+    /// Worker threads for scenario cells (`--serial` is 1, the default one
+    /// per available core).
+    jobs: usize,
     sup: SupervisorConfig,
     resume: bool,
     fsck: bool,
@@ -340,19 +342,12 @@ fn parse_args() -> Opts {
         Some(NetModel::Flow) => format!("{base_scale}+flow"),
         _ => base_scale.to_string(),
     };
-    let sweep = if serial {
-        SweepConfig::serial()
+    let jobs = if serial {
+        1
     } else {
-        match jobs {
-            Some(j) => SweepConfig::with_jobs(j),
-            None => SweepConfig::auto(),
-        }
+        jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     };
-    let sup = SupervisorConfig {
-        max_attempts: retries.saturating_add(1),
-        wall_limit,
-        verify_recovered: true,
-    };
+    let sup = SupervisorConfig { max_attempts: retries.saturating_add(1), wall_limit };
     // --max-cell-seconds doubles as the model checker's wall deadline.
     mc_overrides.deadline = wall_limit;
     Opts {
@@ -361,7 +356,7 @@ fn parse_args() -> Opts {
         scale_name,
         net_model,
         json_dir,
-        sweep,
+        jobs,
         sup,
         resume,
         fsck,
@@ -514,7 +509,7 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
             }
         };
     }
-    let (_, stats) = run_plan_supervised(plan, &opts.sweep, &opts.sup, &skip, |art| {
+    let (_, stats) = run_plan(plan, opts.jobs, &opts.sup, &skip, |art| {
         for r in &art.cells {
             let (status, failure) = match &r.outcome {
                 CellOutcome::Completed => ("ok", None),
@@ -547,15 +542,11 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
                     (Some((stem, content)), Some(dir)) => {
                         match write_json_atomic(&dir, stem, content) {
                             Ok((outcome, checksum)) => {
-                                let path = dir.join(format!("{stem}.json"));
-                                match outcome {
-                                    WriteOutcome::Written => {
-                                        eprintln!("wrote {}", path.display())
-                                    }
-                                    WriteOutcome::Unchanged => {
-                                        eprintln!("unchanged {}", path.display())
-                                    }
-                                }
+                                let verb = match outcome {
+                                    WriteOutcome::Written => "wrote",
+                                    WriteOutcome::Unchanged => "unchanged",
+                                };
+                                eprintln!("{verb} {}", dir.join(format!("{stem}.json")).display());
                                 journal_try!(|j: &mut Journal| j.artifact_json(
                                     art.key,
                                     stem,
@@ -653,7 +644,8 @@ fn run_mc(opts: &Opts, run: &RunOpts, name: &str) -> i32 {
     // the trace of the minimized failing schedule.
     let dir = opts.json_dir.clone().unwrap_or_else(|| PathBuf::from("repro_out"));
     let rec = Arc::new(RingRecorder::with_capacity(TRACE_CAPACITY).with_filter(opts.trace_filter));
-    let replayed = sc.replay(&cfg, ce.decisions.clone(), Some(rec.clone()), run);
+    let traced = RunOpts { tracer: Some(rec.clone()), ..run.clone() };
+    let replayed = sc.replay(&cfg, ce.decisions.clone(), &traced);
     if let Some(d) = &replayed.divergence {
         eprintln!("warning: counterexample replay diverged: {d}");
     }
@@ -679,10 +671,9 @@ fn run_mc_replay(run: &RunOpts, path: &Path) -> i32 {
         .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", path.display())));
     let parsed = bench::parse_counterexample(&text).unwrap_or_else(|e| die(&e));
     let sc = bench::mc_scenario(&parsed.scenario).expect("parse validated the scenario");
-    // No controller-carried tracer: with `--trace` the run's recorder
-    // captures the replayed run and is dumped on exit like any other run's
-    // trace.
-    let rep = sc.replay(&parsed.config, parsed.decisions, None, run);
+    // With `--trace` the run's recorder captures the replayed run and is
+    // dumped on exit like any other run's trace.
+    let rep = sc.replay(&parsed.config, parsed.decisions, run);
     print!("{}", bench::mc::render_replay(&parsed.scenario, &rep));
     match rep.outcome {
         des::mc::RunOutcome::Violation { .. } => EXIT_DEGRADED,
@@ -760,42 +751,44 @@ fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
         }
     };
     let mut repair_failed = false;
-    let (_, _stats) =
-        run_plan_supervised(plan, &opts.sweep, &opts.sup, &|_| false, |art| match &art.outcome {
-            ArtefactOutcome::Completed(out) => {
-                if let Some((stem, content)) = &out.json {
-                    match write_json_atomic(dir, stem, content) {
-                        Ok((_, checksum)) => {
-                            eprintln!(
-                                "fsck: re-derived {}",
-                                dir.join(format!("{stem}.json")).display()
+    let (_, _stats) = run_plan(plan, opts.jobs, &opts.sup, &|_| false, |art| match &art.outcome {
+        ArtefactOutcome::Completed(out) => {
+            if let Some((stem, content)) = &out.json {
+                match write_json_atomic(dir, stem, content) {
+                    Ok((_, checksum)) => {
+                        eprintln!(
+                            "fsck: re-derived {}",
+                            dir.join(format!("{stem}.json")).display()
+                        );
+                        // A failed journal append leaves the repaired file
+                        // verifiable on disk; only a failed write is a
+                        // failed repair.
+                        if let Some(j) = journal.as_mut() {
+                            let _ = j.artifact_json(
+                                art.key,
+                                stem,
+                                content.len() as u64,
+                                &checksum,
+                                false,
                             );
-                            if let Some(j) = journal.as_mut() {
-                                let _ = j.artifact_json(
-                                    art.key,
-                                    stem,
-                                    content.len() as u64,
-                                    &checksum,
-                                    false,
-                                );
-                            }
                         }
-                        Err(e) => {
-                            eprintln!("error: failed to persist re-derived {}: {e}", art.key);
-                            repair_failed = true;
-                        }
+                    }
+                    Err(e) => {
+                        eprintln!("error: failed to persist re-derived {}: {e}", art.key);
+                        repair_failed = true;
                     }
                 }
             }
-            ArtefactOutcome::Skipped => unreachable!("fsck skips nothing"),
-            ArtefactOutcome::Failed => {
-                eprintln!("error: artefact {} still fails to derive:", art.key);
-                for (label, brief) in art.quarantined() {
-                    eprintln!("  {label}: {brief}");
-                }
-                repair_failed = true;
+        }
+        ArtefactOutcome::Skipped => unreachable!("fsck skips nothing"),
+        ArtefactOutcome::Failed => {
+            eprintln!("error: artefact {} still fails to derive:", art.key);
+            for (label, brief) in art.quarantined() {
+                eprintln!("  {label}: {brief}");
             }
-        });
+            repair_failed = true;
+        }
+    });
     if repair_failed {
         eprintln!("fsck: some artefacts could NOT be repaired");
     } else {
@@ -811,12 +804,13 @@ fn main() {
     }
     let tracer = trace_recorder(&opts);
     // The run's options, decided once here (`--fsck` takes the network
-    // model from the journal instead); every simulation of the run gets them
-    // on its job spec.
+    // model from the journal instead, and `--mc` adds each explored run's
+    // controller); every simulation of the run gets them on its job spec.
     let run = RunOpts {
         net_model: opts.net_model.unwrap_or_default(),
         event_budget: opts.event_budget,
         tracer: tracer.clone().map(|rec| rec as Arc<dyn Tracer>),
+        mc: None,
     };
     let mut code = if let Some(name) = &opts.mc {
         run_mc(&opts, &run, name)

@@ -41,7 +41,8 @@ pub fn run_fingerprint(items: &[String], scale: &str) -> String {
     fnv1a64_hex(blob.as_bytes())
 }
 
-fn esc(s: &str) -> String {
+/// `s` as a JSON string literal, quotes and escapes included.
+pub(crate) fn esc(s: &str) -> String {
     serde_json::to_string(&s).expect("string serialization")
 }
 
@@ -265,21 +266,26 @@ impl ResumeState {
     }
 }
 
-fn get<'v>(obj: &'v Value, key: &str) -> Option<&'v Value> {
+/// The field `key` of a JSON object; `None` for a missing key or a
+/// non-object. It and the typed readers below also serve the trace and
+/// counterexample parsers.
+pub(crate) fn get<'v>(obj: &'v Value, key: &str) -> Option<&'v Value> {
     match obj {
         Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
         _ => None,
     }
 }
 
-fn get_str(obj: &Value, key: &str) -> Option<String> {
+/// The string field `key`, if present and a string.
+pub(crate) fn get_str(obj: &Value, key: &str) -> Option<String> {
     match get(obj, key) {
         Some(Value::String(s)) => Some(s.clone()),
         _ => None,
     }
 }
 
-fn get_u64(obj: &Value, key: &str) -> Option<u64> {
+/// The non-negative integer field `key`, if present.
+pub(crate) fn get_u64(obj: &Value, key: &str) -> Option<u64> {
     match get(obj, key) {
         Some(Value::UInt(n)) => Some(*n),
         Some(Value::Int(n)) if *n >= 0 => Some(*n as u64),

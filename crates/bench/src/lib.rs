@@ -24,18 +24,18 @@
 #![warn(missing_docs)]
 
 //!
-//! The [`plan`]/[`sweep`] pair is the parallel deterministic sweep executor:
-//! [`RunPlan::from_items`] decomposes a run into independent scenario cells,
-//! [`run_plan`] fans them out over a rayon pool and merges in canonical
-//! order, so `repro --jobs N` output is byte-identical to `--serial`.
-//!
-//! The [`supervisor`]/[`journal`]/[`artifact`] trio hardens that executor:
-//! [`run_plan_supervised`] quarantines panicking cells (capturing payload and
-//! backtrace), bounds each cell with a wall-clock watchdog plus the DES event
-//! budget, retries failures with a bit-identity determinism check, journals
-//! every settled artefact to an fsync'd `_journal.jsonl`, and persists JSON
-//! through the atomic, checksummed [`artifact::write_json_atomic`] writer —
-//! the machinery behind `repro --resume` and `repro --fsck`.
+//! The [`plan`]/[`supervisor`] pair is the one plan executor, the code both
+//! `repro` and the in-process tests run: [`RunPlan::from_items`] decomposes
+//! a run into independent scenario cells, and [`run_plan`] settles the
+//! artefacts in canonical order, fanning each one's cells out over a rayon
+//! pool ([`run_cells`]), so `repro --jobs N` output is byte-identical to
+//! `--serial`. The executor quarantines panicking cells (capturing payload
+//! and backtrace), bounds each cell with a wall-clock watchdog plus the DES
+//! event budget, and retries failures with a bit-identity determinism
+//! check. With [`journal`] and [`artifact`], `repro` journals every settled
+//! artefact to an fsync'd `_journal.jsonl` and persists JSON through the
+//! atomic, checksummed [`artifact::write_json_atomic`] writer — the
+//! machinery behind `repro --resume` and `repro --fsck`.
 //!
 //! The [`mc`] module is the bounded model checker behind `repro --mc`: each
 //! scenario closes a resilience protocol over a small world and exhaustively
@@ -54,7 +54,6 @@ pub mod mc;
 pub mod plan;
 mod resilience;
 pub mod supervisor;
-pub mod sweep;
 pub mod table;
 pub mod trace;
 
@@ -79,18 +78,15 @@ pub use mc::{
     counterexample_json, mc_scenario, mc_scenarios, parse_counterexample, McOverrides, McScenario,
     ParsedCounterexample,
 };
-pub use plan::{
-    run_plan, run_plan_supervised, ArtefactOut, ArtefactOutcome, RunPlan, RunScales,
-    SupervisedArtefact,
-};
+pub use plan::{run_plan, ArtefactOut, ArtefactOutcome, RunPlan, RunScales, SupervisedArtefact};
 pub use resilience::{
     resilience_cell, resilience_contrast, resilience_grid, resilience_study, resilience_study_from,
     ResilienceCell, ResilienceContrast, ResilienceStudy, INCIDENCE_GRID,
 };
 pub use supervisor::{
-    CellFailure, CellOutcome, CellReport, SupervisorConfig, SupervisorStats, WatchdogMargin,
+    run_cells, Cell, CellFailure, CellOutcome, CellReport, CellTiming, SupervisorConfig,
+    SupervisorStats, SweepStats, WatchdogMargin,
 };
-pub use sweep::{run_cells, Cell, CellTiming, SweepConfig, SweepStats};
 pub use trace::{
     fold_spans, parse_trace, read_trace, render_rank_table, write_trace, FoldedSpans, ParsedTrace,
     SpanEdge,

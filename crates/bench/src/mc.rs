@@ -2,8 +2,10 @@
 //!
 //! Each scenario wraps one PR-1 resilience protocol in a closed, small-world
 //! job, declares the nondeterminism to enumerate (delivery orderings, lossy
-//! drops, crash timings via [`des::mc::choose`]) and the predicates that must
+//! drops, crash timings via [`McCtl::choose`]) and the predicates that must
 //! hold, and hands the whole thing to the bounded explorer in [`des::mc`].
+//! Each explored run gets its controller on its [`RunOpts`], so it reaches
+//! exactly the jobs the scenario builds from those options.
 //! The `repro` binary drives it:
 //!
 //! ```text
@@ -21,14 +23,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use des::mc::{ChoiceKind, Counterexample, Decision, McConfig, McReport, ReplayReport, RunOutcome};
-use des::{FaultEvent, FaultKind, FaultPlan, SimError, SimTime, Tracer};
+use des::mc::{
+    ChoiceKind, Counterexample, Decision, McConfig, McCtl, McReport, ReplayReport, RunOutcome,
+};
+use des::{FaultEvent, FaultKind, FaultPlan, SimError, SimTime};
 use hpc_apps::hpl::HplConfig;
 use hpc_apps::resilience::{run_hpl_resilient, ResilienceConfig, ResilienceReport};
 use netsim::TopologySpec;
 use serde::{Serialize, Value};
 use simmpi::{run_mpi, JobSpec, MpiFault, Msg, RunOpts};
 use soc_arch::Platform;
+
+use crate::journal::{get, get_str, get_u64};
 
 /// CLI-level overrides applied on top of a scenario's base [`McConfig`].
 #[derive(Clone, Debug, Default)]
@@ -69,24 +75,28 @@ impl McScenario {
 
     /// Run the bounded search under `cfg` (obtain it from
     /// [`McScenario::config`] so overrides apply). Every explored run takes
-    /// its network model and tracer from `opts`; each scenario keeps its own
-    /// event budget.
+    /// its network model and tracer from `opts`, plus the run's controller;
+    /// each scenario keeps its own event budget.
     pub fn explore(&self, cfg: &McConfig, opts: &RunOpts) -> McReport {
-        des::mc::explore(cfg, &mut || (self.run)(opts))
+        des::mc::explore(cfg, &mut |ctl| (self.run)(&under(opts, ctl)))
     }
 
-    /// Replay a recorded decision prefix through this scenario under `opts`,
-    /// feeding the run's trace to `tracer` (the counterexample artefact
-    /// pipeline) in preference to the tracer of `opts`.
-    pub fn replay(
-        &self,
-        cfg: &McConfig,
-        decisions: Vec<Decision>,
-        tracer: Option<Arc<dyn Tracer>>,
-        opts: &RunOpts,
-    ) -> ReplayReport {
-        des::mc::replay(cfg, decisions, tracer, &mut || (self.run)(opts))
+    /// Replay a recorded decision prefix through this scenario under `opts`
+    /// (a counterexample's trace is recorded through `opts.tracer`).
+    pub fn replay(&self, cfg: &McConfig, decisions: Vec<Decision>, opts: &RunOpts) -> ReplayReport {
+        des::mc::replay(cfg, decisions, &mut |ctl| (self.run)(&under(opts, ctl)))
     }
+}
+
+/// `opts` with `ctl` as the model-checking controller.
+fn under(opts: &RunOpts, ctl: &Arc<McCtl>) -> RunOpts {
+    RunOpts { mc: Some(Arc::clone(ctl)), ..opts.clone() }
+}
+
+/// An `arity`-way environment choice made by the run's controller; the
+/// default branch 0 when `opts` carries none.
+fn choose(opts: &RunOpts, arity: u32) -> u32 {
+    opts.mc.as_ref().map_or(0, |ctl| ctl.choose(arity))
 }
 
 /// Every scenario `repro --mc` accepts.
@@ -221,7 +231,7 @@ fn retry_lossy_broken_cfg() -> McConfig {
 }
 
 /// A deliberately broken stop-and-wait: the sender may retransmit a sequence
-/// number it already delivered ([`des::mc::choose`] models the spurious
+/// number it already delivered (a [`McCtl::choose`] models the spurious
 /// timeout) and the receiver does not deduplicate — the model checker must
 /// find the duplicate delivery.
 fn retry_lossy_broken_run(opts: &RunOpts) -> RunOutcome {
@@ -233,7 +243,7 @@ fn retry_lossy_broken_run(opts: &RunOpts) -> RunOutcome {
         if r.rank() == 0 {
             for i in 0..BROKEN_MSGS {
                 r.send(1, i, Msg::from_u64s(&[i as u64])).await;
-                if des::mc::choose(2) == 1 {
+                if choose(&r.spec().opts, 2) == 1 {
                     // The bug: a spurious retransmission of the same
                     // sequence number, with no receiver-side dedup.
                     r.send(1, i, Msg::from_u64s(&[i as u64])).await;
@@ -332,7 +342,7 @@ fn ckpt_crash_cfg() -> McConfig {
 fn ckpt_crash_run(opts: &RunOpts) -> RunOutcome {
     // One crash of node 1 at one of six instants spanning the ~1.1 ms
     // checkpointed factorisation, including mid-checkpoint-write windows.
-    let slot = des::mc::choose(6);
+    let slot = choose(opts, 6);
     let at = SimTime::from_micros(200 + 200 * slot as u64);
     let plan =
         FaultPlan::from_events(vec![FaultEvent { at, kind: FaultKind::NodeCrash { node: 1 } }]);
@@ -353,9 +363,9 @@ fn spare_race_run(opts: &RunOpts) -> RunOutcome {
     // second strikes either the surviving original node 0 or the spare
     // (node 2) just promoted in node 1's place, at every combination of a
     // 4x4 timing grid. Completion is mandatory in every branch.
-    let a = des::mc::choose(4);
-    let b = des::mc::choose(4);
-    let second_on_spare = des::mc::choose(2) == 1;
+    let a = choose(opts, 4);
+    let b = choose(opts, 4);
+    let second_on_spare = choose(opts, 2) == 1;
     let t1 = SimTime::from_micros(200 + 250 * a as u64);
     let t2 = t1 + SimTime::from_micros(150 + 150 * b as u64);
     let second_node = if second_on_spare { 2 } else { 0 };
@@ -511,48 +521,25 @@ pub fn counterexample_json(scenario: &str, cfg: &McConfig, ce: &Counterexample) 
     serde_json::to_string_pretty(&file).expect("counterexample serialization")
 }
 
-fn get<'v>(obj: &'v Value, key: &str) -> Option<&'v Value> {
-    match obj {
-        Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn get_u64(obj: &Value, key: &str) -> Option<u64> {
-    match get(obj, key)? {
-        Value::UInt(n) => Some(*n),
-        Value::Int(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn get_str<'v>(obj: &'v Value, key: &str) -> Option<&'v str> {
-    match get(obj, key)? {
-        Value::String(s) => Some(s.as_str()),
-        _ => None,
-    }
-}
-
 /// Parse a counterexample file produced by [`counterexample_json`],
 /// reconstructing the scenario's base configuration with the recorded
 /// alignment knobs applied.
 pub fn parse_counterexample(text: &str) -> Result<ParsedCounterexample, String> {
     let doc =
         serde_json::from_str(text).map_err(|e| format!("malformed counterexample file: {e}"))?;
-    if get_str(&doc, "kind") != Some("mc_counterexample") {
+    let kind = get_str(&doc, "kind");
+    if kind.as_deref() != Some("mc_counterexample") {
         return Err(format!(
             "not a counterexample file (kind = {:?})",
-            get_str(&doc, "kind").unwrap_or("<missing>")
+            kind.as_deref().unwrap_or("<missing>")
         ));
     }
     match get_u64(&doc, "version") {
         Some(1) => {}
         v => return Err(format!("unsupported counterexample version {v:?}")),
     }
-    let scenario =
-        get_str(&doc, "scenario").ok_or("counterexample file lacks a scenario name")?.to_string();
-    let property =
-        get_str(&doc, "property").ok_or("counterexample file lacks a property")?.to_string();
+    let scenario = get_str(&doc, "scenario").ok_or("counterexample file lacks a scenario name")?;
+    let property = get_str(&doc, "property").ok_or("counterexample file lacks a property")?;
     let sc = mc_scenario(&scenario)
         .ok_or_else(|| format!("unknown scenario '{scenario}' in counterexample file"))?;
     let cfg_obj = get(&doc, "config").ok_or("counterexample file lacks a config block")?;
@@ -573,7 +560,7 @@ pub fn parse_counterexample(text: &str) -> Result<ParsedCounterexample, String> 
         .enumerate()
         .map(|(i, d)| {
             let kind = get_str(d, "kind")
-                .and_then(ChoiceKind::parse)
+                .and_then(|k| ChoiceKind::parse(&k))
                 .ok_or_else(|| format!("decision {i} has an unknown kind"))?;
             let chosen =
                 get_u64(d, "chosen").ok_or_else(|| format!("decision {i} lacks chosen"))?;
@@ -616,7 +603,7 @@ mod tests {
         let parsed = parse_counterexample(&text).expect("round-trip parse");
         assert_eq!(parsed.scenario, sc.name);
         assert_eq!(parsed.decisions, ce.decisions);
-        let rep = sc.replay(&parsed.config, parsed.decisions, None, &RunOpts::default());
+        let rep = sc.replay(&parsed.config, parsed.decisions, &RunOpts::default());
         assert!(
             matches!(&rep.outcome, RunOutcome::Violation { property, .. }
                 if *property == ce.property),

@@ -6,12 +6,14 @@
 //!
 //! 1. [`RunPlan::from_items`] enumerates cells in a fixed order that depends
 //!    only on the requested items and scales — never on the host.
-//! 2. [`run_plan`] executes the cells on [`run_cells`], which returns outputs
-//!    in enumeration order regardless of scheduling.
+//! 2. [`run_plan`] executes each artefact's cells on [`run_cells`], which
+//!    returns outputs in enumeration order regardless of scheduling.
 //! 3. Each artefact's merge closure sees exactly its own cells, in order, and
 //!    produces the same rendered blocks and JSON the old serial generators
 //!    produced.
 //!
+//! [`run_plan`] is the one plan executor: `repro` runs it, and so does every
+//! in-process test, so the bytes the tests pin are the bytes users get.
 //! Wall-clock timings and cache counters are nondeterministic and live only
 //! in [`SweepStats`] — they never enter an artefact.
 //!
@@ -46,9 +48,9 @@ use crate::resilience::{
     ResilienceContrast,
 };
 use crate::supervisor::{
-    run_cells_supervised, stats_from_reports, CellReport, SupervisorConfig, SupervisorStats,
+    run_cells, stats_from_reports, Cell, CellReport, CellTiming, SupervisorConfig, SupervisorStats,
+    SweepStats,
 };
-use crate::sweep::{run_cells, Cell, CellTiming, SweepConfig, SweepStats};
 use crate::{Fig1, Fig2, Fig34, Fig5};
 
 /// Problem scales for the scale-dependent artefacts (Fig 6, HPL, resilience).
@@ -708,34 +710,7 @@ impl RunPlan {
     }
 }
 
-/// Execute a plan on the sweep executor and merge every artefact in
-/// canonical order. The returned artefacts (text blocks and JSON) are
-/// byte-identical for any worker count; only the stats vary.
-pub fn run_plan(plan: RunPlan, cfg: &SweepConfig) -> (Vec<ArtefactOut>, SweepStats) {
-    let mut flat: Vec<Cell<CellOutput>> = Vec::new();
-    let mut spans = Vec::with_capacity(plan.artefacts.len());
-    let mut merges = Vec::with_capacity(plan.artefacts.len());
-    for a in plan.artefacts {
-        let start = flat.len();
-        flat.extend(a.cells);
-        spans.push(start..flat.len());
-        merges.push(a.merge);
-    }
-
-    let (mut outputs, stats) = run_cells(flat, cfg);
-
-    // Drain back-to-front so each merge can take ownership of its span
-    // without reshuffling the rest.
-    let mut artefacts: Vec<ArtefactOut> = Vec::with_capacity(merges.len());
-    for (span, merge) in spans.into_iter().zip(merges).rev() {
-        let outs: Vec<CellOutput> = outputs.split_off(span.start);
-        artefacts.push(merge(outs));
-    }
-    artefacts.reverse();
-    (artefacts, stats)
-}
-
-/// One artefact's outcome under supervised execution.
+/// One artefact's outcome under [`run_plan`].
 pub enum ArtefactOutcome {
     /// Every cell produced a trustworthy output and the merge ran.
     Completed(ArtefactOut),
@@ -746,7 +721,7 @@ pub enum ArtefactOutcome {
     Failed,
 }
 
-/// Result of one artefact under [`run_plan_supervised`].
+/// Result of one artefact under [`run_plan`].
 pub struct SupervisedArtefact {
     /// Stable artefact key.
     pub key: &'static str,
@@ -775,40 +750,41 @@ impl SupervisedArtefact {
     }
 }
 
-/// Execute a plan under the sweep supervisor.
+/// Execute a plan on the sweep executor with `jobs` workers (`0` is clamped
+/// to 1).
 ///
 /// Artefacts run sequentially in canonical paper order (cells within an
-/// artefact still fan out over `cfg.jobs` workers), and `on_artefact` fires
-/// as soon as each artefact settles — the `repro` binary prints, persists,
-/// and journals incrementally, so an interrupted run leaves every finished
+/// artefact fan out over the workers), and `on_artefact` fires as soon as
+/// each artefact settles — the `repro` binary prints, persists, and
+/// journals incrementally, so an interrupted run leaves every finished
 /// artefact durably on disk. `skip` marks artefacts to resume past; a
 /// quarantined cell fails only its own artefact, every other artefact
-/// completes, and deterministic outputs remain byte-identical to
-/// [`run_plan`] for any worker count.
+/// completes, and the merged artefacts (text blocks and JSON) are
+/// byte-identical for any worker count; only the stats vary.
 ///
 /// ```
-/// use bench::{run_plan_supervised, RunPlan, RunScales, SupervisorConfig, SweepConfig};
+/// use bench::{run_plan, RunPlan, RunScales, SupervisorConfig};
 /// use simmpi::RunOpts;
 ///
 /// let plan = RunPlan::from_items(&["table3".to_string()], &RunScales::golden(), &RunOpts::default());
-/// let (artefacts, stats) = run_plan_supervised(
+/// let (artefacts, stats) = run_plan(
 ///     plan,
-///     &SweepConfig::serial(),
-///     &SupervisorConfig::default(),
+///     1,
+///     &SupervisorConfig::single_attempt(),
 ///     &|_key| false, // nothing to resume past
 ///     |art| assert_eq!(art.key, "table3"),
 /// );
 /// assert_eq!(artefacts.len(), 1);
 /// assert_eq!(stats.supervisor.quarantined, 0);
 /// ```
-pub fn run_plan_supervised(
+pub fn run_plan(
     plan: RunPlan,
-    cfg: &SweepConfig,
+    jobs: usize,
     sup: &SupervisorConfig,
     skip: &dyn Fn(&'static str) -> bool,
     mut on_artefact: impl FnMut(&SupervisedArtefact),
 ) -> (Vec<SupervisedArtefact>, SweepStats) {
-    let jobs = cfg.jobs.max(1);
+    let jobs = jobs.max(1);
     let started = Instant::now();
     let cache_before = cache_counters();
     let mut results = Vec::with_capacity(plan.artefacts.len());
@@ -830,7 +806,7 @@ pub fn run_plan_supervised(
             continue;
         }
         executed += a.cells.len();
-        let (outs, reports) = run_cells_supervised(a.cells, cfg, sup, classify_cell, digest_cell);
+        let (outs, reports) = run_cells(a.cells, jobs, sup, classify_cell, digest_cell);
         cell_timings.extend(
             reports.iter().map(|r| CellTiming { label: r.label.clone(), wall_ms: r.wall_ms }),
         );
@@ -865,6 +841,21 @@ mod tests {
     fn golden_plan(keys: &[&str]) -> RunPlan {
         let items: Vec<String> = keys.iter().map(|s| s.to_string()).collect();
         RunPlan::from_items(&items, &RunScales::golden(), &RunOpts::default())
+    }
+
+    /// Run `plan` on `jobs` workers, one attempt per cell; every artefact
+    /// must complete.
+    fn completed(plan: RunPlan, jobs: usize) -> (Vec<ArtefactOut>, SweepStats) {
+        let (arts, stats) =
+            run_plan(plan, jobs, &SupervisorConfig::single_attempt(), &|_| false, |_| {});
+        let outs = arts
+            .into_iter()
+            .map(|a| match a.outcome {
+                ArtefactOutcome::Completed(out) => out,
+                _ => panic!("{} did not complete: {:?}", a.key, a.quarantined()),
+            })
+            .collect();
+        (outs, stats)
     }
 
     #[test]
@@ -910,8 +901,8 @@ mod tests {
         // The tentpole invariant on a cheap subset: renders and JSON from a
         // multi-worker run are byte-identical to the serial schedule.
         let mk = || golden_plan(&["fig3", "fig5", "fig7"]);
-        let (serial, s1) = run_plan(mk(), &SweepConfig::serial());
-        let (parallel, s8) = run_plan(mk(), &SweepConfig::with_jobs(8));
+        let (serial, s1) = completed(mk(), 1);
+        let (parallel, s8) = completed(mk(), 8);
         assert_eq!(s1.cells, s8.cells);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
@@ -941,8 +932,17 @@ mod tests {
 
     #[test]
     fn fig34_plan_output_matches_direct_generator() {
-        let (arts, _) = run_plan(golden_plan(&["fig4"]), &SweepConfig::with_jobs(4));
+        let (arts, _) = completed(golden_plan(&["fig4"]), 4);
         assert_eq!(arts.len(), 1);
         assert_eq!(arts[0].blocks, vec![crate::fig4().render()]);
+    }
+
+    #[test]
+    fn zero_workers_clamp_to_one_and_the_summary_says_so() {
+        let (_, stats) = completed(golden_plan(&["fig1", "table1", "table2"]), 0);
+        assert_eq!((stats.jobs, stats.cells, stats.cell_timings.len()), (1, 3, 3));
+        let s = stats.summary();
+        assert!(s.contains("3 cells on 1 worker in"), "{s}");
+        assert!(s.contains("hit rate"), "{s}");
     }
 }

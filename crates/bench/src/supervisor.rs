@@ -1,36 +1,110 @@
-//! The sweep supervisor: crash-isolated, watchdogged, retrying cell
-//! execution.
+//! The sweep executor: crash-isolated, watchdogged, retrying, parallel and
+//! deterministic cell execution.
 //!
-//! [`run_cells_supervised`] is the hardened sibling of
-//! [`run_cells`](crate::run_cells). Each cell attempt runs under
-//! `catch_unwind` with a chained panic hook that captures the payload,
-//! location, and a backtrace, so one poisoned cell is *quarantined* (its
-//! report carries the evidence) while every other cell completes. A
-//! wall-clock watchdog bounds each attempt when configured — the attempt
-//! runs on a sacrificial thread and is abandoned on deadline (the simulated
-//! workload itself is bounded by the DES event budget, see
-//! `des::SimError::EventBudgetExhausted`, so a leaked attempt cannot spin
-//! forever). Failed cells are retried a bounded number of times; a cell
-//! that *recovers* is immediately re-executed and must reproduce a
-//! bit-identical output digest, otherwise it is quarantined as
+//! Every paper artefact decomposes into independent *cells* — one DES run,
+//! one DVFS series, one ping-pong panel, one fault-injection grid point.
+//! [`run_cells`] fans cells out over a rayon thread pool and writes each
+//! result into its pre-assigned slot, so callers always see results in
+//! specification order no matter which worker finished first: output on any
+//! worker count is byte-identical to the serial schedule.
+//!
+//! Each cell attempt runs under `catch_unwind` with a chained panic hook
+//! that captures the payload, location, and a backtrace, so one poisoned
+//! cell is *quarantined* (its report carries the evidence) while every
+//! other cell completes. A wall-clock watchdog bounds each attempt when
+//! configured — the attempt runs on a sacrificial thread and is abandoned
+//! on deadline (the simulated workload itself is bounded by the DES event
+//! budget, see `des::SimError::EventBudgetExhausted`, so a leaked attempt
+//! cannot spin forever). Failed cells are retried a bounded number of
+//! times; a cell that *recovers* is immediately re-executed and must
+//! reproduce a bit-identical output digest, otherwise it is quarantined as
 //! nondeterministic — a retry must never smuggle flaky bytes into a
 //! byte-compared artefact.
 //!
 //! All nondeterministic observations (attempt counts, wall clocks, watchdog
-//! margins) live in [`CellReport`]/[`SupervisorStats`]; cell outputs remain
-//! deterministic.
+//! margins, timing-cache counters) live in [`CellReport`],
+//! [`SupervisorStats`] and [`SweepStats`], which callers must never mix
+//! into byte-compared artefacts; cell outputs remain deterministic.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Mutex, Once};
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
+use soc_arch::CacheCounters;
 
-use crate::sweep::{Cell, SweepConfig};
+/// One schedulable unit of work: a label for the stats report plus the
+/// closure that computes the cell's output.
+///
+/// The body is a re-runnable `Fn` (shared via `Arc`) rather than a `FnOnce`:
+/// the supervisor retries failed cells and re-executes recovered ones to
+/// verify determinism, so a cell must produce the same output however many
+/// times it runs.
+pub struct Cell<O> {
+    /// Human-readable cell identity, e.g. `fig6/HPL/n=96`.
+    pub label: String,
+    /// The cell body. May run more than once (retry, determinism check); it
+    /// must be a pure function of its captures.
+    pub run: Arc<dyn Fn() -> O + Send + Sync>,
+}
 
-/// Retry/watchdog policy for a supervised sweep.
+impl<O> Cell<O> {
+    /// Convenience constructor.
+    pub fn new(label: impl Into<String>, run: impl Fn() -> O + Send + Sync + 'static) -> Self {
+        Cell { label: label.into(), run: Arc::new(run) }
+    }
+}
+
+/// Wall-clock timing of one executed cell (reporting only — never part of
+/// the deterministic artefact bytes).
+#[derive(Clone, Debug, Serialize)]
+pub struct CellTiming {
+    /// The cell's label.
+    pub label: String,
+    /// Wall-clock milliseconds the cell took, over all its attempts.
+    pub wall_ms: f64,
+}
+
+/// Execution report of one run, serialized as `_sweep_stats.json`: worker
+/// count, wall clock, per-cell timings, the timing-cache counter movement
+/// over the run, and the supervisor's outcomes. The performance ledger
+/// parses this file, so its keys and their order are fixed.
+#[derive(Clone, Debug, Serialize)]
+pub struct SweepStats {
+    /// Worker threads used.
+    pub jobs: usize,
+    /// Number of cells executed.
+    pub cells: usize,
+    /// Total wall-clock seconds for the whole run.
+    pub wall_s: f64,
+    /// Timing-cache hits/misses incurred by this run.
+    pub timing_cache: CacheCounters,
+    /// Per-cell wall-clock timings, in specification order.
+    pub cell_timings: Vec<CellTiming>,
+    /// Supervisor outcomes (quarantines, retries, resume skips, watchdog
+    /// margins).
+    pub supervisor: SupervisorStats,
+}
+
+impl SweepStats {
+    /// One-line human summary for stderr.
+    pub fn summary(&self) -> String {
+        format!(
+            "sweep: {} cells on {} worker{} in {:.2}s; timing cache {} hits / {} misses ({:.0}% hit rate)",
+            self.cells,
+            self.jobs,
+            if self.jobs == 1 { "" } else { "s" },
+            self.wall_s,
+            self.timing_cache.hits,
+            self.timing_cache.misses,
+            100.0 * self.timing_cache.hit_rate(),
+        )
+    }
+}
+
+/// Retry/watchdog policy for a sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
     /// Maximum executions of a failing cell (1 = no retry).
@@ -38,13 +112,14 @@ pub struct SupervisorConfig {
     /// Wall-clock deadline per attempt. `None` disables the wall watchdog
     /// (the DES event budget still bounds simulated work).
     pub wall_limit: Option<Duration>,
-    /// Re-run recovered cells and require a bit-identical output digest.
-    pub verify_recovered: bool,
 }
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig { max_attempts: 2, wall_limit: None, verify_recovered: true }
+impl SupervisorConfig {
+    /// One attempt per cell and no wall watchdog: any panic or typed fault
+    /// quarantines its cell at once, with no retry to mask it. In-process
+    /// tests run the executor this way, so a one-off failure fails them.
+    pub const fn single_attempt() -> Self {
+        SupervisorConfig { max_attempts: 1, wall_limit: None }
     }
 }
 
@@ -91,8 +166,8 @@ impl CellFailure {
 pub enum CellOutcome {
     /// Succeeded on the first attempt.
     Completed,
-    /// Failed at least once, then succeeded and (if configured) reproduced
-    /// its output bit-identically.
+    /// Failed at least once, then succeeded and reproduced its output
+    /// bit-identically.
     Recovered,
     /// No trustworthy output; the last failure is attached.
     Quarantined {
@@ -112,6 +187,8 @@ pub struct CellReport {
     pub attempts: u32,
     /// Total wall-clock milliseconds across all attempts.
     pub wall_ms: f64,
+    /// Wall-clock milliseconds of the slowest single attempt.
+    pub slowest_attempt_ms: f64,
     /// Failures of non-final attempts (evidence for the report even when
     /// the cell eventually recovered).
     pub earlier_failures: Vec<String>,
@@ -284,103 +361,61 @@ fn supervise_cell<O: Send + 'static>(
     classify: fn(&O) -> Option<String>,
     digest: fn(&O) -> u64,
 ) -> (Option<O>, CellReport) {
-    let mut attempts = 0u32;
-    let mut total_ms = 0.0;
-    let mut slowest_ms = 0.0f64;
-    let mut earlier_failures = Vec::new();
-    let report = |outcome, attempts, total_ms, earlier_failures| CellReport {
+    let mut report = CellReport {
         label: cell.label.clone(),
-        outcome,
-        attempts,
-        wall_ms: total_ms,
-        earlier_failures,
+        outcome: CellOutcome::Completed,
+        attempts: 0,
+        wall_ms: 0.0,
+        slowest_attempt_ms: 0.0,
+        earlier_failures: Vec::new(),
     };
-    loop {
-        attempts += 1;
+    let attempt = |report: &mut CellReport| {
         let (result, ms) = run_attempt(cell, sup, classify);
-        total_ms += ms;
-        slowest_ms = slowest_ms.max(ms);
-        match result {
-            Ok(out) => {
-                if attempts == 1 {
-                    return (
-                        Some(out),
-                        report(CellOutcome::Completed, 1, total_ms, earlier_failures),
-                    );
-                }
-                // Recovered after a failure: the retry's bytes enter a
-                // byte-compared artefact, so prove they are reproducible.
-                if sup.verify_recovered {
-                    attempts += 1;
-                    let (verify, vms) = run_attempt(cell, sup, classify);
-                    total_ms += vms;
-                    match verify {
-                        Ok(v) if digest(&v) == digest(&out) => {}
-                        Ok(_) => {
-                            return (
-                                None,
-                                report(
-                                    CellOutcome::Quarantined {
-                                        failure: CellFailure::Nondeterministic,
-                                    },
-                                    attempts,
-                                    total_ms,
-                                    earlier_failures,
-                                ),
-                            );
-                        }
-                        Err(f) => {
-                            return (
-                                None,
-                                report(
-                                    CellOutcome::Quarantined { failure: f },
-                                    attempts,
-                                    total_ms,
-                                    earlier_failures,
-                                ),
-                            );
-                        }
-                    }
-                }
-                return (
-                    Some(out),
-                    report(CellOutcome::Recovered, attempts, total_ms, earlier_failures),
-                );
+        report.attempts += 1;
+        report.wall_ms += ms;
+        report.slowest_attempt_ms = report.slowest_attempt_ms.max(ms);
+        result
+    };
+    let out = loop {
+        match attempt(&mut report) {
+            Ok(out) => break out,
+            Err(failure) if report.attempts >= sup.max_attempts => {
+                report.outcome = CellOutcome::Quarantined { failure };
+                return (None, report);
             }
-            Err(failure) => {
-                if attempts >= sup.max_attempts {
-                    return (
-                        None,
-                        report(
-                            CellOutcome::Quarantined { failure },
-                            attempts,
-                            total_ms,
-                            earlier_failures,
-                        ),
-                    );
-                }
-                earlier_failures.push(failure.brief());
-            }
+            Err(failure) => report.earlier_failures.push(failure.brief()),
         }
+    };
+    if report.attempts == 1 {
+        return (Some(out), report);
     }
+    // Recovered after a failure: the retry's bytes enter a byte-compared
+    // artefact, so prove they are reproducible.
+    report.outcome = match attempt(&mut report) {
+        Ok(again) if digest(&again) == digest(&out) => CellOutcome::Recovered,
+        Ok(_) => CellOutcome::Quarantined { failure: CellFailure::Nondeterministic },
+        Err(failure) => CellOutcome::Quarantined { failure },
+    };
+    (report.succeeded().then_some(out), report)
 }
 
-/// Execute `cells` under supervision on `cfg.jobs` workers.
+/// Execute `cells` under supervision on `jobs` workers (`0` is clamped to
+/// 1; `1` runs the cells front-to-back, the reference serial schedule).
 ///
 /// Returns per-cell outputs in specification order (`None` = quarantined)
 /// plus one [`CellReport`] per cell, also in order. `classify` maps an
 /// output to `Some(error message)` when the cell carries a typed failure
 /// (those are retried like panics); `digest` must be a pure fingerprint of
 /// the output, used to verify that recovered cells reproduce their bytes.
-pub fn run_cells_supervised<O: Send + 'static>(
+pub fn run_cells<O: Send + 'static>(
     cells: Vec<Cell<O>>,
-    cfg: &SweepConfig,
+    jobs: usize,
     sup: &SupervisorConfig,
     classify: fn(&O) -> Option<String>,
     digest: fn(&O) -> u64,
 ) -> (Vec<Option<O>>, Vec<CellReport>) {
     type Slot<O> = Mutex<Option<(Option<O>, CellReport)>>;
-    let jobs = cfg.jobs.max(1);
+    let jobs = jobs.max(1);
     let n = cells.len();
     let slots: Vec<Slot<O>> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
@@ -435,14 +470,11 @@ pub fn stats_from_reports(reports: &[CellReport], sup: &SupervisorConfig) -> Sup
         st.timeouts += timeout_attempts;
         if let Some(limit) = sup.wall_limit {
             let limit_ms = limit.as_secs_f64() * 1e3;
-            // Approximate the slowest attempt with the mean when retries
-            // happened; for the common single-attempt cell it is exact.
-            let attempt_ms = r.wall_ms / r.attempts.max(1) as f64;
             st.watchdog_margins.push(WatchdogMargin {
                 label: r.label.clone(),
-                attempt_ms,
+                attempt_ms: r.slowest_attempt_ms,
                 limit_ms,
-                margin: (1.0 - attempt_ms / limit_ms).max(0.0),
+                margin: (1.0 - r.slowest_attempt_ms / limit_ms).max(0.0),
             });
         }
     }
@@ -464,7 +496,32 @@ mod tests {
     }
 
     fn sup(max_attempts: u32) -> SupervisorConfig {
-        SupervisorConfig { max_attempts, wall_limit: None, verify_recovered: true }
+        SupervisorConfig { max_attempts, wall_limit: None }
+    }
+
+    fn squares(n: u64) -> Vec<Cell<u64>> {
+        (0..n).map(|i| Cell::new(format!("sq{i}"), move || i * i)).collect()
+    }
+
+    #[test]
+    fn outputs_are_in_spec_order_serial_and_parallel() {
+        let expect: Vec<Option<u64>> = (0..64).map(|i| Some(i * i)).collect();
+        let (serial, r1) = run_cells(squares(64), 1, &sup(1), no_error, id_digest);
+        let (parallel, r8) = run_cells(squares(64), 8, &sup(1), no_error, id_digest);
+        assert_eq!(serial, expect);
+        assert_eq!(parallel, expect);
+        for reports in [&r1, &r8] {
+            let labels: Vec<&str> = reports.iter().map(|r| r.label.as_str()).collect();
+            let want: Vec<String> = (0..64).map(|i| format!("sq{i}")).collect();
+            assert_eq!(labels, want);
+        }
+    }
+
+    #[test]
+    fn empty_sweep_is_fine_on_zero_workers() {
+        let (out, reports) = run_cells(Vec::<Cell<u64>>::new(), 0, &sup(1), no_error, id_digest);
+        assert!(out.is_empty());
+        assert!(reports.is_empty());
     }
 
     #[test]
@@ -474,8 +531,7 @@ mod tests {
             Cell::new("boom", || panic!("injected failure {}", 42)),
             Cell::new("ok/2", || 30),
         ];
-        let (outs, reports) =
-            run_cells_supervised(cells, &SweepConfig::with_jobs(2), &sup(1), no_error, id_digest);
+        let (outs, reports) = run_cells(cells, 2, &sup(1), no_error, id_digest);
         assert_eq!(outs[0], Some(10));
         assert_eq!(outs[1], None);
         assert_eq!(outs[2], Some(30));
@@ -502,8 +558,7 @@ mod tests {
             }
             7u64
         })];
-        let (outs, reports) =
-            run_cells_supervised(cells, &SweepConfig::serial(), &sup(2), no_error, id_digest);
+        let (outs, reports) = run_cells(cells, 1, &sup(2), no_error, id_digest);
         assert_eq!(outs[0], Some(7));
         assert!(matches!(reports[0].outcome, CellOutcome::Recovered));
         // failed attempt + success + verification run
@@ -523,8 +578,7 @@ mod tests {
             }
             n as u64 // different value every run: must not be trusted
         })];
-        let (outs, reports) =
-            run_cells_supervised(cells, &SweepConfig::serial(), &sup(2), no_error, id_digest);
+        let (outs, reports) = run_cells(cells, 1, &sup(2), no_error, id_digest);
         assert_eq!(outs[0], None);
         assert!(matches!(
             reports[0].outcome,
@@ -539,8 +593,7 @@ mod tests {
             (*o == u64::MAX).then(|| "event budget exhausted".to_string())
         }
         let cells = vec![Cell::new("budget", || u64::MAX)];
-        let (outs, reports) =
-            run_cells_supervised(cells, &SweepConfig::serial(), &sup(2), classify, id_digest);
+        let (outs, reports) = run_cells(cells, 1, &sup(2), classify, id_digest);
         assert_eq!(outs[0], None);
         match &reports[0].outcome {
             CellOutcome::Quarantined { failure: CellFailure::Error { message } } => {
@@ -554,11 +607,7 @@ mod tests {
 
     #[test]
     fn wall_watchdog_abandons_stuck_cells() {
-        let cfg = SupervisorConfig {
-            max_attempts: 1,
-            wall_limit: Some(Duration::from_millis(40)),
-            verify_recovered: true,
-        };
+        let cfg = SupervisorConfig { max_attempts: 1, wall_limit: Some(Duration::from_millis(40)) };
         let cells: Vec<Cell<u64>> = vec![
             Cell::new("stuck", || {
                 std::thread::sleep(Duration::from_secs(5));
@@ -567,8 +616,7 @@ mod tests {
             Cell::new("fast", || 2),
         ];
         let t0 = Instant::now();
-        let (outs, reports) =
-            run_cells_supervised(cells, &SweepConfig::with_jobs(2), &cfg, no_error, id_digest);
+        let (outs, reports) = run_cells(cells, 2, &cfg, no_error, id_digest);
         assert!(t0.elapsed() < Duration::from_secs(4), "watchdog failed to fire");
         assert_eq!(outs[0], None);
         assert_eq!(outs[1], Some(2));
@@ -581,6 +629,30 @@ mod tests {
         assert_eq!(st.watchdog_margins.len(), 2);
         let fast = &st.watchdog_margins[1];
         assert!(fast.margin > 0.5, "fast cell should have headroom: {fast:?}");
+    }
+
+    #[test]
+    fn watchdog_margin_is_set_by_the_slowest_attempt() {
+        // A slow first attempt that panics, then two instant ones (the
+        // retry and its verification re-run): the mean attempt is about a
+        // third of the slow one, but the headroom is the slow one's.
+        let cfg = SupervisorConfig { max_attempts: 2, wall_limit: Some(Duration::from_secs(10)) };
+        let tries = Arc::new(AtomicU32::new(0));
+        let t = tries.clone();
+        let cells = vec![Cell::new("slow-then-fast", move || {
+            if t.fetch_add(1, Ordering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_millis(30));
+                panic!("transient");
+            }
+            5u64
+        })];
+        let (outs, reports) = run_cells(cells, 1, &cfg, no_error, id_digest);
+        assert_eq!(outs[0], Some(5));
+        assert_eq!(reports[0].attempts, 3);
+        let st = stats_from_reports(&reports, &cfg);
+        let m = &st.watchdog_margins[0];
+        assert!(m.attempt_ms >= 30.0, "slowest attempt under-reported: {m:?}");
+        assert_eq!(m.attempt_ms, reports[0].slowest_attempt_ms);
     }
 
     #[test]

@@ -29,17 +29,12 @@ use std::collections::BTreeMap;
 use std::path::Path;
 
 use des::{TraceEvent, TraceRecord};
-use serde::Value;
 
 use crate::artifact::ArtifactIoError;
-use crate::journal::JsonlWriter;
+use crate::journal::{esc, get_str, get_u64, JsonlWriter};
 
 /// Trace file format version; bumped on incompatible record changes.
 pub const TRACE_VERSION: u64 = 1;
-
-fn esc(s: &str) -> String {
-    serde_json::to_string(&s).expect("string serialization")
-}
 
 /// Serialise one stamped record to its JSONL line (no trailing newline).
 ///
@@ -152,28 +147,6 @@ pub struct ParsedTrace {
     /// the recorder lost after its buffer filled. Non-zero means the trace
     /// is truncated at the tail and folded span times undercount.
     pub dropped: u64,
-}
-
-fn get<'v>(obj: &'v Value, key: &str) -> Option<&'v Value> {
-    match obj {
-        Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn get_str(obj: &Value, key: &str) -> Option<String> {
-    match get(obj, key) {
-        Some(Value::String(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn get_u64(obj: &Value, key: &str) -> Option<u64> {
-    match get(obj, key) {
-        Some(Value::UInt(n)) => Some(*n),
-        Some(Value::Int(n)) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
 }
 
 /// Parse trace `content` (see [`write_trace`]). Prefix-tolerant: parsing
@@ -358,7 +331,7 @@ mod tests {
         for (i, event) in events.into_iter().enumerate() {
             let rec = TraceRecord { at: SimTime::from_nanos(i as u64), seq: i as u64, event };
             let line = record_line(&rec);
-            let v: Value = serde_json::from_str(&line).expect("valid JSON");
+            let v: serde::Value = serde_json::from_str(&line).expect("valid JSON");
             assert_eq!(get_str(&v, "kind").as_deref(), Some(rec.event.kind()));
             assert_eq!(get_u64(&v, "at_ns"), Some(i as u64));
             assert_eq!(get_u64(&v, "seq"), Some(i as u64));

@@ -4,10 +4,7 @@
 //! panic — and every other cell completes. A cell that built its own job
 //! spec without the plan's options would run unbudgeted and complete.
 
-use bench::{
-    run_plan_supervised, CellFailure, CellOutcome, RunPlan, RunScales, SupervisorConfig,
-    SweepConfig,
-};
+use bench::{run_plan, CellFailure, CellOutcome, RunPlan, RunScales, SupervisorConfig};
 use simmpi::RunOpts;
 
 /// Every golden-scale cell that simulates a `simmpi` job, in plan order.
@@ -47,13 +44,7 @@ fn an_event_budget_reaches_every_simulating_cell() {
     let opts = RunOpts { event_budget: Some(1), ..RunOpts::default() };
     let plan = RunPlan::from_items(&["all".to_string()], &RunScales::golden(), &opts);
     let cells = plan.cell_count();
-    let (arts, _) = run_plan_supervised(
-        plan,
-        &SweepConfig::with_jobs(2),
-        &SupervisorConfig::default(),
-        &|_| false,
-        |_| {},
-    );
+    let (arts, _) = run_plan(plan, 2, &SupervisorConfig::single_attempt(), &|_| false, |_| {});
     let mut quarantined = Vec::new();
     let mut completed = 0;
     for cell in arts.iter().flat_map(|a| &a.cells) {

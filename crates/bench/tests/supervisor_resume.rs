@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 use bench::artifact::checksum_on_disk;
 use bench::journal::{parse_journal, run_fingerprint, Journal, JOURNAL_FILE};
 use bench::{
-    read_journal, run_plan_supervised, write_json_atomic, ArtefactOutcome, RunPlan, RunScales,
-    SupervisorConfig, SweepConfig,
+    read_journal, run_plan, write_json_atomic, ArtefactOutcome, RunPlan, RunScales,
+    SupervisorConfig,
 };
 use proptest::prelude::*;
 use simmpi::RunOpts;
@@ -93,14 +93,14 @@ fn resume_after_truncated_artifact_rederives_it_byte_identically() {
     let dir = tmpdir("resume_truncated");
     let items = strings(&["fig1", "fig2a", "fig5"]);
     let scales = RunScales::golden();
-    let sup = SupervisorConfig::default();
+    let sup = SupervisorConfig::single_attempt();
 
     // Reference run: persist every artefact and journal it.
     let mut journal = Journal::create(&dir, &items, "golden").unwrap();
     let run = |journal: &mut Journal, skip: &dyn Fn(&'static str) -> bool| {
         let mut executed: Vec<&'static str> = Vec::new();
         let plan = RunPlan::from_items(&items, &scales, &RunOpts::default());
-        run_plan_supervised(plan, &SweepConfig::serial(), &sup, skip, |art| match &art.outcome {
+        run_plan(plan, 1, &sup, skip, |art| match &art.outcome {
             ArtefactOutcome::Completed(out) => {
                 executed.push(art.key);
                 if let Some((stem, content)) = &out.json {
@@ -154,29 +154,25 @@ fn injected_panic_quarantines_one_artifact_and_spares_the_rest() {
     let hit_dir = tmpdir("quarantine_hit");
     let items = strings(&["fig1", "fig5", "table1"]);
     let scales = RunScales::golden();
-    let sup = SupervisorConfig::default();
+    let sup = SupervisorConfig::single_attempt();
 
-    let run =
-        |dir: &PathBuf, sabotage: bool| {
-            let mut plan = RunPlan::from_items(&items, &scales, &RunOpts::default());
-            if sabotage {
-                assert!(plan.inject_panic("fig5") > 0);
+    let run = |dir: &PathBuf, sabotage: bool| {
+        let mut plan = RunPlan::from_items(&items, &scales, &RunOpts::default());
+        if sabotage {
+            assert!(plan.inject_panic("fig5") > 0);
+        }
+        let mut failed: Vec<&'static str> = Vec::new();
+        let (arts, stats) = run_plan(plan, 4, &sup, &|_| false, |art| match &art.outcome {
+            ArtefactOutcome::Completed(out) => {
+                if let Some((stem, content)) = &out.json {
+                    write_json_atomic(dir, stem, content).unwrap();
+                }
             }
-            let mut failed: Vec<&'static str> = Vec::new();
-            let (arts, stats) =
-                run_plan_supervised(plan, &SweepConfig::with_jobs(4), &sup, &|_| false, |art| {
-                    match &art.outcome {
-                        ArtefactOutcome::Completed(out) => {
-                            if let Some((stem, content)) = &out.json {
-                                write_json_atomic(dir, stem, content).unwrap();
-                            }
-                        }
-                        ArtefactOutcome::Failed => failed.push(art.key),
-                        ArtefactOutcome::Skipped => {}
-                    }
-                });
-            (arts, stats, failed)
-        };
+            ArtefactOutcome::Failed => failed.push(art.key),
+            ArtefactOutcome::Skipped => {}
+        });
+        (arts, stats, failed)
+    };
 
     let (_, clean_stats, clean_failed) = run(&ref_dir, false);
     assert!(clean_failed.is_empty());

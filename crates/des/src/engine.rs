@@ -41,7 +41,7 @@
 //!
 //! Every scheduler action can be observed through the opt-in structured
 //! tracing layer (see [`crate::trace`]): install a [`Tracer`] with
-//! [`Engine::with_tracer`] and each spawn/resume/sleep/park/wake/finish is
+//! [`Engine::set_tracer`] and each spawn/resume/sleep/park/wake/finish is
 //! reported as a stamped [`crate::TraceRecord`]. Without a tracer the
 //! emission sites are a single `Option` check.
 
@@ -392,12 +392,6 @@ impl Engine {
         self.event_budget = budget;
     }
 
-    /// Builder-style [`Engine::set_event_budget`].
-    pub fn with_event_budget(mut self, budget: Option<u64>) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
     /// Install a [`Tracer`] that observes every scheduler action (see
     /// [`crate::trace`]). Tracing is purely observational — it never changes
     /// event ordering, virtual timestamps, or any simulation result.
@@ -411,12 +405,6 @@ impl Engine {
             .expect("set_tracer must be called before any process is spawned");
         shared.trace_mask = tracer.interest();
         shared.tracer = Some(tracer);
-    }
-
-    /// Builder-style [`Engine::set_tracer`].
-    pub fn with_tracer(mut self, tracer: Arc<dyn Tracer>) -> Self {
-        self.set_tracer(tracer);
-        self
     }
 
     /// Attach a model-checking controller (see [`mc`](crate::mc)). The
@@ -1278,7 +1266,8 @@ mod tests {
     #[test]
     fn generous_event_budget_changes_nothing() {
         let run = |budget: Option<u64>| {
-            let mut eng = Engine::new().with_event_budget(budget);
+            let mut eng = Engine::new();
+            eng.set_event_budget(budget);
             eng.spawn_process("p", |ctx| async move {
                 for _ in 0..10 {
                     ctx.advance(SimTime::from_micros(3)).await;
@@ -1335,7 +1324,8 @@ mod tests {
     fn budget_exhaustion_is_traced() {
         use crate::trace::{RingRecorder, TraceEvent};
         let rec = Arc::new(RingRecorder::with_capacity(1024));
-        let mut eng = Engine::new().with_tracer(rec.clone());
+        let mut eng = Engine::new();
+        eng.set_tracer(rec.clone());
         eng.set_event_budget(Some(20));
         eng.spawn_process("spinner", |ctx| async move {
             loop {
@@ -1357,7 +1347,8 @@ mod tests {
     fn dispatcher_trace_is_pinned() {
         use crate::trace::{RingRecorder, TraceEvent};
         let rec = Arc::new(RingRecorder::with_capacity(64));
-        let mut eng = Engine::new().with_tracer(rec.clone());
+        let mut eng = Engine::new();
+        eng.set_tracer(rec.clone());
         let a = eng.spawn_process("a", |ctx| async move {
             ctx.advance(SimTime::from_micros(5)).await;
             ctx.park().await;

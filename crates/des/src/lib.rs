@@ -43,7 +43,7 @@
 //! ## Observability
 //!
 //! The [`trace`] module adds opt-in structured tracing: install a [`Tracer`]
-//! (typically a bounded [`RingRecorder`]) with [`Engine::with_tracer`] and
+//! (typically a bounded [`RingRecorder`]) with [`Engine::set_tracer`] and
 //! every scheduler action arrives as a [`TraceRecord`] stamped with virtual
 //! time and a sequence number. The zero-tracer path costs one `Option` check
 //! per site, and tracing never changes simulation results. The on-disk JSONL

@@ -1,12 +1,22 @@
 //! # mc — bounded model checking for deterministic simulations
 //!
 //! The engine normally follows one schedule: the earliest event wins every
-//! tie and every random draw comes from the seeded [`SimRng`]. This module
-//! turns that single schedule into a *search space*. A [`McCtl`] controller
-//! intercepts every nondeterministic choice a run makes — which enabled
-//! event to dispatch next, whether a lossy link drops a message, which
-//! branch of an explicit environment choice ([`choose`]) to take — and an
-//! [`explore`] loop enumerates the alternatives up to configurable bounds.
+//! tie and every random draw comes from the seeded
+//! [`SimRng`](crate::SimRng). This module turns that single schedule into a
+//! *search space*. A [`McCtl`] controller intercepts every nondeterministic
+//! choice a run makes — which enabled event to dispatch next, whether a
+//! lossy link drops a message, which branch of an explicit environment
+//! choice ([`McCtl::choose`]) to take — and an [`explore`] loop enumerates
+//! the alternatives depth-first up to configurable bounds.
+//!
+//! ## How a run reaches its controller
+//!
+//! [`explore`] and [`replay`] build one fresh controller per execution and
+//! hand it to the run closure, which passes it on explicitly: an engine
+//! takes it through [`Engine::set_mc`](crate::Engine::set_mc), and
+//! `simmpi` carries it on a job's run options, so exactly the jobs built
+//! from those options are model-checked. Nothing is ambient; a job whose
+//! options carry no controller runs its canonical schedule.
 //!
 //! ## Execution model: fork-free re-execution
 //!
@@ -24,14 +34,14 @@
 //! multiset of `(time-to-fire, process)` pairs, a domain probe the
 //! simulation installs on its engine (e.g. simmpi mailbox contents, see
 //! [`Engine::set_state_probe`](crate::Engine::set_state_probe)), and a salt
-//! folding in the environment decisions (drops, [`choose`] values) taken so
-//! far. Two runs reaching the same hash at the same-or-smaller decision
-//! depth are considered equivalent and the later one is pruned (DFS only;
-//! the random walk merely counts hits). Resume counts make the hash
-//! loop-safe: a process iterating a loop advances its own counter, so
-//! successive iterations never alias. The hash abstracts absolute virtual
-//! time and payload contents — dedup is a sound-ish heuristic, not a proof
-//! of equivalence, which is the usual trade of hash-based stateless search.
+//! folding in the environment decisions (drops, [`McCtl::choose`] values)
+//! taken so far. Two runs reaching the same hash at the same-or-smaller
+//! decision depth are considered equivalent and the later one is pruned.
+//! Resume counts make the hash loop-safe: a process iterating a loop
+//! advances its own counter, so successive iterations never alias. The
+//! hash abstracts absolute virtual time and payload contents — dedup is a
+//! sound-ish heuristic, not a proof of equivalence, which is the usual
+//! trade of hash-based stateless search.
 //!
 //! ## Reduction
 //!
@@ -53,7 +63,6 @@
 //! otherwise. Violations come back as a [`Counterexample`] holding a
 //! greedily minimized decision prefix that [`replay`] reproduces exactly.
 
-use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,9 +70,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::faults::SimRng;
 use crate::time::SimTime;
-use crate::trace::Tracer;
 
 /// Which kind of nondeterministic choice a [`Decision`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,7 +79,7 @@ pub enum ChoiceKind {
     Sched,
     /// Message-drop verdict on a lossy link (arity 2: deliver / drop).
     Drop,
-    /// Explicit environment choice made by a scenario via [`choose`].
+    /// Explicit environment choice made by a scenario via [`McCtl::choose`].
     Choice,
 }
 
@@ -120,20 +127,6 @@ pub struct EnabledChoice {
     pub pid: usize,
 }
 
-/// Search strategy for [`explore`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Strategy {
-    /// Depth-first enumeration of the bounded decision tree (exhaustive
-    /// within bounds, with state-hash pruning and commutation reduction).
-    Dfs,
-    /// Repeated independent runs with uniformly random choices — a cheap
-    /// sampler for spaces too large to enumerate.
-    RandomWalk {
-        /// Seed for the per-run choice streams.
-        seed: u64,
-    },
-}
-
 /// Bounds and knobs for a bounded model-checking search.
 #[derive(Clone, Debug)]
 pub struct McConfig {
@@ -158,8 +151,6 @@ pub struct McConfig {
     /// environment choices (crash timings) disable this to keep the run
     /// on the canonical schedule.
     pub explore_sched: bool,
-    /// How to walk the decision tree.
-    pub strategy: Strategy,
 }
 
 impl Default for McConfig {
@@ -172,7 +163,6 @@ impl Default for McConfig {
             time_slack: SimTime::ZERO,
             max_drops: 0,
             explore_sched: true,
-            strategy: Strategy::Dfs,
         }
     }
 }
@@ -225,8 +215,8 @@ pub struct McReport {
     pub commute_skips: u64,
     /// Deepest decision count reached by any run.
     pub max_depth_seen: u32,
-    /// The bounded space was fully enumerated (DFS only, no budget fired,
-    /// no violation found).
+    /// The bounded space was fully enumerated (no budget fired, no
+    /// violation found).
     pub exhausted: bool,
     /// First budget that stopped the search: `"states"`, `"runs"`,
     /// `"deadline"` or `"depth"`.
@@ -313,7 +303,6 @@ struct SchedRecord {
 #[derive(Default)]
 struct CtlInner {
     prefix: Vec<Decision>,
-    rng: Option<SimRng>,
     decisions: Vec<Decision>,
     scheds: Vec<SchedRecord>,
     segments: Vec<Segment>,
@@ -345,8 +334,8 @@ struct RunRecord {
 
 /// The per-run model-checking controller.
 ///
-/// Installed for the duration of one execution (via [`with_ctl`] /
-/// [`current`]) and wired into every engine the run creates with
+/// [`explore`] and [`replay`] hand a fresh one to each execution, which
+/// wires it into every engine it creates with
 /// [`Engine::set_mc`](crate::Engine::set_mc). The engine consults it for
 /// scheduling choices and state observation; the simulation layer consults
 /// it for message-drop verdicts ([`McCtl::decide_drop`]), explicit
@@ -357,43 +346,29 @@ pub struct McCtl {
     explore_sched: bool,
     max_depth: u32,
     max_drops: u32,
-    prune_on_seen: bool,
+    /// The search's state table; `None` (replay, minimization) observes
+    /// nothing and never prunes.
     shared: Option<Arc<Mutex<SharedStats>>>,
-    tracer: Option<Arc<dyn Tracer>>,
     inner: Mutex<CtlInner>,
 }
 
 impl McCtl {
+    /// A controller that forces `prefix` and takes default choices beyond
+    /// it. `cfg` must be the configuration the prefix was recorded under
+    /// (bounds are part of decision alignment).
     fn new(
         cfg: &McConfig,
         prefix: Vec<Decision>,
         shared: Option<Arc<Mutex<SharedStats>>>,
-        rng: Option<SimRng>,
-        tracer: Option<Arc<dyn Tracer>>,
     ) -> Arc<McCtl> {
-        let prune_on_seen = shared.is_some() && rng.is_none();
         Arc::new(McCtl {
             time_slack: cfg.time_slack,
             explore_sched: cfg.explore_sched,
             max_depth: cfg.max_depth,
             max_drops: cfg.max_drops,
-            prune_on_seen,
             shared,
-            tracer,
-            inner: Mutex::new(CtlInner { prefix, rng, ..CtlInner::default() }),
+            inner: Mutex::new(CtlInner { prefix, ..CtlInner::default() }),
         })
-    }
-
-    /// Build a controller that strictly replays a recorded prefix: no
-    /// deduplication, no pruning, defaults beyond the prefix. `cfg` must be
-    /// the configuration the prefix was recorded under (bounds are part of
-    /// decision alignment).
-    pub fn for_replay(
-        cfg: &McConfig,
-        decisions: Vec<Decision>,
-        tracer: Option<Arc<dyn Tracer>>,
-    ) -> Arc<McCtl> {
-        McCtl::new(cfg, decisions, None, None, tracer)
     }
 
     /// Time slack defining simultaneous enablement (engine hook).
@@ -404,11 +379,6 @@ impl McCtl {
     /// Whether the engine should offer scheduling choices (engine hook).
     pub fn explore_sched(&self) -> bool {
         self.explore_sched
-    }
-
-    /// Tracer the final replay should feed, if any.
-    pub fn tracer(&self) -> Option<Arc<dyn Tracer>> {
-        self.tracer.clone()
     }
 
     /// Begin a new engine epoch. Called by
@@ -479,7 +449,7 @@ impl McCtl {
         match st.seen.entry(hash) {
             Entry::Occupied(mut e) => {
                 st.dedup_hits += 1;
-                if self.prune_on_seen && *e.get() <= depth {
+                if *e.get() <= depth {
                     drop(s);
                     self.inner.lock().pruned = true;
                     return false;
@@ -549,19 +519,9 @@ impl McCtl {
         chosen
     }
 
-    /// `true` once the explorer has abandoned this run as already covered.
-    pub fn was_pruned(&self) -> bool {
-        self.inner.lock().pruned
-    }
-
     /// Prefix/recording mismatch noticed during replay, if any.
     pub fn divergence(&self) -> Option<String> {
         self.inner.lock().divergence.clone()
-    }
-
-    /// Number of decisions recorded so far.
-    pub fn decisions_len(&self) -> usize {
-        self.inner.lock().decisions.len()
     }
 
     fn take_choice(g: &mut CtlInner, kind: ChoiceKind, arity: u32) -> u32 {
@@ -577,8 +537,6 @@ impl McCtl {
                 ));
             }
             want.chosen.min(arity - 1)
-        } else if let Some(rng) = &mut g.rng {
-            (rng.next_u64() % arity as u64) as u32
         } else {
             0
         }
@@ -599,51 +557,14 @@ impl McCtl {
 }
 
 // ---------------------------------------------------------------------------
-// thread-local installation
-
-thread_local! {
-    static CURRENT: RefCell<Option<Arc<McCtl>>> = const { RefCell::new(None) };
-}
-
-/// The controller installed on this thread, if a model-checking run is in
-/// progress. `simmpi` consults this from inside rank bodies.
-pub fn current() -> Option<Arc<McCtl>> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
-/// Run `f` with `ctl` installed as the thread's controller, restoring the
-/// previous one afterwards (panic-safe).
-pub fn with_ctl<R>(ctl: Arc<McCtl>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<McCtl>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CURRENT.with(|c| *c.borrow_mut() = self.0.take());
-        }
-    }
-    let prev = CURRENT.with(|c| c.borrow_mut().replace(ctl));
-    let _restore = Restore(prev);
-    f()
-}
-
-/// Convenience wrapper over [`McCtl::choose`]: an `arity`-way environment
-/// choice under the installed controller, or the default branch `0` when no
-/// model-checking run is active (so scenario code also runs normally).
-pub fn choose(arity: u32) -> u32 {
-    match current() {
-        Some(ctl) => ctl.choose(arity),
-        None => 0,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // exploration
 
-/// Enumerate the bounded decision tree of `run` under `cfg` and return what
-/// was found. `run` executes the scenario once per call with a fresh
-/// controller installed; it must be deterministic given the controller's
-/// decisions. The search stops at the first violation, which is greedily
-/// minimized before being reported.
-pub fn explore(cfg: &McConfig, run: &mut dyn FnMut() -> RunOutcome) -> McReport {
+/// Enumerate the bounded decision tree of `run` depth-first under `cfg` and
+/// return what was found. Each call of `run` executes the scenario once
+/// under the fresh controller it is handed; it must be deterministic given
+/// that controller's decisions. The search stops at the first violation,
+/// which is greedily minimized before being reported.
+pub fn explore(cfg: &McConfig, run: &mut dyn FnMut(&Arc<McCtl>) -> RunOutcome) -> McReport {
     let start = Instant::now();
     let shared = Arc::new(Mutex::new(SharedStats::default()));
     let mut report = McReport {
@@ -672,62 +593,34 @@ pub fn explore(cfg: &McConfig, run: &mut dyn FnMut() -> RunOutcome) -> McReport 
         }
     };
 
-    match cfg.strategy {
-        Strategy::Dfs => {
-            let mut frontier: Vec<Vec<Decision>> = vec![Vec::new()];
-            while let Some(prefix) = frontier.pop() {
-                if let Some(why) = over_budget(&report, &shared) {
-                    report.truncated_by = Some(why);
-                    break;
-                }
-                let ctl = McCtl::new(cfg, prefix.clone(), Some(shared.clone()), None, None);
-                let outcome = with_ctl(ctl.clone(), &mut *run);
-                report.runs += 1;
-                let rec = ctl.take_record();
-                depth_clipped |= rec.depth_clipped;
-                report.max_depth_seen = report.max_depth_seen.max(rec.decisions.len() as u32);
-                if let RunOutcome::Violation { property, detail } = outcome {
-                    if !rec.pruned {
-                        let (decisions, minimized_from, extra_runs) =
-                            minimize(cfg, run, rec.decisions, &property);
-                        report.runs += extra_runs;
-                        report.violation =
-                            Some(Counterexample { property, detail, decisions, minimized_from });
-                        break;
-                    }
-                }
-                expand(&prefix, &rec, &mut frontier, &mut report.commute_skips);
-            }
-            if report.truncated_by.is_none() && depth_clipped {
-                report.truncated_by = Some("depth");
-            }
-            report.exhausted = report.truncated_by.is_none() && report.violation.is_none();
+    let mut frontier: Vec<Vec<Decision>> = vec![Vec::new()];
+    while let Some(prefix) = frontier.pop() {
+        if let Some(why) = over_budget(&report, &shared) {
+            report.truncated_by = Some(why);
+            break;
         }
-        Strategy::RandomWalk { seed } => {
-            loop {
-                if let Some(why) = over_budget(&report, &shared) {
-                    report.truncated_by = Some(why);
-                    break;
-                }
-                let rng = SimRng::new(seed).substream(report.runs);
-                let ctl = McCtl::new(cfg, Vec::new(), Some(shared.clone()), Some(rng), None);
-                let outcome = with_ctl(ctl.clone(), &mut *run);
-                report.runs += 1;
-                let rec = ctl.take_record();
-                report.max_depth_seen = report.max_depth_seen.max(rec.decisions.len() as u32);
-                if let RunOutcome::Violation { property, detail } = outcome {
-                    let (decisions, minimized_from, extra_runs) =
-                        minimize(cfg, run, rec.decisions, &property);
-                    report.runs += extra_runs;
-                    report.violation =
-                        Some(Counterexample { property, detail, decisions, minimized_from });
-                    break;
-                }
+        let ctl = McCtl::new(cfg, prefix.clone(), Some(shared.clone()));
+        let outcome = run(&ctl);
+        report.runs += 1;
+        let rec = ctl.take_record();
+        depth_clipped |= rec.depth_clipped;
+        report.max_depth_seen = report.max_depth_seen.max(rec.decisions.len() as u32);
+        if let RunOutcome::Violation { property, detail } = outcome {
+            if !rec.pruned {
+                let (decisions, minimized_from, extra_runs) =
+                    minimize(cfg, run, rec.decisions, &property);
+                report.runs += extra_runs;
+                report.violation =
+                    Some(Counterexample { property, detail, decisions, minimized_from });
+                break;
             }
-            // A sampler never proves exhaustion.
-            report.exhausted = false;
         }
+        expand(&prefix, &rec, &mut frontier, &mut report.commute_skips);
     }
+    if report.truncated_by.is_none() && depth_clipped {
+        report.truncated_by = Some("depth");
+    }
+    report.exhausted = report.truncated_by.is_none() && report.violation.is_none();
 
     {
         let s = shared.lock();
@@ -740,18 +633,16 @@ pub fn explore(cfg: &McConfig, run: &mut dyn FnMut() -> RunOutcome) -> McReport 
 }
 
 /// Replay a recorded decision prefix once, with defaults beyond it and no
-/// pruning. `cfg` must match the exploration configuration the prefix was
-/// recorded under. An optional tracer receives the run's trace records via
-/// the controller (picked up by `run_mpi`-style integrations).
+/// pruning, handing `run` the replaying controller. `cfg` must match the
+/// exploration configuration the prefix was recorded under.
 pub fn replay(
     cfg: &McConfig,
     decisions: Vec<Decision>,
-    tracer: Option<Arc<dyn Tracer>>,
-    run: &mut dyn FnMut() -> RunOutcome,
+    run: &mut dyn FnMut(&Arc<McCtl>) -> RunOutcome,
 ) -> ReplayReport {
     let applied = decisions.len();
-    let ctl = McCtl::for_replay(cfg, decisions, tracer);
-    let outcome = with_ctl(ctl.clone(), &mut *run);
+    let ctl = McCtl::new(cfg, decisions, None);
+    let outcome = run(&ctl);
     let rec = ctl.take_record();
     ReplayReport {
         outcome,
@@ -823,7 +714,7 @@ fn trim_trailing_defaults(decisions: &mut Vec<Decision>) {
 /// default, keeping any change that still violates the same property.
 fn minimize(
     cfg: &McConfig,
-    run: &mut dyn FnMut() -> RunOutcome,
+    run: &mut dyn FnMut(&Arc<McCtl>) -> RunOutcome,
     decisions: Vec<Decision>,
     property: &str,
 ) -> (Vec<Decision>, usize, u64) {
@@ -839,8 +730,8 @@ fn minimize(
         }
         let mut cand = cur.clone();
         cand[i].chosen = 0;
-        let ctl = McCtl::new(cfg, cand, None, None, None);
-        let outcome = with_ctl(ctl.clone(), &mut *run);
+        let ctl = McCtl::new(cfg, cand, None);
+        let outcome = run(&ctl);
         extra_runs += 1;
         if matches!(&outcome, RunOutcome::Violation { property: p, .. } if p == property) {
             cur = ctl.take_record().decisions;
@@ -858,9 +749,9 @@ mod tests {
 
     /// A pure choice scenario (no engine): two 3-way choices, violation iff
     /// the pair is (2, 1).
-    fn pair_scenario() -> RunOutcome {
-        let a = choose(3);
-        let b = choose(3);
+    fn pair_scenario(ctl: &Arc<McCtl>) -> RunOutcome {
+        let a = ctl.choose(3);
+        let b = ctl.choose(3);
         if (a, b) == (2, 1) {
             RunOutcome::Violation { property: "pair".into(), detail: format!("({a}, {b})") }
         } else {
@@ -872,9 +763,9 @@ mod tests {
     fn dfs_enumerates_choice_space_exhaustively() {
         let mut runs = 0u32;
         let cfg = McConfig::default();
-        let report = explore(&cfg, &mut || {
+        let report = explore(&cfg, &mut |ctl| {
             runs += 1;
-            let _ = (choose(3), choose(3));
+            let _ = (ctl.choose(3), ctl.choose(3));
             RunOutcome::Pass
         });
         assert_eq!(runs, 9, "3x3 choice space must be enumerated exactly");
@@ -905,7 +796,7 @@ mod tests {
         let cfg = McConfig::default();
         let ce = explore(&cfg, &mut pair_scenario).violation.unwrap();
         for _ in 0..2 {
-            let rep = replay(&cfg, ce.decisions.clone(), None, &mut pair_scenario);
+            let rep = replay(&cfg, ce.decisions.clone(), &mut pair_scenario);
             assert_eq!(
                 rep.outcome,
                 RunOutcome::Violation { property: "pair".into(), detail: "(2, 1)".into() }
@@ -919,35 +810,18 @@ mod tests {
     fn replay_reports_divergence_on_arity_mismatch() {
         let cfg = McConfig::default();
         let bad = vec![Decision { kind: ChoiceKind::Drop, chosen: 1, arity: 2 }];
-        let rep = replay(&cfg, bad, None, &mut || {
-            let _ = choose(4);
+        let rep = replay(&cfg, bad, &mut |ctl| {
+            let _ = ctl.choose(4);
             RunOutcome::Pass
         });
         assert!(rep.divergence.is_some(), "kind mismatch must be surfaced");
     }
 
     #[test]
-    fn random_walk_samples_until_a_budget_fires() {
-        let cfg = McConfig {
-            strategy: Strategy::RandomWalk { seed: 7 },
-            max_runs: 50,
-            ..McConfig::default()
-        };
-        let report = explore(&cfg, &mut || {
-            let _ = choose(2);
-            RunOutcome::Pass
-        });
-        assert!(!report.exhausted);
-        assert_eq!(report.truncated_by, Some("runs"));
-        assert_eq!(report.runs, 50);
-    }
-
-    #[test]
     fn drop_budget_forces_delivery_when_spent() {
         let cfg = McConfig { max_drops: 1, ..McConfig::default() };
         let mut max_drops_seen = 0u32;
-        let report = explore(&cfg, &mut || {
-            let ctl = current().unwrap();
+        let report = explore(&cfg, &mut |ctl| {
             let drops = (0..3).filter(|_| ctl.decide_drop()).count() as u32;
             max_drops_seen = max_drops_seen.max(drops);
             RunOutcome::Pass
@@ -956,19 +830,20 @@ mod tests {
         assert_eq!(max_drops_seen, 1, "budget must cap per-run drops");
     }
 
-    /// One engine run: two processes become runnable at time zero (a tie),
-    /// each records its turn in `log` and marks its footprint with `fp`.
-    fn tie_run(fp: u64) -> (RunOutcome, Vec<u32>) {
+    /// One engine run under `ctl`: two processes become runnable at time
+    /// zero (a tie), each records its turn in `log` and marks its footprint
+    /// with `fp`.
+    fn tie_run(ctl: &Arc<McCtl>, fp: u64) -> (RunOutcome, Vec<u32>) {
         use std::sync::Mutex as StdMutex;
-        let ctl = current().expect("tie_run must execute under a controller");
         let log: Arc<StdMutex<Vec<u32>>> = Arc::default();
         let mut eng = crate::Engine::new();
-        eng.set_mc(ctl);
+        eng.set_mc(Arc::clone(ctl));
         for i in 0..2u32 {
             let log = Arc::clone(&log);
+            let ctl = Arc::clone(ctl);
             eng.spawn_process(format!("p{i}"), move |_ctx| async move {
                 if fp != 0 {
-                    current().unwrap().touch(fp);
+                    ctl.touch(fp);
                 }
                 log.lock().unwrap().push(i);
             });
@@ -990,8 +865,8 @@ mod tests {
         let cfg = McConfig::default();
         // Both processes touch the same object, so their tie does NOT
         // commute and both interleavings must be executed.
-        let report = explore(&cfg, &mut || {
-            let (outcome, order) = tie_run(OBJ_ALL);
+        let report = explore(&cfg, &mut |ctl| {
+            let (outcome, order) = tie_run(ctl, OBJ_ALL);
             orders_c.lock().unwrap().push(order);
             outcome
         });
@@ -1006,7 +881,7 @@ mod tests {
         // No shared object: the two time-zero dispatches have disjoint
         // footprints, so the swapped order is provably covered and the
         // sibling branch must be skipped without running.
-        let report = explore(&cfg, &mut || tie_run(0).0);
+        let report = explore(&cfg, &mut |ctl| tie_run(ctl, 0).0);
         assert!(report.exhausted);
         assert_eq!(report.runs, 1, "independent tie must not be re-explored");
         assert_eq!(report.commute_skips, 1);
@@ -1015,9 +890,9 @@ mod tests {
     #[test]
     fn depth_bound_reports_truncation() {
         let cfg = McConfig { max_depth: 3, ..McConfig::default() };
-        let report = explore(&cfg, &mut || {
+        let report = explore(&cfg, &mut |ctl| {
             for _ in 0..8 {
-                let _ = choose(2);
+                let _ = ctl.choose(2);
             }
             RunOutcome::Pass
         });

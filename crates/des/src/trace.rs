@@ -30,7 +30,8 @@
 //! use std::sync::Arc;
 //!
 //! let rec = Arc::new(RingRecorder::with_capacity(1024));
-//! let mut eng = Engine::new().with_tracer(rec.clone());
+//! let mut eng = Engine::new();
+//! eng.set_tracer(rec.clone());
 //! eng.spawn_process("ticker", |ctx| async move {
 //!     ctx.advance(SimTime::from_micros(10)).await;
 //! });

@@ -52,7 +52,9 @@ fn program(eng: &mut Engine) {
 /// `(pid, µs)` of every resume, in dispatch order, plus the run's result.
 fn run(budget: Option<u64>) -> (Vec<(usize, u64)>, Result<des::RunReport, SimError>) {
     let rec = Arc::new(RingRecorder::with_capacity(256));
-    let mut eng = Engine::new().with_tracer(rec.clone()).with_event_budget(budget);
+    let mut eng = Engine::new();
+    eng.set_tracer(rec.clone());
+    eng.set_event_budget(budget);
     program(&mut eng);
     let result = eng.run();
     let resumes = rec

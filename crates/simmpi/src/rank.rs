@@ -137,26 +137,24 @@ where
     Fut: Future<Output = R> + 'static,
 {
     spec.validate().map_err(MpiFault::InvalidSpec)?;
-    let mut engine = Engine::new().with_event_budget(spec.opts.event_budget);
-    let tracer = spec.opts.tracer.clone();
     let world = Rc::new(World::new(spec));
     let nranks = world.spec.ranks;
     let results: Rc<RefCell<Vec<Option<R>>>> =
         Rc::new(RefCell::new((0..nranks).map(|_| None).collect()));
 
-    // Under a model-checking run (see `des::mc`), wire the thread's
-    // controller into this engine: it arbitrates delivery orderings and
-    // message drops, and hashes the world's message state for
-    // deduplication. The controller's tracer (used for counterexample
-    // replays) takes precedence over the job's own.
-    let mc = des::mc::current();
-    if let Some(ctl) = &mc {
+    let opts = &world.spec.opts;
+    let mut engine = Engine::new();
+    engine.set_event_budget(opts.event_budget);
+    if let Some(tracer) = &opts.tracer {
+        engine.set_tracer(Arc::clone(tracer));
+    }
+    // Under model checking (see `des::mc`) the job's controller arbitrates
+    // delivery orderings and message drops, and hashes the world's message
+    // state for deduplication.
+    if let Some(ctl) = &opts.mc {
         engine.set_mc(Arc::clone(ctl));
         let world_for_probe = Rc::clone(&world);
         engine.set_state_probe(move |now| world_for_probe.mc_state_hash(now));
-    }
-    if let Some(tracer) = mc.as_ref().and_then(|c| c.tracer()).or(tracer) {
-        engine.set_tracer(tracer);
     }
     for r in 0..nranks {
         let pid = engine.spawn_process(format!("rank{r}"), |ctx| {
@@ -397,7 +395,7 @@ impl Rank {
     /// execution segment's footprint so the commute reducer knows this step
     /// touched the destination rank and both link endpoints.
     fn mc_touch_delivery(&self, dst: u32, src_node: u32, dst_node: u32) {
-        if let Some(ctl) = des::mc::current() {
+        if let Some(ctl) = &self.world.spec.opts.mc {
             ctl.touch(
                 des::mc::pid_bit(dst as usize)
                     | des::mc::node_bit(src_node)
@@ -411,7 +409,7 @@ impl Rank {
     /// exhausting the retry budget fails the run. Only lossy jobs call this.
     async fn retransmit_through_loss(&self, dst: u32, src_node: u32, dst_node: u32) {
         let retry = self.world.spec.retry;
-        let mc = des::mc::current();
+        let mc = &self.world.spec.opts.mc;
         let mut attempts = 0u32;
         loop {
             let depart = self.ctx.now();
@@ -421,7 +419,7 @@ impl Rank {
                 // Inside a loss window a model-checking controller overrides
                 // the seeded draw with an adversarial verdict; the RNG is
                 // not advanced, and outside MC the draw order is untouched.
-                let dropped = match &mc {
+                let dropped = match mc {
                     Some(ctl) => loss > 0.0 && ctl.decide_drop(),
                     None => loss > 0.0 && st.rng.next_f64() < loss,
                 };
@@ -737,7 +735,7 @@ impl Rank {
                 enqueued.push((dst, dst_node, bytes));
             }
         }
-        if self.tracing() || des::mc::current().is_some() {
+        if self.tracing() || self.world.spec.opts.mc.is_some() {
             for &(dst, dst_node, bytes) in &enqueued {
                 if self.tracing() {
                     self.emit_trace(TraceEvent::MsgEnqueue { src: self.rank, dst, tag, bytes });
@@ -964,12 +962,11 @@ impl Rank {
             // delays the (remote) sender's departure by the backoff.
             let mut bulk_depart = cts_arrival;
             let mut attempts = 0u32;
-            let mc = des::mc::current();
             loop {
                 let loss = st.net.loss_probability(src_node, dst_node, bulk_depart);
                 // As in the eager path, a model-checking controller decides
                 // drops adversarially without advancing the seeded RNG.
-                let dropped = match &mc {
+                let dropped = match &world.spec.opts.mc {
                     Some(ctl) => loss > 0.0 && ctl.decide_drop(),
                     None => loss > 0.0 && st.rng.next_f64() < loss,
                 };
@@ -1090,7 +1087,7 @@ fn backoff(base: SimTime, attempt: u32) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::RetryPolicy;
+    use crate::world::{RetryPolicy, RunOpts};
     use des::{FaultEvent, FaultKind, FaultPlan, SimError};
     use soc_arch::Platform;
 
@@ -1391,6 +1388,42 @@ mod tests {
         .unwrap();
         assert_eq!(run.results[1], 28); // every payload survived
         assert!(run.net.retransmits > 0, "a 50% lossy link must drop something");
+    }
+
+    #[test]
+    fn only_jobs_whose_opts_carry_the_controller_are_model_checked() {
+        use des::mc::{explore, McConfig, RunOutcome};
+        // Three eager messages over a 50 % lossy link: under a controller
+        // each transmission is a drop choice; without one, a seeded draw.
+        let lossy = |opts: RunOpts| {
+            let s = spec(2)
+                .with_fault_plan(degrade_plan(1, 0.5, SimTime::from_secs(100)))
+                .with_opts(opts);
+            let run = run_mpi(s, |mut r| async move {
+                for i in 0..3u64 {
+                    if r.rank() == 0 {
+                        r.send(1, 1, Msg::from_u64s(&[i])).await;
+                    } else {
+                        r.recv(0, 1).await;
+                    }
+                }
+            });
+            match run {
+                Ok(_) => RunOutcome::Pass,
+                Err(MpiFault::Engine(SimError::Interrupted { .. })) => RunOutcome::Pruned,
+                Err(e) => panic!("lossy job failed: {e}"),
+            }
+        };
+        let cfg = McConfig { max_drops: 1, ..McConfig::default() };
+        let unscoped = explore(&cfg, &mut |_| lossy(RunOpts::default()));
+        assert_eq!((unscoped.runs, unscoped.max_depth_seen), (1, 0));
+        assert!(unscoped.exhausted);
+        let scoped = explore(&cfg, &mut |ctl| {
+            lossy(RunOpts { mc: Some(Arc::clone(ctl)), ..RunOpts::default() })
+        });
+        assert!(scoped.exhausted);
+        assert!(scoped.runs > 1, "the controller must branch on drops: {scoped:?}");
+        assert!(scoped.max_depth_seen > 0);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use des::mc::McCtl;
 use des::{FaultKind, FaultPlan, Pid, SimRng, SimTime, Tracer};
 use netsim::{EndpointModel, FlowNet, LossWindow, NetModel, Network, ProtocolModel, TopologySpec};
 use soc_arch::Platform;
@@ -46,16 +47,19 @@ pub struct JobSpec {
     /// driver re-run a job on surviving nodes plus spares without changing
     /// rank numbering. `None` = identity.
     pub node_map: Option<Vec<u32>>,
-    /// How the job runs: network model, event budget and tracer.
+    /// How the job runs: network model, event budget, tracer and
+    /// model-checking controller.
     pub opts: RunOpts,
 }
 
 /// How a job is run, as opposed to what it runs: the network model its
-/// transfers use, a watchdog budget on dispatched engine events, and the
-/// tracer its engine reports to. `repro` builds one from its flags
-/// (`--net-model`, `--max-cell-events`, `--trace`) and every job of the run
-/// carries a copy on its [`JobSpec`]. The default is the event model, no
-/// budget and no tracer.
+/// transfers use, a watchdog budget on dispatched engine events, the tracer
+/// its engine reports to, and the model-checking controller that decides
+/// its nondeterministic choices. `repro` builds one from its flags
+/// (`--net-model`, `--max-cell-events`, `--trace`; `--mc` adds a controller
+/// per explored run) and every job of the run carries a copy on its
+/// [`JobSpec`]. The default is the event model, no budget, no tracer and no
+/// controller.
 #[derive(Clone, Default)]
 pub struct RunOpts {
     /// Which network model transfers use.
@@ -69,17 +73,23 @@ pub struct RunOpts {
     /// Observer installed on the job's engine. Tracing never changes a
     /// result.
     pub tracer: Option<Arc<dyn Tracer>>,
+    /// Model-checking controller (see [`des::mc`]): it arbitrates the job's
+    /// delivery orderings and lossy-link drops and hashes its message state.
+    /// `None` runs the canonical schedule with seeded loss draws.
+    pub mc: Option<Arc<McCtl>>,
 }
 
-/// Prints the tracer as its presence alone: a tracer has no `Debug`, and
-/// tracing changes no result, so two specs that differ only in their
-/// tracer's identity describe the same job.
+/// Prints the tracer and the controller as their presence alone: neither
+/// has `Debug`, and a spec's `Debug` keys shared runs (`HplShare`), so two
+/// specs that differ only in which tracer or controller they carry describe
+/// the same job.
 impl std::fmt::Debug for RunOpts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunOpts")
             .field("net_model", &self.net_model)
             .field("event_budget", &self.event_budget)
             .field("traced", &self.tracer.is_some())
+            .field("model_checked", &self.mc.is_some())
             .finish()
     }
 }

@@ -1,11 +1,12 @@
-//! The tentpole invariant, proved end-to-end: a full golden-scale run of
-//! every artefact on 1 worker and on 8 workers produces byte-identical
-//! rendered text and byte-identical JSON. Plus the timing-cache property
-//! that makes the parallel sweep cheap: figure cells share model
-//! evaluations, so a two-figure run must hit the cache. And the tracing
-//! invariant: recording a structured trace never changes a single artefact
-//! byte, and the trace itself is deterministic (`ci.sh` additionally proves
-//! the first at the `repro --trace` binary level on a quick sweep).
+//! The tentpole invariant, proved end-to-end on the executor `repro` runs:
+//! a full golden-scale run of every artefact on 1 worker and on 8 workers
+//! produces byte-identical rendered text and byte-identical JSON. Plus the
+//! timing-cache property that makes the parallel sweep cheap: figure cells
+//! share model evaluations, so a two-figure run must hit the cache. And the
+//! tracing invariant: recording a structured trace never changes a single
+//! artefact byte, and the trace itself is deterministic (`ci.sh`
+//! additionally proves the first at the `repro --trace` binary level on a
+//! quick sweep).
 
 use std::sync::Arc;
 
@@ -13,8 +14,8 @@ use des::mc::RunOutcome;
 use des::RingRecorder;
 use socready::harness::trace::record_line;
 use socready::harness::{
-    counterexample_json, mc_scenario, run_plan, ArtefactOut, McOverrides, RunPlan, RunScales,
-    SweepConfig,
+    counterexample_json, mc_scenario, run_plan, ArtefactOut, ArtefactOutcome, McOverrides, RunPlan,
+    RunScales, SupervisorConfig, SweepStats,
 };
 use socready::mpi::RunOpts;
 
@@ -24,11 +25,28 @@ fn golden_plan(keys: &[&str], opts: &RunOpts) -> RunPlan {
     RunPlan::from_items(&items, &RunScales::golden(), opts)
 }
 
+/// Run `plan` on `jobs` workers, resuming past the artefacts in `skip` as
+/// `repro --resume` would, and return the artefacts it derived. Each cell
+/// gets one attempt, so any panic or typed fault fails the test.
+fn run(plan: RunPlan, jobs: usize, skip: &[&str]) -> (Vec<ArtefactOut>, SweepStats) {
+    let sup = SupervisorConfig::single_attempt();
+    let (arts, stats) = run_plan(plan, jobs, &sup, &|key| skip.contains(&key), |_| {});
+    let derived = arts
+        .into_iter()
+        .filter_map(|a| match a.outcome {
+            ArtefactOutcome::Completed(out) => Some(out),
+            ArtefactOutcome::Skipped => None,
+            ArtefactOutcome::Failed => panic!("{} failed: {:?}", a.key, a.quarantined()),
+        })
+        .collect();
+    (derived, stats)
+}
+
 #[test]
 fn jobs_1_and_jobs_8_are_byte_identical_across_all_artefacts() {
     let mk = || golden_plan(&["all"], &RunOpts::default());
-    let (serial, stats1) = run_plan(mk(), &SweepConfig::with_jobs(1));
-    let (parallel, stats8) = run_plan(mk(), &SweepConfig::with_jobs(8));
+    let (serial, stats1) = run(mk(), 1, &[]);
+    let (parallel, stats8) = run(mk(), 8, &[]);
 
     assert_eq!(stats1.cells, stats8.cells, "plans enumerated different cell counts");
     assert_eq!(stats8.jobs, 8);
@@ -57,15 +75,14 @@ fn traced_run_produces_byte_identical_artefacts() {
     let traced = || {
         let rec = Arc::new(RingRecorder::with_capacity(1 << 20));
         let opts = RunOpts { tracer: Some(rec.clone()), ..RunOpts::default() };
-        let (arts, _) = run_plan(golden_plan(&["fig7", "hpl"], &opts), &SweepConfig::serial());
+        let (arts, _) = run(golden_plan(&["fig7", "hpl"], &opts), 1, &[]);
         assert_eq!(rec.dropped(), 0, "the trace must fit the ring");
         let lines: Vec<String> = rec.drain().iter().map(record_line).collect();
         (arts, lines)
     };
     let (first, first_trace) = traced();
     let (second, second_trace) = traced();
-    let (untraced, _) =
-        run_plan(golden_plan(&["fig7", "hpl"], &RunOpts::default()), &SweepConfig::serial());
+    let (untraced, _) = run(golden_plan(&["fig7", "hpl"], &RunOpts::default()), 1, &[]);
 
     assert!(!first_trace.is_empty(), "the traced run must actually have recorded events");
     assert!(first_trace == second_trace, "two traced runs recorded different traces");
@@ -95,7 +112,7 @@ fn mc_counterexample_replays_are_byte_identical() {
     // two independent bounded searches over the broken-retry fixture find
     // the same minimal decision prefix (byte-identical JSON), and replaying
     // that prefix twice produces byte-identical trace lines. Each replay
-    // records through its own ctl-carried RingRecorder.
+    // records through its own RingRecorder on its run options.
     let sc = mc_scenario("retry-lossy-broken").expect("fixture scenario registered");
     let cfg = sc.config(&McOverrides::default());
 
@@ -112,7 +129,8 @@ fn mc_counterexample_replays_are_byte_identical() {
     let mut traces = Vec::new();
     for _ in 0..2 {
         let rec = Arc::new(RingRecorder::with_capacity(1 << 20));
-        let rep = sc.replay(&cfg, ce.decisions.clone(), Some(rec.clone()), &RunOpts::default());
+        let opts = RunOpts { tracer: Some(rec.clone()), ..RunOpts::default() };
+        let rep = sc.replay(&cfg, ce.decisions.clone(), &opts);
         assert!(rep.divergence.is_none(), "replay diverged: {:?}", rep.divergence);
         match &rep.outcome {
             RunOutcome::Violation { property, .. } => {
@@ -149,20 +167,22 @@ fn each_distinct_fault_free_hpl_job_simulates_once_per_plan() {
     // workers make concurrent consumers of one job wait for a single run.
     let plan = golden_plan(&["fig6", "hpl", "resilience", "ablate-net"], &RunOpts::default());
     let share = plan.hpl_share();
-    let (arts, _) = run_plan(plan, &SweepConfig::with_jobs(4));
+    let (arts, _) = run(plan, 4, &[]);
     assert_eq!((share.requests(), share.simulated()), (12, 5));
     assert_goldens(&arts);
 }
 
 #[test]
 fn hpl_consumers_without_their_producer_still_match_the_goldens() {
-    // The state `--resume` leaves when it skips Fig 6: the headline and the
-    // resilience cells are the first to ask for their jobs, so they run the
-    // simulations themselves — and must write the same bytes.
-    let plan = golden_plan(&["hpl", "resilience"], &RunOpts::default());
+    // The state `--resume` leaves when it skips a verified Fig 6: the
+    // headline and the resilience cells are the first to ask for their
+    // jobs, so they run the simulations themselves — and must write the
+    // same bytes.
+    let plan = golden_plan(&["fig6", "hpl", "resilience"], &RunOpts::default());
     let share = plan.hpl_share();
-    let (arts, _) = run_plan(plan, &SweepConfig::with_jobs(2));
+    let (arts, stats) = run(plan, 2, &["fig6"]);
     assert_eq!(arts.iter().map(|a| a.key).collect::<Vec<_>>(), ["hpl", "resilience"]);
+    assert_eq!(stats.supervisor.resumed_skipped, 1);
     assert_eq!((share.requests(), share.simulated()), (4, 2));
     assert_goldens(&arts);
 }
@@ -173,7 +193,7 @@ fn two_figure_run_reuses_timing_cache() {
     // kernels (threads differ, but the shared Tegra2@1GHz baseline and the
     // serial Tegra2 series coincide), so the second figure must score hits.
     let plan = golden_plan(&["fig3", "fig4"], &RunOpts::default());
-    let (_, stats) = run_plan(plan, &SweepConfig::with_jobs(2));
+    let (_, stats) = run(plan, 2, &[]);
     assert!(
         stats.timing_cache.hits > 0,
         "expected timing-cache hits on a fig3+fig4 run, got {:?}",
@@ -192,8 +212,8 @@ fn flow_model_ablation_is_byte_identical_across_schedules() {
     // receiver, and flow start/finish event ordering — under a parallel
     // sweep schedule.
     let mk = || golden_plan(&["ablate-net"], &RunOpts::default());
-    let (serial, _) = run_plan(mk(), &SweepConfig::with_jobs(1));
-    let (parallel, stats8) = run_plan(mk(), &SweepConfig::with_jobs(8));
+    let (serial, _) = run(mk(), 1, &[]);
+    let (parallel, stats8) = run(mk(), 8, &[]);
 
     assert_eq!(stats8.jobs, 8);
     assert_same_artefacts(&serial, &parallel, "8 workers");

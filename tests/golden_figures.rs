@@ -22,7 +22,9 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use serde_json::Value;
-use socready::harness::{run_plan, ArtefactOut, RunPlan, RunScales, SweepConfig};
+use socready::harness::{
+    run_plan, ArtefactOut, ArtefactOutcome, RunPlan, RunScales, SupervisorConfig,
+};
 use socready::mpi::RunOpts;
 
 /// Relative tolerance for float leaves.
@@ -32,15 +34,23 @@ fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
 }
 
-/// One golden-scale run of every artefact, shared by all test cases in this
-/// binary. Uses several workers: the determinism suite separately proves
-/// worker count cannot change bytes.
+/// One golden-scale run of every artefact through the executor `repro`
+/// runs, shared by all test cases in this binary. Each cell gets one
+/// attempt, so any panic or typed fault fails the suite. Uses several
+/// workers: the determinism suite separately proves worker count cannot
+/// change bytes.
 fn artefacts() -> &'static [ArtefactOut] {
     static RUN: OnceLock<Vec<ArtefactOut>> = OnceLock::new();
     RUN.get_or_init(|| {
         let plan =
             RunPlan::from_items(&["all".to_string()], &RunScales::golden(), &RunOpts::default());
-        run_plan(plan, &SweepConfig::with_jobs(4)).0
+        let (arts, _) = run_plan(plan, 4, &SupervisorConfig::single_attempt(), &|_| false, |_| {});
+        arts.into_iter()
+            .map(|a| match a.outcome {
+                ArtefactOutcome::Completed(out) => out,
+                _ => panic!("{} did not complete: {:?}", a.key, a.quarantined()),
+            })
+            .collect()
     })
 }
 
