@@ -2,7 +2,7 @@
 
 use kernels::{fig3_profiles, table2};
 use serde::Serialize;
-use soc_arch::{suite_speedup, Platform, Soc};
+use soc_arch::{suite_speedup, Platform};
 use soc_power::{suite_energy, PowerModel};
 
 use crate::table::{f, render_table};
@@ -143,23 +143,6 @@ pub(crate) fn fig34_series_for(p: &Platform, serial: bool, base_energy: f64) -> 
     SweepSeries { platform: p.id.to_string(), threads, points }
 }
 
-fn sweep(figure: &'static str, serial: bool) -> Fig34 {
-    let base_energy = fig34_base_energy();
-    let series =
-        Platform::table1().iter().map(|p| fig34_series_for(p, serial, base_energy)).collect();
-    Fig34 { figure, series }
-}
-
-/// Fig 3: single-core performance and energy vs frequency.
-pub fn fig3() -> Fig34 {
-    sweep("3", true)
-}
-
-/// Fig 4: multi-core (all hardware threads) performance and energy.
-pub fn fig4() -> Fig34 {
-    sweep("4", false)
-}
-
 impl Fig34 {
     /// Text rendering of both panels (speedup and energy).
     pub fn render(&self) -> String {
@@ -201,18 +184,9 @@ pub struct Fig5 {
 }
 
 /// One platform's Fig 5 STREAM rows — the per-cell unit for the sweep
-/// executor; [`fig5`] is the in-order concatenation over Table 1.
+/// executor; the figure is their in-order concatenation over Table 1.
 pub(crate) fn fig5_rows_for(p: &Platform) -> Vec<kernels::stream::StreamResult> {
     kernels::stream::fig5_rows(&p.soc, p.id)
-}
-
-/// Generate Fig 5.
-pub fn fig5() -> Fig5 {
-    let mut rows = Vec::new();
-    for p in Platform::table1() {
-        rows.extend(fig5_rows_for(&p));
-    }
-    Fig5 { rows }
 }
 
 impl Fig5 {
@@ -245,11 +219,6 @@ pub fn fig5_efficiency_summary() -> String {
     out
 }
 
-/// Convenience for callers needing the evaluated SoCs.
-pub fn socs() -> Vec<Soc> {
-    Platform::table1().into_iter().map(|p| p.soc).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,9 +229,16 @@ mod tests {
         assert!(table2_render().contains("vecop"));
     }
 
+    /// Fig 3 (`serial`) or Fig 4 as the plan's merge assembles it.
+    fn fig34(figure: &'static str, serial: bool) -> Fig34 {
+        let base = fig34_base_energy();
+        let series = Platform::table1().iter().map(|p| fig34_series_for(p, serial, base)).collect();
+        Fig34 { figure, series }
+    }
+
     #[test]
     fn fig3_series_cover_all_platforms_and_freqs() {
-        let fg = fig3();
+        let fg = fig34("3", true);
         assert_eq!(fg.series.len(), 4);
         for s in &fg.series {
             assert_eq!(s.threads, 1);
@@ -277,12 +253,13 @@ mod tests {
         let t2 = fg.at_fmax("tegra2").unwrap();
         assert!((t2.speedup_vs_baseline - 1.0).abs() < 1e-9);
         assert!((t2.energy_norm - 1.0).abs() < 1e-9);
+        assert!(fg.render().contains("Fig 3: single-core"));
     }
 
     #[test]
     fn fig4_is_faster_than_fig3_at_fmax() {
-        let f3 = fig3();
-        let f4 = fig4();
+        let f3 = fig34("3", true);
+        let f4 = fig34("4", false);
         for id in ["tegra2", "tegra3", "exynos5250", "i7-2760qm"] {
             let s3 = f3.at_fmax(id).unwrap().speedup_vs_baseline;
             let s4 = f4.at_fmax(id).unwrap().speedup_vs_baseline;
@@ -292,7 +269,7 @@ mod tests {
 
     #[test]
     fn fig5_has_16_rows() {
-        let fg = fig5();
+        let fg = Fig5 { rows: Platform::table1().iter().flat_map(fig5_rows_for).collect() };
         assert_eq!(fg.rows.len(), 16);
         assert!(fg.render().contains("Triad"));
         assert!(fig5_efficiency_summary().contains('%'));

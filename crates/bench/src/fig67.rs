@@ -3,7 +3,7 @@
 
 use cluster::{green500, table4, Machine};
 use hpc_apps::hpl::{HplConfig, HplShare};
-use hpc_apps::{fig6 as fig6_series, ScalingSeries};
+use hpc_apps::ScalingSeries;
 use netsim::{penalty_table, PenaltyRow, ProtocolModel};
 use serde::Serialize;
 use simmpi::{pingpong, JobSpec, MpiFault, PingPongPoint, RunOpts};
@@ -59,14 +59,6 @@ pub struct Fig6 {
     pub nodes: Vec<u32>,
     /// One series per Table-3 application.
     pub series: Vec<ScalingSeries>,
-}
-
-/// Generate Fig 6 on the Tibidabo model over the given node counts
-/// (use [`hpc_apps::FIG6_NODES`] for the full figure; smaller lists for
-/// quick runs).
-pub fn fig6(nodes: &[u32], opts: &RunOpts) -> Result<Fig6, MpiFault> {
-    let series = fig6_series(&Machine::tibidabo(), nodes, opts, &HplShare::default())?;
-    Ok(Fig6 { nodes: nodes.to_vec(), series })
 }
 
 impl Fig6 {
@@ -141,15 +133,6 @@ pub(crate) fn fig7_panel(
     let latency = pingpong(spec.clone(), &small, 2)?;
     let bandwidth = pingpong(spec, &large, 1)?;
     Ok(Fig7Panel { label: label.to_string(), latency, bandwidth })
-}
-
-/// Generate Fig 7 (both rows of panels: latency and bandwidth).
-pub fn fig7(opts: &RunOpts) -> Result<Fig7, MpiFault> {
-    let panels = fig7_cases()
-        .into_iter()
-        .map(|(label, plat, freq, proto)| fig7_panel(label, plat, freq, proto, opts))
-        .collect::<Result<_, _>>()?;
-    Ok(Fig7 { panels })
 }
 
 impl Fig7 {
@@ -291,7 +274,13 @@ mod tests {
 
     #[test]
     fn fig7_headline_values_match_section_4_1() {
-        let fg = fig7(&RunOpts::default()).unwrap();
+        let panels = fig7_cases()
+            .into_iter()
+            .map(|(label, plat, freq, proto)| {
+                fig7_panel(label, plat, freq, proto, &RunOpts::default()).unwrap()
+            })
+            .collect();
+        let fg = Fig7 { panels };
         let t2_tcp = fg.small_latency_us("Tegra2 TCP").unwrap();
         let t2_omx = fg.small_latency_us("Tegra2 Open-MX").unwrap();
         assert!((88.0..112.0).contains(&t2_tcp), "T2 TCP {t2_tcp}");
@@ -302,15 +291,6 @@ mod tests {
         assert!((108.0..122.0).contains(&bw_t2_omx), "T2 OMX BW {bw_t2_omx}");
         let bw_e5_omx10 = fg.peak_bandwidth_mbs("Exynos5 Open-MX @1.0GHz").unwrap();
         assert!((62.0..76.0).contains(&bw_e5_omx10), "E5 OMX BW {bw_e5_omx10}");
-    }
-
-    #[test]
-    fn small_fig6_runs_quickly_and_sanely() {
-        let fg = fig6(&[4, 8], &RunOpts::default()).unwrap();
-        assert_eq!(fg.series.len(), 5);
-        let rendered = fg.render();
-        assert!(rendered.contains("HPL"));
-        assert!(rendered.contains("HYDRO"));
     }
 
     #[test]

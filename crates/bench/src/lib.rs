@@ -1,25 +1,26 @@
 //! # bench — the reproduction harness
 //!
-//! One generator per paper artefact (every table and figure), each returning
-//! serialisable data plus a text rendering. The `repro` binary drives them;
-//! the performance ledger (`src/bin/ledger/`) times `repro` end to end and
-//! layer by layer.
+//! Every paper artefact (each table and figure) is computed one way: as
+//! cells of a [`RunPlan`], merged into the artefact's type, which serialises
+//! to its JSON and renders its text. The `repro` binary runs the plan; the
+//! performance ledger (`src/bin/ledger/`) times `repro` end to end and layer
+//! by layer.
 //!
-//! | artefact | function |
+//! | artefact | merged into |
 //! |---|---|
-//! | Fig 1 | [`fig1`] |
-//! | Fig 2(a)/(b) | [`fig2a`] / [`fig2b`] |
-//! | Table 1 / 2 | [`table1_render`] / [`table2_render`] |
-//! | Fig 3 / 4 | [`fig3`] / [`fig4`] |
-//! | Fig 5 | [`fig5`] |
-//! | Fig 6 | [`fig6`] |
-//! | Fig 7 | [`fig7`] |
-//! | Table 3 / 4 | [`table3_render`] / [`table4_render`] |
-//! | §4 HPL headline | [`hpl_headline`] |
-//! | §4.1 latency penalty | [`latency_penalty_render`] |
-//! | §6.3 resilience | [`resilience_study`] |
-//! | network-model ablation | [`ablate_merge`] (`repro --ablate-net`) |
-//! | datacenter replay | [`datacenter_cell`] (`repro --headline datacenter`) |
+//! | Fig 1 | [`Fig1`] |
+//! | Fig 2(a)/(b) | [`Fig2`] |
+//! | Table 1 / 2 | text: [`table1_render`] / [`table2_render`] |
+//! | Fig 3 / 4 | [`Fig34`] |
+//! | Fig 5 | [`Fig5`] |
+//! | Fig 6 | [`Fig6`] |
+//! | Fig 7 | [`Fig7`] |
+//! | Table 3 / 4 | text: [`table3_render`] / [`table4_render`] |
+//! | §4 HPL headline | [`HplHeadline`] |
+//! | §4.1 latency penalty | text: [`latency_penalty_render`] |
+//! | §6.3 resilience | [`ResilienceStudy`] |
+//! | network-model ablation | [`AblateNet`] (`repro --ablate-net`) |
+//! | datacenter replay | [`DcStudy`] (`repro --headline datacenter`) |
 
 #![warn(missing_docs)]
 
@@ -66,12 +67,11 @@ pub use datacenter::{
 pub use extensions::{ecc_risk_render, eee_render, imb_render, roofline_render};
 pub use fig12::{fig1, fig2a, fig2b, Fig1, Fig2};
 pub use fig345::{
-    fig3, fig4, fig5, fig5_efficiency_summary, socs, table1_render, table2_render, Fig34, Fig5,
-    SweepPoint, SweepSeries,
+    fig5_efficiency_summary, table1_render, table2_render, Fig34, Fig5, SweepPoint, SweepSeries,
 };
 pub use fig67::{
-    fig6, fig7, hpl_headline, latency_penalty, latency_penalty_render, table3_render,
-    table4_render, Fig6, Fig7, Fig7Panel, HplHeadline,
+    hpl_headline, latency_penalty, latency_penalty_render, table3_render, table4_render, Fig6,
+    Fig7, Fig7Panel, HplHeadline,
 };
 pub use journal::{read_journal, run_fingerprint, Journal, JsonlWriter, ResumeState};
 pub use mc::{
@@ -80,8 +80,8 @@ pub use mc::{
 };
 pub use plan::{run_plan, ArtefactOut, ArtefactOutcome, RunPlan, RunScales, SupervisedArtefact};
 pub use resilience::{
-    resilience_cell, resilience_contrast, resilience_grid, resilience_study, resilience_study_from,
-    ResilienceCell, ResilienceContrast, ResilienceStudy, INCIDENCE_GRID,
+    resilience_cell, resilience_contrast, resilience_grid, resilience_study_from, ResilienceCell,
+    ResilienceContrast, ResilienceStudy, INCIDENCE_GRID,
 };
 pub use supervisor::{
     run_cells, Cell, CellFailure, CellOutcome, CellReport, CellTiming, SupervisorConfig,

@@ -8,9 +8,9 @@
 //!    only on the requested items and scales — never on the host.
 //! 2. [`run_plan`] executes each artefact's cells on [`run_cells`], which
 //!    returns outputs in enumeration order regardless of scheduling.
-//! 3. Each artefact's merge closure sees exactly its own cells, in order, and
-//!    produces the same rendered blocks and JSON the old serial generators
-//!    produced.
+//! 3. Each artefact's merge sees exactly its own cells' values, in order,
+//!    and takes each back at the type its cell produced; a cell's value is
+//!    a pure function of the cell, so the merged blocks and JSON are too.
 //!
 //! [`run_plan`] is the one plan executor: `repro` runs it, and so does every
 //! in-process test, so the bytes the tests pin are the bytes users get.
@@ -27,25 +27,31 @@
 //! simulates once per plan; a cell reads it only on its first execution, so
 //! a supervisor retry or verification re-run simulates afresh.
 
+use std::any::Any;
+use std::convert::Infallible;
+use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use hpc_apps::hpl::HplShare;
 use hpc_apps::{AppId, ScalingMeasurement};
+use kernels::stream::StreamResult;
+use serde::Serialize;
 use simmpi::RunOpts;
 use soc_arch::{cache_counters, Platform};
 
-use crate::ablate::{ablate_merge, ablate_side, AblateSide, ABLATE_FIGURES};
+use crate::ablate::{ablate_merge, ablate_side, AblateNet, ABLATE_FIGURES};
 use crate::artifact::fnv1a64;
 use crate::datacenter::{
-    datacenter_cell, datacenter_study_from, datacenter_validation, DcValidation, DATACENTER_CASES,
+    datacenter_cell, datacenter_study_from, datacenter_validation, DcStudy, DcValidation,
+    DATACENTER_CASES,
 };
-use crate::fig345::{fig34_base_energy, fig34_series_for, fig5_rows_for, SweepSeries};
-use crate::fig67::{fig7_cases, fig7_panel, hpl_headline, Fig6, Fig7, Fig7Panel, HplHeadline};
+use crate::fig345::{fig34_base_energy, fig34_series_for, fig5_rows_for};
+use crate::fig67::{fig7_cases, fig7_panel, hpl_headline, Fig6, Fig7, HplHeadline};
 use crate::resilience::{
-    resilience_cell, resilience_contrast, resilience_grid, resilience_study_from, ResilienceCell,
-    ResilienceContrast,
+    resilience_cell, resilience_contrast, resilience_grid, resilience_study_from,
+    ResilienceContrast, ResilienceStudy,
 };
 use crate::supervisor::{
     run_cells, stats_from_reports, Cell, CellReport, CellTiming, SupervisorConfig, SupervisorStats,
@@ -105,65 +111,93 @@ impl RunScales {
     }
 }
 
-/// Output of one cell. The variants mirror the cell kinds of the paper's
-/// artefacts; each artefact's merge closure unwraps the variants it created.
-/// `Failed` carries a typed in-simulation fault (e.g. an exhausted DES event
-/// budget) — the supervisor intercepts it before any merge runs.
-enum CellOutput {
-    Fig1(Fig1),
-    Fig2(Fig2),
-    Series34(SweepSeries),
-    StreamRows(Vec<kernels::stream::StreamResult>),
-    Scaling(ScalingMeasurement),
-    Panel7(Box<Fig7Panel>),
-    Hpl(Box<HplHeadline>),
-    Text(String),
-    ResCell(Box<ResilienceCell>),
-    Contrast(Box<ResilienceContrast>),
-    Ablate(Box<AblateSide>),
-    Dc(Box<sched::DcReport>),
-    DcVal(Box<DcValidation>),
-    Failed(String),
+/// A cell's value on its way to its artefact's merge: the typed value
+/// behind `dyn Any`, plus a digest monomorphised for its concrete type.
+struct CellValue {
+    value: Box<dyn Any + Send>,
+    digest: fn(&dyn Any) -> u64,
 }
 
-/// `Some(message)` when the cell carries a typed failure: the supervisor
-/// treats it exactly like a panic (retry, then quarantine) but with the
-/// fault's own rendering instead of a panic payload.
-fn classify_cell(o: &CellOutput) -> Option<String> {
-    match o {
-        CellOutput::Failed(m) => Some(m.clone()),
-        _ => None,
+impl CellValue {
+    /// The value, at the type its cell produced.
+    fn take<T: 'static>(self) -> T {
+        *self.value.downcast::<T>().expect("cell taken at a type it did not produce")
     }
 }
 
-/// Deterministic fingerprint of a cell output, used by the supervisor to
-/// verify that a recovered cell reproduced its bytes. Serialisable payloads
-/// hash their JSON rendering — the same bytes that would enter an artefact.
-fn digest_cell(o: &CellOutput) -> u64 {
-    let json = |v: &dyn serde::Serialize| {
-        fnv1a64(serde_json::to_string(&v.to_value()).expect("cell digest").as_bytes())
-    };
+/// What a plan cell yields: its value, or the rendering of the typed fault
+/// (e.g. an exhausted DES event budget) that stopped it. The supervisor
+/// treats an `Err` exactly like a panic (retry, then quarantine) but with
+/// the fault's own message, so a merge only ever sees values.
+type CellOut = Result<CellValue, String>;
+
+/// The typed fault a cell reported, which the supervisor retries and then
+/// quarantines.
+fn cell_error(o: &CellOut) -> Option<String> {
+    o.as_ref().err().cloned()
+}
+
+/// Deterministic fingerprint of a cell's value: the hash of its JSON, the
+/// bytes it would put into an artefact. The supervisor computes it only to
+/// check that a recovered cell reproduced its output.
+fn cell_digest(o: &CellOut) -> u64 {
     match o {
-        CellOutput::Fig1(f) => json(f),
-        CellOutput::Fig2(f) => json(f),
-        CellOutput::Series34(s) => json(s),
-        CellOutput::StreamRows(r) => json(r),
-        CellOutput::Scaling(m) => json(m),
-        CellOutput::Panel7(p) => json(p.as_ref()),
-        CellOutput::Hpl(h) => json(h.as_ref()),
-        CellOutput::Text(t) => fnv1a64(t.as_bytes()),
-        CellOutput::ResCell(c) => json(c.as_ref()),
-        CellOutput::Contrast(c) => json(c.as_ref()),
-        CellOutput::Ablate(s) => json(s.as_ref()),
-        CellOutput::Dc(r) => json(r.as_ref()),
-        CellOutput::DcVal(v) => json(v.as_ref()),
-        CellOutput::Failed(m) => fnv1a64(m.as_bytes()),
+        Ok(c) => (c.digest)(c.value.as_ref()),
+        Err(m) => fnv1a64(m.as_bytes()),
+    }
+}
+
+fn json_digest<T: Serialize + 'static>(value: &dyn Any) -> u64 {
+    let value = value.downcast_ref::<T>().expect("digest of a cell of another type");
+    fnv1a64(serde_json::to_string(&value.to_value()).expect("cell digest").as_bytes())
+}
+
+/// A plan cell labelled `label` whose body yields a `T` or a typed fault.
+fn cell<T, E>(
+    label: impl Into<String>,
+    run: impl Fn() -> Result<T, E> + Send + Sync + 'static,
+) -> Cell<CellOut>
+where
+    T: Serialize + Send + 'static,
+    E: Display,
+{
+    Cell::new(label, move || match run() {
+        Ok(value) => Ok(CellValue { value: Box::new(value), digest: json_digest::<T> }),
+        Err(e) => Err(e.to_string()),
+    })
+}
+
+/// The result of a cell that cannot fail.
+fn ok<T>(value: T) -> Result<T, Infallible> {
+    Ok(value)
+}
+
+/// One artefact's cell values, in enumeration order; the merge takes each
+/// back at the type its cell produced.
+struct Cells(std::vec::IntoIter<CellValue>);
+
+const TOO_FEW_CELLS: &str = "merge took more cells than its artefact enumerated";
+
+impl Cells {
+    /// The next cell's value.
+    fn take<T: 'static>(&mut self) -> T {
+        self.0.next().expect(TOO_FEW_CELLS).take()
+    }
+
+    /// The last cell's value.
+    fn take_last<T: 'static>(&mut self) -> T {
+        self.0.next_back().expect(TOO_FEW_CELLS).take()
+    }
+
+    /// Every remaining cell's value.
+    fn rest<T: 'static>(self) -> Vec<T> {
+        self.0.map(CellValue::take).collect()
     }
 }
 
 /// One merged artefact, ready for the CLI: rendered text blocks (printed in
-/// order, one `println!` each — exactly the old serial output) and an
-/// optional JSON payload `(file stem, pretty text)`.
+/// order, one `println!` each) and an optional JSON payload `(file stem,
+/// pretty text)`.
 pub struct ArtefactOut {
     /// Stable artefact key (`fig1` … `resilience`).
     pub key: &'static str,
@@ -173,7 +207,9 @@ pub struct ArtefactOut {
     pub json: Option<(&'static str, String)>,
 }
 
-type MergeFn = Box<dyn FnOnce(Vec<CellOutput>) -> ArtefactOut + Send>;
+/// Merges an artefact's cells into its printed blocks and, for an artefact
+/// with a JSON stem, the JSON text persisted under it.
+type MergeFn = Box<dyn FnOnce(Cells) -> (Vec<String>, Option<String>) + Send>;
 
 /// One cell's access to its plan's [`HplShare`]. The cell's first execution
 /// reads the share; any re-execution — a supervisor retry, or the
@@ -205,8 +241,32 @@ struct ArtefactSpec {
     /// known so `--resume`/`--fsck` can map keys to files without running
     /// any merge). `None` for text-only artefacts.
     json_stem: Option<&'static str>,
-    cells: Vec<Cell<CellOutput>>,
+    cells: Vec<Cell<CellOut>>,
     merge: MergeFn,
+}
+
+impl ArtefactSpec {
+    /// The common shape: the cells merge into one value, printed as
+    /// `render`'s block and persisted as JSON under `stem`.
+    fn merged<V: Serialize + 'static>(
+        key: &'static str,
+        stem: &'static str,
+        cells: Vec<Cell<CellOut>>,
+        merge: impl FnOnce(Cells) -> V + Send + 'static,
+        render: fn(&V) -> String,
+    ) -> ArtefactSpec {
+        let merge = move |cells| {
+            let value = merge(cells);
+            let json = serde_json::to_string_pretty(&value).expect("artefact serialization");
+            (vec![render(&value)], Some(json))
+        };
+        ArtefactSpec { key, json_stem: Some(stem), cells, merge: Box::new(merge) }
+    }
+
+    /// A text-only artefact: each cell yields one printed block.
+    fn text(key: &'static str, cells: Vec<Cell<CellOut>>) -> ArtefactSpec {
+        ArtefactSpec { key, json_stem: None, cells, merge: Box::new(|c| (c.rest(), None)) }
+    }
 }
 
 /// A fully-enumerated run: every cell of every requested artefact, in
@@ -216,90 +276,37 @@ pub struct RunPlan {
     hpl: Arc<HplShare>,
 }
 
-fn json_of<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("artefact serialization")
-}
-
-/// A single-cell artefact holding one rendered text block.
-fn text_artefact(
-    key: &'static str,
-    gen: impl Fn() -> String + Send + Sync + 'static,
-) -> ArtefactSpec {
-    ArtefactSpec {
-        key,
-        json_stem: None,
-        cells: vec![Cell::new(key, move || CellOutput::Text(gen()))],
-        merge: Box::new(move |outs| {
-            let blocks = outs
-                .into_iter()
-                .map(|o| match o {
-                    CellOutput::Text(t) => t,
-                    _ => unreachable!("text artefact produced a non-text cell"),
-                })
-                .collect();
-            ArtefactOut { key, blocks, json: None }
-        }),
-    }
-}
-
 fn fig34_artefact(figure: &'static str, serial: bool) -> ArtefactSpec {
     let key = if serial { "fig3" } else { "fig4" };
     let cells = Platform::table1()
         .into_iter()
         .map(|p| {
-            Cell::new(format!("{key}/{}", p.id), move || {
-                // Every cell recomputes the Tegra2@1GHz normaliser; after the
-                // first evaluation the timing cache answers it, and the value
-                // is bit-identical on every path.
-                CellOutput::Series34(fig34_series_for(&p, serial, fig34_base_energy()))
+            // Every cell recomputes the Tegra2@1GHz normaliser; after the
+            // first evaluation the timing cache answers it, and the value is
+            // bit-identical on every path.
+            cell(format!("{key}/{}", p.id), move || {
+                ok(fig34_series_for(&p, serial, fig34_base_energy()))
             })
         })
         .collect();
-    ArtefactSpec {
+    ArtefactSpec::merged(
         key,
-        json_stem: Some(key),
+        key,
         cells,
-        merge: Box::new(move |outs| {
-            let series = outs
-                .into_iter()
-                .map(|o| match o {
-                    CellOutput::Series34(s) => s,
-                    _ => unreachable!("fig3/4 produced a non-series cell"),
-                })
-                .collect();
-            let fg = Fig34 { figure, series };
-            ArtefactOut { key, blocks: vec![fg.render()], json: Some((key, json_of(&fg))) }
-        }),
-    }
+        move |c| Fig34 { figure, series: c.rest() },
+        Fig34::render,
+    )
 }
 
 fn fig5_artefact() -> ArtefactSpec {
     let cells = Platform::table1()
         .into_iter()
-        .map(|p| {
-            Cell::new(format!("fig5/{}", p.id), move || CellOutput::StreamRows(fig5_rows_for(&p)))
-        })
+        .map(|p| cell(format!("fig5/{}", p.id), move || ok(fig5_rows_for(&p))))
         .collect();
-    ArtefactSpec {
-        key: "fig5",
-        json_stem: Some("fig5"),
-        cells,
-        merge: Box::new(|outs| {
-            let mut rows = Vec::new();
-            for o in outs {
-                match o {
-                    CellOutput::StreamRows(r) => rows.extend(r),
-                    _ => unreachable!("fig5 produced a non-stream cell"),
-                }
-            }
-            let fg = Fig5 { rows };
-            ArtefactOut {
-                key: "fig5",
-                blocks: vec![fg.render(), crate::fig5_efficiency_summary()],
-                json: Some(("fig5", json_of(&fg))),
-            }
-        }),
-    }
+    let merge = |c: Cells| Fig5 { rows: c.rest::<Vec<StreamResult>>().concat() };
+    // The STREAM table, then the §3.2 efficiency sentence.
+    let render = |f: &Fig5| format!("{}\n{}", f.render(), crate::fig5_efficiency_summary());
+    ArtefactSpec::merged("fig5", "fig5", cells, merge, render)
 }
 
 fn fig6_artefact(nodes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
@@ -314,42 +321,23 @@ fn fig6_artefact(nodes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> Artefa
         for &n in counts {
             let ticket = HplTicket::new(hpl);
             let opts = opts.clone();
-            cells.push(Cell::new(format!("fig6/{app:?}/n={n}"), move || {
+            cells.push(cell(format!("fig6/{app:?}/n={n}"), move || {
                 let machine = cluster::Machine::tibidabo();
-                match ticket.with(|h| hpc_apps::measure_scaling_cell(&machine, app, n, &opts, h)) {
-                    Ok(m) => CellOutput::Scaling(m),
-                    Err(e) => CellOutput::Failed(e.to_string()),
-                }
+                ticket.with(|h| hpc_apps::measure_scaling_cell(&machine, app, n, &opts, h))
             }));
         }
     }
-    ArtefactSpec {
-        key: "fig6",
-        json_stem: Some("fig6"),
-        cells,
-        merge: Box::new(move |outs| {
-            let mut it = outs.into_iter();
-            let series = apps
-                .iter()
-                .map(|(app, counts)| {
-                    let ms: Vec<ScalingMeasurement> = counts
-                        .iter()
-                        .map(|_| match it.next() {
-                            Some(CellOutput::Scaling(m)) => m,
-                            _ => unreachable!("fig6 cell mismatch"),
-                        })
-                        .collect();
-                    hpc_apps::series_from_measurements(*app, &ms)
-                })
-                .collect();
-            let fg = Fig6 { nodes, series };
-            ArtefactOut {
-                key: "fig6",
-                blocks: vec![fg.render()],
-                json: Some(("fig6", json_of(&fg))),
-            }
-        }),
-    }
+    let merge = move |mut c: Cells| {
+        let series = apps
+            .iter()
+            .map(|(app, counts)| {
+                let ms: Vec<ScalingMeasurement> = counts.iter().map(|_| c.take()).collect();
+                hpc_apps::series_from_measurements(*app, &ms)
+            })
+            .collect();
+        Fig6 { nodes, series }
+    };
+    ArtefactSpec::merged("fig6", "fig6", cells, merge, Fig6::render)
 }
 
 fn fig7_artefact(opts: &RunOpts) -> ArtefactSpec {
@@ -357,105 +345,41 @@ fn fig7_artefact(opts: &RunOpts) -> ArtefactSpec {
         .into_iter()
         .map(|(label, plat, freq, proto)| {
             let opts = opts.clone();
-            Cell::new(format!("fig7/{label}"), move || {
-                match fig7_panel(label, plat.clone(), freq, proto, &opts) {
-                    Ok(p) => CellOutput::Panel7(Box::new(p)),
-                    Err(e) => CellOutput::Failed(e.to_string()),
-                }
+            cell(format!("fig7/{label}"), move || {
+                fig7_panel(label, plat.clone(), freq, proto, &opts)
             })
         })
         .collect();
-    ArtefactSpec {
-        key: "fig7",
-        json_stem: Some("fig7"),
-        cells,
-        merge: Box::new(|outs| {
-            let panels = outs
-                .into_iter()
-                .map(|o| match o {
-                    CellOutput::Panel7(p) => *p,
-                    _ => unreachable!("fig7 produced a non-panel cell"),
-                })
-                .collect();
-            let fg = Fig7 { panels };
-            ArtefactOut {
-                key: "fig7",
-                blocks: vec![fg.render()],
-                json: Some(("fig7", json_of(&fg))),
-            }
-        }),
-    }
+    ArtefactSpec::merged("fig7", "fig7", cells, |c| Fig7 { panels: c.rest() }, Fig7::render)
 }
 
 fn hpl_artefact(nodes: u32, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
     let ticket = HplTicket::new(hpl);
     let opts = opts.clone();
-    ArtefactSpec {
-        key: "hpl",
-        json_stem: Some("hpl_headline"),
-        cells: vec![Cell::new(format!("hpl/n={nodes}"), move || {
-            match ticket.with(|h| hpl_headline(nodes, &opts, h)) {
-                Ok(h) => CellOutput::Hpl(Box::new(h)),
-                Err(e) => CellOutput::Failed(e.to_string()),
-            }
-        })],
-        merge: Box::new(|mut outs| {
-            let h = match outs.pop() {
-                Some(CellOutput::Hpl(h)) => *h,
-                _ => unreachable!("hpl produced a non-headline cell"),
-            };
-            ArtefactOut {
-                key: "hpl",
-                blocks: vec![h.render()],
-                json: Some(("hpl_headline", json_of(&h))),
-            }
-        }),
-    }
+    let cells = vec![cell(format!("hpl/n={nodes}"), move || {
+        ticket.with(|h| hpl_headline(nodes, &opts, h))
+    })];
+    ArtefactSpec::merged("hpl", "hpl_headline", cells, |mut c| c.take(), HplHeadline::render)
 }
 
 fn resilience_artefact(sizes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
-    let mut cells: Vec<Cell<CellOutput>> = resilience_grid(&sizes)
+    let mut cells: Vec<Cell<CellOut>> = resilience_grid(&sizes)
         .into_iter()
         .map(|(nodes, incidence, seed)| {
             let ticket = HplTicket::new(hpl);
             let opts = opts.clone();
-            Cell::new(format!("resilience/n={nodes}/i={incidence}"), move || {
-                match ticket.with(|h| resilience_cell(nodes, incidence, seed, &opts, h)) {
-                    Ok(c) => CellOutput::ResCell(Box::new(c)),
-                    Err(e) => CellOutput::Failed(e.to_string()),
-                }
+            cell(format!("resilience/n={nodes}/i={incidence}"), move || {
+                ticket.with(|h| resilience_cell(nodes, incidence, seed, &opts, h))
             })
         })
         .collect();
     let opts = opts.clone();
-    cells.push(Cell::new("resilience/contrast", move || match resilience_contrast(&opts) {
-        Ok(c) => CellOutput::Contrast(Box::new(c)),
-        Err(e) => CellOutput::Failed(e.to_string()),
-    }));
-    ArtefactSpec {
-        key: "resilience",
-        json_stem: Some("resilience"),
-        cells,
-        merge: Box::new(|mut outs| {
-            let contrast = match outs.pop() {
-                Some(CellOutput::Contrast(c)) => *c,
-                _ => unreachable!("resilience grid lost its contrast cell"),
-            };
-            let grid = outs
-                .into_iter()
-                .map(|o| match o {
-                    CellOutput::ResCell(c) => *c,
-                    _ => unreachable!("resilience produced a non-grid cell"),
-                })
-                .collect();
-            let s = resilience_study_from(grid, contrast);
-            ArtefactOut {
-                key: "resilience",
-                blocks: vec![s.render()],
-                json: Some(("resilience", json_of(&s))),
-            }
-        }),
-    }
+    cells.push(cell("resilience/contrast", move || resilience_contrast(&opts)));
+    let merge = |mut c: Cells| {
+        let contrast = c.take_last::<ResilienceContrast>();
+        resilience_study_from(c.rest(), contrast)
+    };
+    ArtefactSpec::merged("resilience", "resilience", cells, merge, ResilienceStudy::render)
 }
 
 fn ablate_net_artefact(scales: &RunScales, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
@@ -469,77 +393,31 @@ fn ablate_net_artefact(scales: &RunScales, opts: &RunOpts, hpl: &Arc<HplShare>) 
             let hpl_nodes = scales.hpl_nodes;
             let ticket = HplTicket::new(hpl);
             let opts = opts.clone();
-            cells.push(Cell::new(format!("ablate-net/{figure}/{}", model.name()), move || {
-                match ticket.with(|h| ablate_side(figure, model, &fig6_nodes, hpl_nodes, &opts, h))
-                {
-                    Ok(s) => CellOutput::Ablate(Box::new(s)),
-                    Err(e) => CellOutput::Failed(e.to_string()),
-                }
+            cells.push(cell(format!("ablate-net/{figure}/{}", model.name()), move || {
+                ticket.with(|h| ablate_side(figure, model, &fig6_nodes, hpl_nodes, &opts, h))
             }));
         }
     }
-    ArtefactSpec {
-        key: "ablate-net",
-        json_stem: Some("ablate_net"),
-        cells,
-        merge: Box::new(|outs| {
-            let sides = outs
-                .into_iter()
-                .map(|o| match o {
-                    CellOutput::Ablate(s) => *s,
-                    _ => unreachable!("ablate-net produced a non-ablation cell"),
-                })
-                .collect();
-            let merged = ablate_merge(sides);
-            ArtefactOut {
-                key: "ablate-net",
-                blocks: vec![merged.render()],
-                json: Some(("ablate_net", json_of(&merged))),
-            }
-        }),
-    }
+    let merge = |c: Cells| ablate_merge(c.rest());
+    ArtefactSpec::merged("ablate-net", "ablate_net", cells, merge, AblateNet::render)
 }
 
 fn datacenter_artefact(jobs: u64, validation_nodes: u32, opts: &RunOpts) -> ArtefactSpec {
-    let mut cells: Vec<Cell<CellOutput>> = DATACENTER_CASES
+    let mut cells: Vec<Cell<CellOut>> = DATACENTER_CASES
         .iter()
         .map(|case| {
-            Cell::new(format!("datacenter/{}", case.label), move || {
-                CellOutput::Dc(Box::new(datacenter_cell(case, jobs)))
-            })
+            cell(format!("datacenter/{}", case.label), move || ok(datacenter_cell(case, jobs)))
         })
         .collect();
     let opts = opts.clone();
-    cells.push(Cell::new(format!("datacenter/validation/n={validation_nodes}"), move || {
-        match datacenter_validation(validation_nodes, &opts) {
-            Ok(v) => CellOutput::DcVal(Box::new(v)),
-            Err(e) => CellOutput::Failed(e.to_string()),
-        }
+    cells.push(cell(format!("datacenter/validation/n={validation_nodes}"), move || {
+        datacenter_validation(validation_nodes, &opts)
     }));
-    ArtefactSpec {
-        key: "datacenter",
-        json_stem: Some("datacenter"),
-        cells,
-        merge: Box::new(move |mut outs| {
-            let validation = match outs.pop() {
-                Some(CellOutput::DcVal(v)) => *v,
-                _ => unreachable!("datacenter grid lost its validation cell"),
-            };
-            let reports = outs
-                .into_iter()
-                .map(|o| match o {
-                    CellOutput::Dc(r) => *r,
-                    _ => unreachable!("datacenter produced a non-replay cell"),
-                })
-                .collect();
-            let study = datacenter_study_from(jobs, reports, validation);
-            ArtefactOut {
-                key: "datacenter",
-                blocks: vec![study.render()],
-                json: Some(("datacenter", json_of(&study))),
-            }
-        }),
-    }
+    let merge = move |mut c: Cells| {
+        let validation = c.take_last::<DcValidation>();
+        datacenter_study_from(jobs, c.rest(), validation)
+    };
+    ArtefactSpec::merged("datacenter", "datacenter", cells, merge, DcStudy::render)
 }
 
 impl RunPlan {
@@ -552,50 +430,37 @@ impl RunPlan {
         let hpl = Arc::new(HplShare::default());
 
         if want("fig1") {
-            artefacts.push(ArtefactSpec {
-                key: "fig1",
-                json_stem: Some("fig1"),
-                cells: vec![Cell::new("fig1", || CellOutput::Fig1(crate::fig1()))],
-                merge: Box::new(|mut outs| {
-                    let fg = match outs.pop() {
-                        Some(CellOutput::Fig1(f)) => f,
-                        _ => unreachable!("fig1 cell mismatch"),
-                    };
-                    ArtefactOut {
-                        key: "fig1",
-                        blocks: vec![fg.render()],
-                        json: Some(("fig1", json_of(&fg))),
-                    }
-                }),
-            });
+            let cells = vec![cell("fig1", || ok(crate::fig1()))];
+            artefacts.push(ArtefactSpec::merged(
+                "fig1",
+                "fig1",
+                cells,
+                |mut c| c.take(),
+                Fig1::render,
+            ));
         }
         for (key, gen) in
             [("fig2a", crate::fig2a as fn() -> Fig2), ("fig2b", crate::fig2b as fn() -> Fig2)]
         {
             if want(key) || want("fig2") {
-                artefacts.push(ArtefactSpec {
+                let cells = vec![cell(key, move || ok(gen()))];
+                artefacts.push(ArtefactSpec::merged(
                     key,
-                    json_stem: Some(key),
-                    cells: vec![Cell::new(key, move || CellOutput::Fig2(gen()))],
-                    merge: Box::new(move |mut outs| {
-                        let fg = match outs.pop() {
-                            Some(CellOutput::Fig2(f)) => f,
-                            _ => unreachable!("fig2 cell mismatch"),
-                        };
-                        ArtefactOut {
-                            key,
-                            blocks: vec![fg.render()],
-                            json: Some((key, json_of(&fg))),
-                        }
-                    }),
-                });
+                    key,
+                    cells,
+                    |mut c| c.take(),
+                    Fig2::render,
+                ));
             }
         }
+        let text = |key: &'static str, render: fn() -> String| {
+            ArtefactSpec::text(key, vec![cell(key, move || ok(render()))])
+        };
         if want("table1") {
-            artefacts.push(text_artefact("table1", crate::table1_render));
+            artefacts.push(text("table1", crate::table1_render));
         }
         if want("table2") {
-            artefacts.push(text_artefact("table2", crate::table2_render));
+            artefacts.push(text("table2", crate::table2_render));
         }
         if want("fig3") {
             artefacts.push(fig34_artefact("3", true));
@@ -607,7 +472,7 @@ impl RunPlan {
             artefacts.push(fig5_artefact());
         }
         if want("table3") {
-            artefacts.push(text_artefact("table3", crate::table3_render));
+            artefacts.push(text("table3", crate::table3_render));
         }
         if want("fig6") {
             artefacts.push(fig6_artefact(scales.fig6_nodes.clone(), opts, &hpl));
@@ -616,39 +481,23 @@ impl RunPlan {
             artefacts.push(fig7_artefact(opts));
         }
         if want("table4") {
-            artefacts.push(text_artefact("table4", crate::table4_render));
+            artefacts.push(text("table4", crate::table4_render));
         }
         if want("hpl") {
             artefacts.push(hpl_artefact(scales.hpl_nodes, opts, &hpl));
         }
         if want("latency-penalty") {
-            artefacts.push(text_artefact("latency-penalty", crate::latency_penalty_render));
+            artefacts.push(text("latency-penalty", crate::latency_penalty_render));
         }
         if want("extensions") {
             let opts = opts.clone();
-            artefacts.push(ArtefactSpec {
-                key: "extensions",
-                json_stem: None,
-                cells: vec![
-                    Cell::new("extensions/ecc", || CellOutput::Text(crate::ecc_risk_render())),
-                    Cell::new("extensions/eee", || CellOutput::Text(crate::eee_render())),
-                    Cell::new("extensions/roofline", || CellOutput::Text(crate::roofline_render())),
-                    Cell::new("extensions/imb", move || match crate::imb_render(&opts) {
-                        Ok(t) => CellOutput::Text(t),
-                        Err(e) => CellOutput::Failed(e.to_string()),
-                    }),
-                ],
-                merge: Box::new(|outs| {
-                    let blocks = outs
-                        .into_iter()
-                        .map(|o| match o {
-                            CellOutput::Text(t) => t,
-                            _ => unreachable!("extensions produced a non-text cell"),
-                        })
-                        .collect();
-                    ArtefactOut { key: "extensions", blocks, json: None }
-                }),
-            });
+            let cells = vec![
+                cell("extensions/ecc", || ok(crate::ecc_risk_render())),
+                cell("extensions/eee", || ok(crate::eee_render())),
+                cell("extensions/roofline", || ok(crate::roofline_render())),
+                cell("extensions/imb", move || crate::imb_render(&opts)),
+            ];
+            artefacts.push(ArtefactSpec::text("extensions", cells));
         }
         if want("resilience") {
             artefacts.push(resilience_artefact(scales.resilience_sizes.clone(), opts, &hpl));
@@ -683,13 +532,6 @@ impl RunPlan {
         self.artefacts.iter().map(|a| a.key).collect()
     }
 
-    /// `(key, json file stem)` for every artefact of the plan, in output
-    /// order — the static map `--resume`/`--fsck` use to pair journal
-    /// records with files on disk.
-    pub fn artefact_stems(&self) -> Vec<(&'static str, Option<&'static str>)> {
-        self.artefacts.iter().map(|a| (a.key, a.json_stem)).collect()
-    }
-
     /// Replace the body of every cell whose label contains `needle` with one
     /// that panics — the supervisor acceptance probe (`repro
     /// --inject-panic`). Returns how many cells were sabotaged.
@@ -699,7 +541,7 @@ impl RunPlan {
             for c in &mut a.cells {
                 if c.label.contains(needle) {
                     let label = c.label.clone();
-                    c.run = Arc::new(move || -> CellOutput {
+                    c.run = Arc::new(move || -> CellOut {
                         panic!("injected panic in cell {label} (via --inject-panic)")
                     });
                     hit += 1;
@@ -806,14 +648,19 @@ pub fn run_plan(
             continue;
         }
         executed += a.cells.len();
-        let (outs, reports) = run_cells(a.cells, jobs, sup, classify_cell, digest_cell);
+        let (outs, reports) = run_cells(a.cells, jobs, sup, cell_error, cell_digest);
         cell_timings.extend(
             reports.iter().map(|r| CellTiming { label: r.label.clone(), wall_ms: r.wall_ms }),
         );
         sup_stats.absorb(stats_from_reports(&reports, sup));
-        let outcome = if outs.iter().all(Option::is_some) {
-            let outs: Vec<CellOutput> = outs.into_iter().flatten().collect();
-            ArtefactOutcome::Completed((a.merge)(outs))
+        let outcome = if outs.iter().all(|o| matches!(o, Some(Ok(_)))) {
+            let values: Vec<CellValue> = outs.into_iter().flatten().flatten().collect();
+            let (blocks, json) = (a.merge)(Cells(values.into_iter()));
+            ArtefactOutcome::Completed(ArtefactOut {
+                key: a.key,
+                blocks,
+                json: a.json_stem.zip(json),
+            })
         } else {
             ArtefactOutcome::Failed
         };
@@ -930,11 +777,37 @@ mod tests {
         assert_eq!((share.requests(), share.simulated()), (2, 1));
     }
 
-    #[test]
-    fn fig34_plan_output_matches_direct_generator() {
-        let (arts, _) = completed(golden_plan(&["fig4"]), 4);
+    /// The one artefact of a one-item golden plan: its printed blocks and
+    /// the array `field` of its JSON.
+    fn golden_artefact(key: &str, field: &str) -> (Vec<String>, Vec<serde::Value>) {
+        let (mut arts, _) = completed(golden_plan(&[key]), 2);
         assert_eq!(arts.len(), 1);
-        assert_eq!(arts[0].blocks, vec![crate::fig4().render()]);
+        let art = arts.pop().unwrap();
+        let json = serde_json::from_str(&art.json.expect("a JSON artefact").1).unwrap();
+        match crate::journal::get(&json, field) {
+            Some(serde::Value::Array(items)) => (art.blocks, items.clone()),
+            other => panic!("{key}.json has no array {field}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn small_fig6_runs_quickly_and_sanely() {
+        let (blocks, series) = golden_artefact("fig6", "series");
+        assert_eq!(series.len(), 5);
+        assert!(blocks[0].contains("HPL"));
+        assert!(blocks[0].contains("HYDRO"));
+    }
+
+    #[test]
+    fn tiny_sweep_produces_full_grid_and_renders() {
+        let (blocks, cells) = golden_artefact("resilience", "cells");
+        assert_eq!(cells.len(), crate::INCIDENCE_GRID.len());
+        for c in &cells {
+            let clean = crate::journal::get(c, "clean_secs");
+            assert!(matches!(clean, Some(serde::Value::Float(s)) if *s > 0.0), "{clean:?}");
+        }
+        assert!(blocks[0].contains("inflation"));
+        assert!(blocks[0].contains("with checkpoints"));
     }
 
     #[test]

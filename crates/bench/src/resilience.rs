@@ -1,13 +1,13 @@
 //! The resilience headline: HPL time-to-solution under deterministic fault
 //! injection, across cluster size and the §6.3 Google DIMM incidence range.
 //!
-//! Two artefacts:
+//! The [`ResilienceStudy`] artefact has two parts:
 //!
-//! * [`resilience_study`] — a Model-mode sweep of cluster size × annual
-//!   per-DIMM error incidence (0.04–0.20). Each cell runs the weak-scaling
-//!   HPL job under a generated [`FaultPlan`] with coordinated
-//!   checkpoint/restart and reports crashes survived, time-to-solution
-//!   inflation over a fault-free run, and checkpoint overhead.
+//! * a Model-mode sweep of cluster size × annual per-DIMM error incidence
+//!   (0.04–0.20). Each [`resilience_cell`] runs the weak-scaling HPL job
+//!   under a generated [`FaultPlan`] with coordinated checkpoint/restart
+//!   and reports crashes survived, time-to-solution inflation over a
+//!   fault-free run, and checkpoint overhead.
 //! * [`resilience_contrast`] — the qualitative demonstration: an
 //!   Execute-mode job under a crash schedule dense enough that
 //!   restart-from-scratch can never finish, while checkpoint/restart
@@ -182,8 +182,7 @@ pub fn resilience_contrast(opts: &RunOpts) -> Result<ResilienceContrast, MpiFaul
 /// Enumerate the sweep grid for `sizes`: `(nodes, incidence, seed)` per
 /// cell, in the study's canonical (nodes-major, incidence-minor) order. The
 /// seed derivation is part of the artefact's identity — goldens depend on
-/// it — so every caller (serial study or parallel executor) goes through
-/// this single enumeration.
+/// it.
 pub fn resilience_grid(sizes: &[u32]) -> Vec<(u32, f64, u64)> {
     let mut grid = Vec::with_capacity(sizes.len() * INCIDENCE_GRID.len());
     for (i, &nodes) in sizes.iter().enumerate() {
@@ -197,6 +196,10 @@ pub fn resilience_grid(sizes: &[u32]) -> Vec<(u32, f64, u64)> {
 
 /// Run one grid cell on the Tibidabo model under `opts`, taking the
 /// fault-free baseline from `hpl`; fails only if that baseline run does.
+///
+/// `nodes` is a logical node count (≤ 96, so the 192-node topology always
+/// has spares). The fault schedule is a function of `seed`, so the cell is
+/// bit-reproducible.
 pub fn resilience_cell(
     nodes: u32,
     incidence: f64,
@@ -214,21 +217,6 @@ pub fn resilience_study_from(
     contrast: ResilienceContrast,
 ) -> ResilienceStudy {
     ResilienceStudy { acceleration: sweep_calibration().acceleration, cells, contrast }
-}
-
-/// Run the resilience sweep over `sizes` node counts × the Google incidence
-/// range, plus the checkpoint-vs-scratch contrast.
-///
-/// `sizes` are logical node counts on the Tibidabo model (≤ 96 so the
-/// 192-node topology always has spares). The fault schedule is seeded per
-/// cell, so the whole study is bit-reproducible.
-pub fn resilience_study(sizes: &[u32], opts: &RunOpts) -> Result<ResilienceStudy, MpiFault> {
-    let hpl = HplShare::default();
-    let cells = resilience_grid(sizes)
-        .into_iter()
-        .map(|(nodes, incidence, seed)| resilience_cell(nodes, incidence, seed, opts, &hpl))
-        .collect::<Result<_, _>>()?;
-    Ok(resilience_study_from(cells, resilience_contrast(opts)?))
 }
 
 impl ResilienceStudy {
@@ -301,15 +289,5 @@ mod tests {
         assert!(c.with_ckpt_residual.unwrap() < 16.0);
         assert!(!c.no_ckpt_completed);
         assert_eq!(c.no_ckpt_attempts, 3);
-    }
-
-    #[test]
-    fn tiny_sweep_produces_full_grid_and_renders() {
-        let s = resilience_study(&[2], &RunOpts::default()).unwrap();
-        assert_eq!(s.cells.len(), INCIDENCE_GRID.len());
-        assert!(s.cells.iter().all(|c| c.clean_secs > 0.0));
-        let text = s.render();
-        assert!(text.contains("inflation"));
-        assert!(text.contains("with checkpoints"));
     }
 }

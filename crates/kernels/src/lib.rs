@@ -37,6 +37,4 @@ pub mod stream;
 pub mod suite;
 pub mod vecop;
 
-pub use suite::{
-    fig3_profiles, fig3_profiles_cached, smoke_run_all, table2, KernelId, KernelSpec, SmokeResult,
-};
+pub use suite::{fig3_profiles, smoke_run_all, table2, KernelId, KernelSpec, SmokeResult};

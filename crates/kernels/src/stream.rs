@@ -34,14 +34,6 @@ impl StreamOp {
         }
     }
 
-    /// Bytes moved per element (read + write, 8-byte elements).
-    pub fn bytes_per_elem(self) -> f64 {
-        match self {
-            StreamOp::Copy | StreamOp::Scale => 16.0,
-            StreamOp::Add | StreamOp::Triad => 24.0,
-        }
-    }
-
     /// Relative attained bandwidth vs Copy: the 2-read/1-write kernels use
     /// the DRAM bus slightly better on every platform McCalpin tabulates.
     pub fn efficiency_factor(self) -> f64 {

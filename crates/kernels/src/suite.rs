@@ -135,19 +135,11 @@ pub fn table2() -> Vec<KernelSpec> {
     ]
 }
 
-/// The nominal work profiles in suite order, memoized process-wide — the
-/// sweep harness requests the suite once per scenario cell, and the profiles
-/// never change within a run.
-pub fn fig3_profiles_cached() -> &'static [WorkProfile] {
-    static SUITE: std::sync::OnceLock<Vec<WorkProfile>> = std::sync::OnceLock::new();
-    SUITE.get_or_init(|| table2().into_iter().map(|k| k.profile).collect())
-}
-
 /// The nominal work profiles in suite order — the input to the Fig 3/4
 /// frequency sweeps ("the problem size for the kernels is the same for all
 /// platforms", §3.1).
 pub fn fig3_profiles() -> Vec<WorkProfile> {
-    fig3_profiles_cached().to_vec()
+    table2().into_iter().map(|k| k.profile).collect()
 }
 
 /// Functional smoke result for one kernel.

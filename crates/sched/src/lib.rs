@@ -4,9 +4,9 @@
 //! is a *job stream* question. This crate replays synthetic and
 //! trace-derived arrival streams of 10⁵–10⁷ jobs against a
 //! [`cluster::Machine`], with pluggable queueing policies ([`Fcfs`],
-//! [`EasyBackfill`], [`FairShare`] with optional preemption), two-phase
-//! reserve→commit placement so backfill decisions can never double-book a
-//! node, a calibrated analytic [`RuntimeModel`] that prices each job
+//! [`EasyBackfill`], [`FairShare`] with optional preemption), one-step
+//! placement that marks a job's nodes busy as it hands them out, so no two
+//! decisions of a pass can share a node, a calibrated analytic [`RuntimeModel`] that prices each job
 //! without a full MPI simulation, and PR 1 fault plans shrinking the
 //! allocatable pool mid-campaign. The replay reports utilisation,
 //! wait/slowdown distributions, energy per job, and SLO violations as a
@@ -47,7 +47,7 @@ mod workload;
 
 pub use metrics::{ClassSlo, DcReport, DistSummary, TenantUsage};
 pub use model::{job_energy_j, RuntimeModel, ScalingLaw, REF_NODE_GFLOPS};
-pub use placement::{NodeFate, PlacementStore, Reservation};
+pub use placement::{NodeFate, PlacementStore};
 pub use policy::{
     shadow_time, Action, EasyBackfill, FairShare, Fcfs, PassBuf, Policy, QueuedJob, RunningJob,
     SchedView, SCAN_DEPTH,

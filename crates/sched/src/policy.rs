@@ -3,8 +3,8 @@
 //! A [`Policy`] is consulted once per scheduling pass (after every arrival,
 //! completion, or node failure) with a read-only [`SchedView`] of the queue
 //! and cluster, and answers with an ordered list of [`Action`]s. The
-//! simulator executes them through the two-phase placement store, so a
-//! policy can only *propose*; it can never hand out nodes itself.
+//! simulator executes them through its placement store, so a policy can
+//! only *propose*; it can never hand out nodes itself.
 //!
 //! Three policies ship: plain [`Fcfs`], [`EasyBackfill`] (the classic EASY
 //! algorithm: strict FCFS for the head of queue plus backfilling that may
@@ -64,7 +64,7 @@ pub struct SchedView<'a> {
 /// One scheduling decision, executed by the simulator in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Action {
-    /// Start the queued job at this index (two-phase: reserve, then commit).
+    /// Start the queued job at this index of [`SchedView::queue`].
     Start(usize),
     /// Kill this running job and resubmit it at the head of the queue,
     /// charging a preemption. Only meaningful from preempting policies.
@@ -91,10 +91,12 @@ pub trait Policy {
     fn name(&self) -> &'static str;
 
     /// Propose this pass's actions by pushing them onto `pass.actions`.
-    /// `Start` indices refer to the queue *before* any action is applied;
-    /// the simulator starts them in the given order and ignores indices
-    /// whose reservation no longer fits (which a correct policy never
-    /// produces).
+    /// `Start` indices refer to the queue *before* any action is applied,
+    /// whatever their order relative to `Preempt`s: the simulator applies
+    /// the actions in the given order, starts indexed jobs on the queue the
+    /// policy saw, and requeues the pass's victims at its head only after
+    /// the last start. It ignores a start that no longer fits (which a
+    /// correct policy never produces).
     fn decide(&mut self, view: &SchedView<'_>, pass: &mut PassBuf);
 
     /// Whether the policy reads [`SchedView::tenant_usage`]. When `false`

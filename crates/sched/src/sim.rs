@@ -180,6 +180,9 @@ pub struct DcSim {
     pass: PassBuf,
     /// Absolute queue indices started in the current round.
     started: Vec<usize>,
+    /// The current round's preempted jobs, in kill order, waiting to be
+    /// requeued once the round's starts are applied.
+    victims: Vec<QueuedJob>,
 
     // Accounting.
     busy_node_secs: f64,
@@ -238,6 +241,7 @@ impl DcSim {
             usage: Vec::new(),
             pass: PassBuf::default(),
             started: Vec::new(),
+            victims: Vec::new(),
             busy_node_secs: 0.0,
             capacity_node_secs: 0.0,
             last_capacity_at: SimTime::ZERO,
@@ -409,7 +413,9 @@ impl DcSim {
             }
             NodeFate::WasRunning(victim) => {
                 self.crashes += 1;
-                self.kill_running(victim, true);
+                if let Some(requeued) = self.kill_running(victim, true) {
+                    self.queue.insert(self.qhead, requeued);
+                }
             }
         }
         self.emit(TraceEvent::Fault { kind: "node_crash", node });
@@ -429,8 +435,10 @@ impl DcSim {
     }
 
     /// Kill a running job (crash or preemption); `from_crash` decides
-    /// whether the resubmission budget is charged.
-    fn kill_running(&mut self, job: JobId, from_crash: bool) {
+    /// whether the resubmission budget is charged. Returns the queue entry
+    /// to put back at the head of the queue, or `None` if the job used up
+    /// its resubmissions and failed.
+    fn kill_running(&mut self, job: JobId, from_crash: bool) -> Option<QueuedJob> {
         let rec = self.running.remove(&job).expect("victim is running");
         self.remove_running_view(job, rec.est_end);
         self.placement.release(job, &rec.granted); // survivors; the dead one is gone
@@ -443,18 +451,16 @@ impl DcSim {
             self.class_jobs[Self::class_idx(rec.qos)] += 1;
             self.class_violations[Self::class_idx(rec.qos)] += 1;
             self.emit(TraceEvent::JobFinish { job, outcome: "fault_failed" });
-            return;
+            return None;
         }
         if from_crash {
             self.resubmits += 1;
         } else {
             self.preemptions += 1;
         }
-        // Back to the head of the queue with its original submit time, so
-        // its eventual wait/slowdown reflect the whole ordeal.
-        let requeued =
-            QueuedJob { job: Job { nodes: rec.nodes, ..self.job_template(&rec, job) }, resubmits };
-        self.queue.insert(self.qhead, requeued);
+        // Back to the queue with its original submit time, so its eventual
+        // wait/slowdown reflect the whole ordeal.
+        Some(QueuedJob { job: Job { nodes: rec.nodes, ..self.job_template(&rec, job) }, resubmits })
     }
 
     /// Rebuild the immutable `Job` record for a restart from its running
@@ -539,7 +545,6 @@ impl DcSim {
                 break;
             }
             self.started.clear();
-            let mut preempted = false;
             for k in 0..self.pass.actions.len() {
                 match self.pass.actions[k] {
                     Action::Start(i) => {
@@ -553,16 +558,20 @@ impl DcSim {
                     }
                     Action::Preempt(id) => {
                         if self.running.contains_key(&id) {
-                            self.kill_running(id, false);
-                            preempted = true;
+                            let victim = self.kill_running(id, false);
+                            self.victims.extend(victim);
                         }
                     }
                 }
             }
             self.compact_queue();
-            if !preempted {
+            if self.victims.is_empty() {
                 break;
             }
+            // The victims go back to the head only now, so no start of this
+            // round resolved its index against a queue the policy never saw;
+            // the last one killed heads the queue.
+            self.queue.splice(self.qhead..self.qhead, self.victims.drain(..).rev());
         }
         if self.cfg.audit {
             self.audit_pass();
@@ -570,13 +579,11 @@ impl DcSim {
     }
 
     /// Start the queued job at absolute queue index `idx`. Returns false if
-    /// the reservation does not fit (a policy overcommit; the job stays
-    /// queued).
+    /// it does not fit (a policy overcommit; the job stays queued).
     fn start_job(&mut self, idx: usize) -> bool {
         let q = &self.queue[idx];
         let job = &q.job;
-        let Some(res) = self.placement.reserve(job.nodes) else { return false };
-        let granted = self.placement.commit(res, job.id);
+        let Some(granted) = self.placement.place(job.nodes, job.id) else { return false };
         let run_secs = match self.cfg.runtime {
             RuntimeMode::Analytic => self.model.job_secs(job),
             RuntimeMode::Recorded => job.work,

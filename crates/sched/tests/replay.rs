@@ -1,11 +1,15 @@
 //! End-to-end replay tests: determinism, fault behaviour, wall-limit kills,
-//! and policy sanity on full streams.
+//! policy sanity on full streams, and the order a pass applies its actions.
+
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex};
 
 use cluster::Machine;
-use des::{FaultEvent, FaultKind, FaultPlan, SimTime};
+use des::{FaultEvent, FaultKind, FaultPlan, SimTime, TraceEvent, TraceRecord, Tracer};
+use proptest::prelude::*;
 use sched::{
-    DcConfig, DcOutcome, DcSim, EasyBackfill, FairShare, Fcfs, Job, JobKind, Policy, QosClass,
-    RuntimeMode, RuntimeModel, SyntheticSpec, Tenant,
+    Action, DcConfig, DcOutcome, DcSim, EasyBackfill, FairShare, Fcfs, Job, JobId, JobKind,
+    PassBuf, Policy, QosClass, RuntimeMode, RuntimeModel, SchedView, SyntheticSpec, Tenant,
 };
 
 fn tenants_of(spec: &SyntheticSpec) -> Vec<Tenant> {
@@ -211,4 +215,147 @@ fn preemption_fires_under_tenant_starvation() {
     assert!(out.report.preemptions > 0, "the starved VIP job must evict flood jobs");
     let departed = out.report.completed + out.report.wall_killed + out.report.fault_failed;
     assert_eq!(departed, 65, "preempted jobs still finish eventually");
+}
+
+/// Replays one scripted action list per scheduling pass, then proposes
+/// nothing.
+struct Scripted(VecDeque<Vec<Action>>);
+
+impl Policy for Scripted {
+    fn name(&self) -> &'static str {
+        "scripted"
+    }
+
+    fn decide(&mut self, _view: &SchedView<'_>, pass: &mut PassBuf) {
+        pass.actions.extend(self.0.pop_front().unwrap_or_default());
+    }
+}
+
+/// Records the order jobs start in.
+#[derive(Default)]
+struct Starts(Mutex<Vec<JobId>>);
+
+impl Tracer for Starts {
+    fn record(&self, rec: TraceRecord) {
+        if let TraceEvent::JobStart { job, .. } = rec.event {
+            self.0.lock().unwrap().push(job);
+        }
+    }
+}
+
+#[test]
+fn a_preemption_does_not_shift_the_starts_of_its_own_pass() {
+    // V holds half the machine. W (every node) heads the queue and N (the
+    // other half) sits behind it. One pass preempts V and starts queue
+    // index 1, which is N on the queue the policy saw. Requeueing V before
+    // that start resolved would make index 1 W instead.
+    let machine = Machine::tibidabo();
+    let half = machine.nodes() / 2;
+    let job = |id, submit_s, nodes| Job {
+        id,
+        tenant: 0,
+        qos: QosClass::Batch,
+        kind: JobKind::Solver,
+        submit: SimTime::from_secs_f64(submit_s),
+        nodes,
+        work: 1_000.0,
+        est_secs: 2_000.0,
+    };
+    let (v, w, n) = (0, 1, 2);
+    let stream = vec![job(v, 0.0, half), job(w, 1.0, machine.nodes()), job(n, 1.0, half)];
+    let script =
+        VecDeque::from([vec![Action::Start(0)], vec![Action::Preempt(v), Action::Start(1)]]);
+    let starts = Arc::new(Starts::default());
+    let model = RuntimeModel::for_machine(&machine);
+    let cfg = DcConfig { runtime: RuntimeMode::Recorded, ..DcConfig::default() };
+    let out = DcSim::new(
+        machine,
+        model,
+        Box::new(Scripted(script)),
+        vec![Tenant { name: "t0".into(), share: 1.0 }],
+        cfg,
+    )
+    .with_tracer(starts.clone())
+    .run(&stream, &FaultPlan::none());
+    assert_eq!(*starts.0.lock().unwrap(), vec![v, n]);
+    assert_eq!(out.report.preemptions, 1);
+}
+
+/// A policy that proposes random but valid passes: starts of queued jobs
+/// that fit the free nodes, with a preemption of a running job now and then
+/// at a random place among them. It records the job each `Start` names on
+/// the queue it was shown.
+struct RandomPasses {
+    rng: u64,
+    named: Arc<Mutex<Vec<JobId>>>,
+}
+
+impl RandomPasses {
+    fn next(&mut self) -> u64 {
+        // xorshift64*
+        self.rng ^= self.rng >> 12;
+        self.rng ^= self.rng << 25;
+        self.rng ^= self.rng >> 27;
+        self.rng.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
+impl Policy for RandomPasses {
+    fn name(&self) -> &'static str {
+        "random"
+    }
+
+    fn decide(&mut self, view: &SchedView<'_>, pass: &mut PassBuf) {
+        // Preempted nodes are not counted as free, so every start fits
+        // wherever the preemption lands.
+        let mut free = view.free_nodes;
+        for (i, q) in view.queue.iter().enumerate().take(16) {
+            if q.job.nodes <= free && self.next().is_multiple_of(2) {
+                free -= q.job.nodes;
+                pass.actions.push(Action::Start(i));
+                self.named.lock().unwrap().push(q.job.id);
+            }
+        }
+        if !view.running.is_empty() && self.next().is_multiple_of(4) {
+            let victim = view.running[(self.next() % view.running.len() as u64) as usize].id;
+            let at = (self.next() % (pass.actions.len() as u64 + 1)) as usize;
+            pass.actions.insert(at, Action::Preempt(victim));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every job the replay starts is the job the policy named, in the
+    /// order it named them: a `Start` index resolves against the queue the
+    /// policy saw, wherever the pass's preemptions fall, and node crashes
+    /// requeue their victims between passes.
+    #[test]
+    fn every_applied_start_is_the_job_the_policy_named(
+        seed in 0u64..1000,
+        crashes in proptest::collection::vec((0u32..192, 100u64..20_000), 0..6),
+    ) {
+        let machine = Machine::tibidabo();
+        let model = RuntimeModel::for_machine(&machine);
+        let mut spec = SyntheticSpec::standard_mix(300, seed, 1.0, 64);
+        spec.arrival_rate_hz = spec.rate_for_load(&model, machine.nodes(), 1.5);
+        let faults = FaultPlan::from_events(
+            crashes
+                .iter()
+                .map(|&(node, at_s)| FaultEvent {
+                    at: SimTime::from_secs_f64(at_s as f64),
+                    kind: FaultKind::NodeCrash { node },
+                })
+                .collect(),
+        );
+        let named = Arc::new(Mutex::new(Vec::new()));
+        let policy = RandomPasses { rng: seed | 1, named: named.clone() };
+        let starts = Arc::new(Starts::default());
+        let out = DcSim::new(machine, model, Box::new(policy), tenants_of(&spec), DcConfig::default())
+            .with_tracer(starts.clone())
+            .run(&spec.generate(), &faults);
+        prop_assert!(out.report.preemptions > 0, "no pass preempted");
+        prop_assert_eq!(&*starts.0.lock().unwrap(), &*named.lock().unwrap());
+    }
 }

@@ -21,8 +21,9 @@
 //! * [`trends`] — the Fig 1/2 historical datasets and regressions;
 //! * [`sched`] — the multi-tenant datacenter scheduler replaying job
 //!   streams of 10⁵–10⁷ jobs against the cluster models;
-//! * [`harness`] — the artefact generators and the parallel deterministic
-//!   sweep executor behind the `repro` binary.
+//! * [`harness`] — the artefact plan (each artefact's cells and their
+//!   merge) and the parallel deterministic sweep executor behind the
+//!   `repro` binary.
 //!
 //! ## Quickstart
 //!

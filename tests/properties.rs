@@ -180,10 +180,11 @@ proptest! {
 }
 
 /// A machine size and a random op sequence for the placement-store
-/// property: each tuple drives one reserve/commit/cancel/release/fail
-/// decision. 16 nodes fit in one bitset word; 130 span three, so
-/// reservations cross 64-node word boundaries. Half the requests are at
-/// most 8 nodes wide, so the free pool fragments.
+/// property: each tuple drives one place/release/fail decision (two in
+/// five place, two release, one fails a node). 16 nodes
+/// fit in one bitset word; 130 span three, so placements cross 64-node
+/// word boundaries. Half the requests are at most 8 nodes wide, so the
+/// free pool fragments.
 fn placement_ops() -> impl Strategy<Value = (u32, Vec<(u8, u32, u32)>)> {
     (0u8..2, proptest::collection::vec((0u8..5, 0u32..1 << 16, 0u32..1 << 16), 1..120)).prop_map(
         |(big, ops)| {
@@ -203,54 +204,38 @@ fn placement_ops() -> impl Strategy<Value = (u32, Vec<(u8, u32, u32)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Two-phase placement never double-books: under any interleaving of
-    /// reserve, commit, cancel, release and node failure, every node has at
-    /// most one owner, committed jobs never share nodes, every reservation
-    /// holds exactly the lowest-indexed free nodes (so dead and busy nodes
-    /// are never handed out), and the free/alive counters always agree with
-    /// a recount from scratch.
+    /// Placement never double-books: under any interleaving of place,
+    /// release and node failure, every node has at most one owner, running
+    /// jobs never share nodes, every placement takes exactly the
+    /// lowest-indexed free nodes (so dead and busy nodes are never handed
+    /// out), and the free/alive/busy counters always agree with a recount
+    /// from scratch.
     #[test]
     fn placement_store_never_double_books((size, ops) in placement_ops()) {
-        use socready::sched::{NodeFate, PlacementStore, Reservation};
+        use socready::sched::{NodeFate, PlacementStore};
         use std::collections::HashMap;
         let mut store = PlacementStore::new(size);
-        let mut held: Vec<Reservation> = Vec::new();
         let mut running: HashMap<u64, Vec<u32>> = HashMap::new(); // job -> nodes
         let mut dead: Vec<u32> = Vec::new();
         let mut next_job: u64 = 0;
         for (op, count, node) in ops {
             match op {
-                0 => {
+                0 | 1 => {
                     // The model's free pool, ascending.
                     let free: Vec<u32> = (0..size)
-                        .filter(|n| {
-                            !dead.contains(n)
-                                && held.iter().all(|h| !h.nodes().contains(n))
-                                && running.values().all(|ns| !ns.contains(n))
-                        })
+                        .filter(|n| !dead.contains(n) && running.values().all(|ns| !ns.contains(n)))
                         .collect();
-                    match store.reserve(count) {
-                        Some(r) => {
-                            prop_assert_eq!(r.nodes(), &free[..count as usize]);
-                            held.push(r);
+                    let job = next_job;
+                    next_job += 1;
+                    match store.place(count, job) {
+                        Some(granted) => {
+                            prop_assert_eq!(&granted[..], &free[..count as usize]);
+                            running.insert(job, granted);
                         }
                         None => prop_assert!(free.len() < count as usize, "refused a fit"),
                     }
                 }
-                1 => {
-                    if let Some(r) = held.pop() {
-                        let job = next_job;
-                        next_job += 1;
-                        let granted = store.commit(r, job);
-                        running.insert(job, granted);
-                    }
-                }
-                2 => {
-                    if let Some(r) = held.pop() {
-                        store.cancel(r);
-                    }
-                }
-                3 => {
+                2 | 3 => {
                     // Release a pseudo-random running job.
                     if let Some(&job) = running.keys().min_by_key(|j| *j ^ count as u64) {
                         let nodes = running.remove(&job).unwrap();
@@ -259,10 +244,8 @@ proptest! {
                     }
                 }
                 _ => {
-                    // Crashes only strike between passes (no holds out).
-                    if held.is_empty() && !dead.contains(&node) {
-                        let fate = store.fail_node(node);
-                        match fate {
+                    if !dead.contains(&node) {
+                        match store.fail_node(node) {
                             NodeFate::WasRunning(job) => {
                                 prop_assert!(running[&job].contains(&node));
                                 let nodes = running.remove(&job).unwrap();
@@ -279,9 +262,8 @@ proptest! {
             }
             // Counter/model agreement after every op.
             let busy: u32 = running.values().flatten().filter(|n| !dead.contains(n)).count() as u32;
-            let reserved: u32 = held.iter().map(|r| r.nodes().len() as u32).sum();
             prop_assert_eq!(store.alive_nodes(), size - dead.len() as u32);
-            prop_assert_eq!(store.free_nodes(), store.alive_nodes() - busy - reserved);
+            prop_assert_eq!(store.free_nodes(), store.alive_nodes() - busy);
             prop_assert_eq!(store.busy_nodes(), busy);
             for (&job, granted) in &running {
                 for &n in granted {
@@ -290,10 +272,6 @@ proptest! {
                     }
                 }
             }
-        }
-        // Drain so no reservation is dropped mid-hold.
-        for r in held {
-            store.cancel(r);
         }
     }
 
