@@ -320,6 +320,41 @@ if [[ $quick -eq 0 ]]; then
   echo "quarantine OK: fig5 isolated, remaining artefacts intact, exit 3"
   rm -rf "$sdir" "$qdir"
 
+  step "supervisor: the wall watchdog quarantines every cell over its limit, once"
+  # No cell finishes within a microsecond of its thread being spawned, so
+  # each of Fig 7's six cells must time out and be quarantined on its one
+  # run: exit 3, no fig7.json, six quarantined `timeout` cell records in
+  # the journal and six timeouts in the sweep stats.
+  wdir=$(mktemp -d)
+  set +e
+  "$repro" --golden --serial --figure 7 --max-cell-seconds 0.000001 --json "$wdir" \
+    >"$wdir/stdout.txt" 2>"$wdir/stderr.txt"
+  rc=$?
+  set -e
+  if [[ $rc -ne 3 ]]; then
+    echo "error: --max-cell-seconds 0.000001 exited $rc (want 3 = degraded)" >&2
+    tail -20 "$wdir/stderr.txt" >&2 || true
+    exit 1
+  fi
+  if [[ -e "$wdir/fig7.json" ]]; then
+    echo "error: fig7.json was persisted although every cell overran the watchdog" >&2
+    exit 1
+  fi
+  ncells=$(grep -c '"kind":"cell".*"status":"quarantined".*"failure":"timeout' \
+    "$wdir/_journal.jsonl" || true)
+  if [[ $ncells -ne 6 ]]; then
+    echo "error: journal has $ncells quarantined timeout cells (want 6)" >&2
+    grep '"kind":"cell"' "$wdir/_journal.jsonl" >&2 || true
+    exit 1
+  fi
+  timeouts=$(grep -o '"timeouts": [0-9]*' "$wdir/_sweep_stats.json" | awk '{print $2}')
+  if [[ "$timeouts" != 6 ]]; then
+    echo "error: _sweep_stats.json reports ${timeouts:-no} watchdog timeouts (want 6)" >&2
+    exit 1
+  fi
+  echo "watchdog OK: 6 fig7 cells quarantined as timeouts on their one run, exit 3"
+  rm -rf "$wdir"
+
   step "model checker: exhaustive pass, counterexample, deterministic replay"
   # A real protocol scenario must enumerate its bounded space to exhaustion
   # with no violation; the broken-retry fixture must yield a replayable

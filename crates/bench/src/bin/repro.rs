@@ -18,9 +18,8 @@
 //! repro --serial         # reference serial schedule (same bytes as --jobs N)
 //! repro --resume         # skip artefacts whose journal+checksum verify
 //! repro --fsck           # verify/repair artefacts against the journal
-//! repro --max-cell-seconds S    # wall-clock watchdog per cell attempt
+//! repro --max-cell-seconds S    # wall-clock watchdog per cell
 //! repro --max-cell-events N     # DES event budget per simulation
-//! repro --retries N      # extra attempts for failing cells (default 1)
 //! repro --inject-panic S # sabotage cells whose label contains S (testing)
 //! repro --trace PATH     # record a structured DES trace to PATH (JSONL)
 //! repro --trace-filter C # comma list of proc,msg,span,fault (default all)
@@ -33,10 +32,11 @@
 //! the sweep supervisor (`bench::run_plan`): artefacts settle
 //! sequentially in canonical paper order (cells fan out over `--jobs`
 //! workers inside each artefact), so stdout and every JSON artefact are
-//! byte-identical for any `--jobs` value. A panicking or watchdogged cell
-//! is quarantined — its artefact is reported as failed while every other
-//! artefact completes — and the exit code distinguishes a degraded run (3)
-//! from a clean one (0); usage errors exit 2.
+//! byte-identical for any `--jobs` value. Each cell runs once: a panicking,
+//! failing or watchdogged cell is quarantined — its artefact is reported as
+//! failed while every other artefact completes — and the exit code
+//! distinguishes a degraded run (3) from a clean one (0); usage errors
+//! exit 2.
 //!
 //! With `--json DIR`, every settled artefact is persisted immediately via
 //! an atomic, fsync'd, checksummed write, and appended to the fsync'd run
@@ -58,7 +58,7 @@ use bench::artifact::checksum_on_disk;
 use bench::journal::{run_fingerprint, Journal};
 use bench::{
     read_journal, run_plan, write_json_atomic, ArtefactOutcome, CellOutcome, McOverrides, RunPlan,
-    RunScales, SupervisorConfig, WriteOutcome,
+    RunScales, WriteOutcome,
 };
 use des::{RingRecorder, TraceFilter, Tracer};
 use simmpi::{NetModel, RunOpts};
@@ -76,7 +76,8 @@ struct Opts {
     /// Worker threads for scenario cells (`--serial` is 1, the default one
     /// per available core).
     jobs: usize,
-    sup: SupervisorConfig,
+    /// `--max-cell-seconds`: the wall-clock limit on each cell, when given.
+    wall_limit: Option<Duration>,
     resume: bool,
     fsck: bool,
     event_budget: Option<u64>,
@@ -148,8 +149,7 @@ execution:
                          flow (max-min fair-sharing flow-level throughput)
   --jobs N               run scenario cells on N workers
   --serial               reference serial schedule (same bytes as --jobs N)
-  --retries N            extra attempts for failing cells (default 1)
-  --max-cell-seconds S   wall-clock watchdog per cell attempt
+  --max-cell-seconds S   wall-clock watchdog per cell
   --max-cell-events N    DES event budget per simulation
   --inject-panic S       sabotage cells whose label contains S (testing)
 
@@ -197,7 +197,6 @@ fn parse_args() -> Opts {
     let mut serial = false;
     let mut resume = false;
     let mut fsck = false;
-    let mut retries: u32 = 1;
     let mut wall_limit = None;
     let mut event_budget = None;
     let mut inject_panic = None;
@@ -235,10 +234,6 @@ fn parse_args() -> Opts {
             "--serial" => serial = true,
             "--resume" => resume = true,
             "--fsck" => fsck = true,
-            "--retries" => {
-                let v = value(&mut args, "--retries");
-                retries = v.parse().unwrap_or_else(|_| die(&format!("bad --retries value '{v}'")));
-            }
             "--max-cell-seconds" => {
                 let v = value(&mut args, "--max-cell-seconds");
                 let s: f64 = v
@@ -347,7 +342,6 @@ fn parse_args() -> Opts {
     } else {
         jobs.unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     };
-    let sup = SupervisorConfig { max_attempts: retries.saturating_add(1), wall_limit };
     // --max-cell-seconds doubles as the model checker's wall deadline.
     mc_overrides.deadline = wall_limit;
     Opts {
@@ -357,7 +351,7 @@ fn parse_args() -> Opts {
         net_model,
         json_dir,
         jobs,
-        sup,
+        wall_limit,
         resume,
         fsck,
         event_budget,
@@ -509,18 +503,18 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
             }
         };
     }
-    let (_, stats) = run_plan(plan, opts.jobs, &opts.sup, &skip, |art| {
+    let (_, stats) = run_plan(plan, opts.jobs, opts.wall_limit, &skip, |art| {
         for r in &art.cells {
             let (status, failure) = match &r.outcome {
                 CellOutcome::Completed => ("ok", None),
-                CellOutcome::Recovered => ("recovered", None),
                 CellOutcome::Quarantined { failure } => ("quarantined", Some(failure.brief())),
             };
+            // Every cell runs once.
             journal_try!(|j: &mut Journal| j.cell(
                 art.key,
                 &r.label,
                 status,
-                r.attempts,
+                1,
                 r.wall_ms,
                 failure.as_deref(),
             ));
@@ -751,7 +745,7 @@ fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
         }
     };
     let mut repair_failed = false;
-    let (_, _stats) = run_plan(plan, opts.jobs, &opts.sup, &|_| false, |art| match &art.outcome {
+    run_plan(plan, opts.jobs, opts.wall_limit, &|_| false, |art| match &art.outcome {
         ArtefactOutcome::Completed(out) => {
             if let Some((stem, content)) = &out.json {
                 match write_json_atomic(dir, stem, content) {

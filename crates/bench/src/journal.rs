@@ -234,7 +234,8 @@ pub struct JournaledCell {
     pub artefact: String,
     /// Cell label.
     pub label: String,
-    /// Final status string (`ok` / `recovered` / `quarantined`).
+    /// Final status string (`ok` / `quarantined`; journals written while
+    /// failed cells were retried may also say `recovered`).
     pub status: String,
     /// Attempt count.
     pub attempts: u64,

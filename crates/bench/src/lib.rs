@@ -30,10 +30,10 @@
 //! a run into independent scenario cells, and [`run_plan`] settles the
 //! artefacts in canonical order, fanning each one's cells out over a rayon
 //! pool ([`run_cells`]), so `repro --jobs N` output is byte-identical to
-//! `--serial`. The executor quarantines panicking cells (capturing payload
-//! and backtrace), bounds each cell with a wall-clock watchdog plus the DES
-//! event budget, and retries failures with a bit-identity determinism
-//! check. With [`journal`] and [`artifact`], `repro` journals every settled
+//! `--serial`. The executor runs each cell once, quarantines a cell that
+//! panics (capturing payload and backtrace) or returns an error, and bounds
+//! each cell with a wall-clock watchdog plus the DES event budget. With
+//! [`journal`] and [`artifact`], `repro` journals every settled
 //! artefact to an fsync'd `_journal.jsonl` and persists JSON through the
 //! atomic, checksummed [`artifact::write_json_atomic`] writer — the
 //! machinery behind `repro --resume` and `repro --fsck`.
@@ -84,8 +84,8 @@ pub use resilience::{
     ResilienceContrast, ResilienceStudy, INCIDENCE_GRID,
 };
 pub use supervisor::{
-    run_cells, Cell, CellFailure, CellOutcome, CellReport, CellTiming, SupervisorConfig,
-    SupervisorStats, SweepStats, WatchdogMargin,
+    run_cells, Cell, CellFailure, CellOutcome, CellReport, CellTiming, SupervisorStats, SweepStats,
+    WatchdogMargin,
 };
 pub use trace::{
     fold_spans, parse_trace, read_trace, render_rank_table, write_trace, FoldedSpans, ParsedTrace,

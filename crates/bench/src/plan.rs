@@ -24,15 +24,13 @@
 //! Fig 6's HPL points, the HPL headline, the resilience baselines and the
 //! network ablation all report fault-free HPL runs, often of the same job.
 //! A plan owns one [`HplShare`] that those cells read, so each distinct job
-//! simulates once per plan; a cell reads it only on its first execution, so
-//! a supervisor retry or verification re-run simulates afresh.
+//! simulates once per plan.
 
 use std::any::Any;
 use std::convert::Infallible;
 use std::fmt::Display;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use hpc_apps::hpl::HplShare;
 use hpc_apps::{AppId, ScalingMeasurement};
@@ -42,7 +40,6 @@ use simmpi::RunOpts;
 use soc_arch::{cache_counters, Platform};
 
 use crate::ablate::{ablate_merge, ablate_side, AblateNet, ABLATE_FIGURES};
-use crate::artifact::fnv1a64;
 use crate::datacenter::{
     datacenter_cell, datacenter_study_from, datacenter_validation, DcStudy, DcValidation,
     DATACENTER_CASES,
@@ -54,7 +51,7 @@ use crate::resilience::{
     ResilienceContrast, ResilienceStudy,
 };
 use crate::supervisor::{
-    run_cells, stats_from_reports, Cell, CellReport, CellTiming, SupervisorConfig, SupervisorStats,
+    run_cells, stats_from_reports, Cell, CellOutcome, CellReport, CellTiming, SupervisorStats,
     SweepStats,
 };
 use crate::{Fig1, Fig2, Fig34, Fig5};
@@ -112,57 +109,27 @@ impl RunScales {
 }
 
 /// A cell's value on its way to its artefact's merge: the typed value
-/// behind `dyn Any`, plus a digest monomorphised for its concrete type.
-struct CellValue {
-    value: Box<dyn Any + Send>,
-    digest: fn(&dyn Any) -> u64,
-}
+/// behind `dyn Any`.
+type CellValue = Box<dyn Any + Send>;
 
-impl CellValue {
-    /// The value, at the type its cell produced.
-    fn take<T: 'static>(self) -> T {
-        *self.value.downcast::<T>().expect("cell taken at a type it did not produce")
-    }
-}
-
-/// What a plan cell yields: its value, or the rendering of the typed fault
-/// (e.g. an exhausted DES event budget) that stopped it. The supervisor
-/// treats an `Err` exactly like a panic (retry, then quarantine) but with
-/// the fault's own message, so a merge only ever sees values.
-type CellOut = Result<CellValue, String>;
-
-/// The typed fault a cell reported, which the supervisor retries and then
-/// quarantines.
-fn cell_error(o: &CellOut) -> Option<String> {
-    o.as_ref().err().cloned()
-}
-
-/// Deterministic fingerprint of a cell's value: the hash of its JSON, the
-/// bytes it would put into an artefact. The supervisor computes it only to
-/// check that a recovered cell reproduced its output.
-fn cell_digest(o: &CellOut) -> u64 {
-    match o {
-        Ok(c) => (c.digest)(c.value.as_ref()),
-        Err(m) => fnv1a64(m.as_bytes()),
-    }
-}
-
-fn json_digest<T: Serialize + 'static>(value: &dyn Any) -> u64 {
-    let value = value.downcast_ref::<T>().expect("digest of a cell of another type");
-    fnv1a64(serde_json::to_string(&value.to_value()).expect("cell digest").as_bytes())
+/// The value, at the type its cell produced.
+fn take<T: 'static>(value: CellValue) -> T {
+    *value.downcast::<T>().expect("cell taken at a type it did not produce")
 }
 
 /// A plan cell labelled `label` whose body yields a `T` or a typed fault.
+/// The supervisor quarantines an `Err` as it does a panic, but with the
+/// fault's own message, so a merge only ever sees values.
 fn cell<T, E>(
     label: impl Into<String>,
-    run: impl Fn() -> Result<T, E> + Send + Sync + 'static,
-) -> Cell<CellOut>
+    run: impl FnOnce() -> Result<T, E> + Send + 'static,
+) -> Cell<CellValue>
 where
-    T: Serialize + Send + 'static,
+    T: Send + 'static,
     E: Display,
 {
     Cell::new(label, move || match run() {
-        Ok(value) => Ok(CellValue { value: Box::new(value), digest: json_digest::<T> }),
+        Ok(value) => Ok(Box::new(value) as CellValue),
         Err(e) => Err(e.to_string()),
     })
 }
@@ -181,17 +148,17 @@ const TOO_FEW_CELLS: &str = "merge took more cells than its artefact enumerated"
 impl Cells {
     /// The next cell's value.
     fn take<T: 'static>(&mut self) -> T {
-        self.0.next().expect(TOO_FEW_CELLS).take()
+        take(self.0.next().expect(TOO_FEW_CELLS))
     }
 
     /// The last cell's value.
     fn take_last<T: 'static>(&mut self) -> T {
-        self.0.next_back().expect(TOO_FEW_CELLS).take()
+        take(self.0.next_back().expect(TOO_FEW_CELLS))
     }
 
     /// Every remaining cell's value.
     fn rest<T: 'static>(self) -> Vec<T> {
-        self.0.map(CellValue::take).collect()
+        self.0.map(take).collect()
     }
 }
 
@@ -211,37 +178,13 @@ pub struct ArtefactOut {
 /// with a JSON stem, the JSON text persisted under it.
 type MergeFn = Box<dyn FnOnce(Cells) -> (Vec<String>, Option<String>) + Send>;
 
-/// One cell's access to its plan's [`HplShare`]. The cell's first execution
-/// reads the share; any re-execution — a supervisor retry, or the
-/// determinism re-run of a recovered cell — gets a fresh, empty share and
-/// simulates its jobs itself, so a shared result never stands in for a run
-/// the supervisor asked to repeat.
-struct HplTicket {
-    share: Arc<HplShare>,
-    used: AtomicBool,
-}
-
-impl HplTicket {
-    fn new(share: &Arc<HplShare>) -> HplTicket {
-        HplTicket { share: Arc::clone(share), used: AtomicBool::new(false) }
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&HplShare) -> R) -> R {
-        if self.used.swap(true, Ordering::Relaxed) {
-            f(&HplShare::default())
-        } else {
-            f(&self.share)
-        }
-    }
-}
-
 struct ArtefactSpec {
     key: &'static str,
     /// JSON file stem this artefact persists under `--json` (statically
     /// known so `--resume`/`--fsck` can map keys to files without running
     /// any merge). `None` for text-only artefacts.
     json_stem: Option<&'static str>,
-    cells: Vec<Cell<CellOut>>,
+    cells: Vec<Cell<CellValue>>,
     merge: MergeFn,
 }
 
@@ -251,7 +194,7 @@ impl ArtefactSpec {
     fn merged<V: Serialize + 'static>(
         key: &'static str,
         stem: &'static str,
-        cells: Vec<Cell<CellOut>>,
+        cells: Vec<Cell<CellValue>>,
         merge: impl FnOnce(Cells) -> V + Send + 'static,
         render: fn(&V) -> String,
     ) -> ArtefactSpec {
@@ -264,7 +207,7 @@ impl ArtefactSpec {
     }
 
     /// A text-only artefact: each cell yields one printed block.
-    fn text(key: &'static str, cells: Vec<Cell<CellOut>>) -> ArtefactSpec {
+    fn text(key: &'static str, cells: Vec<Cell<CellValue>>) -> ArtefactSpec {
         ArtefactSpec { key, json_stem: None, cells, merge: Box::new(|c| (c.rest(), None)) }
     }
 }
@@ -319,11 +262,10 @@ fn fig6_artefact(nodes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> Artefa
     for (app, counts) in &apps {
         let app = *app;
         for &n in counts {
-            let ticket = HplTicket::new(hpl);
-            let opts = opts.clone();
+            let (opts, hpl) = (opts.clone(), Arc::clone(hpl));
             cells.push(cell(format!("fig6/{app:?}/n={n}"), move || {
                 let machine = cluster::Machine::tibidabo();
-                ticket.with(|h| hpc_apps::measure_scaling_cell(&machine, app, n, &opts, h))
+                hpc_apps::measure_scaling_cell(&machine, app, n, &opts, &hpl)
             }));
         }
     }
@@ -345,31 +287,25 @@ fn fig7_artefact(opts: &RunOpts) -> ArtefactSpec {
         .into_iter()
         .map(|(label, plat, freq, proto)| {
             let opts = opts.clone();
-            cell(format!("fig7/{label}"), move || {
-                fig7_panel(label, plat.clone(), freq, proto, &opts)
-            })
+            cell(format!("fig7/{label}"), move || fig7_panel(label, plat, freq, proto, &opts))
         })
         .collect();
     ArtefactSpec::merged("fig7", "fig7", cells, |c| Fig7 { panels: c.rest() }, Fig7::render)
 }
 
 fn hpl_artefact(nodes: u32, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
-    let ticket = HplTicket::new(hpl);
-    let opts = opts.clone();
-    let cells = vec![cell(format!("hpl/n={nodes}"), move || {
-        ticket.with(|h| hpl_headline(nodes, &opts, h))
-    })];
+    let (opts, hpl) = (opts.clone(), Arc::clone(hpl));
+    let cells = vec![cell(format!("hpl/n={nodes}"), move || hpl_headline(nodes, &opts, &hpl))];
     ArtefactSpec::merged("hpl", "hpl_headline", cells, |mut c| c.take(), HplHeadline::render)
 }
 
 fn resilience_artefact(sizes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
-    let mut cells: Vec<Cell<CellOut>> = resilience_grid(&sizes)
+    let mut cells: Vec<Cell<CellValue>> = resilience_grid(&sizes)
         .into_iter()
         .map(|(nodes, incidence, seed)| {
-            let ticket = HplTicket::new(hpl);
-            let opts = opts.clone();
+            let (opts, hpl) = (opts.clone(), Arc::clone(hpl));
             cell(format!("resilience/n={nodes}/i={incidence}"), move || {
-                ticket.with(|h| resilience_cell(nodes, incidence, seed, &opts, h))
+                resilience_cell(nodes, incidence, seed, &opts, &hpl)
             })
         })
         .collect();
@@ -391,10 +327,9 @@ fn ablate_net_artefact(scales: &RunScales, opts: &RunOpts, hpl: &Arc<HplShare>) 
         for model in [netsim::NetModel::Event, netsim::NetModel::Flow] {
             let fig6_nodes = scales.fig6_nodes.clone();
             let hpl_nodes = scales.hpl_nodes;
-            let ticket = HplTicket::new(hpl);
-            let opts = opts.clone();
+            let (opts, hpl) = (opts.clone(), Arc::clone(hpl));
             cells.push(cell(format!("ablate-net/{figure}/{}", model.name()), move || {
-                ticket.with(|h| ablate_side(figure, model, &fig6_nodes, hpl_nodes, &opts, h))
+                ablate_side(figure, model, &fig6_nodes, hpl_nodes, &opts, &hpl)
             }));
         }
     }
@@ -403,7 +338,7 @@ fn ablate_net_artefact(scales: &RunScales, opts: &RunOpts, hpl: &Arc<HplShare>) 
 }
 
 fn datacenter_artefact(jobs: u64, validation_nodes: u32, opts: &RunOpts) -> ArtefactSpec {
-    let mut cells: Vec<Cell<CellOut>> = DATACENTER_CASES
+    let mut cells: Vec<Cell<CellValue>> = DATACENTER_CASES
         .iter()
         .map(|case| {
             cell(format!("datacenter/{}", case.label), move || ok(datacenter_cell(case, jobs)))
@@ -541,7 +476,7 @@ impl RunPlan {
             for c in &mut a.cells {
                 if c.label.contains(needle) {
                     let label = c.label.clone();
-                    c.run = Arc::new(move || -> CellOut {
+                    c.run = Box::new(move || {
                         panic!("injected panic in cell {label} (via --inject-panic)")
                     });
                     hit += 1;
@@ -580,13 +515,9 @@ impl SupervisedArtefact {
     pub fn quarantined(&self) -> Vec<(String, String)> {
         self.cells
             .iter()
-            .filter(|r| !r.succeeded())
-            .map(|r| {
-                let brief = match &r.outcome {
-                    crate::supervisor::CellOutcome::Quarantined { failure } => failure.brief(),
-                    _ => unreachable!("non-quarantined cell in failed filter"),
-                };
-                (r.label.clone(), brief)
+            .filter_map(|r| match &r.outcome {
+                CellOutcome::Quarantined { failure } => Some((r.label.clone(), failure.brief())),
+                CellOutcome::Completed => None,
             })
             .collect()
     }
@@ -605,14 +536,14 @@ impl SupervisedArtefact {
 /// byte-identical for any worker count; only the stats vary.
 ///
 /// ```
-/// use bench::{run_plan, RunPlan, RunScales, SupervisorConfig};
+/// use bench::{run_plan, RunPlan, RunScales};
 /// use simmpi::RunOpts;
 ///
 /// let plan = RunPlan::from_items(&["table3".to_string()], &RunScales::golden(), &RunOpts::default());
 /// let (artefacts, stats) = run_plan(
 ///     plan,
 ///     1,
-///     &SupervisorConfig::single_attempt(),
+///     None,          // no wall-clock limit per cell
 ///     &|_key| false, // nothing to resume past
 ///     |art| assert_eq!(art.key, "table3"),
 /// );
@@ -622,7 +553,7 @@ impl SupervisedArtefact {
 pub fn run_plan(
     plan: RunPlan,
     jobs: usize,
-    sup: &SupervisorConfig,
+    wall_limit: Option<Duration>,
     skip: &dyn Fn(&'static str) -> bool,
     mut on_artefact: impl FnMut(&SupervisedArtefact),
 ) -> (Vec<SupervisedArtefact>, SweepStats) {
@@ -648,13 +579,13 @@ pub fn run_plan(
             continue;
         }
         executed += a.cells.len();
-        let (outs, reports) = run_cells(a.cells, jobs, sup, cell_error, cell_digest);
+        let (outs, reports) = run_cells(a.cells, jobs, wall_limit);
         cell_timings.extend(
             reports.iter().map(|r| CellTiming { label: r.label.clone(), wall_ms: r.wall_ms }),
         );
-        sup_stats.absorb(stats_from_reports(&reports, sup));
-        let outcome = if outs.iter().all(|o| matches!(o, Some(Ok(_)))) {
-            let values: Vec<CellValue> = outs.into_iter().flatten().flatten().collect();
+        sup_stats.absorb(stats_from_reports(&reports, wall_limit));
+        let outcome = if outs.iter().all(Option::is_some) {
+            let values: Vec<CellValue> = outs.into_iter().flatten().collect();
             let (blocks, json) = (a.merge)(Cells(values.into_iter()));
             ArtefactOutcome::Completed(ArtefactOut {
                 key: a.key,
@@ -690,11 +621,9 @@ mod tests {
         RunPlan::from_items(&items, &RunScales::golden(), &RunOpts::default())
     }
 
-    /// Run `plan` on `jobs` workers, one attempt per cell; every artefact
-    /// must complete.
+    /// Run `plan` on `jobs` workers; every artefact must complete.
     fn completed(plan: RunPlan, jobs: usize) -> (Vec<ArtefactOut>, SweepStats) {
-        let (arts, stats) =
-            run_plan(plan, jobs, &SupervisorConfig::single_attempt(), &|_| false, |_| {});
+        let (arts, stats) = run_plan(plan, jobs, None, &|_| false, |_| {});
         let outs = arts
             .into_iter()
             .map(|a| match a.outcome {
@@ -757,24 +686,6 @@ mod tests {
             assert_eq!(a.blocks, b.blocks, "{} render diverged", a.key);
             assert_eq!(a.json, b.json, "{} JSON diverged", a.key);
         }
-    }
-
-    #[test]
-    fn only_a_cells_first_execution_reads_the_plan_share() {
-        // A supervisor retry or the determinism re-run of a recovered cell
-        // must simulate again, not read back the result it is checking.
-        let share = Arc::new(HplShare::default());
-        let ticket = HplTicket::new(&share);
-        let cfg = hpc_apps::hpl::HplConfig::tibidabo_weak(2);
-        let job = || cluster::Machine::tibidabo().job(2);
-        let first = ticket.with(|h| h.run(job(), cfg).unwrap());
-        let again = ticket.with(|h| h.run(job(), cfg).unwrap());
-        assert_eq!((share.requests(), share.simulated()), (1, 1));
-        assert!(!Arc::ptr_eq(&first, &again), "the re-execution reused the shared run");
-        assert_eq!(first.result.seconds.to_bits(), again.result.seconds.to_bits());
-        // The plan's share still answers other cells from its one run.
-        assert!(Arc::ptr_eq(&first, &share.run(job(), cfg).unwrap()));
-        assert_eq!((share.requests(), share.simulated()), (2, 1));
     }
 
     /// The one artefact of a one-item golden plan: its printed blocks and

@@ -1,4 +1,4 @@
-//! The sweep executor: crash-isolated, watchdogged, retrying, parallel and
+//! The sweep executor: crash-isolated, watchdogged, parallel and
 //! deterministic cell execution.
 //!
 //! Every paper artefact decomposes into independent *cells* — one DES run,
@@ -8,52 +8,50 @@
 //! specification order no matter which worker finished first: output on any
 //! worker count is byte-identical to the serial schedule.
 //!
-//! Each cell attempt runs under `catch_unwind` with a chained panic hook
-//! that captures the payload, location, and a backtrace, so one poisoned
-//! cell is *quarantined* (its report carries the evidence) while every
-//! other cell completes. A wall-clock watchdog bounds each attempt when
-//! configured — the attempt runs on a sacrificial thread and is abandoned
-//! on deadline (the simulated workload itself is bounded by the DES event
-//! budget, see `des::SimError::EventBudgetExhausted`, so a leaked attempt
-//! cannot spin forever). Failed cells are retried a bounded number of
-//! times; a cell that *recovers* is immediately re-executed and must
-//! reproduce a bit-identical output digest, otherwise it is quarantined as
-//! nondeterministic — a retry must never smuggle flaky bytes into a
-//! byte-compared artefact.
+//! Each cell runs exactly once, under `catch_unwind` with a chained panic
+//! hook that captures the payload, location, and a backtrace. A cell that
+//! panics, returns an error or overruns its wall-clock limit is
+//! *quarantined* on the spot (its report carries the evidence) while every
+//! other cell completes. A cell's output is a pure function of the cell, so
+//! running a failed cell again would fail it the same way. The wall-clock
+//! watchdog, when configured, runs the cell on a sacrificial thread and
+//! abandons it on deadline (the simulated workload itself is bounded by the
+//! DES event budget, see `des::SimError::EventBudgetExhausted`, so a leaked
+//! cell cannot spin forever).
 //!
-//! All nondeterministic observations (attempt counts, wall clocks, watchdog
-//! margins, timing-cache counters) live in [`CellReport`],
-//! [`SupervisorStats`] and [`SweepStats`], which callers must never mix
-//! into byte-compared artefacts; cell outputs remain deterministic.
+//! All nondeterministic observations (wall clocks, watchdog margins,
+//! timing-cache counters) live in [`CellReport`], [`SupervisorStats`] and
+//! [`SweepStats`], which callers must never mix into byte-compared
+//! artefacts; cell outputs remain deterministic.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use soc_arch::CacheCounters;
 
+/// A cell body: runs once and yields the cell's output, or the rendering
+/// of the typed fault (e.g. an exhausted DES event budget) that stopped it.
+pub type CellBody<O> = Box<dyn FnOnce() -> Result<O, String> + Send>;
+
 /// One schedulable unit of work: a label for the stats report plus the
 /// closure that computes the cell's output.
-///
-/// The body is a re-runnable `Fn` (shared via `Arc`) rather than a `FnOnce`:
-/// the supervisor retries failed cells and re-executes recovered ones to
-/// verify determinism, so a cell must produce the same output however many
-/// times it runs.
 pub struct Cell<O> {
     /// Human-readable cell identity, e.g. `fig6/HPL/n=96`.
     pub label: String,
-    /// The cell body. May run more than once (retry, determinism check); it
-    /// must be a pure function of its captures.
-    pub run: Arc<dyn Fn() -> O + Send + Sync>,
+    /// The cell body, a pure function of its captures.
+    pub run: CellBody<O>,
 }
 
 impl<O> Cell<O> {
     /// Convenience constructor.
-    pub fn new(label: impl Into<String>, run: impl Fn() -> O + Send + Sync + 'static) -> Self {
-        Cell { label: label.into(), run: Arc::new(run) }
+    pub fn new(
+        label: impl Into<String>,
+        run: impl FnOnce() -> Result<O, String> + Send + 'static,
+    ) -> Self {
+        Cell { label: label.into(), run: Box::new(run) }
     }
 }
 
@@ -63,7 +61,7 @@ impl<O> Cell<O> {
 pub struct CellTiming {
     /// The cell's label.
     pub label: String,
-    /// Wall-clock milliseconds the cell took, over all its attempts.
+    /// Wall-clock milliseconds the cell took.
     pub wall_ms: f64,
 }
 
@@ -83,7 +81,7 @@ pub struct SweepStats {
     pub timing_cache: CacheCounters,
     /// Per-cell wall-clock timings, in specification order.
     pub cell_timings: Vec<CellTiming>,
-    /// Supervisor outcomes (quarantines, retries, resume skips, watchdog
+    /// Supervisor outcomes (quarantines, timeouts, resume skips, watchdog
     /// margins).
     pub supervisor: SupervisorStats,
 }
@@ -104,26 +102,7 @@ impl SweepStats {
     }
 }
 
-/// Retry/watchdog policy for a sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct SupervisorConfig {
-    /// Maximum executions of a failing cell (1 = no retry).
-    pub max_attempts: u32,
-    /// Wall-clock deadline per attempt. `None` disables the wall watchdog
-    /// (the DES event budget still bounds simulated work).
-    pub wall_limit: Option<Duration>,
-}
-
-impl SupervisorConfig {
-    /// One attempt per cell and no wall watchdog: any panic or typed fault
-    /// quarantines its cell at once, with no retry to mask it. In-process
-    /// tests run the executor this way, so a one-off failure fails them.
-    pub const fn single_attempt() -> Self {
-        SupervisorConfig { max_attempts: 1, wall_limit: None }
-    }
-}
-
-/// Why a cell attempt (or the whole cell) failed.
+/// Why a cell failed.
 #[derive(Clone, Debug, Serialize)]
 pub enum CellFailure {
     /// The cell body panicked; payload and capture-time backtrace included.
@@ -138,15 +117,12 @@ pub enum CellFailure {
         /// The error's display rendering.
         message: String,
     },
-    /// The wall-clock watchdog fired; the attempt thread was abandoned.
+    /// The cell took longer than the wall-clock limit: the watchdog
+    /// abandoned its thread, or its result came in too late to keep.
     Timeout {
         /// The configured limit, in seconds.
         limit_s: f64,
     },
-    /// The cell recovered on retry but failed to reproduce its output
-    /// bit-for-bit, so its result cannot be trusted in a deterministic
-    /// artefact.
-    Nondeterministic,
 }
 
 impl CellFailure {
@@ -156,7 +132,6 @@ impl CellFailure {
             CellFailure::Panic { message, .. } => format!("panic: {message}"),
             CellFailure::Error { message } => format!("error: {message}"),
             CellFailure::Timeout { limit_s } => format!("timeout: exceeded {limit_s}s wall limit"),
-            CellFailure::Nondeterministic => "nondeterministic output across retries".into(),
         }
     }
 }
@@ -164,14 +139,11 @@ impl CellFailure {
 /// Final status of one supervised cell.
 #[derive(Clone, Debug, Serialize)]
 pub enum CellOutcome {
-    /// Succeeded on the first attempt.
+    /// The cell produced its output.
     Completed,
-    /// Failed at least once, then succeeded and reproduced its output
-    /// bit-identically.
-    Recovered,
-    /// No trustworthy output; the last failure is attached.
+    /// No output; the failure is attached.
     Quarantined {
-        /// The failure of the final attempt.
+        /// Why the cell failed.
         failure: CellFailure,
     },
 }
@@ -183,22 +155,8 @@ pub struct CellReport {
     pub label: String,
     /// Final status.
     pub outcome: CellOutcome,
-    /// Executions, including the determinism verification run.
-    pub attempts: u32,
-    /// Total wall-clock milliseconds across all attempts.
+    /// Wall-clock milliseconds the cell took.
     pub wall_ms: f64,
-    /// Wall-clock milliseconds of the slowest single attempt.
-    pub slowest_attempt_ms: f64,
-    /// Failures of non-final attempts (evidence for the report even when
-    /// the cell eventually recovered).
-    pub earlier_failures: Vec<String>,
-}
-
-impl CellReport {
-    /// Whether the cell produced a usable output.
-    pub fn succeeded(&self) -> bool {
-        !matches!(self.outcome, CellOutcome::Quarantined { .. })
-    }
 }
 
 /// How close a cell came to its wall-clock watchdog limit.
@@ -206,7 +164,7 @@ impl CellReport {
 pub struct WatchdogMargin {
     /// The cell's label.
     pub label: String,
-    /// Slowest single attempt, milliseconds.
+    /// The cell's wall-clock time, milliseconds.
     pub attempt_ms: f64,
     /// The configured limit, milliseconds.
     pub limit_ms: f64,
@@ -220,11 +178,7 @@ pub struct WatchdogMargin {
 pub struct SupervisorStats {
     /// Cells with no usable output.
     pub quarantined: u64,
-    /// Cells that failed at least once and then recovered.
-    pub retried: u64,
-    /// Cells quarantined specifically for irreproducible output.
-    pub nondeterministic: u64,
-    /// Attempts abandoned by the wall-clock watchdog.
+    /// Cells quarantined by the wall-clock watchdog.
     pub timeouts: u64,
     /// Artefacts skipped by `--resume` after checksum verification.
     pub resumed_skipped: u64,
@@ -236,8 +190,6 @@ impl SupervisorStats {
     /// Fold another stats block into this one.
     pub fn absorb(&mut self, other: SupervisorStats) {
         self.quarantined += other.quarantined;
-        self.retried += other.retried;
-        self.nondeterministic += other.nondeterministic;
         self.timeouts += other.timeouts;
         self.resumed_skipped += other.resumed_skipped;
         self.watchdog_margins.extend(other.watchdog_margins);
@@ -245,12 +197,12 @@ impl SupervisorStats {
 
     /// One-line human summary, or `None` when nothing noteworthy happened.
     pub fn summary(&self) -> Option<String> {
-        if self.quarantined == 0 && self.retried == 0 && self.resumed_skipped == 0 {
+        if self.quarantined == 0 && self.resumed_skipped == 0 {
             return None;
         }
         Some(format!(
-            "supervisor: {} quarantined ({} nondeterministic), {} recovered by retry, {} watchdog timeouts, {} artefacts resumed",
-            self.quarantined, self.nondeterministic, self.retried, self.timeouts, self.resumed_skipped,
+            "supervisor: {} quarantined, {} watchdog timeouts, {} artefacts resumed",
+            self.quarantined, self.timeouts, self.resumed_skipped,
         ))
     }
 }
@@ -258,7 +210,7 @@ impl SupervisorStats {
 // ---------------------------------------------------------------------------
 // Panic capture: a process-global hook, installed once, that records the
 // panic's message/location/backtrace into a thread-local slot while a
-// supervised attempt is active on that thread, and defers to the previous
+// supervised cell is running on that thread, and defers to the previous
 // hook (normal noisy behaviour) everywhere else — `cargo test` panics still
 // print.
 
@@ -293,21 +245,16 @@ fn install_capture_hook() {
     });
 }
 
-/// Run `body` under `catch_unwind` with panic capture, classifying the
-/// result via `classify` (a `Some` message is a typed cell error).
-fn guarded_attempt<O>(
-    body: &(dyn Fn() -> O + Send + Sync),
-    classify: fn(&O) -> Option<String>,
-) -> Result<O, CellFailure> {
+/// Run `body` under `catch_unwind` with panic capture; an `Err` it returns
+/// is a typed cell error.
+fn guarded<O>(body: CellBody<O>) -> Result<O, CellFailure> {
     install_capture_hook();
     ACTIVE.with(|a| a.set(true));
     let out = panic::catch_unwind(AssertUnwindSafe(body));
     ACTIVE.with(|a| a.set(false));
     match out {
-        Ok(o) => match classify(&o) {
-            None => Ok(o),
-            Some(message) => Err(CellFailure::Error { message }),
-        },
+        Ok(Ok(o)) => Ok(o),
+        Ok(Err(message)) => Err(CellFailure::Error { message }),
         Err(payload) => {
             let (message, backtrace) =
                 CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_else(|| {
@@ -323,113 +270,66 @@ fn guarded_attempt<O>(
     }
 }
 
-/// One attempt, optionally bounded by the wall-clock watchdog. On timeout
-/// the attempt thread is abandoned (it parks no locks the caller needs; the
-/// DES event budget bounds its remaining work) and `Timeout` is returned.
-fn run_attempt<O: Send + 'static>(
-    cell: &Cell<O>,
-    sup: &SupervisorConfig,
-    classify: fn(&O) -> Option<String>,
-) -> (Result<O, CellFailure>, f64) {
-    let t0 = Instant::now();
-    let result = match sup.wall_limit {
-        None => guarded_attempt(cell.run.as_ref(), classify),
-        Some(limit) => {
-            let body = cell.run.clone();
-            let (tx, rx) = mpsc::sync_channel(1);
-            let label = cell.label.clone();
-            std::thread::Builder::new()
-                .name(format!("cell-{label}"))
-                .spawn(move || {
-                    let _ = tx.send(guarded_attempt(body.as_ref(), classify));
-                })
-                .expect("spawn watchdog attempt thread");
-            match rx.recv_timeout(limit) {
-                Ok(r) => r,
-                Err(_) => Err(CellFailure::Timeout { limit_s: limit.as_secs_f64() }),
-            }
-        }
-    };
-    (result, t0.elapsed().as_secs_f64() * 1e3)
-}
-
-/// Supervise one cell to completion: bounded retries, then a determinism
-/// verification run if it recovered.
+/// Run one cell once, optionally bounded by the wall-clock watchdog. The
+/// limit counts from before the cell's thread is spawned, and a result that
+/// arrives after it is a `Timeout` like one that never arrives; on timeout
+/// the cell's thread is abandoned (it parks no locks the caller needs; the
+/// DES event budget bounds its remaining work).
 fn supervise_cell<O: Send + 'static>(
-    cell: &Cell<O>,
-    sup: &SupervisorConfig,
-    classify: fn(&O) -> Option<String>,
-    digest: fn(&O) -> u64,
+    cell: Cell<O>,
+    wall_limit: Option<Duration>,
 ) -> (Option<O>, CellReport) {
-    let mut report = CellReport {
-        label: cell.label.clone(),
-        outcome: CellOutcome::Completed,
-        attempts: 0,
-        wall_ms: 0.0,
-        slowest_attempt_ms: 0.0,
-        earlier_failures: Vec::new(),
-    };
-    let attempt = |report: &mut CellReport| {
-        let (result, ms) = run_attempt(cell, sup, classify);
-        report.attempts += 1;
-        report.wall_ms += ms;
-        report.slowest_attempt_ms = report.slowest_attempt_ms.max(ms);
-        result
-    };
-    let out = loop {
-        match attempt(&mut report) {
-            Ok(out) => break out,
-            Err(failure) if report.attempts >= sup.max_attempts => {
-                report.outcome = CellOutcome::Quarantined { failure };
-                return (None, report);
+    let t0 = Instant::now();
+    let result = match wall_limit {
+        None => guarded(cell.run),
+        Some(limit) => {
+            let (tx, rx) = mpsc::sync_channel(1);
+            let body = cell.run;
+            std::thread::Builder::new()
+                .name(format!("cell-{}", cell.label))
+                .spawn(move || {
+                    let _ = tx.send(guarded(body));
+                })
+                .expect("spawn watchdog cell thread");
+            match rx.recv_timeout(limit.saturating_sub(t0.elapsed())) {
+                Ok(r) if t0.elapsed() <= limit => r,
+                _ => Err(CellFailure::Timeout { limit_s: limit.as_secs_f64() }),
             }
-            Err(failure) => report.earlier_failures.push(failure.brief()),
         }
     };
-    if report.attempts == 1 {
-        return (Some(out), report);
-    }
-    // Recovered after a failure: the retry's bytes enter a byte-compared
-    // artefact, so prove they are reproducible.
-    report.outcome = match attempt(&mut report) {
-        Ok(again) if digest(&again) == digest(&out) => CellOutcome::Recovered,
-        Ok(_) => CellOutcome::Quarantined { failure: CellFailure::Nondeterministic },
-        Err(failure) => CellOutcome::Quarantined { failure },
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (out, outcome) = match result {
+        Ok(out) => (Some(out), CellOutcome::Completed),
+        Err(failure) => (None, CellOutcome::Quarantined { failure }),
     };
-    (report.succeeded().then_some(out), report)
+    (out, CellReport { label: cell.label, outcome, wall_ms })
 }
 
 /// Execute `cells` under supervision on `jobs` workers (`0` is clamped to
-/// 1; `1` runs the cells front-to-back, the reference serial schedule).
+/// 1; `1` runs the cells front-to-back, the reference serial schedule),
+/// each once, bounded by `wall_limit` when one is given.
 ///
 /// Returns per-cell outputs in specification order (`None` = quarantined)
-/// plus one [`CellReport`] per cell, also in order. `classify` maps an
-/// output to `Some(error message)` when the cell carries a typed failure
-/// (those are retried like panics); `digest` must be a pure fingerprint of
-/// the output, used to verify that recovered cells reproduce their bytes.
+/// plus one [`CellReport`] per cell, also in order.
 pub fn run_cells<O: Send + 'static>(
     cells: Vec<Cell<O>>,
     jobs: usize,
-    sup: &SupervisorConfig,
-    classify: fn(&O) -> Option<String>,
-    digest: fn(&O) -> u64,
+    wall_limit: Option<Duration>,
 ) -> (Vec<Option<O>>, Vec<CellReport>) {
     type Slot<O> = Mutex<Option<(Option<O>, CellReport)>>;
     let jobs = jobs.max(1);
     let n = cells.len();
     let slots: Vec<Slot<O>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let queue = Mutex::new(cells.into_iter().enumerate());
 
     let pool =
         rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("supervisor thread pool");
     pool.scope(|s| {
         for _ in 0..jobs.min(n.max(1)) {
             s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = supervise_cell(&cells[i], sup, classify, digest);
+                let next = queue.lock().expect("cell queue lock poisoned").next();
+                let Some((i, cell)) = next else { break };
+                let out = supervise_cell(cell, wall_limit);
                 *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
             });
         }
@@ -448,33 +348,20 @@ pub fn run_cells<O: Send + 'static>(
 
 /// Fold a slice of cell reports into aggregate stats, attaching watchdog
 /// margins when a wall limit was configured.
-pub fn stats_from_reports(reports: &[CellReport], sup: &SupervisorConfig) -> SupervisorStats {
+pub fn stats_from_reports(reports: &[CellReport], wall_limit: Option<Duration>) -> SupervisorStats {
     let mut st = SupervisorStats::default();
     for r in reports {
-        match &r.outcome {
-            CellOutcome::Completed => {}
-            CellOutcome::Recovered => st.retried += 1,
-            CellOutcome::Quarantined { failure } => {
-                st.quarantined += 1;
-                if matches!(failure, CellFailure::Nondeterministic) {
-                    st.nondeterministic += 1;
-                }
-            }
+        if let CellOutcome::Quarantined { failure } = &r.outcome {
+            st.quarantined += 1;
+            st.timeouts += matches!(failure, CellFailure::Timeout { .. }) as u64;
         }
-        let timeout_attempts =
-            r.earlier_failures.iter().filter(|m| m.starts_with("timeout")).count() as u64
-                + matches!(
-                    &r.outcome,
-                    CellOutcome::Quarantined { failure: CellFailure::Timeout { .. } }
-                ) as u64;
-        st.timeouts += timeout_attempts;
-        if let Some(limit) = sup.wall_limit {
+        if let Some(limit) = wall_limit {
             let limit_ms = limit.as_secs_f64() * 1e3;
             st.watchdog_margins.push(WatchdogMargin {
                 label: r.label.clone(),
-                attempt_ms: r.slowest_attempt_ms,
+                attempt_ms: r.wall_ms,
                 limit_ms,
-                margin: (1.0 - r.slowest_attempt_ms / limit_ms).max(0.0),
+                margin: (1.0 - r.wall_ms / limit_ms).max(0.0),
             });
         }
     }
@@ -484,30 +371,31 @@ pub fn stats_from_reports(reports: &[CellReport], sup: &SupervisorConfig) -> Sup
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
-    fn no_error<O>(_: &O) -> Option<String> {
-        None
-    }
-
-    fn id_digest(o: &u64) -> u64 {
-        *o
-    }
-
-    fn sup(max_attempts: u32) -> SupervisorConfig {
-        SupervisorConfig { max_attempts, wall_limit: None }
-    }
-
     fn squares(n: u64) -> Vec<Cell<u64>> {
-        (0..n).map(|i| Cell::new(format!("sq{i}"), move || i * i)).collect()
+        (0..n).map(|i| Cell::new(format!("sq{i}"), move || Ok(i * i))).collect()
+    }
+
+    /// A cell whose body counts its executions in `runs`, then does `body`.
+    fn counted(
+        label: &str,
+        runs: &Arc<AtomicU32>,
+        body: impl FnOnce() -> Result<u64, String> + Send + 'static,
+    ) -> Cell<u64> {
+        let runs = Arc::clone(runs);
+        Cell::new(label, move || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            body()
+        })
     }
 
     #[test]
     fn outputs_are_in_spec_order_serial_and_parallel() {
         let expect: Vec<Option<u64>> = (0..64).map(|i| Some(i * i)).collect();
-        let (serial, r1) = run_cells(squares(64), 1, &sup(1), no_error, id_digest);
-        let (parallel, r8) = run_cells(squares(64), 8, &sup(1), no_error, id_digest);
+        let (serial, r1) = run_cells(squares(64), 1, None);
+        let (parallel, r8) = run_cells(squares(64), 8, None);
         assert_eq!(serial, expect);
         assert_eq!(parallel, expect);
         for reports in [&r1, &r8] {
@@ -519,22 +407,22 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_fine_on_zero_workers() {
-        let (out, reports) = run_cells(Vec::<Cell<u64>>::new(), 0, &sup(1), no_error, id_digest);
+        let (out, reports) = run_cells(Vec::<Cell<u64>>::new(), 0, None);
         assert!(out.is_empty());
         assert!(reports.is_empty());
     }
 
     #[test]
-    fn panicking_cell_is_quarantined_and_others_complete() {
+    fn a_panicking_cell_runs_once_and_is_quarantined_while_others_complete() {
+        let runs = Arc::new(AtomicU32::new(0));
         let cells: Vec<Cell<u64>> = vec![
-            Cell::new("ok/0", || 10),
-            Cell::new("boom", || panic!("injected failure {}", 42)),
-            Cell::new("ok/2", || 30),
+            Cell::new("ok/0", || Ok(10)),
+            counted("boom", &runs, || panic!("injected failure {}", 42)),
+            Cell::new("ok/2", || Ok(30)),
         ];
-        let (outs, reports) = run_cells(cells, 2, &sup(1), no_error, id_digest);
-        assert_eq!(outs[0], Some(10));
-        assert_eq!(outs[1], None);
-        assert_eq!(outs[2], Some(30));
+        let (outs, reports) = run_cells(cells, 2, None);
+        assert_eq!(outs, [Some(10), None, Some(30)]);
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "a failed cell must not run again");
         match &reports[1].outcome {
             CellOutcome::Quarantined { failure: CellFailure::Panic { message, backtrace } } => {
                 assert!(message.contains("injected failure 42"), "{message}");
@@ -543,122 +431,74 @@ mod tests {
             }
             o => panic!("expected panic quarantine, got {o:?}"),
         }
-        let st = stats_from_reports(&reports, &sup(1));
-        assert_eq!(st.quarantined, 1);
-        assert_eq!(st.retried, 0);
+        let st = stats_from_reports(&reports, None);
+        assert_eq!((st.quarantined, st.timeouts), (1, 0));
     }
 
     #[test]
-    fn deterministic_recovery_after_transient_panic() {
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = tries.clone();
-        let cells = vec![Cell::new("flaky-once", move || {
-            if t.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient");
-            }
-            7u64
-        })];
-        let (outs, reports) = run_cells(cells, 1, &sup(2), no_error, id_digest);
-        assert_eq!(outs[0], Some(7));
-        assert!(matches!(reports[0].outcome, CellOutcome::Recovered));
-        // failed attempt + success + verification run
-        assert_eq!(reports[0].attempts, 3);
-        assert_eq!(reports[0].earlier_failures.len(), 1);
-        assert_eq!(stats_from_reports(&reports, &sup(2)).retried, 1);
-    }
-
-    #[test]
-    fn irreproducible_recovery_is_quarantined_as_nondeterministic() {
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = tries.clone();
-        let cells = vec![Cell::new("flaky-bytes", move || {
-            let n = t.fetch_add(1, Ordering::SeqCst);
-            if n == 0 {
-                panic!("transient");
-            }
-            n as u64 // different value every run: must not be trusted
-        })];
-        let (outs, reports) = run_cells(cells, 1, &sup(2), no_error, id_digest);
-        assert_eq!(outs[0], None);
-        assert!(matches!(
-            reports[0].outcome,
-            CellOutcome::Quarantined { failure: CellFailure::Nondeterministic }
-        ));
-        assert_eq!(stats_from_reports(&reports, &sup(2)).nondeterministic, 1);
-    }
-
-    #[test]
-    fn typed_cell_errors_are_not_panics() {
-        fn classify(o: &u64) -> Option<String> {
-            (*o == u64::MAX).then(|| "event budget exhausted".to_string())
-        }
-        let cells = vec![Cell::new("budget", || u64::MAX)];
-        let (outs, reports) = run_cells(cells, 1, &sup(2), classify, id_digest);
-        assert_eq!(outs[0], None);
+    fn an_err_cell_runs_once_and_is_quarantined_as_a_typed_error() {
+        let runs = Arc::new(AtomicU32::new(0));
+        let cells = vec![counted("budget", &runs, || Err("event budget exhausted".into()))];
+        let (outs, reports) = run_cells(cells, 1, None);
+        assert_eq!(outs, [None]);
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "a failed cell must not run again");
         match &reports[0].outcome {
             CellOutcome::Quarantined { failure: CellFailure::Error { message } } => {
-                assert!(message.contains("event budget"), "{message}");
+                assert_eq!(message, "event budget exhausted");
             }
             o => panic!("expected typed error, got {o:?}"),
         }
-        // Deterministic failure: retried once, failed the same way.
-        assert_eq!(reports[0].attempts, 2);
     }
 
     #[test]
     fn wall_watchdog_abandons_stuck_cells() {
-        let cfg = SupervisorConfig { max_attempts: 1, wall_limit: Some(Duration::from_millis(40)) };
         let cells: Vec<Cell<u64>> = vec![
             Cell::new("stuck", || {
                 std::thread::sleep(Duration::from_secs(5));
-                1
+                Ok(1)
             }),
-            Cell::new("fast", || 2),
+            Cell::new("fast", || Ok(2)),
         ];
+        let limit = Some(Duration::from_millis(40));
         let t0 = Instant::now();
-        let (outs, reports) = run_cells(cells, 2, &cfg, no_error, id_digest);
+        let (outs, reports) = run_cells(cells, 2, limit);
         assert!(t0.elapsed() < Duration::from_secs(4), "watchdog failed to fire");
-        assert_eq!(outs[0], None);
-        assert_eq!(outs[1], Some(2));
+        assert_eq!(outs, [None, Some(2)]);
         assert!(matches!(
             reports[0].outcome,
             CellOutcome::Quarantined { failure: CellFailure::Timeout { .. } }
         ));
-        let st = stats_from_reports(&reports, &cfg);
+        let st = stats_from_reports(&reports, limit);
         assert_eq!(st.timeouts, 1);
         assert_eq!(st.watchdog_margins.len(), 2);
         let fast = &st.watchdog_margins[1];
         assert!(fast.margin > 0.5, "fast cell should have headroom: {fast:?}");
+        assert_eq!(fast.attempt_ms, reports[1].wall_ms);
     }
 
     #[test]
-    fn watchdog_margin_is_set_by_the_slowest_attempt() {
-        // A slow first attempt that panics, then two instant ones (the
-        // retry and its verification re-run): the mean attempt is about a
-        // third of the slow one, but the headroom is the slow one's.
-        let cfg = SupervisorConfig { max_attempts: 2, wall_limit: Some(Duration::from_secs(10)) };
-        let tries = Arc::new(AtomicU32::new(0));
-        let t = tries.clone();
-        let cells = vec![Cell::new("slow-then-fast", move || {
-            if t.fetch_add(1, Ordering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_millis(30));
-                panic!("transient");
-            }
-            5u64
-        })];
-        let (outs, reports) = run_cells(cells, 1, &cfg, no_error, id_digest);
-        assert_eq!(outs[0], Some(5));
-        assert_eq!(reports[0].attempts, 3);
-        let st = stats_from_reports(&reports, &cfg);
-        let m = &st.watchdog_margins[0];
-        assert!(m.attempt_ms >= 30.0, "slowest attempt under-reported: {m:?}");
-        assert_eq!(m.attempt_ms, reports[0].slowest_attempt_ms);
+    fn a_result_that_arrives_after_the_limit_is_a_timeout() {
+        // No cell finishes within a nanosecond of its thread being spawned,
+        // so even an instant cell is over the limit when its result is read.
+        let runs = Arc::new(AtomicU32::new(0));
+        let cells = vec![counted("instant", &runs, || Ok(1))];
+        let limit = Some(Duration::from_nanos(1));
+        let (outs, reports) = run_cells(cells, 1, limit);
+        assert_eq!(outs, [None]);
+        assert!(matches!(
+            reports[0].outcome,
+            CellOutcome::Quarantined { failure: CellFailure::Timeout { .. } }
+        ));
+        let st = stats_from_reports(&reports, limit);
+        assert_eq!((st.quarantined, st.timeouts), (1, 1));
+        assert_eq!(st.watchdog_margins[0].margin, 0.0);
+        assert!(runs.load(Ordering::SeqCst) <= 1, "a timed-out cell must not run again");
     }
 
     #[test]
     fn panics_outside_supervision_still_reach_the_default_hook() {
-        // The chained hook must defer when no supervised attempt is active:
-        // a plain catch_unwind still sees the payload.
+        // The chained hook must defer when no supervised cell is running: a
+        // plain catch_unwind still sees the payload.
         install_capture_hook();
         let r = panic::catch_unwind(|| panic!("unsupervised"));
         assert!(r.is_err());

@@ -26,7 +26,6 @@ fn help_exits_zero_and_matches_the_snapshot() {
         "--golden",
         "--jobs N",
         "--serial",
-        "--retries N",
         "--max-cell-seconds S",
         "--max-cell-events N",
         "--inject-panic S",
@@ -74,6 +73,8 @@ fn unknown_arguments_exit_two() {
         &["--shards", "2"],
         &["--ckpt-every", "4"],
         &["--ckpt-dir", "d"],
+        // Retired when cells began to run exactly once.
+        &["--retries", "2"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");

@@ -1,10 +1,10 @@
 //! # sched — multi-tenant datacenter scheduling above `cluster`
 //!
 //! The paper characterises Tibidabo one job at a time; production readiness
-//! is a *job stream* question. This crate replays synthetic and
-//! trace-derived arrival streams of 10⁵–10⁷ jobs against a
-//! [`cluster::Machine`], with pluggable queueing policies ([`Fcfs`],
-//! [`EasyBackfill`], [`FairShare`] with optional preemption), one-step
+//! is a *job stream* question. This crate replays seeded synthetic arrival
+//! streams of 10⁵–10⁷ jobs against a [`cluster::Machine`], with pluggable
+//! queueing policies ([`Fcfs`], [`EasyBackfill`], [`FairShare`] with
+//! optional preemption), one-step
 //! placement that marks a job's nodes busy as it hands them out, so no two
 //! decisions of a pass can share a node, a calibrated analytic [`RuntimeModel`] that prices each job
 //! without a full MPI simulation, and PR 1 fault plans shrinking the
@@ -12,9 +12,9 @@
 //! wait/slowdown distributions, energy per job, and SLO violations as a
 //! [`DcReport`] — the `repro --headline datacenter` artefact.
 //!
-//! Input formats (synthetic generator parameters and SWF trace columns) and
-//! the report schema are specified in `docs/WORKLOAD_FORMAT.md`; where the
-//! crate sits in the stack is mapped in `docs/ARCHITECTURE.md`.
+//! The input format (synthetic generator parameters) and the report schema
+//! are specified in `docs/WORKLOAD_FORMAT.md`; where the crate sits in the
+//! stack is mapped in `docs/ARCHITECTURE.md`.
 //!
 //! ```
 //! use cluster::Machine;
@@ -53,4 +53,4 @@ pub use policy::{
     SchedView, SCAN_DEPTH,
 };
 pub use sim::{DcAudit, DcConfig, DcOutcome, DcSim, RuntimeMode, Tenant};
-pub use workload::{parse_swf, Job, JobId, JobKind, QosClass, SwfError, SyntheticSpec, TenantSpec};
+pub use workload::{Job, JobId, JobKind, QosClass, SyntheticSpec, TenantSpec};

@@ -34,8 +34,8 @@ pub enum RuntimeMode {
     /// Price the job with the machine's [`RuntimeModel`] scaling laws
     /// (synthetic streams, what-if machines).
     Analytic,
-    /// Take [`Job::work`] as the recorded wall-clock seconds verbatim
-    /// (SWF trace replays: the runtime was measured on the real machine).
+    /// Take [`Job::work`] as the job's run length in seconds verbatim, so a
+    /// test can script exact run lengths.
     Recorded,
 }
 

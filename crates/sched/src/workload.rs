@@ -1,15 +1,10 @@
 //! Job streams: what the scheduler replays.
 //!
-//! Two sources produce the same [`Job`] records (field-by-field spec in
-//! `docs/WORKLOAD_FORMAT.md`):
-//!
-//! * [`SyntheticSpec::generate`] — a seeded multi-tenant arrival process
-//!   (Poisson arrivals, geometric job widths, per-tenant QoS mixes) built on
-//!   the same splittable [`SimRng`] the fault injector uses, so a spec is a
-//!   complete, reproducible description of a campaign.
-//! * [`parse_swf`] — the Standard Workload Format used by the Parallel
-//!   Workloads Archive (one job per line, 18 whitespace-separated columns),
-//!   so real machine logs replay against the simulated machine.
+//! [`SyntheticSpec::generate`] produces the [`Job`] records (field-by-field
+//! spec in `docs/WORKLOAD_FORMAT.md`): a seeded multi-tenant arrival process
+//! (Poisson arrivals, geometric job widths, per-tenant QoS mixes) built on
+//! the same splittable [`SimRng`] the fault injector uses, so a spec is a
+//! complete, reproducible description of a campaign.
 
 use des::{SimRng, SimTime};
 use serde::Serialize;
@@ -302,98 +297,6 @@ impl SyntheticSpec {
     }
 }
 
-/// A failed [`parse_swf`] line.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SwfError {
-    /// 1-based line number of the offending record.
-    pub line: usize,
-    /// What was wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for SwfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SWF line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for SwfError {}
-
-/// Parse a Standard Workload Format trace into a job stream.
-///
-/// The SWF is the Parallel Workloads Archive format: `;` comment lines, then
-/// one job per line with 18 whitespace-separated integer columns, `-1` for
-/// unknown. The columns consumed here (1-based, per the spec):
-///
-/// | col | field | mapped to |
-/// |-----|-------|-----------|
-/// | 1 | job number | [`Job::id`] |
-/// | 2 | submit time (s) | [`Job::submit`] |
-/// | 4 | run time (s) | [`Job::work`] (true runtime) |
-/// | 5 | allocated processors | [`Job::nodes`] (fallback for col 8) |
-/// | 8 | requested processors | [`Job::nodes`] |
-/// | 9 | requested time (s) | [`Job::est_secs`] (falls back to run time) |
-/// | 12 | user id | [`Job::tenant`] (modulo `tenants`) |
-/// | 14 | application number | [`Job::kind`] (modulo the 4 kinds) |
-/// | 15 | queue number | [`Job::qos`] (1 → interactive, 2 → batch, else standard) |
-///
-/// Records with a non-positive runtime or no processor count are skipped
-/// (cancelled submissions); malformed lines are errors. `tenants` folds the
-/// archive's user population onto the campaign's tenant table.
-pub fn parse_swf(text: &str, tenants: u32) -> Result<Vec<Job>, SwfError> {
-    let tenants = tenants.max(1);
-    let mut jobs = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with(';') {
-            continue;
-        }
-        let mut cols = [0i64; 18];
-        let mut n = 0;
-        for part in line.split_whitespace() {
-            if n >= 18 {
-                break;
-            }
-            cols[n] = part.parse::<i64>().map_err(|_| SwfError {
-                line: idx + 1,
-                reason: format!("column {} is not an integer: '{part}'", n + 1),
-            })?;
-            n += 1;
-        }
-        if n < 5 {
-            return Err(SwfError {
-                line: idx + 1,
-                reason: format!("only {n} columns (need at least 5)"),
-            });
-        }
-        let runtime = cols[3];
-        let procs = if cols.len() > 7 && cols[7] > 0 { cols[7] } else { cols[4] };
-        if runtime <= 0 || procs <= 0 {
-            continue; // cancelled or failed submission — nothing to replay
-        }
-        let est = if n > 8 && cols[8] > 0 { cols[8] as f64 } else { runtime as f64 };
-        let user = if n > 11 && cols[11] >= 0 { cols[11] as u64 } else { 0 };
-        let app = if n > 13 && cols[13] >= 0 { cols[13] as u64 } else { 0 };
-        let queue = if n > 14 { cols[14] } else { -1 };
-        jobs.push(Job {
-            id: cols[0].max(0) as u64,
-            tenant: (user % tenants as u64) as u32,
-            qos: match queue {
-                1 => QosClass::Interactive,
-                2 => QosClass::Batch,
-                _ => QosClass::Standard,
-            },
-            kind: JobKind::ALL[(app % JobKind::ALL.len() as u64) as usize],
-            submit: SimTime::from_secs_f64(cols[1].max(0) as f64),
-            nodes: procs as u32,
-            work: runtime as f64,
-            est_secs: est.max(runtime as f64),
-        });
-    }
-    jobs.sort_by_key(|j| (j.submit, j.id));
-    Ok(jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,37 +321,5 @@ mod tests {
         let a = SyntheticSpec::standard_mix(100, 1, 4.0, 64).generate();
         let b = SyntheticSpec::standard_mix(100, 2, 4.0, 64).generate();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn swf_parses_the_worked_example() {
-        // The 5-job worked example from docs/WORKLOAD_FORMAT.md.
-        let text = "\
-; UnixStartTime: 0
-; MaxNodes: 192
-1 0   -1 120 4  -1 -1 4  300 -1 1 100 -1 0 2 -1 -1 -1
-2 10  -1 600 16 -1 -1 16 900 -1 1 101 -1 1 0 -1 -1 -1
-3 15  -1 0   8  -1 -1 8  600 -1 0 100 -1 2 0 -1 -1 -1
-4 30  -1 45  1  -1 -1 1  60  -1 1 102 -1 3 1 -1 -1 -1
-5 42  -1 200 32 -1 -1 32 400 -1 1 101 -1 0 2 -1 -1 -1
-";
-        let jobs = parse_swf(text, 8).expect("worked example parses");
-        // Job 3 has zero runtime (cancelled) and is skipped.
-        assert_eq!(jobs.len(), 4);
-        assert_eq!(jobs[0].id, 1);
-        assert_eq!(jobs[0].nodes, 4);
-        assert_eq!(jobs[0].qos, QosClass::Batch);
-        assert_eq!(jobs[0].tenant, 100 % 8);
-        assert_eq!(jobs[1].est_secs, 900.0);
-        assert_eq!(jobs[2].qos, QosClass::Interactive);
-        assert_eq!(jobs[3].kind, JobKind::Solver);
-        assert!(jobs.windows(2).all(|w| w[0].submit <= w[1].submit));
-    }
-
-    #[test]
-    fn swf_rejects_malformed_lines() {
-        assert!(parse_swf("1 2 3", 4).is_err());
-        assert!(parse_swf("1 0 -1 bogus 4", 4).is_err());
-        assert_eq!(parse_swf("; only comments\n", 4).unwrap(), vec![]);
     }
 }

@@ -329,9 +329,9 @@ impl Rank {
     /// Flow-mode all-to-all fast path (see [`Rank::flow_alltoall_ok`] for the
     /// preconditions): the whole fan-out is one batched send-overhead
     /// advance, `P-1` concurrent flows whose arrival times emerge from
-    /// max-min fair sharing, and one batched receive-overhead advance — O(1)
-    /// engine events per rank per round where the pairwise exchange costs
-    /// O(P) per-message event chains.
+    /// max-min fair sharing, per-peer receives that wait only for flow
+    /// transitions, and one batched receive-overhead advance, where the
+    /// pairwise exchange costs O(P) per-message event chains.
     async fn alltoall_flow(&mut self, msgs: Vec<Msg>) -> Vec<Msg> {
         let p = self.size();
         let me = self.rank();
@@ -346,17 +346,10 @@ impl Rank {
             }
         }
         self.send_flows_batched(TAG_ALLTOALL, outgoing).await;
-        if self.tracing() {
-            // Per-peer receives emit the documented per-message flow events.
-            for src in 0..p {
-                if src == me {
-                    continue;
-                }
-                let m = self.recv_wire(src, TAG_ALLTOALL).await;
-                out[src as usize] = Some(m);
+        for src in 0..p {
+            if src != me {
+                out[src as usize] = Some(self.recv_wire(src, TAG_ALLTOALL).await);
             }
-        } else {
-            self.recv_wire_all(TAG_ALLTOALL, &mut out).await;
         }
         self.batch_recv_overhead(p as u64 - 1).await;
         self.phase_end("alltoall");
@@ -551,6 +544,43 @@ mod tests {
         // reservation model on a symmetric dense exchange.
         let (te, tf) = (ev.elapsed.as_secs_f64(), fl.elapsed.as_secs_f64());
         assert!((tf - te).abs() / te < 0.35, "event {te}s vs flow {tf}s");
+    }
+
+    #[test]
+    fn tracing_leaves_a_flow_alltoall_with_uneven_sizes_unchanged() {
+        // Uneven per-destination sizes (0.5–28.5 kB) on a tree make the
+        // fan-in's flows finish at many distinct instants. Tracing must not
+        // change a single number of the run, engine events included: an
+        // event budget between two counts would stop one run and not the
+        // other.
+        use crate::world::RunOpts;
+        use des::{RingRecorder, Tracer};
+        use netsim::{NetModel, TopologySpec};
+        use std::sync::Arc;
+        let go = |tracer: Option<Arc<dyn Tracer>>| {
+            let opts = RunOpts { net_model: NetModel::Flow, tracer, ..RunOpts::default() };
+            let topology = TopologySpec::Tree { edges: 4, nodes_per_edge: 4, uplinks_per_edge: 2 };
+            let spec = spec(16).with_topology(topology).with_opts(opts);
+            run_mpi(spec, |mut r| async move {
+                let me = r.rank() as u64;
+                for round in 0..3u64 {
+                    let msgs = (0..r.size() as u64)
+                        .map(|j| Msg::size_only(512 + (me * 7 + j * 13 + round * 5) % 57 * 500))
+                        .collect();
+                    r.alltoall(msgs).await;
+                }
+                r.now().as_nanos()
+            })
+            .unwrap()
+        };
+        let plain = go(None);
+        let rec = Arc::new(RingRecorder::with_capacity(1 << 20));
+        let traced = go(Some(rec.clone()));
+        assert!(!rec.drain().is_empty(), "the traced run recorded nothing");
+        assert_eq!(plain.elapsed, traced.elapsed);
+        assert_eq!(plain.results, traced.results, "per-rank finish times");
+        assert_eq!(plain.net, traced.net);
+        assert_eq!(plain.events, traced.events, "engine events");
     }
 
     #[test]

@@ -791,92 +791,6 @@ impl Rank {
         }
     }
 
-    /// Fully batched receiver half of the fast path: drain every peer's
-    /// `tag` message in whole-mailbox passes under one borrow. Each pass takes
-    /// everything that has arrived and computes one wake — the earliest
-    /// arrival or flow transition across ALL still-missing messages — so a
-    /// P-way fan-in costs O(flow transitions) borrows instead of O(P).
-    /// Used when tracing is off; traced runs go through
-    /// [`Rank::recv_wire`] per peer, which emits the per-message flow events
-    /// in their documented order.
-    ///
-    /// `out[src]` slots that are `Some` (own rank, already received) are
-    /// skipped; every `None` slot is filled before returning.
-    pub(crate) async fn recv_wire_all(&mut self, tag: u32, out: &mut [Option<Msg>]) {
-        self.check_crashed();
-        let world = &self.world;
-        let timeout_at = self.recv_deadline();
-        let mut missing = out.iter().filter(|m| m.is_none()).count();
-        while missing > 0 {
-            enum Step {
-                Wait(SimTime),
-                Park,
-            }
-            let step = {
-                let mut st = world.state.borrow_mut();
-                let st = &mut *st;
-                let now = self.ctx.now();
-                let me_idx = self.rank as usize;
-                st.ranks[me_idx].pending = None;
-                let mut wake: Option<SimTime> = None;
-                let mut i = 0;
-                while i < st.ranks[me_idx].mailbox.len() {
-                    let m = &st.ranks[me_idx].mailbox[i];
-                    if m.tag != tag || out[m.src as usize].is_some() {
-                        i += 1;
-                        continue;
-                    }
-                    let delivery = m.delivery;
-                    let arrival = match delivery {
-                        Delivery::Eager { available_at } => {
-                            (available_at > now).then_some(available_at)
-                        }
-                        Delivery::Flow { id, extra } => {
-                            let flows = st.flows.as_mut().expect("flow delivery without flow net");
-                            match flows.poll(now, id) {
-                                FlowStatus::Done { at } if at + extra <= now => {
-                                    flows.consume(id);
-                                    None
-                                }
-                                FlowStatus::Done { at } => Some(at + extra),
-                                FlowStatus::InFlight { wake, .. } => Some(wake),
-                            }
-                        }
-                        Delivery::Rendezvous { .. } => {
-                            unreachable!("flow fast path requires all-eager messages")
-                        }
-                    };
-                    match arrival {
-                        None => {
-                            let m = st.ranks[me_idx].mailbox.remove(i).unwrap();
-                            out[m.src as usize] = Some(m.msg);
-                            missing -= 1;
-                        }
-                        Some(at) => {
-                            wake = Some(wake.map_or(at, |w| w.min(at)));
-                            i += 1;
-                        }
-                    }
-                }
-                if missing == 0 {
-                    None
-                } else if let Some(at) = wake {
-                    Some(Step::Wait(at))
-                } else {
-                    // Nothing matched yet: park until any sender with this
-                    // tag delivers.
-                    st.ranks[me_idx].pending = Some((None, Some(tag)));
-                    Some(Step::Park)
-                }
-            };
-            match step {
-                None => break,
-                Some(Step::Wait(at)) => self.advance_to_or_die(at).await,
-                Some(Step::Park) => self.park_or_die(timeout_at, None).await,
-            }
-        }
-    }
-
     /// Charge `n` messages' worth of receive overhead in one advance (the
     /// batched tail of the flow-mode fast path).
     pub(crate) async fn batch_recv_overhead(&mut self, n: u64) {

@@ -15,7 +15,7 @@ use des::RingRecorder;
 use socready::harness::trace::record_line;
 use socready::harness::{
     counterexample_json, mc_scenario, run_plan, ArtefactOut, ArtefactOutcome, McOverrides, RunPlan,
-    RunScales, SupervisorConfig, SweepStats,
+    RunScales, SweepStats,
 };
 use socready::mpi::RunOpts;
 
@@ -27,10 +27,9 @@ fn golden_plan(keys: &[&str], opts: &RunOpts) -> RunPlan {
 
 /// Run `plan` on `jobs` workers, resuming past the artefacts in `skip` as
 /// `repro --resume` would, and return the artefacts it derived. Each cell
-/// gets one attempt, so any panic or typed fault fails the test.
+/// runs once, so any panic or typed fault fails the test.
 fn run(plan: RunPlan, jobs: usize, skip: &[&str]) -> (Vec<ArtefactOut>, SweepStats) {
-    let sup = SupervisorConfig::single_attempt();
-    let (arts, stats) = run_plan(plan, jobs, &sup, &|key| skip.contains(&key), |_| {});
+    let (arts, stats) = run_plan(plan, jobs, None, &|key| skip.contains(&key), |_| {});
     let derived = arts
         .into_iter()
         .filter_map(|a| match a.outcome {
@@ -208,9 +207,12 @@ fn flow_model_ablation_is_byte_identical_across_schedules() {
     // model it replaces: the model-equivalence ablation (every golden
     // figure executed under BOTH network models) rendered on 1 worker and
     // on 8 workers is byte-identical, text and JSON. This exercises the
-    // whole flow fast path — max-min re-shares, the batched alltoall
-    // receiver, and flow start/finish event ordering — under a parallel
-    // sweep schedule.
+    // flow model under the applications' point-to-point messages and
+    // collectives (HPL's panel broadcasts, halo `sendrecv`s, allreduces,
+    // Fig 7's ping-pongs) — max-min re-shares on the Tibidabo tree, flow
+    // start/finish event ordering, and the plan's shared HPL runs under each
+    // model — under a parallel sweep schedule. No ablated figure calls
+    // `alltoall`; `simmpi`'s collective tests cover its flow fast path.
     let mk = || golden_plan(&["ablate-net"], &RunOpts::default());
     let (serial, _) = run(mk(), 1, &[]);
     let (parallel, stats8) = run(mk(), 8, &[]);

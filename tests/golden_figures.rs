@@ -22,9 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use serde_json::Value;
-use socready::harness::{
-    run_plan, ArtefactOut, ArtefactOutcome, RunPlan, RunScales, SupervisorConfig,
-};
+use socready::harness::{run_plan, ArtefactOut, ArtefactOutcome, RunPlan, RunScales};
 use socready::mpi::RunOpts;
 
 /// Relative tolerance for float leaves.
@@ -35,8 +33,8 @@ fn goldens_dir() -> PathBuf {
 }
 
 /// One golden-scale run of every artefact through the executor `repro`
-/// runs, shared by all test cases in this binary. Each cell gets one
-/// attempt, so any panic or typed fault fails the suite. Uses several
+/// runs, shared by all test cases in this binary. Each cell runs once, so
+/// any panic or typed fault fails the suite. Uses several
 /// workers: the determinism suite separately proves worker count cannot
 /// change bytes.
 fn artefacts() -> &'static [ArtefactOut] {
@@ -44,7 +42,7 @@ fn artefacts() -> &'static [ArtefactOut] {
     RUN.get_or_init(|| {
         let plan =
             RunPlan::from_items(&["all".to_string()], &RunScales::golden(), &RunOpts::default());
-        let (arts, _) = run_plan(plan, 4, &SupervisorConfig::single_attempt(), &|_| false, |_| {});
+        let (arts, _) = run_plan(plan, 4, None, &|_| false, |_| {});
         arts.into_iter()
             .map(|a| match a.outcome {
                 ArtefactOutcome::Completed(out) => out,
