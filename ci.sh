@@ -131,6 +131,16 @@ if [[ $quick -eq 0 ]]; then
     echo "error: NullTracer overhead is ${overhead:-missing}% (budget < 2%)" >&2
     exit 1
   }
+  # The datacenter scheduler must replay the 1e5-job EASY-backfill stream
+  # (seed 42, 90% offered load, no faults; best of 3) at 1e4 jobs/s or
+  # faster. scale_bench has already checked that the replay drains.
+  sched_rate=$(grep -A2 '"jobs": 100000,' "$scale_json" | grep -o '"jobs_per_sec": [0-9.e+]*' |
+    awk '{print $2}')
+  awk -v r="$sched_rate" 'BEGIN { exit !(r != "" && r + 0 >= 10000) }' || {
+    echo "error: 1e5-job replay ran at ${sched_rate:-missing} jobs/s (need >= 1e4)" >&2
+    exit 1
+  }
+  echo "scale smoke: 1e5-job replay at ${sched_rate} jobs/s (>= 1e4)"
   # The fair-sharing flow model must keep its wall-clock win on the dense
   # alltoall workload: whole-flow scheduling collapses the event count, so
   # the same virtual job must simulate at least 5x faster than the

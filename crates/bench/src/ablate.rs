@@ -9,8 +9,9 @@
 //! stage of `ci.sh`.
 //!
 //! Each cell overrides only the network model of the run's options, so
-//! ablation cells stay deterministic under any `--jobs` schedule and are
-//! unaffected by `--net-model`.
+//! ablation cells stay deterministic under any `--jobs` schedule. These
+//! cells are the one place a `repro` run chooses a network model: every
+//! other simulation runs under [`RunOpts`]'s default, the event model.
 
 use cluster::Machine;
 use hpc_apps::hpl::HplShare;

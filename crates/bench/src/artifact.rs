@@ -42,7 +42,7 @@ impl std::error::Error for ArtifactIoError {
     }
 }
 
-fn io_err<'p>(
+pub(crate) fn io_err<'p>(
     path: &'p Path,
     op: &'static str,
 ) -> impl FnOnce(std::io::Error) -> ArtifactIoError + 'p {

@@ -11,7 +11,6 @@
 //! repro --headline extensions   # beyond-the-paper analyses (ECC, EEE, ...)
 //! repro --headline resilience   # fault injection + checkpoint/restart sweep
 //! repro --headline datacenter   # multi-tenant job-stream replay (sched)
-//! repro --net-model flow # fair-sharing flow-level network model everywhere
 //! repro --ablate-net     # interconnect figures under both network models
 //! repro --json DIR       # additionally dump machine-readable JSON
 //! repro --jobs N         # run the scenario cells on N workers
@@ -61,17 +60,13 @@ use bench::{
     RunScales, WriteOutcome,
 };
 use des::{RingRecorder, TraceFilter, Tracer};
-use simmpi::{NetModel, RunOpts};
+use simmpi::RunOpts;
 
 struct Opts {
     items: Vec<String>,
     scales: RunScales,
-    /// Scale name entering the run fingerprint (`golden`/`quick`/`full`,
-    /// with a `+flow` suffix under `--net-model flow` — the artefacts of the
-    /// two models must never verify against each other on `--resume`).
-    scale_name: String,
-    /// `--net-model`, when given.
-    net_model: Option<NetModel>,
+    /// Scale name entering the run fingerprint (`golden`/`quick`/`full`).
+    scale_name: &'static str,
     json_dir: Option<PathBuf>,
     /// Worker threads for scenario cells (`--serial` is 1, the default one
     /// per available core).
@@ -144,9 +139,6 @@ scale:
   --golden               golden-test scale (seconds, used by CI regression)
 
 execution:
-  --net-model NAME       network model for every simulation: event
-                         (per-message store-and-forward, the default) |
-                         flow (max-min fair-sharing flow-level throughput)
   --jobs N               run scenario cells on N workers
   --serial               reference serial schedule (same bytes as --jobs N)
   --max-cell-seconds S   wall-clock watchdog per cell
@@ -205,7 +197,6 @@ fn parse_args() -> Opts {
     let mut mc = None;
     let mut mc_replay = None;
     let mut mc_overrides = McOverrides::default();
-    let mut net_model: Option<NetModel> = None;
     let mut args = std::env::args().skip(1);
     let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         args.next().unwrap_or_else(|| die(&format!("{flag} needs a value")))
@@ -222,10 +213,6 @@ fn parse_args() -> Opts {
             "--table" => items.push(format!("table{}", value(&mut args, "--table"))),
             "--headline" => items.push(value(&mut args, "--headline")),
             "--ablate-net" => items.push("ablate-net".into()),
-            "--net-model" => {
-                let v = value(&mut args, "--net-model");
-                net_model = Some(NetModel::parse(&v).unwrap_or_else(|e| die(&e)));
-            }
             "--json" => json_dir = Some(PathBuf::from(value(&mut args, "--json"))),
             "--jobs" => {
                 let v = value(&mut args, "--jobs");
@@ -324,18 +311,12 @@ fn parse_args() -> Opts {
     if fsck && resume {
         die("--fsck and --resume are mutually exclusive");
     }
-    let (scales, base_scale) = if golden {
+    let (scales, scale_name) = if golden {
         (RunScales::golden(), "golden")
     } else if quick {
         (RunScales::quick(), "quick")
     } else {
         (RunScales::full(), "full")
-    };
-    // The fingerprint must distinguish the models: a flow-model run may not
-    // --resume past artefacts an event-model run journaled, and vice versa.
-    let scale_name = match net_model {
-        Some(NetModel::Flow) => format!("{base_scale}+flow"),
-        _ => base_scale.to_string(),
     };
     let jobs = if serial {
         1
@@ -348,7 +329,6 @@ fn parse_args() -> Opts {
         items,
         scales,
         scale_name,
-        net_model,
         json_dir,
         jobs,
         wall_limit,
@@ -399,8 +379,7 @@ fn dump_trace(opts: &Opts, rec: &RingRecorder) -> bool {
     }
 }
 
-/// Map a journaled scale name (without any `+flow` suffix) back to its
-/// scales.
+/// Map a journaled scale name back to its scales.
 fn scales_by_name(name: &str) -> Option<RunScales> {
     match name {
         "golden" => Some(RunScales::golden()),
@@ -468,7 +447,7 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
     }
 
     let verified = match (&opts.json_dir, opts.resume) {
-        (Some(dir), true) => verified_artifacts(dir, &opts.items, &opts.scale_name),
+        (Some(dir), true) => verified_artifacts(dir, &opts.items, opts.scale_name),
         _ => Vec::new(),
     };
     let skip = |key: &'static str| verified.iter().any(|(k, _, _, _)| k == key);
@@ -479,7 +458,7 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
     // run but does not stop it.
     let mut degraded = false;
     let mut journal = match &opts.json_dir {
-        Some(dir) => match Journal::create(dir, &opts.items, &opts.scale_name) {
+        Some(dir) => match Journal::create(dir, &opts.items, opts.scale_name) {
             Ok(j) => Some(j),
             Err(e) => {
                 eprintln!("error: cannot write journal: {e}");
@@ -685,13 +664,7 @@ fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
     if st.fingerprint.is_empty() {
         die(&format!("no journal found in {}", dir.display()));
     }
-    // A `+flow` scale name marks a `--net-model flow` run: re-derive its
-    // artefacts under the model that produced them.
-    let (base_scale, run) = match st.scale.strip_suffix("+flow") {
-        Some(base) => (base, RunOpts { net_model: NetModel::Flow, ..run.clone() }),
-        None => (st.scale.as_str(), run.clone()),
-    };
-    let scales = scales_by_name(base_scale)
+    let scales = scales_by_name(&st.scale)
         .unwrap_or_else(|| die(&format!("journal has unknown scale '{}'", st.scale)));
 
     let mut broken: Vec<String> = Vec::new();
@@ -736,7 +709,7 @@ fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
     }
 
     eprintln!("fsck: re-deriving {} artefact(s): {}", broken.len(), broken.join(", "));
-    let plan = RunPlan::from_items(&broken, &scales, &run);
+    let plan = RunPlan::from_items(&broken, &scales, run);
     let mut journal = match Journal::open_append(dir) {
         Ok(j) => Some(j),
         Err(e) => {
@@ -793,18 +766,14 @@ fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
 
 fn main() {
     let opts = parse_args();
-    if let Some(model) = opts.net_model {
-        eprintln!("network model: {}", model.name());
-    }
     let tracer = trace_recorder(&opts);
-    // The run's options, decided once here (`--fsck` takes the network
-    // model from the journal instead, and `--mc` adds each explored run's
-    // controller); every simulation of the run gets them on its job spec.
+    // The run's options, decided once here (`--mc` adds each explored
+    // run's controller); every simulation of the run gets them on its job
+    // spec.
     let run = RunOpts {
-        net_model: opts.net_model.unwrap_or_default(),
         event_budget: opts.event_budget,
         tracer: tracer.clone().map(|rec| rec as Arc<dyn Tracer>),
-        mc: None,
+        ..RunOpts::default()
     };
     let mut code = if let Some(name) = &opts.mc {
         run_mc(&opts, &run, name)

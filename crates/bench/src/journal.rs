@@ -49,7 +49,7 @@ pub(crate) fn esc(s: &str) -> String {
 /// Append-only JSONL writer with the journal's durability discipline: every
 /// line is written and fsync'd before [`append`](JsonlWriter::append)
 /// returns, so the on-disk file never claims a record that has not durably
-/// happened. Shared by the run journal and the trace sink.
+/// happened. The run journal writes through it.
 ///
 /// # Examples
 ///

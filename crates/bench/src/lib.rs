@@ -28,9 +28,10 @@
 //! The [`plan`]/[`supervisor`] pair is the one plan executor, the code both
 //! `repro` and the in-process tests run: [`RunPlan::from_items`] decomposes
 //! a run into independent scenario cells, and [`run_plan`] settles the
-//! artefacts in canonical order, fanning each one's cells out over a rayon
-//! pool ([`run_cells`]), so `repro --jobs N` output is byte-identical to
-//! `--serial`. The executor runs each cell once, quarantines a cell that
+//! artefacts in canonical order, fanning each one's cells out over the
+//! calling thread and up to `N - 1` scoped `std` threads ([`run_cells`]), so
+//! `repro --jobs N` output is byte-identical to `--serial`, which spawns no
+//! thread. The executor runs each cell once, quarantines a cell that
 //! panics (capturing payload and backtrace) or returns an error, and bounds
 //! each cell with a wall-clock watchdog plus the DES event budget. With
 //! [`journal`] and [`artifact`], `repro` journals every settled

@@ -3,10 +3,11 @@
 //!
 //! Every paper artefact decomposes into independent *cells* — one DES run,
 //! one DVFS series, one ping-pong panel, one fault-injection grid point.
-//! [`run_cells`] fans cells out over a rayon thread pool and writes each
-//! result into its pre-assigned slot, so callers always see results in
-//! specification order no matter which worker finished first: output on any
-//! worker count is byte-identical to the serial schedule.
+//! [`run_cells`] fans cells out over scoped `std` threads that pull from one
+//! locked queue, then puts every result back in specification order, so
+//! callers see the same order no matter which worker finished first: output
+//! on any worker count is byte-identical to the serial schedule, which runs
+//! every cell on the calling thread.
 //!
 //! Each cell runs exactly once, under `catch_unwind` with a chained panic
 //! hook that captures the payload, location, and a backtrace. A cell that
@@ -306,44 +307,39 @@ fn supervise_cell<O: Send + 'static>(
 }
 
 /// Execute `cells` under supervision on `jobs` workers (`0` is clamped to
-/// 1; `1` runs the cells front-to-back, the reference serial schedule),
-/// each once, bounded by `wall_limit` when one is given.
+/// 1; `1` runs the cells front-to-back on the calling thread, the reference
+/// serial schedule), each once, bounded by `wall_limit` when one is given.
 ///
-/// Returns per-cell outputs in specification order (`None` = quarantined)
-/// plus one [`CellReport`] per cell, also in order.
+/// The calling thread and `min(jobs, cells) - 1` scoped helpers pull cells
+/// from one locked queue; each worker keeps what it ran under the cell's
+/// index. Returns per-cell outputs in specification order (`None` =
+/// quarantined) plus one [`CellReport`] per cell, also in order.
 pub fn run_cells<O: Send + 'static>(
     cells: Vec<Cell<O>>,
     jobs: usize,
     wall_limit: Option<Duration>,
 ) -> (Vec<Option<O>>, Vec<CellReport>) {
-    type Slot<O> = Mutex<Option<(Option<O>, CellReport)>>;
-    let jobs = jobs.max(1);
-    let n = cells.len();
-    let slots: Vec<Slot<O>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let helpers = jobs.min(cells.len()).saturating_sub(1);
     let queue = Mutex::new(cells.into_iter().enumerate());
-
-    let pool =
-        rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("supervisor thread pool");
-    pool.scope(|s| {
-        for _ in 0..jobs.min(n.max(1)) {
-            s.spawn(|_| loop {
-                let next = queue.lock().expect("cell queue lock poisoned").next();
-                let Some((i, cell)) = next else { break };
-                let out = supervise_cell(cell, wall_limit);
-                *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(out);
-            });
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let next = queue.lock().expect("cell queue lock poisoned").next();
+            let Some((i, cell)) = next else { return done };
+            let (out, report) = supervise_cell(cell, wall_limit);
+            done.push((i, out, report));
         }
+    };
+    let mut done = std::thread::scope(|s| {
+        let spawned: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in spawned {
+            done.extend(h.join().expect("supervisor worker panicked"));
+        }
+        done
     });
-
-    let mut outputs = Vec::with_capacity(n);
-    let mut reports = Vec::with_capacity(n);
-    for slot in slots {
-        let (out, rep) =
-            slot.into_inner().unwrap_or_else(|p| p.into_inner()).expect("cell never supervised");
-        outputs.push(out);
-        reports.push(rep);
-    }
-    (outputs, reports)
+    done.sort_unstable_by_key(|&(i, ..)| i);
+    done.into_iter().map(|(_, out, report)| (out, report)).unzip()
 }
 
 /// Fold a slice of cell reports into aggregate stats, attaching watchdog
@@ -371,11 +367,16 @@ pub fn stats_from_reports(reports: &[CellReport], wall_limit: Option<Duration>) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
+    use std::thread::{self, ThreadId};
 
-    fn squares(n: u64) -> Vec<Cell<u64>> {
-        (0..n).map(|i| Cell::new(format!("sq{i}"), move || Ok(i * i))).collect()
+    /// Cells that report their square and the thread they ran on.
+    fn squares(n: u64) -> Vec<Cell<(u64, ThreadId)>> {
+        (0..n)
+            .map(|i| Cell::new(format!("sq{i}"), move || Ok((i * i, thread::current().id()))))
+            .collect()
     }
 
     /// A cell whose body counts its executions in `runs`, then does `body`.
@@ -393,15 +394,23 @@ mod tests {
 
     #[test]
     fn outputs_are_in_spec_order_serial_and_parallel() {
-        let expect: Vec<Option<u64>> = (0..64).map(|i| Some(i * i)).collect();
-        let (serial, r1) = run_cells(squares(64), 1, None);
-        let (parallel, r8) = run_cells(squares(64), 8, None);
-        assert_eq!(serial, expect);
-        assert_eq!(parallel, expect);
-        for reports in [&r1, &r8] {
+        let expect: Vec<u64> = (0..64).map(|i| i * i).collect();
+        let want: Vec<String> = (0..64).map(|i| format!("sq{i}")).collect();
+        for jobs in [1, 8] {
+            let (outs, reports) = run_cells(squares(64), jobs, None);
+            let (values, threads): (Vec<u64>, Vec<ThreadId>) =
+                outs.into_iter().map(|o| o.expect("no cell fails")).unzip();
+            assert_eq!(values, expect, "jobs={jobs}");
             let labels: Vec<&str> = reports.iter().map(|r| r.label.as_str()).collect();
-            let want: Vec<String> = (0..64).map(|i| format!("sq{i}")).collect();
-            assert_eq!(labels, want);
+            assert_eq!(labels, want, "jobs={jobs}");
+            let distinct: HashSet<ThreadId> = threads.iter().copied().collect();
+            if jobs == 1 {
+                // The serial schedule, which every benchmark workload runs,
+                // spawns no thread.
+                assert_eq!(distinct, HashSet::from([thread::current().id()]));
+            } else {
+                assert!(distinct.len() <= jobs, "{} threads for {jobs} workers", distinct.len());
+            }
         }
     }
 

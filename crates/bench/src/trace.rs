@@ -4,9 +4,10 @@
 //!
 //! The on-disk format is one JSON object per line — a `trace_start` header
 //! followed by one `kind`-tagged record per event — documented field-by-field
-//! in `docs/TRACE_FORMAT.md`. Writing goes through the journal's fsync'd
-//! [`JsonlWriter`], so a trace interrupted mid-run is still a valid prefix;
-//! [`read_trace`] is prefix-tolerant the same way the journal reader is.
+//! in `docs/TRACE_FORMAT.md`. A trace needs no per-record durability, so
+//! [`write_trace`] writes every line through one buffer and syncs the file
+//! once, at the end. A trace cut short is still a byte prefix of the whole,
+//! and [`read_trace`] is prefix-tolerant the same way the journal reader is.
 //!
 //! ```
 //! use bench::trace::{read_trace, write_trace};
@@ -26,12 +27,14 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 use des::{TraceEvent, TraceRecord};
 
-use crate::artifact::ArtifactIoError;
-use crate::journal::{esc, get_str, get_u64, JsonlWriter};
+use crate::artifact::{io_err, ArtifactIoError};
+use crate::journal::{esc, get_str, get_u64};
 
 /// Trace file format version; bumped on incompatible record changes.
 pub const TRACE_VERSION: u64 = 1;
@@ -103,22 +106,28 @@ pub fn record_line(rec: &TraceRecord) -> String {
 /// Write a recorded trace to `path` as JSONL: a `trace_start` header (format
 /// version, record count, capacity-drop count), then one line per record.
 ///
-/// Uses the fsync'd [`JsonlWriter`], so the file is durable line-by-line and
-/// any crash leaves a valid prefix.
+/// The lines go through one buffer and the file is synced once, after the
+/// last line: a crash leaves a byte prefix of the trace, which
+/// [`read_trace`] accepts.
 pub fn write_trace(
     path: &Path,
     records: &[TraceRecord],
     dropped: u64,
 ) -> Result<(), ArtifactIoError> {
-    let mut w = JsonlWriter::create(path)?;
-    w.append(&format!(
-        "{{\"kind\":\"trace_start\",\"version\":{TRACE_VERSION},\"records\":{},\"dropped\":{dropped}}}",
-        records.len(),
-    ))?;
-    for rec in records {
-        w.append(&record_line(rec))?;
-    }
-    Ok(())
+    let mut w = BufWriter::new(File::create(path).map_err(io_err(path, "create trace"))?);
+    let mut lines = || {
+        writeln!(
+            w,
+            "{{\"kind\":\"trace_start\",\"version\":{TRACE_VERSION},\"records\":{},\"dropped\":{dropped}}}",
+            records.len(),
+        )?;
+        for rec in records {
+            writeln!(w, "{}", record_line(rec))?;
+        }
+        w.flush()
+    };
+    lines().map_err(io_err(path, "write trace"))?;
+    w.get_ref().sync_data().map_err(io_err(path, "sync trace"))
 }
 
 /// One span edge read back from a trace file (only `span_begin` / `span_end`
@@ -305,6 +314,33 @@ mod tests {
         assert_eq!(t.dropped, 17, "header drop count survives the round trip");
         assert_eq!(t.spans, vec![span(1, 2, "hpl.panel", true), span(9, 2, "hpl.panel", false)]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_trace_cut_short_reads_as_a_prefix_of_its_records() {
+        let path =
+            std::env::temp_dir().join(format!("bench_trace_cut_{}.jsonl", std::process::id()));
+        let records: Vec<TraceRecord> = (0..6)
+            .map(|i| TraceRecord {
+                at: SimTime::from_micros(10 * i),
+                seq: i,
+                event: if i % 2 == 0 {
+                    TraceEvent::SpanBegin { rank: 1, name: "compute".into() }
+                } else {
+                    TraceEvent::SpanEnd { rank: 1, name: "compute".into() }
+                },
+            })
+            .collect();
+        write_trace(&path, &records, 0).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let full = parse_trace(&text);
+        assert_eq!((full.records, full.spans.len()), (6, 6));
+        for cut in 0..=text.len() {
+            let t = parse_trace(&text[..cut]);
+            assert_eq!(t.spans[..], full.spans[..t.spans.len()], "cut at byte {cut}");
+            assert_eq!(t.records, t.spans.len() as u64, "cut at byte {cut}");
+        }
     }
 
     #[test]

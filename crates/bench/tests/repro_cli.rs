@@ -38,7 +38,6 @@ fn help_exits_zero_and_matches_the_snapshot() {
         "--mc-replay FILE",
         "--mc-max-states N",
         "--mc-max-depth N",
-        "--net-model NAME",
         "--ablate-net",
     ] {
         assert!(text.contains(flag), "--help lost flag '{flag}':\n{text}");
@@ -53,7 +52,6 @@ fn help_exits_zero_and_matches_the_snapshot() {
         "model checking:",
         "retry-lossy-broken",
         "spare-race",
-        "max-min fair-sharing flow-level throughput",
         "per-figure accuracy-delta table",
         "datacenter (multi-tenant job-stream replay",
     ] {
@@ -68,13 +66,14 @@ fn unknown_arguments_exit_two() {
         &["--bogus"][..],
         &["--figure", "99"],
         &["--trace-filter", "nonsense"],
-        &["--net-model", "warp"],
         // Retired with the sharded engine and its window checkpoints.
         &["--shards", "2"],
         &["--ckpt-every", "4"],
         &["--ckpt-dir", "d"],
         // Retired when cells began to run exactly once.
         &["--retries", "2"],
+        // Retired: only the ablation's cells choose a network model.
+        &["--net-model", "flow"],
     ] {
         let out = repro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
@@ -106,10 +105,11 @@ fn mc_usage_errors_exit_two() {
 
 #[test]
 fn flow_model_runs_are_byte_identical_across_processes() {
-    // Two *independent processes* running the same golden figure under the
-    // flow-level network model must write byte-identical JSON: the flow
-    // fast path may keep no process-lifetime state (allocator addresses,
-    // hash seeds, id counters) that leaks into artefact bytes. In-process
+    // Two *independent processes* running the network-model ablation, whose
+    // flow side is the one place `repro` runs the flow-level model, must
+    // write byte-identical JSON equal to the committed golden: the flow fast
+    // path may keep no process-lifetime state (allocator addresses, hash
+    // seeds, id counters) that leaks into artefact bytes. In-process
     // determinism is covered by tests/determinism.rs; this is the stronger
     // cross-process form.
     let dirs: Vec<_> = (0..2)
@@ -117,38 +117,39 @@ fn flow_model_runs_are_byte_identical_across_processes() {
             std::env::temp_dir().join(format!("repro_flow_det_{}_{run}", std::process::id()))
         })
         .collect();
-    let mut jsons = Vec::new();
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
     for (run, dir) in dirs.iter().enumerate() {
         std::fs::create_dir_all(dir).expect("create artefact dir");
         let out = repro(&[
             "--golden",
-            "--figure",
-            "6",
-            "--net-model",
-            "flow",
+            "--ablate-net",
             "--serial",
             "--json",
             dir.to_str().expect("tmp path is UTF-8"),
         ]);
         assert!(
             out.status.success(),
-            "flow-model run {run} failed:\n{}",
+            "ablation run {run} failed:\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        jsons.push(std::fs::read(dir.join("fig6.json")).expect("fig6.json written"));
     }
-    assert_eq!(jsons[0], jsons[1], "flow-model fig6.json diverged between processes");
+    let jsons: Vec<_> = dirs
+        .iter()
+        .map(|dir| std::fs::read(dir.join("ablate_net.json")).expect("ablate_net.json written"))
+        .collect();
+    assert_eq!(jsons[0], jsons[1], "ablate_net.json diverged between processes");
+    let want = std::fs::read(golden.join("ablate_net.json")).expect("ablate_net golden");
+    assert_eq!(jsons[0], want, "ablate_net.json differs from its golden");
 
-    // The flag took effect: the event-model golden has different bytes.
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens/fig6.json");
-    let golden = std::fs::read(golden).expect("fig6 golden");
-    assert_ne!(jsons[0], golden, "--net-model flow wrote the event-model fig6.json");
-
-    // `--fsck` re-derives a lost artefact under the model its journal
-    // records, with no `--net-model` flag on its own command line.
+    // `--fsck` re-derives a lost artefact from the journal alone.
     let dir = &dirs[1];
+    let dir_arg = dir.to_str().expect("tmp path is UTF-8");
+    let out = repro(&["--golden", "--figure", "6", "--serial", "--json", dir_arg]);
+    assert!(out.status.success(), "fig6 run failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    let fig6 = std::fs::read(dir.join("fig6.json")).expect("fig6.json written");
+    assert_eq!(fig6, std::fs::read(golden.join("fig6.json")).expect("fig6 golden"));
     std::fs::remove_file(dir.join("fig6.json")).expect("delete fig6.json");
-    let out = repro(&["--fsck", "--json", dir.to_str().expect("tmp path is UTF-8")]);
+    let out = repro(&["--fsck", "--json", dir_arg]);
     assert_eq!(
         out.status.code(),
         Some(3),
@@ -156,7 +157,7 @@ fn flow_model_runs_are_byte_identical_across_processes() {
         String::from_utf8_lossy(&out.stderr)
     );
     let repaired = std::fs::read(dir.join("fig6.json")).expect("fsck re-derived fig6.json");
-    assert_eq!(repaired, jsons[0], "--fsck re-derived fig6.json under the wrong model");
+    assert_eq!(repaired, fig6, "--fsck re-derived different fig6.json bytes");
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
     }

@@ -32,10 +32,10 @@
 //! iterates in fixed order, and all times are rounded up to the engine's
 //! integer nanoseconds, so flow-model runs are bit-reproducible.
 //!
-//! Which model a simulation uses is chosen per experiment through
-//! [`NetModel`]; the `simmpi` runtime keeps both transports behind one
-//! rank-facing API and the accuracy trade is quantified by the
-//! `repro --ablate-net` harness.
+//! Which model a simulation uses is chosen per job through [`NetModel`]
+//! (`simmpi::RunOpts::net_model`); the `simmpi` runtime keeps both
+//! transports behind one rank-facing API, and `repro --ablate-net`, the one
+//! `repro` run that selects this model, quantifies the accuracy trade.
 
 use std::collections::VecDeque;
 
@@ -57,16 +57,8 @@ pub enum NetModel {
 }
 
 impl NetModel {
-    /// Parse a CLI-facing model name (`"event"` or `"flow"`).
-    pub fn parse(s: &str) -> Result<NetModel, String> {
-        match s {
-            "event" => Ok(NetModel::Event),
-            "flow" => Ok(NetModel::Flow),
-            other => Err(format!("unknown network model '{other}' (expected event or flow)")),
-        }
-    }
-
-    /// The CLI-facing name (`"event"` / `"flow"`).
+    /// The model's name (`"event"` / `"flow"`), as it appears in the
+    /// ablation's cell labels, `ablate_net.json` and `BENCH_scale.json`.
     pub fn name(self) -> &'static str {
         match self {
             NetModel::Event => "event",
@@ -810,14 +802,5 @@ mod tests {
         let mut net = star(2);
         let id = net.start(SimTime::ZERO, SimTime::ZERO, 0, 1, 125_000_000);
         net.consume(id);
-    }
-
-    #[test]
-    fn model_names_round_trip() {
-        assert_eq!(NetModel::parse("event"), Ok(NetModel::Event));
-        assert_eq!(NetModel::parse("flow"), Ok(NetModel::Flow));
-        assert!(NetModel::parse("fluid").is_err());
-        assert_eq!(NetModel::Flow.name(), "flow");
-        assert_eq!(NetModel::default(), NetModel::Event);
     }
 }

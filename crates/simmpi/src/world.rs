@@ -56,13 +56,14 @@ pub struct JobSpec {
 /// transfers use, a watchdog budget on dispatched engine events, the tracer
 /// its engine reports to, and the model-checking controller that decides
 /// its nondeterministic choices. `repro` builds one from its flags
-/// (`--net-model`, `--max-cell-events`, `--trace`; `--mc` adds a controller
-/// per explored run) and every job of the run carries a copy on its
-/// [`JobSpec`]. The default is the event model, no budget, no tracer and no
-/// controller.
+/// (`--max-cell-events`, `--trace`; `--mc` adds a controller per explored
+/// run) and every job of the run carries a copy on its [`JobSpec`]. The
+/// default is the event model, no budget, no tracer and no controller.
 #[derive(Clone, Default)]
 pub struct RunOpts {
-    /// Which network model transfers use.
+    /// Which network model transfers use. `repro` leaves the event model in
+    /// place everywhere but the `--ablate-net` cells, which override it per
+    /// cell.
     pub net_model: NetModel,
     /// Watchdog budget on dispatched engine events; exhaustion surfaces as
     /// [`MpiFault::Engine`]`(`[`SimError::EventBudgetExhausted`]`)`.

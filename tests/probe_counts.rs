@@ -5,13 +5,20 @@
 //! engine dispatches, or to how `simmpi` turns a message into events, moves
 //! these counts; the ledger's per-event and per-message costs are only
 //! comparable across commits while they hold.
+//!
+//! The same job also pins how many records a tracer is handed: none when
+//! its `interest()` is `TraceFilter::NONE`, which is what keeps an installed
+//! `NullTracer` as cheap as no tracer at all, and an exact count when it
+//! wants every class.
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use socready::cluster::Machine;
-use socready::des::{Engine, Pid, SimTime};
-use socready::mpi::{run_mpi, Msg, NetModel};
+use socready::des::{Engine, Pid, SimTime, TraceFilter, TraceRecord, Tracer};
+use socready::mpi::{run_mpi, Msg, NetModel, RunOpts};
 
 /// A ring of `procs` processes passing one token for `laps` laps: each
 /// holder advances 1 µs and wakes the next. Returns the events dispatched.
@@ -38,10 +45,11 @@ fn token_ring(procs: u32, laps: u32) -> u64 {
 }
 
 /// Rounds of a pipelined 256 KiB panel broadcast plus an 8 KiB halo to the
-/// right neighbour, on 64 Tibidabo ranks: `(messages, engine events)`.
-fn hpl_shaped(model: NetModel) -> (u64, u64) {
+/// right neighbour, on 64 Tibidabo ranks run under `opts`:
+/// `(messages, engine events)`.
+fn hpl_shaped(opts: RunOpts) -> (u64, u64) {
     const ROUNDS: u32 = 64;
-    let spec = Machine::tibidabo().job(64).with_net_model(Some(model));
+    let spec = Machine::tibidabo().job(64).with_opts(opts);
     let run = run_mpi(spec, |mut r| async move {
         let (me, p) = (r.rank(), r.size());
         let mut acc = 0u64;
@@ -75,8 +83,36 @@ fn token_ring_dispatch_count_is_pinned() {
     assert_eq!(token_ring(1024, 512), 1_049_599);
 }
 
+/// A tracer with a fixed interest mask that counts the records it is handed.
+struct CountingTracer {
+    interest: TraceFilter,
+    records: AtomicU64,
+}
+
+impl Tracer for CountingTracer {
+    fn record(&self, _rec: TraceRecord) {
+        self.records.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn interest(&self) -> TraceFilter {
+        self.interest
+    }
+}
+
 #[test]
 fn hpl_shaped_job_counts_are_pinned_under_both_network_models() {
-    assert_eq!(hpl_shaped(NetModel::Event), (36_352, 111_808));
-    assert_eq!(hpl_shaped(NetModel::Flow), (36_352, 133_716));
+    let model = |net_model| RunOpts { net_model, ..RunOpts::default() };
+    assert_eq!(hpl_shaped(model(NetModel::Event)), (36_352, 111_808));
+    assert_eq!(hpl_shaped(model(NetModel::Flow)), (36_352, 133_716));
+}
+
+#[test]
+fn tracer_record_counts_are_pinned_by_interest() {
+    let traced = |interest| {
+        let tracer = Arc::new(CountingTracer { interest, records: AtomicU64::new(0) });
+        let counts = hpl_shaped(RunOpts { tracer: Some(tracer.clone()), ..RunOpts::default() });
+        (counts, tracer.records.load(Ordering::Relaxed))
+    };
+    assert_eq!(traced(TraceFilter::NONE), ((36_352, 111_808), 0));
+    assert_eq!(traced(TraceFilter::ALL), ((36_352, 111_808), 452_576));
 }
