@@ -105,21 +105,16 @@ if [[ $quick -eq 0 ]]; then
   step "scale smoke: event-driven process model under time/RSS budget"
   # The 1024-process event ring plus the 4096-rank ping-ring must finish
   # inside a fixed wall-clock budget and stay inside a fixed RSS budget (no
-  # thread-per-rank stacks).
+  # thread-per-rank stacks). scale_bench records its own peak RSS.
   scale_dir=$(mktemp -d)
   scale_json="$scale_dir/BENCH_scale.json"
-  if [[ -x /usr/bin/time ]]; then
-    /usr/bin/time -v -o "$scale_dir/time.log" \
-      timeout 180 target/release/scale_bench "$scale_json"
-    rss_kb=$(awk '/Maximum resident set size/ {print $NF}' "$scale_dir/time.log")
-    if [[ -n "$rss_kb" && "$rss_kb" -gt $((4 * 1024 * 1024)) ]]; then
-      echo "error: scale smoke used ${rss_kb} kB RSS (budget 4 GiB)" >&2
-      exit 1
-    fi
-    echo "scale smoke RSS: ${rss_kb:-?} kB"
-  else
-    timeout 180 target/release/scale_bench "$scale_json"
-  fi
+  timeout 180 target/release/scale_bench "$scale_json"
+  rss_kb=$(grep -o '"peak_rss_kb": [0-9]*' "$scale_json" | awk '{print $2}')
+  awk -v k="$rss_kb" 'BEGIN { exit !(k != "" && k + 0 <= 4 * 1024 * 1024) }' || {
+    echo "error: scale smoke used ${rss_kb:-missing} kB RSS (budget 4 GiB)" >&2
+    exit 1
+  }
+  echo "scale smoke RSS: ${rss_kb} kB (budget 4 GiB)"
   grep -q '"peak_ranks": 4096' "$scale_json" || {
     echo "error: BENCH_scale.json missing the 4096-rank datum" >&2
     exit 1

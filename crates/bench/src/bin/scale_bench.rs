@@ -9,6 +9,10 @@
 //! jobs (`sched_throughput`, best of 3 — `ci.sh` gates the 10⁵-job rate at
 //! >= 10⁴ jobs/s)).
 //!
+//! It also records its own peak resident set over all of that
+//! (`peak_rss_kb`, `VmHWM` from `/proc/self/status`; `ci.sh` gates it under
+//! 4 GiB).
+//!
 //! ```text
 //! cargo run --release -p bench --bin scale_bench -- [out.json]
 //! ```
@@ -199,6 +203,20 @@ struct ScaleBench {
     mc_throughput: McThroughput,
     /// Datacenter-scheduler replay rate at 10⁵ and 10⁶ jobs.
     sched_throughput: SchedThroughput,
+    /// Peak resident set of this process over every measurement above, KiB
+    /// (must stay under 4 GiB: no thread-per-rank stacks).
+    peak_rss_kb: u64,
+}
+
+/// This process's peak resident set so far, KiB: the `VmHWM` line of
+/// `/proc/self/status` (Linux).
+fn peak_rss_kb() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("/proc/self/status has a VmHWM line in kB")
 }
 
 /// Token ring on event-driven processes: `procs` coroutines, `laps` full
@@ -434,7 +452,9 @@ fn main() {
         net_flow,
         mc_throughput: mc,
         sched_throughput,
+        peak_rss_kb: peak_rss_kb(),
     };
+    eprintln!("peak RSS: {} kB", bench.peak_rss_kb);
     std::fs::write(&out, serde_json::to_string_pretty(&bench).unwrap()).expect("write artefact");
     eprintln!("wrote {out}");
 }

@@ -95,9 +95,8 @@ pub fn datacenter_cell(case: &DcCase, jobs: u64) -> DcReport {
     };
     let faults =
         FaultPlan::generate(FAULT_SEED, machine.nodes(), SimTime::from_secs_f64(horizon_s), &rates);
-    let stream = spec.generate();
     DcSim::new(machine, model, policy_for(case.policy), tenants, DcConfig::default())
-        .run(&stream, &faults)
+        .run(spec.jobs(), &faults)
         .report
 }
 

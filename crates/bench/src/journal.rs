@@ -49,25 +49,15 @@ pub(crate) fn esc(s: &str) -> String {
 /// Append-only JSONL writer with the journal's durability discipline: every
 /// line is written and fsync'd before [`append`](JsonlWriter::append)
 /// returns, so the on-disk file never claims a record that has not durably
-/// happened. The run journal writes through it.
-///
-/// # Examples
-///
-/// ```
-/// let path = std::env::temp_dir().join(format!("jsonl_doc_{}.jsonl", std::process::id()));
-/// let mut w = bench::journal::JsonlWriter::create(&path).unwrap();
-/// w.append("{\"kind\":\"example\"}").unwrap();
-/// assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"kind\":\"example\"}\n");
-/// std::fs::remove_file(&path).unwrap();
-/// ```
-pub struct JsonlWriter {
+/// happened.
+struct JsonlWriter {
     file: std::fs::File,
     path: PathBuf,
 }
 
 impl JsonlWriter {
     /// Create (truncate) a JSONL file at `path`.
-    pub fn create(path: &Path) -> Result<JsonlWriter, ArtifactIoError> {
+    fn create(path: &Path) -> Result<JsonlWriter, ArtifactIoError> {
         let file = std::fs::File::create(path).map_err(|source| ArtifactIoError {
             path: path.into(),
             op: "create jsonl",
@@ -77,7 +67,7 @@ impl JsonlWriter {
     }
 
     /// Open an existing JSONL file for appending.
-    pub fn open_append(path: &Path) -> Result<JsonlWriter, ArtifactIoError> {
+    fn open_append(path: &Path) -> Result<JsonlWriter, ArtifactIoError> {
         let file = std::fs::OpenOptions::new()
             .append(true)
             .open(path)
@@ -87,7 +77,7 @@ impl JsonlWriter {
 
     /// Append one record line (the trailing newline is added here), then
     /// fsync before returning.
-    pub fn append(&mut self, line: &str) -> Result<(), ArtifactIoError> {
+    fn append(&mut self, line: &str) -> Result<(), ArtifactIoError> {
         let err = |op| {
             let path = self.path.clone();
             move |source| ArtifactIoError { path, op, source }
@@ -96,11 +86,6 @@ impl JsonlWriter {
         self.file.write_all(b"\n").map_err(err("append jsonl"))?;
         self.file.sync_data().map_err(err("sync jsonl"))?;
         Ok(())
-    }
-
-    /// The path this writer appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -385,6 +370,23 @@ mod tests {
         let d = std::env::temp_dir().join(format!("bench_journal_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    #[test]
+    fn jsonl_writer_appends_newline_terminated_lines() {
+        let d = tmpdir("jsonl");
+        std::fs::create_dir_all(&d).unwrap();
+        let path = d.join("w.jsonl");
+        let mut w = JsonlWriter::create(&path).unwrap();
+        w.append("{\"kind\":\"example\"}").unwrap();
+        drop(w);
+        let mut w = JsonlWriter::open_append(&path).unwrap();
+        w.append("{\"kind\":\"more\"}").unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\"kind\":\"example\"}\n{\"kind\":\"more\"}\n"
+        );
+        std::fs::remove_dir_all(&d).unwrap();
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! is verified with the standard HPL residual. In Model mode the identical
 //! communication structure runs with size-only payloads and roofline-timed
 //! compute — that is what reproduces the 96-node weak-scaling numbers
-//! (97 GFLOPS, 51% efficiency).
+//! (97 GFLOPS, 51% efficiency). Model mode keeps no matrix data and no pivot
+//! history (only Execute-mode verification reads pivots), so a Model-mode
+//! rank's heap stays bounded as the matrix order grows: a checkpoint
+//! snapshot of it is empty, and a 96-node run holds no O(P·N) pivot log.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -138,7 +141,8 @@ pub async fn hpl_rank_ckpt(
     }
     let local_of = |j: usize| (j - me) / p;
 
-    // Pivot history for verification: (column, chosen row) in order.
+    // Pivot history for verification: the row chosen for each column, in
+    // order. Execute mode only: Model mode has no pivots to record.
     let mut pivot_log: Vec<u64> = Vec::new();
 
     // Resuming from a checkpoint: load this rank's snapshot (matrix state
@@ -159,7 +163,6 @@ pub async fn hpl_rank_ckpt(
         }
     }
 
-    let t0 = r.now();
     for k in start_k..nblk {
         // Coordinated checkpoint: synchronise, write local state at the
         // node-local storage bandwidth, snapshot to stable storage.
@@ -187,13 +190,13 @@ pub async fn hpl_rank_ckpt(
         let m = n - kb; // panel height
         let panel_bytes = (m * width * 8 + width * 8) as u64;
 
-        let (piv, panel) = if me == owner as usize {
-            // --- Panel factorisation on the owner -----------------------
+        // --- Panel factorisation on the owner: the message is the panel's
+        // pivots followed by its factored rows kb..n ----------------------
+        let msg = if me == owner as usize {
             r.phase_begin("hpl.panel");
-            let mut piv = vec![0u64; width];
-            let mut panel_data: Option<Vec<f64>> = None;
-            if cfg.mode.carries_data() {
+            let msg = if cfg.mode.carries_data() {
                 let blk = &mut blocks[local_of(k)];
+                let mut payload = Vec::with_capacity(width + m * width);
                 for c in 0..width {
                     let col = kb + c;
                     // Pivot search in column c, rows col..n.
@@ -206,7 +209,7 @@ pub async fn hpl_rank_ckpt(
                             best = row;
                         }
                     }
-                    piv[c] = best as u64;
+                    payload.push(best as f64);
                     if best != col {
                         for cc in 0..width {
                             blk.swap(cc * n + col, cc * n + best);
@@ -227,17 +230,13 @@ pub async fn hpl_rank_ckpt(
                         }
                     }
                 }
-                // Pack rows kb..n of the factored panel.
-                let mut packed = Vec::with_capacity(m * width);
                 for c in 0..width {
-                    packed.extend_from_slice(&blocks[local_of(k)][c * n + kb..c * n + n]);
+                    payload.extend_from_slice(&blk[c * n + kb..c * n + n]);
                 }
-                panel_data = Some(packed);
+                Msg::from_f64s(&payload)
             } else {
-                // Model mode: synthetic pivots (identity) + panel cost.
-                for (c, pv) in piv.iter_mut().enumerate() {
-                    *pv = (kb + c) as u64;
-                }
+                // Model mode: the panel's cost only. Its pivots would be the
+                // identity, and nothing reads them.
                 let work = WorkProfile::new(
                     "hpl-panel",
                     (m * width * width) as f64,
@@ -246,43 +245,26 @@ pub async fn hpl_rank_ckpt(
                 )
                 .with_parallel_fraction(0.9);
                 r.compute(&work).await;
-            }
+                Msg::size_only(panel_bytes)
+            };
             r.phase_end("hpl.panel");
-            (piv, panel_data)
+            Some(msg)
         } else {
-            (Vec::new(), None)
+            None
         };
 
         // --- Broadcast pivots + panel (segmented ring, like HPL's
         // pipelined panel broadcast) ---------------------------------------
-        let msg = if me == owner as usize {
-            if cfg.mode.carries_data() {
-                let mut v = Vec::with_capacity(width + panel.as_ref().unwrap().len());
-                v.extend(piv.iter().map(|&x| x as f64));
-                v.extend_from_slice(panel.as_ref().unwrap());
-                Some(Msg::from_f64s(&v))
-            } else {
-                Some(Msg::size_only(panel_bytes))
-            }
-        } else {
-            None
-        };
         r.phase_begin("hpl.bcast");
         let received = r.bcast_pipelined(owner, msg, panel_bytes, 256 * 1024).await;
         r.phase_end("hpl.bcast");
 
-        let (piv, panel_packed): (Vec<u64>, Vec<f64>) = if cfg.mode.carries_data() {
-            let v = received.to_f64s();
-            let piv: Vec<u64> = v[..width].iter().map(|&x| x as u64).collect();
-            (piv, v[width..].to_vec())
-        } else {
-            ((kb..kb + width).map(|x| x as u64).collect(), Vec::new())
-        };
-        pivot_log.extend(&piv);
-
         // --- Apply row swaps + trailing update ---------------------------
         r.phase_begin("hpl.update");
         if cfg.mode.carries_data() {
+            let v = received.to_f64s();
+            let (piv, panel_packed) = v.split_at(width);
+            pivot_log.extend(piv.iter().map(|&x| x as u64));
             // Swaps apply to every local block except the panel itself
             // (already swapped during factorisation).
             for (li, &j) in block_global.iter().enumerate() {
@@ -357,8 +339,6 @@ pub async fn hpl_rank_ckpt(
     // Synchronise before stopping the clock (every rank reports the same
     // factorisation span).
     r.barrier().await;
-    let elapsed = (r.now() - t0).as_secs_f64();
-    let _ = elapsed;
 
     // --- Verification (Execute mode): gather to rank 0 and solve ---------
     if cfg.mode.carries_data() {

@@ -41,7 +41,8 @@ use crate::hpl::{hpl_rank_ckpt, HplConfig};
 pub struct RankSnapshot {
     /// Local block-columns (empty in Model mode).
     pub blocks: Vec<Vec<f64>>,
-    /// Pivot history for panels before the checkpoint.
+    /// Pivot history for panels before the checkpoint (empty in Model
+    /// mode, which records no pivots).
     pub pivot_log: Vec<u64>,
 }
 

@@ -31,7 +31,7 @@
 //! let model = RuntimeModel::for_machine(&machine);
 //! let mut sim =
 //!     DcSim::new(machine, model, Box::new(EasyBackfill), tenants, DcConfig::default());
-//! let outcome = sim.run(&spec.generate(), &FaultPlan::none());
+//! let outcome = sim.run(spec.jobs(), &FaultPlan::none());
 //! assert_eq!(outcome.report.completed, 2_000);
 //! assert!(outcome.report.utilisation > 0.0);
 //! ```

@@ -19,11 +19,15 @@ pub struct DistSummary {
 
 impl DistSummary {
     /// Summarise `values` (sorted in place; empty input gives all zeros).
+    ///
+    /// The sort is unstable, so it needs no scratch buffer; that cannot
+    /// change a field, because values that `f64::total_cmp` calls equal are
+    /// bit-for-bit equal.
     pub fn of(values: &mut [f64]) -> DistSummary {
         if values.is_empty() {
             return DistSummary { mean: 0.0, p50: 0.0, p95: 0.0, p99: 0.0, max: 0.0 };
         }
-        values.sort_by(f64::total_cmp);
+        values.sort_unstable_by(f64::total_cmp);
         let q = |frac: f64| values[((values.len() - 1) as f64 * frac).round() as usize];
         DistSummary {
             mean: values.iter().sum::<f64>() / values.len() as f64,

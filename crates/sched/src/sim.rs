@@ -14,6 +14,7 @@
 //! job running there, and the victim is resubmitted at the head of the
 //! queue until its crash budget runs out.
 
+use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -300,8 +301,17 @@ impl DcSim {
     /// Replay `stream` (sorted by submit time) against `faults`. Returns the
     /// campaign report; the simulator is consumed-per-run (state resets are
     /// not supported — build a fresh one per cell).
-    pub fn run(&mut self, stream: &[Job], faults: &FaultPlan) -> DcOutcome {
-        debug_assert!(stream.windows(2).all(|w| w[0].submit <= w[1].submit));
+    ///
+    /// The stream is read lazily, one record per arrival, and never kept:
+    /// fed [`SyntheticSpec::jobs`](crate::SyntheticSpec::jobs), a replay
+    /// holds O(queue + running jobs + per-job outputs) memory however long
+    /// the stream is. A `&Vec<Job>` or `&[Job]` replays the same records the
+    /// same way.
+    pub fn run(
+        &mut self,
+        stream: impl IntoIterator<Item: Borrow<Job>>,
+        faults: &FaultPlan,
+    ) -> DcOutcome {
         for e in faults.events() {
             if let FaultKind::NodeCrash { node } = e.kind {
                 if node < self.machine.nodes() {
@@ -309,18 +319,23 @@ impl DcSim {
                 }
             }
         }
-        let mut next_arrival = 0usize;
-        if !stream.is_empty() {
-            self.push_event(stream[0].submit, Ev::Arrive);
+        let mut stream = stream.into_iter().map(|j| Borrow::<Job>::borrow(&j).clone()).peekable();
+        let mut submitted = 0u64;
+        if let Some(first) = stream.peek() {
+            self.push_event(first.submit, Ev::Arrive);
         }
         while let Some(Reverse(ev)) = self.heap.pop() {
             self.now = ev.at;
             match ev.ev {
                 Ev::Arrive => {
-                    let job = stream[next_arrival].clone();
-                    next_arrival += 1;
-                    if next_arrival < stream.len() {
-                        self.push_event(stream[next_arrival].submit, Ev::Arrive);
+                    let job = stream.next().expect("an arrival event has its job");
+                    submitted += 1;
+                    if let Some(after) = stream.peek() {
+                        debug_assert!(
+                            job.submit <= after.submit,
+                            "stream not sorted by submit time"
+                        );
+                        self.push_event(after.submit, Ev::Arrive);
                     }
                     self.on_arrive(job);
                 }
@@ -336,7 +351,7 @@ impl DcSim {
             // the fault plan may schedule crashes long past the last job,
             // and draining them would only inflate the makespan.
             if boundary
-                && next_arrival >= stream.len()
+                && stream.peek().is_none()
                 && self.running.is_empty()
                 && self.qhead == self.queue.len()
             {
@@ -350,7 +365,7 @@ impl DcSim {
             self.depart_unplaceable(&q.job);
         }
         self.settle_capacity();
-        self.finish_report(stream.len() as u64)
+        self.finish_report(submitted)
     }
 
     fn on_arrive(&mut self, job: Job) {

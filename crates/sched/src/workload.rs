@@ -1,7 +1,8 @@
 //! Job streams: what the scheduler replays.
 //!
-//! [`SyntheticSpec::generate`] produces the [`Job`] records (field-by-field
-//! spec in `docs/WORKLOAD_FORMAT.md`): a seeded multi-tenant arrival process
+//! [`SyntheticSpec::jobs`] yields the [`Job`] records lazily and
+//! [`SyntheticSpec::generate`] collects them (field-by-field spec in
+//! `docs/WORKLOAD_FORMAT.md`): a seeded multi-tenant arrival process
 //! (Poisson arrivals, geometric job widths, per-tenant QoS mixes) built on
 //! the same splittable [`SimRng`] the fault injector uses, so a spec is a
 //! complete, reproducible description of a campaign.
@@ -124,8 +125,8 @@ pub struct TenantSpec {
     pub mean_runtime_s: f64,
 }
 
-/// A seeded synthetic job-stream description. `generate` is a pure function
-/// of this struct — same spec, same stream, byte for byte.
+/// A seeded synthetic job-stream description. `jobs` and `generate` are pure
+/// functions of this struct — same spec, same stream, byte for byte.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SyntheticSpec {
     /// Number of jobs to generate.
@@ -224,9 +225,8 @@ impl SyntheticSpec {
     }
 
     /// Generate the stream: `jobs` records sorted by submit time with ids in
-    /// arrival order. Deterministic in the spec alone; every random draw
-    /// comes from a tagged substream of `seed`, so reordering draws in one
-    /// component never perturbs another.
+    /// arrival order — exactly the records [`jobs`](Self::jobs) yields,
+    /// collected. Deterministic in the spec alone.
     ///
     /// ```
     /// use sched::SyntheticSpec;
@@ -239,6 +239,15 @@ impl SyntheticSpec {
     /// assert!(a.windows(2).all(|w| w[0].submit <= w[1].submit));
     /// ```
     pub fn generate(&self) -> Vec<Job> {
+        self.jobs().collect()
+    }
+
+    /// The stream as a lazy iterator: each record is drawn when it is
+    /// asked for, so a consumer that reads it once, in order (as
+    /// [`DcSim::run`](crate::DcSim::run) does) never holds the whole
+    /// stream. Every random draw comes from a tagged substream of `seed`,
+    /// so reordering draws in one component never perturbs another.
+    pub fn jobs(&self) -> impl Iterator<Item = Job> + '_ {
         assert!(!self.tenants.is_empty(), "a synthetic stream needs at least one tenant");
         let root = SimRng::new(self.seed);
         let mut arrivals = root.substream(1);
@@ -250,8 +259,7 @@ impl SyntheticSpec {
 
         let max_pow = self.max_nodes.max(1).ilog2();
         let mut t = SimTime::ZERO;
-        let mut jobs = Vec::with_capacity(self.jobs as usize);
-        for id in 0..self.jobs {
+        (0..self.jobs).map(move |id| {
             t += SimTime::from_secs_f64(arrivals.exp_secs(self.arrival_rate_hz));
             // Tenant by arrival weight (cumulative scan; the mix is tiny).
             let draw = mix.next_f64();
@@ -282,7 +290,7 @@ impl SyntheticSpec {
             // runtime, so backfill has slack and nothing is wall-killed.
             let pad = 1.0 + 2.0 * estimates.next_f64();
             let kind = JobKind::ALL[(kinds.next_u64() % JobKind::ALL.len() as u64) as usize];
-            jobs.push(Job {
+            Job {
                 id,
                 tenant: tenant as u32,
                 qos: ts.qos,
@@ -291,9 +299,8 @@ impl SyntheticSpec {
                 nodes,
                 work: runtime_s,
                 est_secs: runtime_s * pad,
-            });
-        }
-        jobs
+            }
+        })
     }
 }
 

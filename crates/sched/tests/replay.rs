@@ -1,5 +1,6 @@
 //! End-to-end replay tests: determinism, fault behaviour, wall-limit kills,
-//! policy sanity on full streams, and the order a pass applies its actions.
+//! policy sanity on full streams, the order a pass applies its actions, and
+//! a streamed replay against a materialised one.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -8,8 +9,9 @@ use cluster::Machine;
 use des::{FaultEvent, FaultKind, FaultPlan, SimTime, TraceEvent, TraceRecord, Tracer};
 use proptest::prelude::*;
 use sched::{
-    Action, DcConfig, DcOutcome, DcSim, EasyBackfill, FairShare, Fcfs, Job, JobId, JobKind,
-    PassBuf, Policy, QosClass, RuntimeMode, RuntimeModel, SchedView, SyntheticSpec, Tenant,
+    Action, DcConfig, DcOutcome, DcSim, DistSummary, EasyBackfill, FairShare, Fcfs, Job, JobId,
+    JobKind, PassBuf, Policy, QosClass, RuntimeMode, RuntimeModel, SchedView, SyntheticSpec,
+    Tenant,
 };
 
 fn tenants_of(spec: &SyntheticSpec) -> Vec<Tenant> {
@@ -20,7 +22,7 @@ fn replay(policy: Box<dyn Policy>, spec: &SyntheticSpec, faults: &FaultPlan) -> 
     let machine = Machine::tibidabo();
     let model = RuntimeModel::for_machine(&machine);
     let cfg = DcConfig { audit: true, ..DcConfig::default() };
-    DcSim::new(machine, model, policy, tenants_of(spec), cfg).run(&spec.generate(), faults)
+    DcSim::new(machine, model, policy, tenants_of(spec), cfg).run(spec.jobs(), faults)
 }
 
 #[test]
@@ -354,8 +356,101 @@ proptest! {
         let starts = Arc::new(Starts::default());
         let out = DcSim::new(machine, model, Box::new(policy), tenants_of(&spec), DcConfig::default())
             .with_tracer(starts.clone())
-            .run(&spec.generate(), &faults);
+            .run(spec.jobs(), &faults);
         prop_assert!(out.report.preemptions > 0, "no pass preempted");
         prop_assert_eq!(&*starts.0.lock().unwrap(), &*named.lock().unwrap());
+    }
+}
+
+/// Every record the replay emits, in order.
+#[derive(Default)]
+struct Records(Mutex<Vec<TraceRecord>>);
+
+impl Tracer for Records {
+    fn record(&self, rec: TraceRecord) {
+        self.0.lock().unwrap().push(rec);
+    }
+}
+
+#[test]
+fn a_streamed_replay_equals_a_materialised_one() {
+    let spec = SyntheticSpec::standard_mix(2_000, 9, 2.0, 64);
+    assert_eq!(spec.jobs().collect::<Vec<Job>>(), spec.generate());
+    // Crashes while the machine is saturated, so victims are requeued.
+    let faults = FaultPlan::from_events(
+        (0..8)
+            .map(|i| FaultEvent {
+                at: SimTime::from_secs_f64(200.0 + 50.0 * i as f64),
+                kind: FaultKind::NodeCrash { node: i * 3 },
+            })
+            .collect(),
+    );
+    let policies: [fn() -> Box<dyn Policy>; 3] =
+        [|| Box::new(Fcfs), || Box::new(EasyBackfill), || Box::new(FairShare::preempting())];
+    for policy in policies {
+        let replay = |streamed: bool| {
+            let machine = Machine::tibidabo();
+            let model = RuntimeModel::for_machine(&machine);
+            let cfg = DcConfig { audit: true, ..DcConfig::default() };
+            let records = Arc::new(Records::default());
+            let mut sim = DcSim::new(machine, model, policy(), tenants_of(&spec), cfg)
+                .with_tracer(records.clone());
+            let out = if streamed {
+                sim.run(spec.jobs(), &faults)
+            } else {
+                let stream: Vec<Job> = spec.generate();
+                sim.run(&stream, &faults)
+            };
+            let records = std::mem::take(&mut *records.0.lock().unwrap());
+            (out, records)
+        };
+        let (streamed, streamed_records) = replay(true);
+        let (materialised, materialised_records) = replay(false);
+        let name = &streamed.report.policy;
+        assert_eq!(streamed.report, materialised.report, "{name}");
+        assert_eq!(streamed.audit, materialised.audit, "{name}");
+        assert_eq!(streamed_records, materialised_records, "{name}");
+        assert_eq!(streamed.report.jobs, 2_000, "{name}");
+        assert_eq!(streamed.report.crashes, 8, "{name}");
+        assert!(streamed.report.resubmits > 0, "{name}: no crash struck a running job");
+        let submits = streamed_records
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::JobSubmit { .. }))
+            .count();
+        assert_eq!(submits, 2_000, "{name}");
+    }
+}
+
+/// The fields of [`DistSummary::of`], computed after a stable sort: the
+/// reference the unstable sort must match bit for bit.
+fn stable_summary(values: &mut [f64]) -> [f64; 5] {
+    if values.is_empty() {
+        return [0.0; 5];
+    }
+    values.sort_by(f64::total_cmp);
+    let q = |frac: f64| values[((values.len() - 1) as f64 * frac).round() as usize];
+    let mean = values.iter().sum::<f64>() / values.len() as f64;
+    [mean, q(0.50), q(0.95), q(0.99), *values.last().unwrap()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Sorting without a scratch buffer moves no summary bit: values that
+    /// `total_cmp` calls equal are bit-equal, so either sort yields the same
+    /// sequence. Draws from a small pool, so duplicates are common, with
+    /// both zeros, both infinities and both NaN signs in it.
+    #[test]
+    fn unstable_sort_summaries_match_a_stable_sort_bit_for_bit(
+        picks in proptest::collection::vec(0usize..12, 0..300),
+    ) {
+        const POOL: [f64; 12] =
+            [0.0, -0.0, 1.5, -1.5, 2.0, 1e-300, -7.25, 1e300, f64::INFINITY, f64::NEG_INFINITY,
+             f64::NAN, -f64::NAN];
+        let values: Vec<f64> = picks.iter().map(|&i| POOL[i]).collect();
+        let d = DistSummary::of(&mut values.clone());
+        let want = stable_summary(&mut values.clone());
+        let got = [d.mean, d.p50, d.p95, d.p99, d.max];
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
     }
 }

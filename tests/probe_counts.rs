@@ -11,14 +11,19 @@
 //! `NullTracer` as cheap as no tracer at all, and an exact count when it
 //! wants every class.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use socready::cluster::Machine;
+use common::hpl_shaped;
 use socready::des::{Engine, Pid, SimTime, TraceFilter, TraceRecord, Tracer};
-use socready::mpi::{run_mpi, Msg, NetModel, RunOpts};
+use socready::mpi::{NetModel, RunOpts};
+
+/// Rounds of the HPL-shaped job whose counts are pinned here.
+const ROUNDS: u32 = 64;
 
 /// A ring of `procs` processes passing one token for `laps` laps: each
 /// holder advances 1 µs and wakes the next. Returns the events dispatched.
@@ -42,39 +47,6 @@ fn token_ring(procs: u32, laps: u32) -> u64 {
         pids.borrow_mut().push(pid);
     }
     engine.run().expect("token ring completes").events
-}
-
-/// Rounds of a pipelined 256 KiB panel broadcast plus an 8 KiB halo to the
-/// right neighbour, on 64 Tibidabo ranks run under `opts`:
-/// `(messages, engine events)`.
-fn hpl_shaped(opts: RunOpts) -> (u64, u64) {
-    const ROUNDS: u32 = 64;
-    let spec = Machine::tibidabo().job(64).with_opts(opts);
-    let run = run_mpi(spec, |mut r| async move {
-        let (me, p) = (r.rank(), r.size());
-        let mut acc = 0u64;
-        for round in 0..ROUNDS {
-            let root = round % p;
-            let panel = (me == root).then(|| Msg::from_u64s(&[u64::from(round) + 1]));
-            acc += r.bcast_pipelined(root, panel, 256 << 10, 32 << 10).await.to_u64s()[0];
-            // Even ranks send first, so the ring of rendezvous sends cannot
-            // deadlock.
-            let (right, left) = ((me + 1) % p, (me + p - 1) % p);
-            let halo = Msg::size_only(8 << 10);
-            if me % 2 == 0 {
-                r.send(right, round, halo).await;
-                r.recv(left, round).await;
-            } else {
-                r.recv(left, round).await;
-                r.send(right, round, halo).await;
-            }
-        }
-        acc
-    })
-    .expect("HPL-shaped job completes");
-    let want = u64::from(ROUNDS) * (u64::from(ROUNDS) + 1) / 2;
-    assert!(run.results.iter().all(|&a| a == want), "every rank received every panel");
-    (run.net.messages, run.events)
 }
 
 #[test]
@@ -102,15 +74,16 @@ impl Tracer for CountingTracer {
 #[test]
 fn hpl_shaped_job_counts_are_pinned_under_both_network_models() {
     let model = |net_model| RunOpts { net_model, ..RunOpts::default() };
-    assert_eq!(hpl_shaped(model(NetModel::Event)), (36_352, 111_808));
-    assert_eq!(hpl_shaped(model(NetModel::Flow)), (36_352, 133_716));
+    assert_eq!(hpl_shaped(model(NetModel::Event), ROUNDS), (36_352, 111_808));
+    assert_eq!(hpl_shaped(model(NetModel::Flow), ROUNDS), (36_352, 133_716));
 }
 
 #[test]
 fn tracer_record_counts_are_pinned_by_interest() {
     let traced = |interest| {
         let tracer = Arc::new(CountingTracer { interest, records: AtomicU64::new(0) });
-        let counts = hpl_shaped(RunOpts { tracer: Some(tracer.clone()), ..RunOpts::default() });
+        let counts =
+            hpl_shaped(RunOpts { tracer: Some(tracer.clone()), ..RunOpts::default() }, ROUNDS);
         (counts, tracer.records.load(Ordering::Relaxed))
     };
     assert_eq!(traced(TraceFilter::NONE), ((36_352, 111_808), 0));

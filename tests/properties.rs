@@ -301,7 +301,7 @@ proptest! {
             .collect();
         let cfg = DcConfig { audit: true, ..DcConfig::default() };
         let out = DcSim::new(machine, model, Box::new(EasyBackfill), tenants, cfg)
-            .run(&spec.generate(), &socready::des::FaultPlan::none());
+            .run(spec.jobs(), &socready::des::FaultPlan::none());
         prop_assert!(out.audit.head_bound_violations == 0, "EASY delayed a blocked head");
         prop_assert!(out.audit.max_busy_nodes <= 192, "double-booked the machine");
         for (t, &peak) in out.audit.max_tenant_nodes.iter().enumerate() {
@@ -344,7 +344,7 @@ proptest! {
         );
         let cfg = DcConfig { audit: true, ..DcConfig::default() };
         let out = DcSim::new(machine, model, Box::new(EasyBackfill), tenants, cfg)
-            .run(&spec.generate(), &faults);
+            .run(spec.jobs(), &faults);
         // Crashes scheduled past the campaign's end never strike; every one
         // that does kills exactly one distinct node, permanently.
         prop_assert!(out.report.crashes as usize <= distinct.len());
