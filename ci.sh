@@ -136,16 +136,7 @@ if [[ $quick -eq 0 ]]; then
     exit 1
   }
   echo "scale smoke: 1e5-job replay at ${sched_rate} jobs/s (>= 1e4)"
-  # The fair-sharing flow model must keep its wall-clock win on the dense
-  # alltoall workload: whole-flow scheduling collapses the event count, so
-  # the same virtual job must simulate at least 5x faster than the
-  # per-message event model.
-  flow_speedup=$(grep -o '"flow_speedup": [0-9.]*' "$scale_json" | awk '{print $2}')
-  awk -v s="$flow_speedup" 'BEGIN { exit !(s != "" && s >= 5.0) }' || {
-    echo "error: flow model only ${flow_speedup:-missing}x the event model (need >= 5x)" >&2
-    exit 1
-  }
-  echo "scale smoke OK: NullTracer overhead ${overhead}%, flow net model ${flow_speedup}x the event model"
+  echo "scale smoke OK: ${rss_kb} kB RSS, 4096-rank datum, NullTracer overhead ${overhead}%, 1e5-job replay at ${sched_rate} jobs/s"
   rm -rf "$scale_dir"
 
   step "net-ablation-smoke: flow model tracks the event model on the goldens"

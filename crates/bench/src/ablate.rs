@@ -1,33 +1,30 @@
-//! The `--ablate-net` model-equivalence harness: every golden figure that
-//! exercises the interconnect (Fig 6, Fig 7 — the paper's Fig 12 ping-pong
-//! curves — and the §4 HPL headline) is regenerated under both the
-//! per-message event model and the fair-sharing flow model, and the deltas
-//! are condensed into a per-figure accuracy table (max relative error plus a
-//! per-app / per-panel breakdown). The artefact is journaled and persisted
-//! like any other (`repro --ablate-net --json DIR`), pinned as a golden
+//! The `--ablate-net` model-equivalence table. The plan (`plan.rs`) runs
+//! every figure that exercises the interconnect (Fig 6, Fig 7 — the paper's
+//! Fig 12 ping-pong curves — and the §4 HPL headline) twice, from the same
+//! cells its own artefact runs: once under the per-message event model and
+//! once under the fair-sharing flow model. This module flattens each
+//! figure's two values into labelled points and condenses their deltas into
+//! a per-figure accuracy table (max relative error plus a per-app /
+//! per-panel breakdown). The artefact is journaled and persisted like any
+//! other (`repro --ablate-net --json DIR`), pinned as a golden
 //! (`tests/goldens/ablate_net.json`), and gated by the `net-ablation-smoke`
 //! stage of `ci.sh`.
 //!
-//! Each cell overrides only the network model of the run's options, so
-//! ablation cells stay deterministic under any `--jobs` schedule. These
-//! cells are the one place a `repro` run chooses a network model: every
-//! other simulation runs under [`RunOpts`]'s default, the event model.
+//! Each ablation cell overrides only the network model of the run's
+//! options, so the ablation stays deterministic under any `--jobs`
+//! schedule. These cells are the flow model's one user in `repro`: every
+//! other simulation runs under [`RunOpts`](simmpi::RunOpts)'s default, the
+//! event model.
 
-use cluster::Machine;
-use hpc_apps::hpl::HplShare;
 use serde::Serialize;
-use simmpi::{NetModel, RunOpts};
 
-use crate::fig67::{fig7_cases, fig7_panel, hpl_headline};
+use crate::fig67::{Fig6, Fig7, HplHeadline};
 use crate::table::render_table;
-
-/// The figures the ablation compares, in artefact order.
-pub const ABLATE_FIGURES: [&str; 3] = ["fig6", "fig7", "hpl"];
 
 /// One labelled scalar observable (a figure data point) measured under one
 /// network model.
-#[derive(Clone, Debug, Serialize)]
-pub struct AblatePoint {
+#[derive(Debug)]
+pub(crate) struct AblatePoint {
     /// `group|qualifier` label; the group (application, panel, headline —
     /// which may itself contain `/`) is the breakdown key of the merged
     /// table.
@@ -36,16 +33,42 @@ pub struct AblatePoint {
     pub value: f64,
 }
 
-/// One figure regenerated under one network model: the flattened points of
-/// every series/panel, in deterministic order.
-#[derive(Clone, Debug, Serialize)]
-pub struct AblateSide {
-    /// Which figure (`fig6` | `fig7` | `hpl`).
-    pub figure: &'static str,
-    /// Which model produced the points (`event` | `flow`).
-    pub model: &'static str,
-    /// The labelled observables.
-    pub points: Vec<AblatePoint>,
+/// Fig 6's points: each series' elapsed seconds per node count.
+pub(crate) fn fig6_points(fig: &Fig6) -> Vec<AblatePoint> {
+    fig.series
+        .iter()
+        .flat_map(|s| {
+            s.points.iter().map(move |p| AblatePoint {
+                label: format!("{}|n={}/t", s.app, p.nodes),
+                value: p.seconds,
+            })
+        })
+        .collect()
+}
+
+/// Fig 7's points: each panel's latencies (µs), then its bandwidths (MB/s).
+pub(crate) fn fig7_points(fig: &Fig7) -> Vec<AblatePoint> {
+    let mut points = Vec::new();
+    for p in &fig.panels {
+        let label = &p.label;
+        points.extend(p.latency.iter().map(|x| AblatePoint {
+            label: format!("{label}|lat/{}B", x.bytes),
+            value: x.latency_us,
+        }));
+        points.extend(p.bandwidth.iter().map(|x| AblatePoint {
+            label: format!("{label}|bw/{}B", x.bytes),
+            value: x.bandwidth_mbs,
+        }));
+    }
+    points
+}
+
+/// The HPL headline's points: its seconds and its GFLOPS.
+pub(crate) fn hpl_points(h: &HplHeadline) -> Vec<AblatePoint> {
+    vec![
+        AblatePoint { label: format!("HPL|n={}/t", h.nodes), value: h.seconds },
+        AblatePoint { label: format!("HPL|n={}/gflops", h.nodes), value: h.gflops },
+    ]
 }
 
 /// Per-group (application / panel / headline) accuracy row.
@@ -93,55 +116,6 @@ pub struct AblateNet {
     pub figures: Vec<AblateFigure>,
 }
 
-/// Regenerate one figure's observables under `opts` with its network model
-/// replaced by `model`. Fig 6 and HPL run at the invocation's scales, taking
-/// their HPL runs from `hpl`; Fig 7 always runs its six full panels.
-pub fn ablate_side(
-    figure: &'static str,
-    model: NetModel,
-    fig6_nodes: &[u32],
-    hpl_nodes: u32,
-    opts: &RunOpts,
-    hpl: &HplShare,
-) -> Result<AblateSide, simmpi::MpiFault> {
-    let opts = RunOpts { net_model: model, ..opts.clone() };
-    let points = match figure {
-        "fig6" => hpc_apps::fig6(&Machine::tibidabo(), fig6_nodes, &opts, hpl)?
-            .iter()
-            .flat_map(|s| {
-                s.points.iter().map(move |p| AblatePoint {
-                    label: format!("{}|n={}/t", s.app, p.nodes),
-                    value: p.seconds,
-                })
-            })
-            .collect(),
-        "fig7" => {
-            let mut points = Vec::new();
-            for (label, plat, freq, proto) in fig7_cases() {
-                let p = fig7_panel(label, plat, freq, proto, &opts)?;
-                points.extend(p.latency.iter().map(|x| AblatePoint {
-                    label: format!("{label}|lat/{}B", x.bytes),
-                    value: x.latency_us,
-                }));
-                points.extend(p.bandwidth.iter().map(|x| AblatePoint {
-                    label: format!("{label}|bw/{}B", x.bytes),
-                    value: x.bandwidth_mbs,
-                }));
-            }
-            points
-        }
-        "hpl" => {
-            let h = hpl_headline(hpl_nodes, &opts, hpl)?;
-            vec![
-                AblatePoint { label: format!("HPL|n={}/t", h.nodes), value: h.seconds },
-                AblatePoint { label: format!("HPL|n={}/gflops", h.nodes), value: h.gflops },
-            ]
-        }
-        other => unreachable!("unknown ablation figure {other}"),
-    };
-    Ok(AblateSide { figure, model: model.name(), points })
-}
-
 /// `|flow - event| / max(|event|, tiny)` — relative to the event model, the
 /// reference the goldens pin.
 fn rel_err(event: f64, flow: f64) -> f64 {
@@ -154,59 +128,56 @@ fn group_of(label: &str) -> &str {
     label.split('|').next().unwrap_or(label)
 }
 
-/// Merge the six sides (event + flow per figure, in [`ABLATE_FIGURES`]
-/// order) into the accuracy-delta artefact.
-pub fn ablate_merge(sides: Vec<AblateSide>) -> AblateNet {
-    assert_eq!(sides.len(), 2 * ABLATE_FIGURES.len(), "one event + one flow side per figure");
-    let mut figures = Vec::new();
-    for pair in sides.chunks(2) {
-        let (ev, fl) = (&pair[0], &pair[1]);
-        assert_eq!(ev.figure, fl.figure, "ablation sides out of order");
-        assert_eq!((ev.model, fl.model), ("event", "flow"), "ablation models out of order");
-        assert_eq!(ev.points.len(), fl.points.len(), "{}: point counts differ", ev.figure);
-        let mut rows: Vec<AblateRow> = Vec::new();
-        for (e, f) in ev.points.iter().zip(&fl.points) {
-            assert_eq!(e.label, f.label, "{}: point labels diverged", ev.figure);
-            let err = rel_err(e.value, f.value);
-            let group = group_of(&e.label).to_string();
-            match rows.last_mut() {
-                Some(r) if r.group == group => {
-                    r.points += 1;
-                    if err > r.max_rel_err {
-                        r.max_rel_err = err;
-                        r.worst_point = e.label.clone();
-                        r.event = e.value;
-                        r.flow = f.value;
-                    }
+/// Compare one figure's event-model and flow-model points, which label the
+/// same observables in the same order: one row per group, with its worst
+/// point, and the figure's maximum.
+pub(crate) fn ablate_figure(
+    figure: &str,
+    event: &[AblatePoint],
+    flow: &[AblatePoint],
+) -> AblateFigure {
+    assert_eq!(event.len(), flow.len(), "{figure}: point counts differ");
+    let mut rows: Vec<AblateRow> = Vec::new();
+    for (e, f) in event.iter().zip(flow) {
+        assert_eq!(e.label, f.label, "{figure}: point labels diverged");
+        let err = rel_err(e.value, f.value);
+        let group = group_of(&e.label).to_string();
+        match rows.last_mut() {
+            Some(r) if r.group == group => {
+                r.points += 1;
+                if err > r.max_rel_err {
+                    r.max_rel_err = err;
+                    r.worst_point = e.label.clone();
+                    r.event = e.value;
+                    r.flow = f.value;
                 }
-                _ => rows.push(AblateRow {
-                    group,
-                    points: 1,
-                    max_rel_err: err,
-                    worst_point: e.label.clone(),
-                    event: e.value,
-                    flow: f.value,
-                }),
             }
+            _ => rows.push(AblateRow {
+                group,
+                points: 1,
+                max_rel_err: err,
+                worst_point: e.label.clone(),
+                event: e.value,
+                flow: f.value,
+            }),
         }
-        let max_rel_err = rows.iter().map(|r| r.max_rel_err).fold(0.0, f64::max);
-        figures.push(AblateFigure {
-            figure: ev.figure.to_string(),
-            points: ev.points.len(),
-            max_rel_err,
-            rows,
-        });
     }
-    let by = |f: &str| figures.iter().find(|x| x.figure == f).map_or(0.0, |x| x.max_rel_err);
-    AblateNet {
-        max_rel_err_fig6: by("fig6"),
-        max_rel_err_fig7: by("fig7"),
-        max_rel_err_hpl: by("hpl"),
-        figures,
-    }
+    let max_rel_err = rows.iter().map(|r| r.max_rel_err).fold(0.0, f64::max);
+    AblateFigure { figure: figure.to_string(), points: event.len(), max_rel_err, rows }
 }
 
 impl AblateNet {
+    /// The artefact over the compared figures, in artefact order.
+    pub(crate) fn from_figures(figures: Vec<AblateFigure>) -> AblateNet {
+        let by = |f: &str| figures.iter().find(|x| x.figure == f).map_or(0.0, |x| x.max_rel_err);
+        AblateNet {
+            max_rel_err_fig6: by("fig6"),
+            max_rel_err_fig7: by("fig7"),
+            max_rel_err_hpl: by("hpl"),
+            figures,
+        }
+    }
+
     /// Text rendering: one breakdown row per application/panel, plus a
     /// per-figure summary line.
     pub fn render(&self) -> String {
@@ -244,29 +215,28 @@ impl AblateNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpc_apps::hpl::HplShare;
+    use simmpi::{NetModel, RunOpts};
 
-    fn side(figure: &'static str, model: &'static str, vals: &[(&str, f64)]) -> AblateSide {
-        AblateSide {
-            figure,
-            model,
-            points: vals
-                .iter()
-                .map(|(l, v)| AblatePoint { label: l.to_string(), value: *v })
-                .collect(),
-        }
+    fn points(vals: &[(&str, f64)]) -> Vec<AblatePoint> {
+        vals.iter().map(|(l, v)| AblatePoint { label: l.to_string(), value: *v }).collect()
     }
 
     #[test]
     fn merge_computes_per_group_and_per_figure_maxima() {
-        let sides = vec![
-            side("fig6", "event", &[("A|n=4/t", 1.0), ("A|n=8/t", 2.0), ("B|n=4/t", 4.0)]),
-            side("fig6", "flow", &[("A|n=4/t", 1.1), ("A|n=8/t", 2.0), ("B|n=4/t", 4.0)]),
-            side("fig7", "event", &[("P|lat/0B", 10.0)]),
-            side("fig7", "flow", &[("P|lat/0B", 10.5)]),
-            side("hpl", "event", &[("HPL|n=4/t", 100.0)]),
-            side("hpl", "flow", &[("HPL|n=4/t", 100.0)]),
-        ];
-        let merged = ablate_merge(sides);
+        let fig6 = ablate_figure(
+            "fig6",
+            &points(&[("A|n=4/t", 1.0), ("A|n=8/t", 2.0), ("B|n=4/t", 4.0)]),
+            &points(&[("A|n=4/t", 1.1), ("A|n=8/t", 2.0), ("B|n=4/t", 4.0)]),
+        );
+        let fig7 =
+            ablate_figure("fig7", &points(&[("P|lat/0B", 10.0)]), &points(&[("P|lat/0B", 10.5)]));
+        let hpl = ablate_figure(
+            "hpl",
+            &points(&[("HPL|n=4/t", 100.0)]),
+            &points(&[("HPL|n=4/t", 100.0)]),
+        );
+        let merged = AblateNet::from_figures(vec![fig6, fig7, hpl]);
         assert!((merged.max_rel_err_fig6 - 0.1).abs() < 1e-12);
         assert!((merged.max_rel_err_fig7 - 0.05).abs() < 1e-12);
         assert_eq!(merged.max_rel_err_hpl, 0.0);
@@ -280,24 +250,17 @@ mod tests {
     }
 
     #[test]
-    fn ablate_side_small_hpl_runs_under_both_models() {
+    fn small_hpl_headline_runs_under_both_models() {
         let hpl = HplShare::default();
-        let opts = RunOpts::default();
-        let ev = ablate_side("hpl", NetModel::Event, &[], 2, &opts, &hpl).unwrap();
-        let fl = ablate_side("hpl", NetModel::Flow, &[], 2, &opts, &hpl).unwrap();
-        assert_eq!(ev.points.len(), fl.points.len());
+        let [ev, fl] = [NetModel::Event, NetModel::Flow].map(|net_model| {
+            let opts = RunOpts { net_model, ..RunOpts::default() };
+            hpl_points(&crate::hpl_headline(2, &opts, &hpl).unwrap())
+        });
         // One job per model: the overridden models key distinct runs.
         assert_eq!((hpl.requests(), hpl.simulated()), (2, 2));
         // The two models agree on the headline to a few percent even at a
         // toy scale — the merged artefact quantifies the exact gap.
-        let merged = ablate_merge(vec![
-            side("fig6", "event", &[]),
-            side("fig6", "flow", &[]),
-            side("fig7", "event", &[]),
-            side("fig7", "flow", &[]),
-            ev,
-            fl,
-        ]);
+        let merged = AblateNet::from_figures(vec![ablate_figure("hpl", &ev, &fl)]);
         assert!(merged.max_rel_err_hpl < 0.10, "hpl drift {}", merged.max_rel_err_hpl);
     }
 }

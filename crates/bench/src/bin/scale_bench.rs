@@ -1,9 +1,7 @@
 //! Scale benchmark for the event-driven process model: writes
 //! `BENCH_scale.json` (events/sec of a 1024-process DES token ring, a
 //! 4096-rank simmpi ping-ring as the peak-ranks datum, the overhead of an
-//! installed [`NullTracer`] over the zero-tracer path, a dense alltoall under
-//! the per-message event model vs the fair-sharing flow model (`net_flow` —
-//! `ci.sh` gates the flow model's wall speedup at >= 5x), the model checker's
+//! installed [`NullTracer`] over the zero-tracer path, the model checker's
 //! exploration rate in distinct states/sec on the `retry-lossy` scenario,
 //! and the datacenter scheduler's replay rate in jobs/sec at 10⁵ and 10⁶
 //! jobs (`sched_throughput`, best of 3 — `ci.sh` gates the 10⁵-job rate at
@@ -34,7 +32,7 @@ use std::time::Instant;
 
 use des::{Engine, NullTracer, Pid, RingRecorder, SimTime, Tracer};
 use serde::Serialize;
-use simmpi::{run_mpi, JobSpec, Msg, NetModel, RunOpts};
+use simmpi::{run_mpi, JobSpec, Msg, RunOpts};
 use soc_arch::Platform;
 
 /// One measurement on the DES token ring.
@@ -65,44 +63,6 @@ struct TraceOverhead {
     recording_wall_secs: f64,
     /// `(recording - untraced) / untraced`, in percent, clamped at 0.
     recording_overhead_pct: f64,
-}
-
-/// One network model's measurement on the dense-collective workload.
-#[derive(Serialize)]
-struct NetModelRun {
-    /// `event` | `flow`.
-    model: &'static str,
-    /// Engine events dispatched for the whole job.
-    events: u64,
-    /// Wall seconds.
-    wall_secs: f64,
-    /// Engine events dispatched per wall second.
-    events_per_sec: f64,
-}
-
-/// The flow-model fast-path datum: the same dense alltoall workload under
-/// the per-message event model and the fair-sharing flow model. The flow
-/// model schedules whole flows (start/finish/re-share are its only DES
-/// events), so the event count collapses and the identical virtual workload
-/// simulates `flow_speedup`× faster in wall-clock (`ci.sh` gates
-/// `flow_speedup >= 5`; the field name is distinct from the ring
-/// `speedup` so the gate can grep it).
-#[derive(Serialize)]
-struct NetFlowBench {
-    /// Ranks in the alltoall (one per star node).
-    ranks: u32,
-    /// Alltoall rounds performed.
-    rounds: u32,
-    /// Payload bytes per (src, dst) pair per round.
-    bytes_per_pair: u64,
-    /// The event-model run.
-    event: NetModelRun,
-    /// The flow-model run.
-    flow: NetModelRun,
-    /// `event.wall_secs / flow.wall_secs` — same workload, wall ratio.
-    flow_speedup: f64,
-    /// `event.events / flow.events` — how much the event count collapsed.
-    event_ratio: f64,
 }
 
 /// One stream length's measurement on the datacenter-replay workload.
@@ -196,9 +156,6 @@ struct ScaleBench {
     peak_messages: u64,
     /// NullTracer cost on the event ring (must stay < 2%).
     trace_overhead: TraceOverhead,
-    /// Dense-collective workload under both network models (flow-model
-    /// speedup must stay >= 5x).
-    net_flow: NetFlowBench,
     /// Model-checker exploration rate on the lossy-ring scenario.
     mc_throughput: McThroughput,
     /// Datacenter-scheduler replay rate at 10⁵ and 10⁶ jobs.
@@ -312,55 +269,6 @@ fn mc_throughput() -> McThroughput {
     }
 }
 
-/// The dense-collective workload under one network model: `rounds` rounds
-/// of a `ranks`-way alltoall with `bytes` per pair, on the default star
-/// topology (one rank per node). Payloads are size-only so the measured
-/// wall time is simulation machinery, not host-side payload memcpy —
-/// delivery correctness is simmpi's own test suite's job; here every rank
-/// still checks it got one `bytes`-sized message per peer.
-fn dense_alltoall(ranks: u32, rounds: u32, bytes: u64, model: NetModel) -> NetModelRun {
-    let spec = JobSpec::new(Platform::tegra2(), ranks).with_net_model(Some(model));
-    let t0 = Instant::now();
-    let run = run_mpi(spec, move |mut r| async move {
-        let p = r.size() as usize;
-        let mut acc = 0u64;
-        for _round in 0..rounds {
-            let msgs: Vec<Msg> = (0..p).map(|_| Msg::size_only(bytes)).collect();
-            let got = r.alltoall(msgs).await;
-            assert_eq!(got.len(), p, "alltoall fan-in incomplete");
-            for m in &got {
-                assert_eq!(m.bytes, bytes, "alltoall payload size mangled");
-            }
-            acc = acc.wrapping_add(got.len() as u64);
-        }
-        acc
-    })
-    .expect("dense alltoall failed");
-    let wall = t0.elapsed().as_secs_f64();
-    NetModelRun {
-        model: model.name(),
-        events: run.events,
-        wall_secs: wall,
-        events_per_sec: run.events as f64 / wall,
-    }
-}
-
-/// Both models on the dense-collective workload: best of 3 alternating
-/// runs per model (the same scheduler-noise discipline as the
-/// trace-overhead measurement), since the gated quantity is a wall ratio.
-fn net_flow_bench(ranks: u32, rounds: u32, bytes: u64) -> NetFlowBench {
-    let best = |a: NetModelRun, b: NetModelRun| if b.wall_secs < a.wall_secs { b } else { a };
-    let mut event = dense_alltoall(ranks, rounds, bytes, NetModel::Event);
-    let mut flow = dense_alltoall(ranks, rounds, bytes, NetModel::Flow);
-    for _ in 0..2 {
-        event = best(event, dense_alltoall(ranks, rounds, bytes, NetModel::Event));
-        flow = best(flow, dense_alltoall(ranks, rounds, bytes, NetModel::Flow));
-    }
-    let flow_speedup = event.wall_secs / flow.wall_secs;
-    let event_ratio = event.events as f64 / flow.events.max(1) as f64;
-    NetFlowBench { ranks, rounds, bytes_per_pair: bytes, event, flow, flow_speedup, event_ratio }
-}
-
 /// 4096-rank simmpi ping-ring: the peak-ranks datum.
 fn peak_ring(ranks: u32) -> (f64, u64) {
     let spec = JobSpec::new(Platform::tegra2(), ranks);
@@ -408,19 +316,6 @@ fn main() {
         overhead.recording_wall_secs, overhead.recording_overhead_pct
     );
 
-    let (nf_ranks, nf_rounds, nf_bytes) = (128, 16, 4096);
-    eprintln!("net: {nf_ranks}-rank x {nf_rounds}-round dense alltoall, event vs flow model ...");
-    let net_flow = net_flow_bench(nf_ranks, nf_rounds, nf_bytes);
-    eprintln!(
-        "  event: {} events in {:.2}s; flow: {} events in {:.2}s -> {:.1}x wall, {:.0}x fewer events",
-        net_flow.event.events,
-        net_flow.event.wall_secs,
-        net_flow.flow.events,
-        net_flow.flow.wall_secs,
-        net_flow.flow_speedup,
-        net_flow.event_ratio
-    );
-
     eprintln!("mc: bounded search over retry-lossy at default budgets ...");
     let mc = mc_throughput();
     eprintln!(
@@ -449,7 +344,6 @@ fn main() {
         peak_wall_secs,
         peak_messages,
         trace_overhead: overhead,
-        net_flow,
         mc_throughput: mc,
         sched_throughput,
         peak_rss_kb: peak_rss_kb(),

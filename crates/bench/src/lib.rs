@@ -59,7 +59,7 @@ pub mod supervisor;
 pub mod table;
 pub mod trace;
 
-pub use ablate::{ablate_merge, ablate_side, AblateFigure, AblateNet, AblateRow, AblateSide};
+pub use ablate::{AblateFigure, AblateNet, AblateRow};
 pub use artifact::{write_json_atomic, ArtifactIoError, WriteOutcome};
 pub use datacenter::{
     datacenter_cell, datacenter_study_from, datacenter_validation, DcCase, DcStudy, DcValidation,

@@ -36,10 +36,12 @@ use hpc_apps::hpl::HplShare;
 use hpc_apps::{AppId, ScalingMeasurement};
 use kernels::stream::StreamResult;
 use serde::Serialize;
-use simmpi::RunOpts;
+use simmpi::{NetModel, RunOpts};
 use soc_arch::{cache_counters, Platform};
 
-use crate::ablate::{ablate_merge, ablate_side, AblateNet, ABLATE_FIGURES};
+use crate::ablate::{
+    ablate_figure, fig6_points, fig7_points, hpl_points, AblateFigure, AblateNet, AblatePoint,
+};
 use crate::datacenter::{
     datacenter_cell, datacenter_study_from, datacenter_validation, DcStudy, DcValidation,
     DATACENTER_CASES,
@@ -160,6 +162,53 @@ impl Cells {
     fn rest<T: 'static>(self) -> Vec<T> {
         self.0.map(take).collect()
     }
+
+    /// The next `n` cells, for the merge of the figure that enumerated them.
+    fn split(&mut self, n: usize) -> Cells {
+        Cells(self.0.by_ref().take(n).collect::<Vec<_>>().into_iter())
+    }
+}
+
+/// A figure's cells and the typed merge that takes their values, in
+/// enumeration order, back as the figure. A figure's artefact runs it once;
+/// the network ablation runs it once per network model.
+struct Figure<V> {
+    cells: Vec<Cell<CellValue>>,
+    merge: Box<dyn FnOnce(Cells) -> V + Send>,
+}
+
+impl<V: 'static> Figure<V> {
+    /// The figures' cells, in order, merged into their values, in order.
+    fn concat(figures: Vec<Figure<V>>) -> Figure<Vec<V>> {
+        let mut cells = Vec::new();
+        let mut merges = Vec::new();
+        for f in figures {
+            merges.push((f.cells.len(), f.merge));
+            cells.extend(f.cells);
+        }
+        let merge = move |mut c: Cells| merges.into_iter().map(|(n, m)| m(c.split(n))).collect();
+        Figure { cells, merge: Box::new(merge) }
+    }
+
+    /// The same cells, their merged value passed through `f`.
+    fn map<W>(self, f: impl FnOnce(V) -> W + Send + 'static) -> Figure<W> {
+        let merge = self.merge;
+        Figure { cells: self.cells, merge: Box::new(move |c| f(merge(c))) }
+    }
+
+    /// The figure as an artefact, printed by `render` and persisted as JSON
+    /// under `stem`.
+    fn artefact(
+        self,
+        key: &'static str,
+        stem: &'static str,
+        render: fn(&V) -> String,
+    ) -> ArtefactSpec
+    where
+        V: Serialize,
+    {
+        ArtefactSpec::merged(key, stem, self.cells, self.merge, render)
+    }
 }
 
 /// One merged artefact, ready for the CLI: rendered text blocks (printed in
@@ -252,7 +301,7 @@ fn fig5_artefact() -> ArtefactSpec {
     ArtefactSpec::merged("fig5", "fig5", cells, merge, render)
 }
 
-fn fig6_artefact(nodes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
+fn fig6_figure(nodes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> Figure<Fig6> {
     // One cell per (application, runnable node count): the grid the paper's
     // Fig 6 wall time is actually spent on, so it parallelises across both
     // axes. The merge regroups by application in Table 3 order.
@@ -279,10 +328,10 @@ fn fig6_artefact(nodes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> Artefa
             .collect();
         Fig6 { nodes, series }
     };
-    ArtefactSpec::merged("fig6", "fig6", cells, merge, Fig6::render)
+    Figure { cells, merge: Box::new(merge) }
 }
 
-fn fig7_artefact(opts: &RunOpts) -> ArtefactSpec {
+fn fig7_figure(opts: &RunOpts) -> Figure<Fig7> {
     let cells = fig7_cases()
         .into_iter()
         .map(|(label, plat, freq, proto)| {
@@ -290,13 +339,13 @@ fn fig7_artefact(opts: &RunOpts) -> ArtefactSpec {
             cell(format!("fig7/{label}"), move || fig7_panel(label, plat, freq, proto, &opts))
         })
         .collect();
-    ArtefactSpec::merged("fig7", "fig7", cells, |c| Fig7 { panels: c.rest() }, Fig7::render)
+    Figure { cells, merge: Box::new(|c| Fig7 { panels: c.rest() }) }
 }
 
-fn hpl_artefact(nodes: u32, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
+fn hpl_figure(nodes: u32, opts: &RunOpts, hpl: &Arc<HplShare>) -> Figure<HplHeadline> {
     let (opts, hpl) = (opts.clone(), Arc::clone(hpl));
     let cells = vec![cell(format!("hpl/n={nodes}"), move || hpl_headline(nodes, &opts, &hpl))];
-    ArtefactSpec::merged("hpl", "hpl_headline", cells, |mut c| c.take(), HplHeadline::render)
+    Figure { cells, merge: Box::new(|mut c| c.take()) }
 }
 
 fn resilience_artefact(sizes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
@@ -318,23 +367,39 @@ fn resilience_artefact(sizes: Vec<u32>, opts: &RunOpts, hpl: &Arc<HplShare>) -> 
     ArtefactSpec::merged("resilience", "resilience", cells, merge, ResilienceStudy::render)
 }
 
-fn ablate_net_artefact(scales: &RunScales, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
-    // One cell per (figure, model): six independent regenerations, each
-    // overriding the network model of the run's options, merged into the
-    // accuracy table.
-    let mut cells = Vec::new();
-    for figure in ABLATE_FIGURES {
-        for model in [netsim::NetModel::Event, netsim::NetModel::Flow] {
-            let fig6_nodes = scales.fig6_nodes.clone();
-            let hpl_nodes = scales.hpl_nodes;
-            let (opts, hpl) = (opts.clone(), Arc::clone(hpl));
-            cells.push(cell(format!("ablate-net/{figure}/{}", model.name()), move || {
-                ablate_side(figure, model, &fig6_nodes, hpl_nodes, &opts, &hpl)
-            }));
+/// `build` run once per network model, each cell relabelled
+/// `ablate-net/<cell>/<model>`, and the two values compared point by point
+/// as `figure`'s rows of the accuracy table.
+fn ablated<V: 'static>(
+    figure: &'static str,
+    opts: &RunOpts,
+    build: impl Fn(&RunOpts) -> Figure<V>,
+    points: fn(&V) -> Vec<AblatePoint>,
+) -> Figure<AblateFigure> {
+    let sides = [NetModel::Event, NetModel::Flow].map(|net_model| {
+        let mut side = build(&RunOpts { net_model, ..opts.clone() });
+        for c in &mut side.cells {
+            c.label = format!("ablate-net/{}/{}", c.label, net_model.name());
         }
-    }
-    let merge = |c: Cells| ablate_merge(c.rest());
-    ArtefactSpec::merged("ablate-net", "ablate_net", cells, merge, AblateNet::render)
+        side
+    });
+    Figure::concat(sides.into()).map(move |values| {
+        let [event, flow] = [&values[0], &values[1]].map(points);
+        ablate_figure(figure, &event, &flow)
+    })
+}
+
+fn ablate_net_artefact(scales: &RunScales, opts: &RunOpts, hpl: &Arc<HplShare>) -> ArtefactSpec {
+    let figures = vec![
+        ablated("fig6", opts, |o| fig6_figure(scales.fig6_nodes.clone(), o, hpl), fig6_points),
+        ablated("fig7", opts, fig7_figure, fig7_points),
+        ablated("hpl", opts, |o| hpl_figure(scales.hpl_nodes, o, hpl), hpl_points),
+    ];
+    Figure::concat(figures).map(AblateNet::from_figures).artefact(
+        "ablate-net",
+        "ablate_net",
+        AblateNet::render,
+    )
 }
 
 fn datacenter_artefact(jobs: u64, validation_nodes: u32, opts: &RunOpts) -> ArtefactSpec {
@@ -410,16 +475,18 @@ impl RunPlan {
             artefacts.push(text("table3", crate::table3_render));
         }
         if want("fig6") {
-            artefacts.push(fig6_artefact(scales.fig6_nodes.clone(), opts, &hpl));
+            let fig6 = fig6_figure(scales.fig6_nodes.clone(), opts, &hpl);
+            artefacts.push(fig6.artefact("fig6", "fig6", Fig6::render));
         }
         if want("fig7") {
-            artefacts.push(fig7_artefact(opts));
+            artefacts.push(fig7_figure(opts).artefact("fig7", "fig7", Fig7::render));
         }
         if want("table4") {
             artefacts.push(text("table4", crate::table4_render));
         }
         if want("hpl") {
-            artefacts.push(hpl_artefact(scales.hpl_nodes, opts, &hpl));
+            let headline = hpl_figure(scales.hpl_nodes, opts, &hpl);
+            artefacts.push(headline.artefact("hpl", "hpl_headline", HplHeadline::render));
         }
         if want("latency-penalty") {
             artefacts.push(text("latency-penalty", crate::latency_penalty_render));
@@ -537,7 +604,7 @@ impl SupervisedArtefact {
 ///
 /// ```
 /// use bench::{run_plan, RunPlan, RunScales};
-/// use simmpi::RunOpts;
+/// use simmpi::{NetModel, RunOpts};
 ///
 /// let plan = RunPlan::from_items(&["table3".to_string()], &RunScales::golden(), &RunOpts::default());
 /// let (artefacts, stats) = run_plan(
@@ -662,6 +729,26 @@ mod tests {
         );
         // Scenario grid: the plan decomposes well past the artefact count.
         assert!(plan.cell_count() > 30, "only {} cells", plan.cell_count());
+    }
+
+    #[test]
+    fn ablation_runs_each_figure_cell_once_per_network_model() {
+        let plan = golden_plan(&["fig6", "fig7", "hpl", "ablate-net"]);
+        let labels = |key: &str| -> Vec<String> {
+            let a = plan.artefacts.iter().find(|a| a.key == key).expect("artefact planned");
+            a.cells.iter().map(|c| c.label.clone()).collect()
+        };
+        let mut want = Vec::new();
+        for key in ["fig6", "fig7", "hpl"] {
+            for model in ["event", "flow"] {
+                want.extend(labels(key).iter().map(|l| format!("ablate-net/{l}/{model}")));
+            }
+        }
+        let got = labels("ablate-net");
+        assert_eq!(got, want);
+        // The performance ledger attributes an ablation cell to a network
+        // model by this suffix.
+        assert!(got.iter().all(|l| l.ends_with("/event") || l.ends_with("/flow")), "{got:?}");
     }
 
     #[test]

@@ -107,8 +107,8 @@ fn mc_usage_errors_exit_two() {
 fn flow_model_runs_are_byte_identical_across_processes() {
     // Two *independent processes* running the network-model ablation, whose
     // flow side is the one place `repro` runs the flow-level model, must
-    // write byte-identical JSON equal to the committed golden: the flow fast
-    // path may keep no process-lifetime state (allocator addresses, hash
+    // write byte-identical JSON equal to the committed golden: the flow
+    // model may keep no process-lifetime state (allocator addresses, hash
     // seeds, id counters) that leaks into artefact bytes. In-process
     // determinism is covered by tests/determinism.rs; this is the stronger
     // cross-process form.

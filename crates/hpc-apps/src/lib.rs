@@ -40,6 +40,6 @@ pub mod treecode;
 pub use mode::Mode;
 pub use registry::{table3, AppId, AppSpec};
 pub use scaling::{
-    fig6, final_efficiency, measure_scaling_cell, runnable_nodes, scaling_series,
-    series_from_measurements, ScalingMeasurement, ScalingPoint, ScalingSeries, FIG6_NODES,
+    final_efficiency, measure_scaling_cell, runnable_nodes, series_from_measurements,
+    ScalingMeasurement, ScalingPoint, ScalingSeries, FIG6_NODES,
 };

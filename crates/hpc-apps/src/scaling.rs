@@ -137,33 +137,6 @@ pub fn series_from_measurements(app: AppId, cells: &[ScalingMeasurement]) -> Sca
     ScalingSeries { app: spec_row.name, weak: spec_row.weak_scaling, points }
 }
 
-/// Run one application's Fig 6 series on `machine` over `node_counts` — the
-/// serial composition of [`runnable_nodes`] → [`measure_scaling_cell`] →
-/// [`series_from_measurements`].
-pub fn scaling_series(
-    machine: &Machine,
-    app: AppId,
-    node_counts: &[u32],
-    opts: &RunOpts,
-    hpl: &HplShare,
-) -> Result<ScalingSeries, MpiFault> {
-    let cells = runnable_nodes(app, node_counts)
-        .into_iter()
-        .map(|n| measure_scaling_cell(machine, app, n, opts, hpl))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(series_from_measurements(app, &cells))
-}
-
-/// Run the complete Fig 6 (all five applications).
-pub fn fig6(
-    machine: &Machine,
-    node_counts: &[u32],
-    opts: &RunOpts,
-    hpl: &HplShare,
-) -> Result<Vec<ScalingSeries>, MpiFault> {
-    table3().iter().map(|a| scaling_series(machine, a.id, node_counts, opts, hpl)).collect()
-}
-
 /// Parallel efficiency of the largest point of a series (speedup / nodes).
 pub fn final_efficiency(s: &ScalingSeries) -> f64 {
     let last = s.points.last().expect("empty series");
@@ -179,7 +152,12 @@ mod tests {
     }
 
     fn series(m: &Machine, app: AppId, node_counts: &[u32]) -> ScalingSeries {
-        scaling_series(m, app, node_counts, &RunOpts::default(), &HplShare::default()).unwrap()
+        let (opts, hpl) = (RunOpts::default(), HplShare::default());
+        let cells: Vec<ScalingMeasurement> = runnable_nodes(app, node_counts)
+            .into_iter()
+            .map(|n| measure_scaling_cell(m, app, n, &opts, &hpl).unwrap())
+            .collect();
+        series_from_measurements(app, &cells)
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Flow-level fair-sharing network model (the fast path).
+//! Flow-level fair-sharing network model.
 //!
 //! The event-level model in [`topology`](crate::Network) charges every
-//! message a store-and-forward reservation on each link of its route. That
-//! is accurate but makes *messages* the unit of simulation work: dense
-//! collective phases cost O(messages) scheduler events. This module models
-//! the same link graph as a **fluid network**: each in-flight transfer is a
-//! *flow* with a bandwidth share computed by progressive-filling **max-min
-//! fairness** over the links it crosses, and the only state transitions are
-//! flow starts, flow finishes, and the rate re-shares they trigger. A dense
-//! phase with thousands of concurrent messages advances in O(flow
-//! transitions) instead of O(messages × hops).
+//! message a store-and-forward reservation on each link of its route. This
+//! module models the same link graph as a **fluid network**: each in-flight
+//! transfer is a *flow* with a bandwidth share computed by
+//! progressive-filling **max-min fairness** over the links it crosses, and
+//! the only state transitions are flow starts, flow finishes, and the rate
+//! re-shares they trigger. A receiver waiting on a flow wakes at every
+//! transition, so sparse traffic gains no events: on an HPL-shaped 64-rank
+//! job this model dispatches 133,716 engine events against the event
+//! model's 111,808 (DESIGN.md §4.8).
 //!
 //! The allocator is the textbook water-filling algorithm: repeatedly find
 //! the most-contended link (smallest `capacity / flows-crossing-it`), freeze

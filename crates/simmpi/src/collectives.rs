@@ -304,9 +304,6 @@ impl Rank {
         let p = self.size();
         let me = self.rank();
         assert_eq!(msgs.len(), p as usize, "alltoall needs one message per rank");
-        if self.flow_alltoall_ok(&msgs) {
-            return self.alltoall_flow(msgs).await;
-        }
         let mut out: Vec<Option<Msg>> = (0..p).map(|_| None).collect();
         let mut msgs: Vec<Option<Msg>> = msgs.into_iter().map(Some).collect();
         out[me as usize] = msgs[me as usize].take();
@@ -322,36 +319,6 @@ impl Rank {
                 self.sendrecv(partner, TAG_ALLTOALL + step, m, partner, TAG_ALLTOALL + step).await;
             out[partner as usize] = Some(got);
         }
-        self.phase_end("alltoall");
-        out.into_iter().map(|m| m.unwrap()).collect()
-    }
-
-    /// Flow-mode all-to-all fast path (see [`Rank::flow_alltoall_ok`] for the
-    /// preconditions): the whole fan-out is one batched send-overhead
-    /// advance, `P-1` concurrent flows whose arrival times emerge from
-    /// max-min fair sharing, per-peer receives that wait only for flow
-    /// transitions, and one batched receive-overhead advance, where the
-    /// pairwise exchange costs O(P) per-message event chains.
-    async fn alltoall_flow(&mut self, msgs: Vec<Msg>) -> Vec<Msg> {
-        let p = self.size();
-        let me = self.rank();
-        self.phase_begin("alltoall");
-        let mut out: Vec<Option<Msg>> = (0..p).map(|_| None).collect();
-        let mut outgoing = Vec::with_capacity(p as usize - 1);
-        for (j, m) in msgs.into_iter().enumerate() {
-            if j as u32 == me {
-                out[j] = Some(m);
-            } else {
-                outgoing.push((j as u32, m));
-            }
-        }
-        self.send_flows_batched(TAG_ALLTOALL, outgoing).await;
-        for src in 0..p {
-            if src != me {
-                out[src as usize] = Some(self.recv_wire(src, TAG_ALLTOALL).await);
-            }
-        }
-        self.batch_recv_overhead(p as u64 - 1).await;
         self.phase_end("alltoall");
         out.into_iter().map(|m| m.unwrap()).collect()
     }
@@ -499,7 +466,7 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_flow_fast_path_transposes() {
+    fn alltoall_transposes_under_the_flow_model() {
         use netsim::NetModel;
         for n in [4u32, 5] {
             let run =
@@ -511,39 +478,9 @@ mod tests {
                 .unwrap();
             for (i, v) in run.results.iter().enumerate() {
                 let expect: Vec<u64> = (0..n).map(|j| (j * 10) as u64 + i as u64).collect();
-                assert_eq!(v, &expect, "rank {i} of {n} (flow fast path)");
+                assert_eq!(v, &expect, "rank {i} of {n} (flow model)");
             }
         }
-    }
-
-    #[test]
-    fn alltoall_flow_fast_path_cuts_engine_events() {
-        use netsim::NetModel;
-        let go = |model: NetModel| {
-            run_mpi(spec(16).with_net_model(Some(model)), |mut r| async move {
-                let msgs: Vec<Msg> = (0..r.size()).map(|_| Msg::size_only(4096)).collect();
-                for _ in 0..4 {
-                    r.alltoall(msgs_clone(&msgs)).await;
-                }
-                r.now().as_nanos()
-            })
-            .unwrap()
-        };
-        fn msgs_clone(msgs: &[Msg]) -> Vec<Msg> {
-            msgs.to_vec()
-        }
-        let ev = go(NetModel::Event);
-        let fl = go(NetModel::Flow);
-        assert!(
-            fl.events * 3 < ev.events,
-            "flow fast path must collapse the event count: event {} vs flow {}",
-            ev.events,
-            fl.events
-        );
-        // The fluid approximation stays in the same ballpark as the
-        // reservation model on a symmetric dense exchange.
-        let (te, tf) = (ev.elapsed.as_secs_f64(), fl.elapsed.as_secs_f64());
-        assert!((tf - te).abs() / te < 0.35, "event {te}s vs flow {tf}s");
     }
 
     #[test]

@@ -78,8 +78,9 @@ pub struct MpiRun<R> {
     pub comm_busy: Vec<SimTime>,
     /// Network statistics.
     pub net: NetStats,
-    /// Engine events dispatched by the run (the simulation-cost currency the
-    /// network models trade in; `scale_bench` reports events/sec from this).
+    /// Engine events dispatched by the run: the scheduler work the
+    /// simulation cost, which `tests/probe_counts.rs` pins under both
+    /// network models.
     pub events: u64,
 }
 
@@ -409,26 +410,11 @@ impl Rank {
     /// exhausting the retry budget fails the run. Only lossy jobs call this.
     async fn retransmit_through_loss(&self, dst: u32, src_node: u32, dst_node: u32) {
         let retry = self.world.spec.retry;
-        let mc = &self.world.spec.opts.mc;
+        let mc = self.world.spec.opts.mc.as_deref();
         let mut attempts = 0u32;
         loop {
             let depart = self.ctx.now();
-            let dropped = {
-                let mut st = self.world.state.borrow_mut();
-                let loss = st.net.loss_probability(src_node, dst_node, depart);
-                // Inside a loss window a model-checking controller overrides
-                // the seeded draw with an adversarial verdict; the RNG is
-                // not advanced, and outside MC the draw order is untouched.
-                let dropped = match mc {
-                    Some(ctl) => loss > 0.0 && ctl.decide_drop(),
-                    None => loss > 0.0 && st.rng.next_f64() < loss,
-                };
-                if dropped {
-                    st.stats.retransmits += 1;
-                }
-                dropped
-            };
-            if !dropped {
+            if !self.world.state.borrow_mut().drops(src_node, dst_node, depart, mc) {
                 break;
             }
             attempts += 1;
@@ -675,128 +661,6 @@ impl Rank {
         }
     }
 
-    /// Whether the flow-mode all-to-all fast path applies: flow model, every
-    /// payload eager-sized, one rank per node (every pair crosses the
-    /// network), a lossless network (the batch skips per-message loss
-    /// draws), and enough ranks for batching to matter.
-    pub(crate) fn flow_alltoall_ok(&self, msgs: &[Msg]) -> bool {
-        self.world.spec.opts.net_model == NetModel::Flow
-            && self.size() >= 3
-            && self.world.spec.ranks_per_node == 1
-            && msgs.iter().all(|m| !self.world.spec.proto.needs_rendezvous(m.bytes))
-            && !self.world.lossy
-    }
-
-    /// Sender half of the flow-mode all-to-all fast path: one batched
-    /// send-overhead advance covering every peer, all flows started at a
-    /// single departure instant under one borrow, then one batched injection
-    /// advance — O(1) engine events for the whole fan-out instead of O(P)
-    /// per-message chains.
-    pub(crate) async fn send_flows_batched(&mut self, tag: u32, outgoing: Vec<(u32, Msg)>) {
-        self.check_crashed();
-        let world = &self.world;
-        let n = outgoing.len() as u64;
-        self.advance_comm_or_die(world.send_overhead * n).await;
-        let src_node = world.spec.node_of(self.rank);
-        let mut total_bytes = 0u64;
-        let mut wakes: Vec<des::Pid> = Vec::new();
-        let mut enqueued: Vec<(u32, u32, u64)> = Vec::with_capacity(outgoing.len());
-        let depart = self.ctx.now();
-        {
-            let mut st = world.state.borrow_mut();
-            let st = &mut *st;
-            for (dst, msg) in outgoing {
-                let bytes = msg.bytes;
-                total_bytes += bytes;
-                let dst_node = world.spec.node_of(dst);
-                let wire = world.framed(bytes);
-                st.stats.messages += 1;
-                st.stats.payload_bytes += bytes;
-                let extra =
-                    st.net.path_latency(src_node, dst_node) + world.endpoint_extra_serial(bytes);
-                let id = st
-                    .flows
-                    .as_mut()
-                    .expect("flow model without flow net")
-                    .start(depart, depart, src_node, dst_node, wire);
-                let dst_state = &mut st.ranks[dst as usize];
-                dst_state.mailbox.push_back(InMsg {
-                    src: self.rank,
-                    tag,
-                    msg,
-                    delivery: Delivery::Flow { id, extra },
-                });
-                if let Some(f) = dst_state.pending {
-                    if matches(&f, self.rank, tag) {
-                        dst_state.pending = None;
-                        wakes.push(dst_state.pid.unwrap());
-                    }
-                }
-                enqueued.push((dst, dst_node, bytes));
-            }
-        }
-        if self.tracing() || self.world.spec.opts.mc.is_some() {
-            for &(dst, dst_node, bytes) in &enqueued {
-                if self.tracing() {
-                    self.emit_trace(TraceEvent::MsgEnqueue { src: self.rank, dst, tag, bytes });
-                    self.emit_trace(TraceEvent::FlowStart { src: self.rank, dst, bytes });
-                }
-                self.mc_touch_delivery(dst, src_node, dst_node);
-            }
-        }
-        for pid in wakes {
-            self.ctx.wake_at(pid, depart);
-        }
-        let injection = world.injection(total_bytes);
-        self.ctx.advance(injection).await;
-        self.tally_comm(injection);
-    }
-
-    /// Receiver half of the fast path: take the `(src, tag)` message off the
-    /// wire *without* charging the per-message receive overhead — the caller
-    /// batches all of them in one [`Rank::batch_recv_overhead`] advance.
-    pub(crate) async fn recv_wire(&mut self, src: u32, tag: u32) -> Msg {
-        self.check_crashed();
-        let filter = (Some(src), Some(tag));
-        let timeout_at = self.recv_deadline();
-        loop {
-            match self.scan_mailbox(&filter) {
-                Scan::Deliver(m) => {
-                    if self.tracing() {
-                        if matches!(m.delivery, Delivery::Flow { .. }) {
-                            self.emit_trace(TraceEvent::FlowFinish {
-                                src: m.src,
-                                dst: self.rank,
-                                bytes: m.msg.bytes,
-                            });
-                        }
-                        self.emit_trace(TraceEvent::MsgDeliver {
-                            src: m.src,
-                            dst: self.rank,
-                            tag: m.tag,
-                            bytes: m.msg.bytes,
-                        });
-                    }
-                    return m.msg;
-                }
-                Scan::WaitWire(at) => self.advance_to_or_die(at).await,
-                Scan::WaitFlow(at, flows) => {
-                    self.advance_to_or_die(at).await;
-                    if self.tracing() {
-                        self.emit_trace(TraceEvent::FlowReshare { rank: self.rank, flows });
-                    }
-                }
-                Scan::Park => self.park_or_die(timeout_at, Some(src)).await,
-            }
-        }
-    }
-
-    /// Charge `n` messages' worth of receive overhead in one advance (the
-    /// batched tail of the flow-mode fast path).
-    pub(crate) async fn batch_recv_overhead(&mut self, n: u64) {
-        self.advance_comm_or_die(self.world.recv_overhead * n).await;
-    }
-
     /// Poll flow `id` to completion: advance to each flow transition as the
     /// network re-shares bandwidth, then to the flow's arrival (network
     /// completion plus `extra` endpoint time), consuming the flow record.
@@ -876,30 +740,19 @@ impl Rank {
             // delays the (remote) sender's departure by the backoff.
             let mut bulk_depart = cts_arrival;
             let mut attempts = 0u32;
-            loop {
-                let loss = st.net.loss_probability(src_node, dst_node, bulk_depart);
-                // As in the eager path, a model-checking controller decides
-                // drops adversarially without advancing the seeded RNG.
-                let dropped = match &world.spec.opts.mc {
-                    Some(ctl) => loss > 0.0 && ctl.decide_drop(),
-                    None => loss > 0.0 && st.rng.next_f64() < loss,
-                };
-                if dropped {
-                    st.stats.retransmits += 1;
-                    attempts += 1;
-                    if attempts > retry.max_retries {
-                        drop(st);
-                        self.die(MpiFault::Timeout {
-                            rank: self.rank,
-                            peer: Some(src),
-                            at: bulk_depart,
-                            attempts,
-                        });
-                    }
-                    bulk_depart += backoff(retry.retrans_base, attempts);
-                    continue;
+            let mc = world.spec.opts.mc.as_deref();
+            while st.drops(src_node, dst_node, bulk_depart, mc) {
+                attempts += 1;
+                if attempts > retry.max_retries {
+                    drop(st);
+                    self.die(MpiFault::Timeout {
+                        rank: self.rank,
+                        peer: Some(src),
+                        at: bulk_depart,
+                        attempts,
+                    });
                 }
-                break;
+                bulk_depart += backoff(retry.retrans_base, attempts);
             }
             let data_arrival: Result<SimTime, (netsim::FlowId, SimTime)> = if use_flow {
                 let extra = st.net.path_latency(src_node, dst_node)

@@ -371,6 +371,32 @@ pub(crate) struct WorldState {
     pub rng: SimRng,
 }
 
+impl WorldState {
+    /// Whether a frame from `src_node` to `dst_node` departing at `depart`
+    /// is dropped, counting the retransmit it costs. Outside a loss window
+    /// nothing is drawn. Inside one, a model-checking controller `mc`
+    /// decides the drop adversarially without advancing the seeded RNG;
+    /// without a controller the RNG draws it.
+    pub(crate) fn drops(
+        &mut self,
+        src_node: u32,
+        dst_node: u32,
+        depart: SimTime,
+        mc: Option<&McCtl>,
+    ) -> bool {
+        let loss = self.net.loss_probability(src_node, dst_node, depart);
+        let dropped = loss > 0.0
+            && match mc {
+                Some(ctl) => ctl.decide_drop(),
+                None => self.rng.next_f64() < loss,
+            };
+        if dropped {
+            self.stats.retransmits += 1;
+        }
+        dropped
+    }
+}
+
 /// The shared world of one job.
 pub struct World {
     pub(crate) spec: JobSpec,

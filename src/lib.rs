@@ -63,7 +63,7 @@ pub use trends;
 pub mod prelude {
     pub use cluster::{green500, job_energy, Machine};
     pub use des::SimTime;
-    pub use hpc_apps::{fig6, Mode};
+    pub use hpc_apps::Mode;
     pub use netsim::{EndpointModel, Network, ProtocolModel, TopologySpec};
     pub use simmpi::{run_mpi, JobSpec, Msg, Rank, ReduceOp};
     pub use soc_arch::{kernel_time, AccessPattern, Platform, Soc, WorkProfile};

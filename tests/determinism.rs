@@ -212,7 +212,7 @@ fn flow_model_ablation_is_byte_identical_across_schedules() {
     // Fig 7's ping-pongs) — max-min re-shares on the Tibidabo tree, flow
     // start/finish event ordering, and the plan's shared HPL runs under each
     // model — under a parallel sweep schedule. No ablated figure calls
-    // `alltoall`; `simmpi`'s collective tests cover its flow fast path.
+    // `alltoall`; `simmpi`'s collective tests cover it under the flow model.
     let mk = || golden_plan(&["ablate-net"], &RunOpts::default());
     let (serial, _) = run(mk(), 1, &[]);
     let (parallel, stats8) = run(mk(), 8, &[]);

@@ -2,7 +2,9 @@
 //! through the public API at test-friendly scale.
 
 use socready::apps::hpl::{run_hpl, HplConfig, HplShare};
-use socready::apps::{fig6, AppId};
+use socready::apps::{
+    final_efficiency, measure_scaling_cell, runnable_nodes, series_from_measurements, AppId,
+};
 use socready::kernels::fig3_profiles;
 use socready::mpi::{pingpong, JobSpec, RunOpts};
 use socready::net::ProtocolModel;
@@ -115,13 +117,13 @@ fn openmx_beats_tcp_on_latency_everywhere_and_bandwidth_where_cpu_bound() {
 fn fig6_shape_holds_at_reduced_scale() {
     // SPECFEM3D best, PEPC worst, HYDRO in between — the Fig 6 ordering.
     let m = Machine::tibidabo();
-    let series = fig6(&m, &[24, 48], &RunOpts::default(), &HplShare::default()).unwrap();
-    let eff = |id: AppId| {
-        let s = series
-            .iter()
-            .find(|s| s.app == socready::apps::table3().iter().find(|a| a.id == id).unwrap().name)
-            .unwrap();
-        socready::apps::final_efficiency(s)
+    let (opts, hpl) = (RunOpts::default(), HplShare::default());
+    let eff = |app: AppId| {
+        let cells: Vec<_> = runnable_nodes(app, &[24, 48])
+            .into_iter()
+            .map(|n| measure_scaling_cell(&m, app, n, &opts, &hpl).unwrap())
+            .collect();
+        final_efficiency(&series_from_measurements(app, &cells))
     };
     let sem = eff(AppId::Specfem3d);
     let pepc = eff(AppId::Pepc);
