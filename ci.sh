@@ -34,9 +34,6 @@ cargo test --doc --quiet -p des -p simmpi -p bench -p sched
 step "tests (debug, whole workspace)"
 cargo test --workspace --quiet
 
-step "golden figures + sweep determinism (in-process)"
-cargo test --quiet --test golden_figures --test determinism
-
 step "performance ledger builds and passes its tests against the workspace"
 # The ledger is its own package (crates/bench/src/bin/ledger/) on the
 # workspace crates' public API: a deletion that breaks the benchmark fails here.

@@ -21,7 +21,7 @@
 //! repro --max-cell-events N     # DES event budget per simulation
 //! repro --inject-panic S # sabotage cells whose label contains S (testing)
 //! repro --trace PATH     # record a structured DES trace to PATH (JSONL)
-//! repro --trace-filter C # comma list of proc,msg,span,fault (default all)
+//! repro --trace-filter C # comma list of proc,msg,span,fault (needs --trace or --mc)
 //! repro --mc SCENARIO    # bounded model-check a resilience protocol
 //! repro --mc-replay FILE # reproduce a recorded counterexample
 //! repro --help           # print the full flag reference and exit 0
@@ -154,7 +154,8 @@ observability:
   --trace PATH           record a structured DES trace to PATH as JSONL
                          (see docs/TRACE_FORMAT.md; fold with trace2flame)
   --trace-filter C       keep only these event classes: a comma list of
-                         proc, msg, span, fault (default: all)
+                         proc, msg, span, fault (default: all); needs
+                         --trace, or --mc for its counterexample trace
 
 model checking:
   --mc SCENARIO          bounded model-check one resilience protocol:
@@ -193,7 +194,7 @@ fn parse_args() -> Opts {
     let mut event_budget = None;
     let mut inject_panic = None;
     let mut trace_path = None;
-    let mut trace_filter = TraceFilter::ALL;
+    let mut trace_filter = None;
     let mut mc = None;
     let mut mc_replay = None;
     let mut mc_overrides = McOverrides::default();
@@ -263,7 +264,7 @@ fn parse_args() -> Opts {
             "--trace" => trace_path = Some(PathBuf::from(value(&mut args, "--trace"))),
             "--trace-filter" => {
                 let v = value(&mut args, "--trace-filter");
-                trace_filter = TraceFilter::parse(&v).unwrap_or_else(|e| die(&e));
+                trace_filter = Some(TraceFilter::parse(&v).unwrap_or_else(|e| die(&e)));
             }
             "--help" | "-h" => {
                 print!("{HELP}");
@@ -311,6 +312,9 @@ fn parse_args() -> Opts {
     if fsck && resume {
         die("--fsck and --resume are mutually exclusive");
     }
+    if trace_filter.is_some() && trace_path.is_none() && mc.is_none() {
+        die("--trace-filter needs --trace PATH (or --mc, whose counterexample trace it filters)");
+    }
     let (scales, scale_name) = if golden {
         (RunScales::golden(), "golden")
     } else if quick {
@@ -337,7 +341,7 @@ fn parse_args() -> Opts {
         event_budget,
         inject_panic,
         trace_path,
-        trace_filter,
+        trace_filter: trace_filter.unwrap_or(TraceFilter::ALL),
         mc,
         mc_replay,
         mc_overrides,

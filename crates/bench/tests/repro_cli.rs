@@ -86,6 +86,10 @@ fn contradictory_flags_exit_two() {
     assert_eq!(repro(&["--serial", "--jobs", "4"]).status.code(), Some(2));
     assert_eq!(repro(&["--resume"]).status.code(), Some(2), "--resume needs --json");
     assert_eq!(repro(&["--fsck"]).status.code(), Some(2), "--fsck needs --json");
+    // The filter acts only on the `--trace` recorder and on `--mc`'s
+    // counterexample trace; without either it would be silently ignored.
+    let filter_only = repro(&["--table", "1", "--trace-filter", "msg"]);
+    assert_eq!(filter_only.status.code(), Some(2), "--trace-filter needs --trace or --mc");
 }
 
 #[test]

@@ -2,7 +2,6 @@
 //! parallel: peak compute performance"). Independent Metropolis chains
 //! sampling a 1-D Gaussian; the observable is the second moment.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Problem configuration for `amcd`.
@@ -76,8 +75,8 @@ pub struct AmcdResult {
     pub acceptance: f64,
 }
 
-/// Sequential run over all chains.
-pub fn run_seq(cfg: &AmcdConfig) -> AmcdResult {
+/// Run every chain, in chain order.
+pub fn run(cfg: &AmcdConfig) -> AmcdResult {
     let per_chain = cfg.samples / cfg.chains;
     let mut sum = 0.0;
     let mut acc = 0u64;
@@ -86,16 +85,6 @@ pub fn run_seq(cfg: &AmcdConfig) -> AmcdResult {
         sum += s;
         acc += a;
     }
-    finalize(cfg, sum, acc)
-}
-
-/// Parallel run: chains are independent — embarrassingly parallel.
-pub fn run_par(cfg: &AmcdConfig) -> AmcdResult {
-    let per_chain = cfg.samples / cfg.chains;
-    let (sum, acc) = (0..cfg.chains)
-        .into_par_iter()
-        .map(|c| run_chain(c, per_chain, cfg.step))
-        .reduce(|| (0.0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
     finalize(cfg, sum, acc)
 }
 
@@ -111,31 +100,20 @@ mod tests {
     #[test]
     fn second_moment_converges_to_one() {
         let cfg = AmcdConfig { samples: 2_000_000, chains: 16, step: 1.2 };
-        let r = run_seq(&cfg);
+        let r = run(&cfg);
         assert!((r.second_moment - 1.0).abs() < 0.05, "E[x^2] = {}", r.second_moment);
     }
 
     #[test]
     fn acceptance_rate_is_sane() {
-        let r = run_seq(&AmcdConfig::small());
+        let r = run(&AmcdConfig::small());
         assert!(r.acceptance > 0.3 && r.acceptance < 0.95, "{}", r.acceptance);
     }
 
     #[test]
-    fn par_matches_seq_exactly() {
-        // Chains are deterministic by id, so the reductions agree bit-for-bit
-        // up to summation order; chain sums are added in index order by both.
-        let cfg = AmcdConfig::small();
-        let s = run_seq(&cfg);
-        let p = run_par(&cfg);
-        assert!((s.second_moment - p.second_moment).abs() < 1e-12);
-        assert_eq!(s.acceptance, p.acceptance);
-    }
-
-    #[test]
     fn wider_steps_lower_acceptance() {
-        let narrow = run_seq(&AmcdConfig { samples: 100_000, chains: 4, step: 0.3 });
-        let wide = run_seq(&AmcdConfig { samples: 100_000, chains: 4, step: 4.0 });
+        let narrow = run(&AmcdConfig { samples: 100_000, chains: 4, step: 0.3 });
+        let wide = run(&AmcdConfig { samples: 100_000, chains: 4, step: 4.0 });
         assert!(wide.acceptance < narrow.acceptance);
     }
 

@@ -1,7 +1,6 @@
 //! `2dcon` — 2-D convolution (Table 2: "spatial locality"). A 5×5 kernel
 //! convolved over an image, repeated for a configurable number of passes.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Convolution kernel radius (5×5 filter).
@@ -79,8 +78,8 @@ fn conv_pixel(src: &[f64], n: usize, f: &[f64; K * K], x: usize, y: usize) -> f6
     acc
 }
 
-/// Sequential convolution passes (boundary pixels are copied through).
-pub fn run_seq(cfg: &Conv2dConfig, image: &[f64]) -> Vec<f64> {
+/// Convolution passes (boundary pixels are copied through).
+pub fn run(cfg: &Conv2dConfig, image: &[f64]) -> Vec<f64> {
     let n = cfg.n;
     let f = filter();
     let mut a = image.to_vec();
@@ -90,29 +89,6 @@ pub fn run_seq(cfg: &Conv2dConfig, image: &[f64]) -> Vec<f64> {
             for x in RADIUS..n - RADIUS {
                 b[y * n + x] = conv_pixel(&a, n, &f, x, y);
             }
-        }
-        std::mem::swap(&mut a, &mut b);
-    }
-    a
-}
-
-/// Parallel convolution: rows distributed across threads.
-pub fn run_par(cfg: &Conv2dConfig, image: &[f64]) -> Vec<f64> {
-    let n = cfg.n;
-    let f = filter();
-    let mut a = image.to_vec();
-    let mut b = image.to_vec();
-    for _ in 0..cfg.passes {
-        {
-            let a_ref = &a;
-            b.par_chunks_mut(n)
-                .enumerate()
-                .filter(|(y, _)| *y >= RADIUS && *y < n - RADIUS)
-                .for_each(|(y, row)| {
-                    for x in RADIUS..n - RADIUS {
-                        row[x] = conv_pixel(a_ref, n, &f, x, y);
-                    }
-                });
         }
         std::mem::swap(&mut a, &mut b);
     }
@@ -138,17 +114,10 @@ mod tests {
     fn constant_image_is_fixed_point() {
         let cfg = Conv2dConfig { n: 16, passes: 3 };
         let img = vec![0.7; 256];
-        let out = run_seq(&cfg, &img);
+        let out = run(&cfg, &img);
         for &v in &out {
             assert!((v - 0.7).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn par_matches_seq() {
-        let cfg = Conv2dConfig::small();
-        let img = inputs(&cfg);
-        assert_eq!(run_seq(&cfg, &img), run_par(&cfg, &img));
     }
 
     #[test]
@@ -156,7 +125,7 @@ mod tests {
         let cfg = Conv2dConfig { n: 20, passes: 1 };
         let mut img = vec![0.0; 400];
         img[10 * 20 + 10] = 1.0; // single spike
-        let out = run_seq(&cfg, &img);
+        let out = run(&cfg, &img);
         let m = out.iter().cloned().fold(0.0, f64::max);
         assert!(m < 0.2, "spike should spread, max {m}");
         // Energy (sum) is conserved away from boundaries.

@@ -2,7 +2,6 @@
 //! compute performance"). Cache-blocked `C = A · B` on row-major square
 //! matrices.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Cache block edge (elements). 64×64×8 B = 32 KiB per block operand — fits
@@ -65,8 +64,8 @@ pub fn run_naive(cfg: &DmmmConfig, a: &[f64], b: &[f64], c: &mut [f64]) {
     }
 }
 
-/// Sequential cache-blocked multiplication.
-pub fn run_seq(cfg: &DmmmConfig, a: &[f64], b: &[f64], c: &mut [f64]) {
+/// Cache-blocked multiplication.
+pub fn run(cfg: &DmmmConfig, a: &[f64], b: &[f64], c: &mut [f64]) {
     let n = cfg.n;
     c.fill(0.0);
     for ii in (0..n).step_by(BLOCK) {
@@ -79,34 +78,6 @@ pub fn run_seq(cfg: &DmmmConfig, a: &[f64], b: &[f64], c: &mut [f64]) {
             }
         }
     }
-}
-
-/// Parallel blocked multiplication: rows of C are partitioned across threads,
-/// so no two threads write the same C element.
-pub fn run_par(cfg: &DmmmConfig, a: &[f64], b: &[f64], c: &mut [f64]) {
-    let n = cfg.n;
-    c.fill(0.0);
-    c.par_chunks_mut(BLOCK * n).enumerate().for_each(|(bi, c_rows)| {
-        let ii = bi * BLOCK;
-        let ie = (ii + BLOCK).min(n);
-        for kk in (0..n).step_by(BLOCK) {
-            let ke = (kk + BLOCK).min(n);
-            for jj in (0..n).step_by(BLOCK) {
-                let je = (jj + BLOCK).min(n);
-                // c_rows is the slice for rows ii..ie; rebase row index.
-                for i in ii..ie {
-                    let crow = &mut c_rows[(i - ii) * n..(i - ii) * n + n];
-                    for k in kk..ke {
-                        let aik = a[i * n + k];
-                        let brow = &b[k * n..k * n + n];
-                        for j in jj..je {
-                            crow[j] += aik * brow[j];
-                        }
-                    }
-                }
-            }
-        }
-    });
 }
 
 fn block_update(
@@ -150,19 +121,8 @@ mod tests {
         let mut c_ref = vec![0.0; cfg.n * cfg.n];
         let mut c_blk = vec![0.0; cfg.n * cfg.n];
         run_naive(&cfg, &a, &b, &mut c_ref);
-        run_seq(&cfg, &a, &b, &mut c_blk);
+        run(&cfg, &a, &b, &mut c_blk);
         assert!(max_abs_diff(&c_ref, &c_blk) < 1e-9);
-    }
-
-    #[test]
-    fn par_matches_seq() {
-        let cfg = DmmmConfig { n: 130 }; // crosses several row blocks
-        let (a, b) = inputs(&cfg);
-        let mut cs = vec![0.0; cfg.n * cfg.n];
-        let mut cp = vec![0.0; cfg.n * cfg.n];
-        run_seq(&cfg, &a, &b, &mut cs);
-        run_par(&cfg, &a, &b, &mut cp);
-        assert!(max_abs_diff(&cs, &cp) < 1e-9);
     }
 
     #[test]
@@ -175,7 +135,7 @@ mod tests {
         }
         let (a, _) = inputs(&cfg);
         let mut c = vec![0.0; n * n];
-        run_seq(&cfg, &a, &ident, &mut c);
+        run(&cfg, &a, &ident, &mut c);
         assert!(max_abs_diff(&a, &c) < 1e-12);
     }
 

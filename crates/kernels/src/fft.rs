@@ -2,7 +2,6 @@
 //! floating-point, variable-stride accesses"). Iterative radix-2
 //! Cooley–Tukey on complex `f64` data.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// A complex number as a plain pair (kept dependency-free).
@@ -107,9 +106,9 @@ fn twiddles(n: usize, inverse: bool) -> Vec<Cx> {
         .collect()
 }
 
-/// Sequential in-place FFT (forward when `inverse == false`). The inverse
-/// transform includes the `1/n` normalisation.
-pub fn run_seq(data: &mut [Cx], inverse: bool) {
+/// In-place FFT (forward when `inverse == false`). The inverse transform
+/// includes the `1/n` normalisation.
+pub fn run(data: &mut [Cx], inverse: bool) {
     let n = data.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
     bit_reverse_permute(data);
@@ -135,38 +134,6 @@ pub fn run_seq(data: &mut [Cx], inverse: bool) {
             v.re *= inv_n;
             v.im *= inv_n;
         }
-    }
-}
-
-/// Parallel FFT: within each stage, independent butterfly blocks are
-/// distributed across threads (identical arithmetic to the sequential code).
-pub fn run_par(data: &mut [Cx], inverse: bool) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length must be a power of two");
-    bit_reverse_permute(data);
-    let tw = twiddles(n, inverse);
-    let mut len = 2;
-    while len <= n {
-        let half = len / 2;
-        let step = n / len;
-        let tw_ref = &tw;
-        data.par_chunks_mut(len).for_each(|block| {
-            for k in 0..half {
-                let w = tw_ref[k * step];
-                let u = block[k];
-                let v = block[k + half].mul(w);
-                block[k] = u.add(v);
-                block[k + half] = u.sub(v);
-            }
-        });
-        len <<= 1;
-    }
-    if inverse {
-        let inv_n = 1.0 / n as f64;
-        data.par_iter_mut().for_each(|v| {
-            v.re *= inv_n;
-            v.im *= inv_n;
-        });
     }
 }
 
@@ -204,7 +171,7 @@ mod tests {
         let input = inputs(&cfg);
         let reference = dft_reference(&input);
         let mut data = input.clone();
-        run_seq(&mut data, false);
+        run(&mut data, false);
         assert!(max_err(&data, &reference) < 1e-9);
     }
 
@@ -213,20 +180,9 @@ mod tests {
         let cfg = FftConfig { n: 1024 };
         let input = inputs(&cfg);
         let mut data = input.clone();
-        run_seq(&mut data, false);
-        run_seq(&mut data, true);
+        run(&mut data, false);
+        run(&mut data, true);
         assert!(max_err(&data, &input) < 1e-10);
-    }
-
-    #[test]
-    fn par_matches_seq_bitwise() {
-        let cfg = FftConfig::small();
-        let input = inputs(&cfg);
-        let mut s = input.clone();
-        let mut p = input;
-        run_seq(&mut s, false);
-        run_par(&mut p, false);
-        assert_eq!(s, p);
     }
 
     #[test]
@@ -236,7 +192,7 @@ mod tests {
             .map(|i| Cx::new((2.0 * std::f64::consts::PI * 5.0 * i as f64 / n as f64).cos(), 0.0))
             .collect();
         let mut d = data;
-        run_seq(&mut d, false);
+        run(&mut d, false);
         // Bins 5 and n-5 hold the energy.
         assert!(d[5].abs() > 100.0);
         assert!(d[n - 5].abs() > 100.0);
@@ -247,7 +203,7 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         let mut d = vec![Cx::default(); 12];
-        run_seq(&mut d, false);
+        run(&mut d, false);
     }
 
     #[test]
@@ -256,7 +212,7 @@ mod tests {
         let input = inputs(&cfg);
         let time_energy: f64 = input.iter().map(|c| c.abs() * c.abs()).sum();
         let mut d = input;
-        run_seq(&mut d, false);
+        run(&mut d, false);
         let freq_energy: f64 = d.iter().map(|c| c.abs() * c.abs()).sum::<f64>() / 512.0;
         assert!((time_energy - freq_energy).abs() / time_energy < 1e-12);
     }

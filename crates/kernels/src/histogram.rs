@@ -1,7 +1,6 @@
 //! `hist` — histogram calculation (Table 2: "histogram with local
 //! privatisation, requires reduction stage").
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Problem configuration for `hist`.
@@ -56,42 +55,12 @@ fn bin_of(key: u32, bins: usize) -> usize {
     (key as usize) % bins
 }
 
-/// Sequential histogram (all passes accumulate into the same counts).
-pub fn run_seq(cfg: &HistogramConfig, keys: &[u32]) -> Vec<u64> {
+/// Histogram (all passes accumulate into the same counts).
+pub fn run(cfg: &HistogramConfig, keys: &[u32]) -> Vec<u64> {
     let mut counts = vec![0u64; cfg.bins];
     for _ in 0..cfg.passes {
         for &k in keys {
             counts[bin_of(k, cfg.bins)] += 1;
-        }
-    }
-    counts
-}
-
-/// Parallel histogram with per-thread privatised counts merged in a final
-/// reduction stage — the structure Table 2 names.
-pub fn run_par(cfg: &HistogramConfig, keys: &[u32]) -> Vec<u64> {
-    let mut counts = vec![0u64; cfg.bins];
-    for _ in 0..cfg.passes {
-        let partial = keys
-            .par_chunks(16_384)
-            .map(|chunk| {
-                let mut local = vec![0u64; cfg.bins];
-                for &k in chunk {
-                    local[bin_of(k, cfg.bins)] += 1;
-                }
-                local
-            })
-            .reduce(
-                || vec![0u64; cfg.bins],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            );
-        for (c, p) in counts.iter_mut().zip(partial) {
-            *c += p;
         }
     }
     counts
@@ -105,29 +74,22 @@ mod tests {
     fn counts_sum_to_input_size_times_passes() {
         let cfg = HistogramConfig::small();
         let keys = inputs(&cfg);
-        let counts = run_seq(&cfg, &keys);
+        let counts = run(&cfg, &keys);
         assert_eq!(counts.iter().sum::<u64>(), (cfg.n * cfg.passes) as u64);
-    }
-
-    #[test]
-    fn par_matches_seq_exactly() {
-        let cfg = HistogramConfig::small();
-        let keys = inputs(&cfg);
-        assert_eq!(run_seq(&cfg, &keys), run_par(&cfg, &keys));
     }
 
     #[test]
     fn known_distribution() {
         let cfg = HistogramConfig { n: 8, bins: 4, passes: 1 };
         let keys = [0u32, 1, 2, 3, 4, 5, 6, 7];
-        assert_eq!(run_seq(&cfg, &keys), vec![2, 2, 2, 2]);
+        assert_eq!(run(&cfg, &keys), vec![2, 2, 2, 2]);
     }
 
     #[test]
     fn hash_spreads_keys_roughly_uniformly() {
         let cfg = HistogramConfig { n: 100_000, bins: 16, passes: 1 };
         let keys = inputs(&cfg);
-        let counts = run_seq(&cfg, &keys);
+        let counts = run(&cfg, &keys);
         let expect = cfg.n as f64 / cfg.bins as f64;
         for (b, &c) in counts.iter().enumerate() {
             let dev = (c as f64 - expect).abs() / expect;

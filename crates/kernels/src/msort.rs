@@ -1,8 +1,7 @@
 //! `msort` — generic merge sort (Table 2: "barrier operations"). A bottom-up
-//! merge sort whose parallel version joins sorted runs level by level — each
-//! level is the barrier the paper's property names.
+//! merge sort that joins sorted runs level by level — in a parallel sort each
+//! level ends in the barrier the paper's property names.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Problem configuration for `msort`.
@@ -67,8 +66,8 @@ fn merge(a: &[f64], b: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Sequential bottom-up merge sort (stable).
-pub fn run_seq(cfg: &MsortConfig, data: &[f64]) -> Vec<f64> {
+/// Bottom-up merge sort (stable).
+pub fn run(cfg: &MsortConfig, data: &[f64]) -> Vec<f64> {
     let n = cfg.n;
     let mut a = data.to_vec();
     let mut b = vec![0.0; n];
@@ -85,29 +84,6 @@ pub fn run_seq(cfg: &MsortConfig, data: &[f64]) -> Vec<f64> {
     a
 }
 
-/// Parallel bottom-up merge sort: within each level, disjoint merges run in
-/// parallel; the level boundary is a barrier.
-pub fn run_par(cfg: &MsortConfig, data: &[f64]) -> Vec<f64> {
-    let n = cfg.n;
-    let mut a = data.to_vec();
-    let mut b = vec![0.0; n];
-    let mut width = 1;
-    while width < n {
-        {
-            let a_ref = &a;
-            b.par_chunks_mut(2 * width).enumerate().for_each(|(ci, out)| {
-                let start = ci * 2 * width;
-                let mid = (start + width).min(n);
-                let end = (start + out.len()).min(n);
-                merge(&a_ref[start..mid], &a_ref[mid..end], &mut out[..end - start]);
-            });
-        }
-        std::mem::swap(&mut a, &mut b);
-        width *= 2;
-    }
-    a
-}
-
 /// Whether a slice is sorted ascending.
 pub fn is_sorted(data: &[f64]) -> bool {
     data.windows(2).all(|w| w[0] <= w[1])
@@ -116,41 +92,23 @@ pub fn is_sorted(data: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn sorts_small_known_input() {
         let cfg = MsortConfig { n: 7 };
-        let out = run_seq(&cfg, &[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]);
+        let out = run(&cfg, &[3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]);
         assert_eq!(out, vec![1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 9.0]);
-    }
-
-    #[test]
-    fn par_matches_seq_exactly() {
-        let cfg = MsortConfig::small();
-        let data = inputs(&cfg);
-        assert_eq!(run_seq(&cfg, &data), run_par(&cfg, &data));
     }
 
     #[test]
     fn sorted_output_is_permutation() {
         let cfg = MsortConfig { n: 5000 };
         let data = inputs(&cfg);
-        let out = run_seq(&cfg, &data);
+        let out = run(&cfg, &data);
         assert!(is_sorted(&out));
         let mut expect = data;
         expect.sort_by(f64::total_cmp);
         assert_eq!(out, expect);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_sorts_any_input(mut v in proptest::collection::vec(-1e6f64..1e6, 0..300)) {
-            let cfg = MsortConfig { n: v.len() };
-            let out = run_par(&cfg, &v);
-            v.sort_by(f64::total_cmp);
-            prop_assert_eq!(out, v);
-        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! Direct all-pairs gravitational interactions with Plummer softening,
 //! leapfrog time stepping.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// A body's state.
@@ -105,23 +104,12 @@ fn step(bodies: &mut [Body], accels: &[[f64; 3]], dt: f64) {
     }
 }
 
-/// Sequential simulation.
-pub fn run_seq(cfg: &NbodyConfig, bodies: &[Body]) -> Vec<Body> {
+/// Leapfrog simulation.
+pub fn run(cfg: &NbodyConfig, bodies: &[Body]) -> Vec<Body> {
     let mut bodies = bodies.to_vec();
     for _ in 0..cfg.steps {
         let accels: Vec<[f64; 3]> =
             (0..bodies.len()).map(|i| accel_on(i, &bodies, cfg.eps2)).collect();
-        step(&mut bodies, &accels, cfg.dt);
-    }
-    bodies
-}
-
-/// Parallel simulation: force computation parallelised over target bodies.
-pub fn run_par(cfg: &NbodyConfig, bodies: &[Body]) -> Vec<Body> {
-    let mut bodies = bodies.to_vec();
-    for _ in 0..cfg.steps {
-        let accels: Vec<[f64; 3]> =
-            (0..bodies.len()).into_par_iter().map(|i| accel_on(i, &bodies, cfg.eps2)).collect();
         step(&mut bodies, &accels, cfg.dt);
     }
     bodies
@@ -157,17 +145,10 @@ mod tests {
             Body { pos: [-0.5, 0.0, 0.0], vel: [0.0; 3], mass: 1.0 },
             Body { pos: [0.5, 0.0, 0.0], vel: [0.0; 3], mass: 1.0 },
         ];
-        let out = run_seq(&cfg, &bodies);
+        let out = run(&cfg, &bodies);
         // They accelerate toward each other equally.
         assert!(out[0].vel[0] > 0.0);
         assert!((out[0].vel[0] + out[1].vel[0]).abs() < 1e-15);
-    }
-
-    #[test]
-    fn par_matches_seq_bitwise() {
-        let cfg = NbodyConfig::small();
-        let bodies = inputs(&cfg);
-        assert_eq!(run_seq(&cfg, &bodies), run_par(&cfg, &bodies));
     }
 
     #[test]
@@ -175,7 +156,7 @@ mod tests {
         let cfg = NbodyConfig { n: 64, steps: 10, dt: 1e-3, eps2: 1e-4 };
         let bodies = inputs(&cfg);
         let p0 = total_momentum(&bodies);
-        let out = run_seq(&cfg, &bodies);
+        let out = run(&cfg, &bodies);
         let p1 = total_momentum(&out);
         for k in 0..3 {
             assert!((p1[k] - p0[k]).abs() < 1e-12, "axis {k}: {} vs {}", p1[k], p0[k]);
@@ -193,7 +174,7 @@ mod tests {
                 b
             })
             .collect();
-        let out = run_seq(&cfg, &bodies);
+        let out = run(&cfg, &bodies);
         assert!(kinetic_energy(&out) > kinetic_energy(&bodies));
     }
 

@@ -1,7 +1,6 @@
 //! `red` — reduction operation (Table 2: "varying levels of parallelism
 //! (scalar sum)"). A two-pass sum: elementwise transform + global reduce.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Problem configuration for `red`.
@@ -40,9 +39,9 @@ pub fn inputs(cfg: &ReductionConfig) -> Vec<f64> {
     (0..cfg.n).map(|i| ((i % 997) as f64 - 498.0) * 1e-3).collect()
 }
 
-/// Sequential reduction: `sum(0.5 * x[i])` per pass, chained so passes are
-/// not dead code.
-pub fn run_seq(cfg: &ReductionConfig, x: &[f64]) -> f64 {
+/// Reduction: `sum(0.5 * x[i])` per pass, chained so passes are not dead
+/// code.
+pub fn run(cfg: &ReductionConfig, x: &[f64]) -> f64 {
     let mut acc = 0.0;
     for _ in 0..cfg.passes {
         let mut s = 0.0;
@@ -54,25 +53,14 @@ pub fn run_seq(cfg: &ReductionConfig, x: &[f64]) -> f64 {
     acc
 }
 
-/// Parallel reduction. Chunked so the combination tree is deterministic up
-/// to floating-point association; results are compared with a tolerance.
-pub fn run_par(cfg: &ReductionConfig, x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for _ in 0..cfg.passes {
-        let s: f64 = x.par_chunks(4096).map(|c| c.iter().map(|&v| 0.5 * v).sum::<f64>()).sum();
-        acc += s;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn seq_reduction_of_known_vector() {
+    fn reduction_of_known_vector() {
         let cfg = ReductionConfig { n: 4, passes: 1 };
-        assert_eq!(run_seq(&cfg, &[2.0, 4.0, 6.0, 8.0]), 10.0);
+        assert_eq!(run(&cfg, &[2.0, 4.0, 6.0, 8.0]), 10.0);
     }
 
     #[test]
@@ -80,16 +68,7 @@ mod tests {
         let cfg1 = ReductionConfig { n: 4, passes: 1 };
         let cfg3 = ReductionConfig { n: 4, passes: 3 };
         let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(run_seq(&cfg3, &x), 3.0 * run_seq(&cfg1, &x));
-    }
-
-    #[test]
-    fn par_matches_seq_within_fp_tolerance() {
-        let cfg = ReductionConfig::small();
-        let x = inputs(&cfg);
-        let s = run_seq(&cfg, &x);
-        let p = run_par(&cfg, &x);
-        assert!((s - p).abs() < 1e-9 * (1.0 + s.abs()), "{s} vs {p}");
+        assert_eq!(run(&cfg3, &x), 3.0 * run(&cfg1, &x));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! `spvm` — sparse matrix–vector multiplication (Table 2: "load imbalance").
-//! CSR format with a deliberately skewed row-length distribution, so the
-//! parallel version exhibits the imbalance the paper's property names.
+//! CSR format with a deliberately skewed row-length distribution: the
+//! imbalance the paper's property names when rows are split across threads.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// A CSR sparse matrix.
@@ -95,8 +94,8 @@ pub fn input_vector(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i % 113) as f64 - 56.0) * 0.01).collect()
 }
 
-/// Sequential SpMV: `y = A x`.
-pub fn run_seq(a: &Csr, x: &[f64], y: &mut [f64]) {
+/// SpMV: `y = A x`.
+pub fn run(a: &Csr, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.n);
     assert_eq!(y.len(), a.n);
     for i in 0..a.n {
@@ -106,19 +105,6 @@ pub fn run_seq(a: &Csr, x: &[f64], y: &mut [f64]) {
         }
         y[i] = acc;
     }
-}
-
-/// Parallel SpMV: rows distributed across threads (same per-row arithmetic).
-pub fn run_par(a: &Csr, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), a.n);
-    assert_eq!(y.len(), a.n);
-    y.par_iter_mut().enumerate().for_each(|(i, out)| {
-        let mut acc = 0.0;
-        for k in a.row_ptr[i]..a.row_ptr[i + 1] {
-            acc += a.values[k] * x[a.col_idx[k] as usize];
-        }
-        *out = acc;
-    });
 }
 
 /// Result checksum.
@@ -141,20 +127,8 @@ mod tests {
         };
         let x = input_vector(n);
         let mut y = vec![0.0; n];
-        run_seq(&a, &x, &mut y);
+        run(&a, &x, &mut y);
         assert_eq!(y, x);
-    }
-
-    #[test]
-    fn par_matches_seq_bitwise() {
-        let cfg = SpmvConfig::small();
-        let a = build_matrix(&cfg);
-        let x = input_vector(cfg.n);
-        let mut ys = vec![0.0; cfg.n];
-        let mut yp = vec![0.0; cfg.n];
-        run_seq(&a, &x, &mut ys);
-        run_par(&a, &x, &mut yp);
-        assert_eq!(ys, yp);
     }
 
     #[test]
@@ -177,8 +151,8 @@ mod tests {
         let x2: Vec<f64> = x.iter().map(|v| 2.0 * v).collect();
         let mut y1 = vec![0.0; cfg.n];
         let mut y2 = vec![0.0; cfg.n];
-        run_seq(&a, &x, &mut y1);
-        run_seq(&a, &x2, &mut y2);
+        run(&a, &x, &mut y1);
+        run(&a, &x2, &mut y2);
         for (a, b) in y1.iter().zip(&y2) {
             assert!((2.0 * a - b).abs() < 1e-12);
         }

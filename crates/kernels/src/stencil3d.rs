@@ -2,7 +2,6 @@
 //! accesses (7-point 3D stencil)"). Jacobi-style sweeps of a 7-point stencil
 //! over an `n³` grid.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Problem configuration for `3dstc`.
@@ -57,8 +56,8 @@ fn stencil_point(src: &[f64], n: usize, x: usize, y: usize, z: usize) -> f64 {
                 + src[idx + n * n])
 }
 
-/// Sequential sweeps: ping-pong between `a` and `b`, returning the final grid.
-pub fn run_seq(cfg: &Stencil3dConfig, grid: &[f64]) -> Vec<f64> {
+/// Jacobi sweeps: ping-pong between `a` and `b`, returning the final grid.
+pub fn run(cfg: &Stencil3dConfig, grid: &[f64]) -> Vec<f64> {
     let n = cfg.n;
     let mut a = grid.to_vec();
     let mut b = grid.to_vec();
@@ -69,29 +68,6 @@ pub fn run_seq(cfg: &Stencil3dConfig, grid: &[f64]) -> Vec<f64> {
                     b[(z * n + y) * n + x] = stencil_point(&a, n, x, y, z);
                 }
             }
-        }
-        std::mem::swap(&mut a, &mut b);
-    }
-    a
-}
-
-/// Parallel sweeps: planes (z-slabs) are distributed across threads.
-pub fn run_par(cfg: &Stencil3dConfig, grid: &[f64]) -> Vec<f64> {
-    let n = cfg.n;
-    let mut a = grid.to_vec();
-    let mut b = grid.to_vec();
-    for _ in 0..cfg.sweeps {
-        {
-            let a_ref = &a;
-            b.par_chunks_mut(n * n).enumerate().filter(|(z, _)| *z >= 1 && *z < n - 1).for_each(
-                |(z, plane)| {
-                    for y in 1..n - 1 {
-                        for x in 1..n - 1 {
-                            plane[y * n + x] = stencil_point(a_ref, n, x, y, z);
-                        }
-                    }
-                },
-            );
         }
         std::mem::swap(&mut a, &mut b);
     }
@@ -112,26 +88,17 @@ mod tests {
         // Coefficients sum to 1.0, so a constant field is invariant.
         let cfg = Stencil3dConfig { n: 10, sweeps: 5 };
         let grid = vec![3.5; 1000];
-        let out = run_seq(&cfg, &grid);
+        let out = run(&cfg, &grid);
         for &v in &out {
             assert!((v - 3.5).abs() < 1e-12);
         }
     }
 
     #[test]
-    fn par_matches_seq() {
-        let cfg = Stencil3dConfig::small();
-        let grid = inputs(&cfg);
-        let s = run_seq(&cfg, &grid);
-        let p = run_par(&cfg, &grid);
-        assert_eq!(s, p); // same arithmetic order per point -> bitwise equal
-    }
-
-    #[test]
     fn boundary_is_preserved() {
         let cfg = Stencil3dConfig { n: 8, sweeps: 2 };
         let grid = inputs(&cfg);
-        let out = run_seq(&cfg, &grid);
+        let out = run(&cfg, &grid);
         let n = cfg.n;
         // Check a corner and an edge stay untouched.
         assert_eq!(out[0], grid[0]);
@@ -143,7 +110,7 @@ mod tests {
     fn smoothing_reduces_variance() {
         let cfg = Stencil3dConfig { n: 20, sweeps: 6 };
         let grid = inputs(&cfg);
-        let out = run_seq(&cfg, &grid);
+        let out = run(&cfg, &grid);
         let var = |g: &[f64]| {
             let m = g.iter().sum::<f64>() / g.len() as f64;
             g.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / g.len() as f64

@@ -2,7 +2,6 @@
 //! add, triad. Real array operations plus the per-platform bandwidth model
 //! that reproduces Fig 5.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use soc_arch::Soc;
 
@@ -83,8 +82,8 @@ pub fn inputs(cfg: &StreamConfig) -> StreamArrays {
     StreamArrays { a: vec![1.0; cfg.n], b: vec![2.0; cfg.n], c: vec![0.0; cfg.n] }
 }
 
-/// Execute one op sequentially.
-pub fn run_seq(op: StreamOp, s: f64, arr: &mut StreamArrays) {
+/// Execute one op.
+pub fn run(op: StreamOp, s: f64, arr: &mut StreamArrays) {
     match op {
         StreamOp::Copy => {
             for (c, a) in arr.c.iter_mut().zip(&arr.a) {
@@ -105,30 +104,6 @@ pub fn run_seq(op: StreamOp, s: f64, arr: &mut StreamArrays) {
             for ((a, b), c) in arr.a.iter_mut().zip(&arr.b).zip(&arr.c) {
                 *a = *b + s * *c;
             }
-        }
-    }
-}
-
-/// Execute one op in parallel.
-pub fn run_par(op: StreamOp, s: f64, arr: &mut StreamArrays) {
-    match op {
-        StreamOp::Copy => {
-            arr.c.par_iter_mut().zip(&arr.a).for_each(|(c, a)| *c = *a);
-        }
-        StreamOp::Scale => {
-            arr.b.par_iter_mut().zip(&arr.c).for_each(|(b, c)| *b = s * *c);
-        }
-        StreamOp::Add => {
-            arr.c
-                .par_iter_mut()
-                .zip(arr.a.par_iter().zip(arr.b.par_iter()))
-                .for_each(|(c, (a, b))| *c = *a + *b);
-        }
-        StreamOp::Triad => {
-            arr.a
-                .par_iter_mut()
-                .zip(arr.b.par_iter().zip(arr.c.par_iter()))
-                .for_each(|(a, (b, c))| *a = *b + s * *c);
         }
     }
 }
@@ -174,28 +149,14 @@ mod tests {
     fn stream_ops_compute_correctly() {
         let cfg = StreamConfig { n: 100, scalar: 3.0 };
         let mut arr = inputs(&cfg);
-        run_seq(StreamOp::Copy, cfg.scalar, &mut arr); // c = a = 1
+        run(StreamOp::Copy, cfg.scalar, &mut arr); // c = a = 1
         assert!(arr.c.iter().all(|&v| v == 1.0));
-        run_seq(StreamOp::Scale, cfg.scalar, &mut arr); // b = 3c = 3
+        run(StreamOp::Scale, cfg.scalar, &mut arr); // b = 3c = 3
         assert!(arr.b.iter().all(|&v| v == 3.0));
-        run_seq(StreamOp::Add, cfg.scalar, &mut arr); // c = a + b = 4
+        run(StreamOp::Add, cfg.scalar, &mut arr); // c = a + b = 4
         assert!(arr.c.iter().all(|&v| v == 4.0));
-        run_seq(StreamOp::Triad, cfg.scalar, &mut arr); // a = b + 3c = 15
+        run(StreamOp::Triad, cfg.scalar, &mut arr); // a = b + 3c = 15
         assert!(arr.a.iter().all(|&v| v == 15.0));
-    }
-
-    #[test]
-    fn par_matches_seq() {
-        let cfg = StreamConfig::small();
-        let mut s = inputs(&cfg);
-        let mut p = inputs(&cfg);
-        for op in StreamOp::ALL {
-            run_seq(op, cfg.scalar, &mut s);
-            run_par(op, cfg.scalar, &mut p);
-        }
-        assert_eq!(s.a, p.a);
-        assert_eq!(s.b, p.b);
-        assert_eq!(s.c, p.c);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! `vecop` — vector operation (Table 2: "common operation in regular
 //! numerical codes"). A DAXPY-style update `z[i] = alpha * x[i] + y[i]`.
 
-use rayon::prelude::*;
 use soc_arch::{AccessPattern, WorkProfile};
 
 /// Problem configuration for `vecop`.
@@ -39,8 +38,8 @@ pub fn inputs(cfg: &VecopConfig) -> (Vec<f64>, Vec<f64>) {
     (x, y)
 }
 
-/// Sequential DAXPY.
-pub fn run_seq(cfg: &VecopConfig, x: &[f64], y: &[f64], z: &mut [f64]) {
+/// DAXPY.
+pub fn run(cfg: &VecopConfig, x: &[f64], y: &[f64], z: &mut [f64]) {
     assert_eq!(x.len(), cfg.n);
     assert_eq!(y.len(), cfg.n);
     assert_eq!(z.len(), cfg.n);
@@ -49,17 +48,7 @@ pub fn run_seq(cfg: &VecopConfig, x: &[f64], y: &[f64], z: &mut [f64]) {
     }
 }
 
-/// Parallel DAXPY (rayon).
-pub fn run_par(cfg: &VecopConfig, x: &[f64], y: &[f64], z: &mut [f64]) {
-    assert_eq!(x.len(), cfg.n);
-    assert_eq!(y.len(), cfg.n);
-    assert_eq!(z.len(), cfg.n);
-    z.par_iter_mut()
-        .zip(x.par_iter().zip(y.par_iter()))
-        .for_each(|(z, (&x, &y))| *z = cfg.alpha * x + y);
-}
-
-/// Order-independent checksum used to compare seq/par results.
+/// Output checksum: the sum of `z`.
 pub fn checksum(z: &[f64]) -> f64 {
     z.iter().sum()
 }
@@ -69,24 +58,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seq_matches_formula() {
+    fn matches_formula() {
         let cfg = VecopConfig { n: 8, alpha: 2.0 };
         let x = vec![1.0; 8];
         let y = vec![3.0; 8];
         let mut z = vec![0.0; 8];
-        run_seq(&cfg, &x, &y, &mut z);
+        run(&cfg, &x, &y, &mut z);
         assert!(z.iter().all(|&v| v == 5.0));
-    }
-
-    #[test]
-    fn par_matches_seq_exactly() {
-        let cfg = VecopConfig::small();
-        let (x, y) = inputs(&cfg);
-        let mut zs = vec![0.0; cfg.n];
-        let mut zp = vec![0.0; cfg.n];
-        run_seq(&cfg, &x, &y, &mut zs);
-        run_par(&cfg, &x, &y, &mut zp);
-        assert_eq!(zs, zp); // elementwise ops: bitwise identical
     }
 
     #[test]

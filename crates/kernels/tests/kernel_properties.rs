@@ -16,8 +16,8 @@ proptest! {
         let (x, y) = vecop::inputs(&cfg1);
         let mut z1 = vec![0.0; n];
         let mut z2 = vec![0.0; n];
-        vecop::run_seq(&cfg1, &x, &y, &mut z1);
-        vecop::run_seq(&cfg2, &x, &y, &mut z2);
+        vecop::run(&cfg1, &x, &y, &mut z1);
+        vecop::run(&cfg2, &x, &y, &mut z2);
         for i in 0..n {
             let expect = z1[i] + alpha * x[i];
             prop_assert!((z2[i] - expect).abs() < 1e-9 * (1.0 + expect.abs()));
@@ -32,8 +32,8 @@ proptest! {
         let a2: Vec<f64> = a.iter().map(|v| 2.0 * v).collect();
         let mut ab = vec![0.0; n * n];
         let mut a2b = vec![0.0; n * n];
-        dmmm::run_seq(&cfg, &a, &b, &mut ab);
-        dmmm::run_seq(&cfg, &a2, &b, &mut a2b);
+        dmmm::run(&cfg, &a, &b, &mut ab);
+        dmmm::run(&cfg, &a2, &b, &mut a2b);
         for i in 0..n * n {
             prop_assert!((a2b[i] - 2.0 * ab[i]).abs() < 1e-9 * (1.0 + ab[i].abs()));
         }
@@ -45,8 +45,8 @@ proptest! {
         let cfg = stencil3d::Stencil3dConfig { n, sweeps: 2 };
         let g = stencil3d::inputs(&cfg);
         let gs: Vec<f64> = g.iter().map(|v| scale * v).collect();
-        let out1 = stencil3d::run_seq(&cfg, &g);
-        let out2 = stencil3d::run_seq(&cfg, &gs);
+        let out1 = stencil3d::run(&cfg, &g);
+        let out2 = stencil3d::run(&cfg, &gs);
         for i in 0..out1.len() {
             prop_assert!((out2[i] - scale * out1[i]).abs() < 1e-9 * (1.0 + out1[i].abs()));
         }
@@ -58,7 +58,7 @@ proptest! {
     fn conv_constant_fixed_point(n in 8usize..32, value in -100.0..100.0f64) {
         let cfg = conv2d::Conv2dConfig { n, passes: 2 };
         let img = vec![value; n * n];
-        let out = conv2d::run_seq(&cfg, &img);
+        let out = conv2d::run(&cfg, &img);
         for v in out {
             prop_assert!((v - value).abs() < 1e-9 * (1.0 + value.abs()));
         }
@@ -78,9 +78,9 @@ proptest! {
         let b = mk(seed + 1);
         let sum: Vec<fft::Cx> = a.iter().zip(&b).map(|(x, y)| fft::Cx::new(x.re + y.re, x.im + y.im)).collect();
         let (mut fa, mut fb, mut fs) = (a, b, sum);
-        fft::run_seq(&mut fa, false);
-        fft::run_seq(&mut fb, false);
-        fft::run_seq(&mut fs, false);
+        fft::run(&mut fa, false);
+        fft::run(&mut fb, false);
+        fft::run(&mut fs, false);
         for i in 0..n {
             let er = (fs[i].re - fa[i].re - fb[i].re).abs();
             let ei = (fs[i].im - fa[i].im - fb[i].im).abs();
@@ -94,7 +94,7 @@ proptest! {
         let cfg = reduction::ReductionConfig { n, passes };
         let x = reduction::inputs(&cfg);
         let expect: f64 = passes as f64 * 0.5 * x.iter().sum::<f64>();
-        let got = reduction::run_seq(&cfg, &x);
+        let got = reduction::run(&cfg, &x);
         prop_assert!((got - expect).abs() < 1e-9 * (1.0 + expect.abs()));
     }
 
@@ -105,15 +105,15 @@ proptest! {
         let keys = histogram::inputs(&cfg);
         let mut reversed = keys.clone();
         reversed.reverse();
-        prop_assert_eq!(histogram::run_seq(&cfg, &keys), histogram::run_seq(&cfg, &reversed));
+        prop_assert_eq!(histogram::run(&cfg, &keys), histogram::run(&cfg, &reversed));
     }
 
     /// Sorting is idempotent: sorting a sorted array changes nothing.
     #[test]
     fn msort_idempotent(v in proptest::collection::vec(-1e6..1e6f64, 0..400)) {
         let cfg = msort::MsortConfig { n: v.len() };
-        let once = msort::run_seq(&cfg, &v);
-        let twice = msort::run_seq(&cfg, &once);
+        let once = msort::run(&cfg, &v);
+        let twice = msort::run(&cfg, &once);
         prop_assert_eq!(once, twice);
     }
 
@@ -123,7 +123,7 @@ proptest! {
         let cfg = nbody::NbodyConfig { n, steps, dt: 1e-3, eps2: 1e-4 };
         let bodies = nbody::inputs(&cfg);
         let p0 = nbody::total_momentum(&bodies);
-        let out = nbody::run_seq(&cfg, &bodies);
+        let out = nbody::run(&cfg, &bodies);
         let p1 = nbody::total_momentum(&out);
         for k in 0..3 {
             prop_assert!((p1[k] - p0[k]).abs() < 1e-10);
@@ -141,9 +141,9 @@ proptest! {
         let mut ax = vec![0.0; n];
         let mut ay = vec![0.0; n];
         let mut axy = vec![0.0; n];
-        spmv::run_seq(&a, &x, &mut ax);
-        spmv::run_seq(&a, &y, &mut ay);
-        spmv::run_seq(&a, &xy, &mut axy);
+        spmv::run(&a, &x, &mut ax);
+        spmv::run(&a, &y, &mut ay);
+        spmv::run(&a, &xy, &mut axy);
         for i in 0..n {
             let expect = ax[i] + ay[i];
             prop_assert!((axy[i] - expect).abs() < 1e-9 * (1.0 + expect.abs()));

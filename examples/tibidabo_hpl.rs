@@ -91,16 +91,10 @@ fn main() {
         cfg.nb,
         Mode::Model
     );
-    let run = run_mpi(m.job(nodes).with_opts(opts), move |mut r| async move {
-        let t0 = r.now();
-        socready::apps::hpl::hpl_rank(&mut r, &cfg).await;
-        (r.now() - t0).as_secs_f64()
-    })
-    .expect("cluster simulation failed");
-    let secs = run.results.iter().cloned().fold(0.0, f64::max);
-    let gflops = cfg.flops() / secs / 1e9;
+    let hpl = run_hpl(m.job(nodes).with_opts(opts), cfg).expect("cluster simulation failed");
+    let (secs, gflops) = (hpl.result.seconds, hpl.result.gflops);
     let peak = m.peak_gflops(nodes);
-    let g = green500(&m, &run, nodes, 1.0, gflops);
+    let g = green500(&m, &hpl.run, nodes, 1.0, gflops);
     println!("  time          : {secs:.1} virtual seconds");
     println!(
         "  sustained     : {gflops:.1} GFLOPS ({:.1}% of {peak:.0} GFLOPS peak)",
