@@ -104,7 +104,8 @@ pub fn write_json_atomic(
 }
 
 /// Checksum `dir/stem.json` as it exists on disk, or `None` if unreadable.
-pub fn checksum_on_disk(dir: &Path, stem: &str) -> Option<String> {
+/// Only [`crate::journal::verdicts`], the one trust rule, reads it.
+pub(crate) fn checksum_on_disk(dir: &Path, stem: &str) -> Option<String> {
     std::fs::read(dir.join(format!("{stem}.json"))).ok().map(|b| fnv1a64_hex(&b))
 }
 

@@ -39,12 +39,13 @@
 //!
 //! With `--json DIR`, every settled artefact is persisted immediately via
 //! an atomic, fsync'd, checksummed write, and appended to the fsync'd run
-//! journal `DIR/_journal.jsonl`. `--resume` skips artefacts whose journal
-//! record and on-disk checksum both verify (their stdout blocks are not
-//! reprinted; a note goes to stderr). `--fsck` audits the directory against
-//! the journal — truncated, corrupted, or missing artefacts are re-derived,
-//! orphaned JSON files are reported — and exits 3 when anything needed
-//! repair. Wall-clock and timing-cache statistics — the only
+//! journal `DIR/_journal.jsonl`; without it, nothing is persisted.
+//! `--resume` skips artefacts whose journal record and on-disk checksum both
+//! verify (their stdout blocks are not reprinted; a note goes to stderr).
+//! `--fsck` audits the directory against the journal and reports orphaned
+//! JSON files; when a journaled artefact is truncated, corrupted, missing or
+//! failed, it re-runs the journal's own items and scale as `--resume` would
+//! and exits 3. Wall-clock and timing-cache statistics — the only
 //! nondeterministic outputs — go to stderr and, with `--json`, to
 //! `_sweep_stats.json` (underscore-prefixed so artefact diffs exclude it,
 //! like the journal).
@@ -53,11 +54,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bench::artifact::checksum_on_disk;
-use bench::journal::{run_fingerprint, Journal};
+use bench::journal::{run_fingerprint, JournaledArtifact};
 use bench::{
-    read_journal, run_plan, write_json_atomic, ArtefactOutcome, CellOutcome, McOverrides, RunPlan,
-    RunScales, WriteOutcome,
+    read_journal, run_plan, verdicts, write_json_atomic, ArtefactOutcome, CellOutcome, Journal,
+    McOverrides, RunPlan, RunScales, Verdict, WriteOutcome,
 };
 use des::{RingRecorder, TraceFilter, Tracer};
 use simmpi::RunOpts;
@@ -315,13 +315,14 @@ fn parse_args() -> Opts {
     if trace_filter.is_some() && trace_path.is_none() && mc.is_none() {
         die("--trace-filter needs --trace PATH (or --mc, whose counterexample trace it filters)");
     }
-    let (scales, scale_name) = if golden {
-        (RunScales::golden(), "golden")
+    let (scale_name, scales) = scale_named(if golden {
+        "golden"
     } else if quick {
-        (RunScales::quick(), "quick")
+        "quick"
     } else {
-        (RunScales::full(), "full")
-    };
+        "full"
+    })
+    .expect("a scale of the table");
     let jobs = if serial {
         1
     } else {
@@ -383,23 +384,19 @@ fn dump_trace(opts: &Opts, rec: &RingRecorder) -> bool {
     }
 }
 
-/// Map a journaled scale name back to its scales.
-fn scales_by_name(name: &str) -> Option<RunScales> {
+/// The run scales by the name `parse_args` picks and the journal records.
+fn scale_named(name: &str) -> Option<(&'static str, RunScales)> {
     match name {
-        "golden" => Some(RunScales::golden()),
-        "quick" => Some(RunScales::quick()),
-        "full" => Some(RunScales::full()),
+        "golden" => Some(("golden", RunScales::golden())),
+        "quick" => Some(("quick", RunScales::quick())),
+        "full" => Some(("full", RunScales::full())),
         _ => None,
     }
 }
 
-/// The artefacts of `items` to skip on `--resume`: journaled as ok, JSON on
-/// disk, checksum verified. Returns `(key, stem, bytes, checksum)` tuples.
-fn verified_artifacts(
-    dir: &Path,
-    items: &[String],
-    scale_name: &str,
-) -> Vec<(String, String, u64, String)> {
+/// The journaled artefacts `--resume` skips: those of this very plan
+/// (same items, same scale) whose [`verdicts`] say verified.
+fn verified_artifacts(dir: &Path, items: &[String], scale_name: &str) -> Vec<JournaledArtifact> {
     let st = read_journal(dir);
     if st.fingerprint.is_empty() {
         eprintln!("resume: no journal in {}; running everything", dir.display());
@@ -412,15 +409,10 @@ fn verified_artifacts(
         );
         return Vec::new();
     }
-    st.artifacts
-        .iter()
-        .filter(|a| a.ok)
-        .filter_map(|a| {
-            let stem = a.stem.clone()?;
-            let want = a.checksum.clone()?;
-            (checksum_on_disk(dir, &stem).as_ref() == Some(&want))
-                .then(|| (a.key.clone(), stem, a.bytes, want))
-        })
+    verdicts(dir, &st)
+        .into_iter()
+        .filter(|(_, v)| *v == Verdict::Verified)
+        .map(|(a, _)| a.clone())
         .collect()
 }
 
@@ -454,7 +446,7 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
         (Some(dir), true) => verified_artifacts(dir, &opts.items, opts.scale_name),
         _ => Vec::new(),
     };
-    let skip = |key: &'static str| verified.iter().any(|(k, _, _, _)| k == key);
+    let skip = |key: &'static str| verified.iter().any(|a| a.key == key);
 
     // The journal is (re)created up front: a resumed run re-journals the
     // verified artefacts it skips, so the journal always describes the
@@ -507,17 +499,9 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
                 for block in &out.blocks {
                     println!("{block}");
                 }
-                // The resilience study is the one artefact with a default
-                // JSON home: it documents a full fault-injection campaign,
-                // so it is persisted even without --json.
-                let target = match (&opts.json_dir, art.key) {
-                    (Some(dir), _) => Some(dir.clone()),
-                    (None, "resilience") => Some(PathBuf::from("repro_out")),
-                    (None, _) => None,
-                };
-                match (&out.json, target) {
+                match (&out.json, &opts.json_dir) {
                     (Some((stem, content)), Some(dir)) => {
-                        match write_json_atomic(&dir, stem, content) {
+                        match write_json_atomic(dir, stem, content) {
                             Ok((outcome, checksum)) => {
                                 let verb = match outcome {
                                     WriteOutcome::Written => "wrote",
@@ -544,11 +528,15 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
             }
             ArtefactOutcome::Skipped => {
                 eprintln!("resume: {} verified against journal, skipping", art.key);
-                if let Some((_, stem, bytes, checksum)) =
-                    verified.iter().find(|(k, _, _, _)| k == art.key)
+                if let Some(JournaledArtifact {
+                    stem: Some(stem),
+                    bytes,
+                    checksum: Some(checksum),
+                    ..
+                }) = verified.iter().find(|a| a.key == art.key)
                 {
                     journal_try!(
-                        |j: &mut Journal| j.artifact_json(art.key, stem, *bytes, checksum, true,)
+                        |j: &mut Journal| j.artifact_json(art.key, stem, *bytes, checksum, true)
                     );
                 }
             }
@@ -658,50 +646,45 @@ fn run_mc_replay(run: &RunOpts, path: &Path) -> i32 {
     }
 }
 
-/// Verify every journaled artefact against the files on disk, re-derive the
-/// broken ones under `run`, and report orphans. Returns the process exit
-/// code: 0 when everything verified, 3 when anything needed repair (or still
-/// fails).
-fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
-    let dir = opts.json_dir.as_ref().expect("checked in parse_args");
-    let st = read_journal(dir);
+/// Audit every journaled artefact against the files on disk and report
+/// orphans. When anything fails the audit, re-run the journal's own items at
+/// its own scale as `--resume` would: the artefacts that verify are skipped,
+/// everything else is derived, printed and persisted again, and the journal
+/// is rewritten. Returns the process exit code: 0 when everything verified,
+/// 3 when anything needed repair (or still fails).
+fn run_fsck(opts: &mut Opts, run: &RunOpts) -> i32 {
+    let dir = opts.json_dir.clone().expect("checked in parse_args");
+    let st = read_journal(&dir);
     if st.fingerprint.is_empty() {
         die(&format!("no journal found in {}", dir.display()));
     }
-    let scales = scales_by_name(&st.scale)
+    let (scale_name, scales) = scale_named(&st.scale)
         .unwrap_or_else(|| die(&format!("journal has unknown scale '{}'", st.scale)));
 
-    let mut broken: Vec<String> = Vec::new();
-    let mut stems_in_journal: Vec<String> = Vec::new();
-    for a in &st.artifacts {
-        match (&a.stem, &a.checksum, a.ok) {
-            (Some(stem), Some(want), true) => {
-                stems_in_journal.push(stem.clone());
-                match checksum_on_disk(dir, stem) {
-                    Some(got) if &got == want => eprintln!("fsck: {} ok", a.key),
-                    Some(_) => {
-                        eprintln!("fsck: {} CORRUPTED ({stem}.json checksum mismatch)", a.key);
-                        broken.push(a.key.clone());
-                    }
-                    None => {
-                        eprintln!("fsck: {} MISSING ({stem}.json)", a.key);
-                        broken.push(a.key.clone());
-                    }
-                }
+    let mut broken: Vec<&str> = Vec::new();
+    for (a, verdict) in verdicts(&dir, &st) {
+        let (key, stem) = (&a.key, a.stem.as_deref().unwrap_or_default());
+        match verdict {
+            Verdict::Verified => eprintln!("fsck: {key} ok"),
+            Verdict::TextOnly => eprintln!("fsck: {key} ok (text-only, nothing persisted)"),
+            Verdict::Missing => eprintln!("fsck: {key} MISSING ({stem}.json)"),
+            Verdict::Corrupted => {
+                eprintln!("fsck: {key} CORRUPTED ({stem}.json checksum mismatch)")
             }
-            (_, _, false) => {
-                eprintln!("fsck: {} FAILED in the journaled run", a.key);
-                broken.push(a.key.clone());
-            }
-            _ => eprintln!("fsck: {} ok (text-only, nothing persisted)", a.key),
+            Verdict::Failed => eprintln!("fsck: {key} FAILED in the journaled run"),
+        }
+        if !matches!(verdict, Verdict::Verified | Verdict::TextOnly) {
+            broken.push(key);
         }
     }
     // Orphans: visible JSON files the journal does not account for.
-    if let Ok(entries) = std::fs::read_dir(dir) {
+    if let Ok(entries) = std::fs::read_dir(&dir) {
         for entry in entries.flatten() {
             let name = entry.file_name().to_string_lossy().into_owned();
             if let Some(stem) = name.strip_suffix(".json") {
-                if !stem.starts_with(['_', '.']) && !stems_in_journal.iter().any(|s| s == stem) {
+                if !stem.starts_with(['_', '.'])
+                    && !st.artifacts.iter().any(|a| a.stem.as_deref() == Some(stem))
+                {
                     eprintln!("fsck: warning: orphaned artefact {name} (not in the journal)");
                 }
             }
@@ -713,63 +696,20 @@ fn run_fsck(opts: &Opts, run: &RunOpts) -> i32 {
     }
 
     eprintln!("fsck: re-deriving {} artefact(s): {}", broken.len(), broken.join(", "));
-    let plan = RunPlan::from_items(&broken, &scales, run);
-    let mut journal = match Journal::open_append(dir) {
-        Ok(j) => Some(j),
-        Err(e) => {
-            eprintln!("error: cannot append to journal: {e}");
-            None
-        }
-    };
-    let mut repair_failed = false;
-    run_plan(plan, opts.jobs, opts.wall_limit, &|_| false, |art| match &art.outcome {
-        ArtefactOutcome::Completed(out) => {
-            if let Some((stem, content)) = &out.json {
-                match write_json_atomic(dir, stem, content) {
-                    Ok((_, checksum)) => {
-                        eprintln!(
-                            "fsck: re-derived {}",
-                            dir.join(format!("{stem}.json")).display()
-                        );
-                        // A failed journal append leaves the repaired file
-                        // verifiable on disk; only a failed write is a
-                        // failed repair.
-                        if let Some(j) = journal.as_mut() {
-                            let _ = j.artifact_json(
-                                art.key,
-                                stem,
-                                content.len() as u64,
-                                &checksum,
-                                false,
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("error: failed to persist re-derived {}: {e}", art.key);
-                        repair_failed = true;
-                    }
-                }
-            }
-        }
-        ArtefactOutcome::Skipped => unreachable!("fsck skips nothing"),
-        ArtefactOutcome::Failed => {
-            eprintln!("error: artefact {} still fails to derive:", art.key);
-            for (label, brief) in art.quarantined() {
-                eprintln!("  {label}: {brief}");
-            }
-            repair_failed = true;
-        }
-    });
-    if repair_failed {
-        eprintln!("fsck: some artefacts could NOT be repaired");
-    } else {
+    opts.items = st.items.clone();
+    opts.scale_name = scale_name;
+    opts.scales = scales;
+    opts.resume = true;
+    if run_supervised(opts, run) == 0 {
         eprintln!("fsck: repaired {} artefact(s)", broken.len());
+    } else {
+        eprintln!("fsck: some artefacts could NOT be repaired");
     }
     EXIT_DEGRADED
 }
 
 fn main() {
-    let opts = parse_args();
+    let mut opts = parse_args();
     let tracer = trace_recorder(&opts);
     // The run's options, decided once here (`--mc` adds each explored
     // run's controller); every simulation of the run gets them on its job
@@ -784,7 +724,7 @@ fn main() {
     } else if let Some(path) = &opts.mc_replay {
         run_mc_replay(&run, path)
     } else if opts.fsck {
-        run_fsck(&opts, &run)
+        run_fsck(&mut opts, &run)
     } else {
         run_supervised(&opts, &run)
     };

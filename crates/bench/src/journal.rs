@@ -8,10 +8,16 @@
 //!   requested items and scale;
 //! * `cell` — one per executed cell: label, owning artefact, final status,
 //!   attempt count, wall clock, failure brief;
-//! * `artifact` — one per finished artefact: key, JSON file stem (absent
+//! * `artifact` — one per settled artefact: key, JSON file stem (absent
 //!   for text-only artefacts), byte count and FNV-1a 64 checksum of the
-//!   written JSON, or `"status":"failed"` for quarantined artefacts;
+//!   written JSON, or `"status":"failed"` for quarantined artefacts. A
+//!   `--resume` run re-journals each verified artefact it skips, and
+//!   `--fsck` repairs through such a run, so every journal holds one
+//!   record per artefact;
 //! * `run_end` — `clean` or `degraded`.
+//!
+//! [`verdicts`] holds the one rule for trusting a journaled artefact, which
+//! both `--resume` and `--fsck` apply.
 //!
 //! The reader is *prefix-tolerant*: a journal killed mid-write (SIGKILL,
 //! power loss) ends in a torn line, and [`read_journal`] parses every
@@ -25,7 +31,7 @@ use std::path::{Path, PathBuf};
 
 use serde::Value;
 
-use crate::artifact::{fnv1a64_hex, ArtifactIoError};
+use crate::artifact::{checksum_on_disk, fnv1a64_hex, io_err, ArtifactIoError};
 
 /// Journal format version; bumped on incompatible record changes.
 pub const JOURNAL_VERSION: u64 = 1;
@@ -46,50 +52,7 @@ pub(crate) fn esc(s: &str) -> String {
     serde_json::to_string(&s).expect("string serialization")
 }
 
-/// Append-only JSONL writer with the journal's durability discipline: every
-/// line is written and fsync'd before [`append`](JsonlWriter::append)
-/// returns, so the on-disk file never claims a record that has not durably
-/// happened.
-struct JsonlWriter {
-    file: std::fs::File,
-    path: PathBuf,
-}
-
-impl JsonlWriter {
-    /// Create (truncate) a JSONL file at `path`.
-    fn create(path: &Path) -> Result<JsonlWriter, ArtifactIoError> {
-        let file = std::fs::File::create(path).map_err(|source| ArtifactIoError {
-            path: path.into(),
-            op: "create jsonl",
-            source,
-        })?;
-        Ok(JsonlWriter { file, path: path.into() })
-    }
-
-    /// Open an existing JSONL file for appending.
-    fn open_append(path: &Path) -> Result<JsonlWriter, ArtifactIoError> {
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|source| ArtifactIoError { path: path.into(), op: "open jsonl", source })?;
-        Ok(JsonlWriter { file, path: path.into() })
-    }
-
-    /// Append one record line (the trailing newline is added here), then
-    /// fsync before returning.
-    fn append(&mut self, line: &str) -> Result<(), ArtifactIoError> {
-        let err = |op| {
-            let path = self.path.clone();
-            move |source| ArtifactIoError { path, op, source }
-        };
-        self.file.write_all(line.as_bytes()).map_err(err("append jsonl"))?;
-        self.file.write_all(b"\n").map_err(err("append jsonl"))?;
-        self.file.sync_data().map_err(err("sync jsonl"))?;
-        Ok(())
-    }
-}
-
-/// Append-only journal writer. Every record is flushed and fsync'd before
+/// Append-only journal writer. Every record is written and fsync'd before
 /// `append` returns, so the on-disk journal never claims work that has not
 /// durably happened.
 ///
@@ -104,19 +67,18 @@ impl JsonlWriter {
 /// j.run_end(true).unwrap();
 /// ```
 pub struct Journal {
-    w: JsonlWriter,
+    file: std::fs::File,
+    path: PathBuf,
 }
 
 impl Journal {
     /// Create (truncate) `dir/_journal.jsonl` and write the `run_start`
     /// record.
     pub fn create(dir: &Path, items: &[String], scale: &str) -> Result<Journal, ArtifactIoError> {
-        std::fs::create_dir_all(dir).map_err(|source| ArtifactIoError {
-            path: dir.into(),
-            op: "create dir",
-            source,
-        })?;
-        let mut j = Journal { w: JsonlWriter::create(&dir.join(JOURNAL_FILE))? };
+        std::fs::create_dir_all(dir).map_err(io_err(dir, "create dir"))?;
+        let path = dir.join(JOURNAL_FILE);
+        let file = std::fs::File::create(&path).map_err(io_err(&path, "create jsonl"))?;
+        let mut j = Journal { file, path };
         let items_json: Vec<String> = items.iter().map(|i| esc(i)).collect();
         j.append(&format!(
             "{{\"kind\":\"run_start\",\"version\":{JOURNAL_VERSION},\"fingerprint\":{},\"scale\":{},\"items\":[{}]}}",
@@ -127,8 +89,14 @@ impl Journal {
         Ok(j)
     }
 
+    /// Append one record line (the trailing newline is added here), then
+    /// fsync before returning.
     fn append(&mut self, line: &str) -> Result<(), ArtifactIoError> {
-        self.w.append(line)
+        self.file
+            .write_all(line.as_bytes())
+            .and_then(|()| self.file.write_all(b"\n"))
+            .map_err(io_err(&self.path, "append jsonl"))?;
+        self.file.sync_data().map_err(io_err(&self.path, "sync jsonl"))
     }
 
     /// Record one executed cell.
@@ -188,13 +156,6 @@ impl Journal {
         let status = if clean { "clean" } else { "degraded" };
         self.append(&format!("{{\"kind\":\"run_end\",\"status\":\"{status}\"}}"))
     }
-
-    /// Open an existing journal for appending (fsck repair records). The
-    /// reader takes the *last* record per artefact key, so appended repairs
-    /// supersede the originals.
-    pub fn open_append(dir: &Path) -> Result<Journal, ArtifactIoError> {
-        Ok(Journal { w: JsonlWriter::open_append(&dir.join(JOURNAL_FILE))? })
-    }
 }
 
 /// One `artifact` record as read back from a journal.
@@ -212,20 +173,6 @@ pub struct JournaledArtifact {
     pub ok: bool,
 }
 
-/// One `cell` record as read back from a journal.
-#[derive(Clone, Debug, PartialEq)]
-pub struct JournaledCell {
-    /// Owning artefact key.
-    pub artefact: String,
-    /// Cell label.
-    pub label: String,
-    /// Final status string (`ok` / `quarantined`; journals written while
-    /// failed cells were retried may also say `recovered`).
-    pub status: String,
-    /// Attempt count.
-    pub attempts: u64,
-}
-
 /// Everything `--resume` / `--fsck` need from a journal, reconstructed from
 /// any byte-prefix of the file.
 #[derive(Clone, Debug, Default)]
@@ -237,19 +184,48 @@ pub struct ResumeState {
     pub items: Vec<String>,
     /// Scale name of the journaled run (`golden` / `quick` / `full`).
     pub scale: String,
-    /// Artefact records, last record per key wins (fsck repairs re-append).
+    /// Artefact records, in journal order: one per artefact the run
+    /// settled.
     pub artifacts: Vec<JournaledArtifact>,
-    /// Cell records, in execution order.
-    pub cells: Vec<JournaledCell>,
-    /// Whether a `run_end` record was seen.
-    pub complete: bool,
 }
 
-impl ResumeState {
-    /// The journaled artefact record for `key`, if any.
-    pub fn artifact(&self, key: &str) -> Option<&JournaledArtifact> {
-        self.artifacts.iter().find(|a| a.key == key)
-    }
+/// What the journal and the disk together say about one journaled
+/// artefact.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// Journaled ok, and its JSON on disk still has the journaled checksum.
+    Verified,
+    /// Journaled ok with nothing persisted to check (a text-only artefact).
+    TextOnly,
+    /// Journaled ok, but its JSON file cannot be read.
+    Missing,
+    /// Journaled ok, but its JSON file no longer has the journaled checksum.
+    Corrupted,
+    /// Journaled as failed: the run produced no output to trust.
+    Failed,
+}
+
+/// The trust rule for journaled artefacts, and the only place it lives: an
+/// artefact is [`Verdict::Verified`] when the journal marked it ok and its
+/// bytes in `dir` still match the journaled checksum. Returns one verdict
+/// per record of `st`, in journal order. Reads each journaled JSON file
+/// once and scans no directory.
+pub fn verdicts<'s>(dir: &Path, st: &'s ResumeState) -> Vec<(&'s JournaledArtifact, Verdict)> {
+    st.artifacts
+        .iter()
+        .map(|a| {
+            let verdict = match (a.ok, &a.stem) {
+                (false, _) => Verdict::Failed,
+                (true, None) => Verdict::TextOnly,
+                (true, Some(stem)) => match checksum_on_disk(dir, stem) {
+                    None => Verdict::Missing,
+                    Some(got) if a.checksum.as_ref() == Some(&got) => Verdict::Verified,
+                    Some(_) => Verdict::Corrupted,
+                },
+            };
+            (a, verdict)
+        })
+        .collect()
 }
 
 /// The field `key` of a JSON object; `None` for a missing key or a
@@ -283,9 +259,10 @@ pub(crate) fn get_u64(obj: &Value, key: &str) -> Option<u64> {
 ///
 /// Tolerant of truncation anywhere: parsing stops at the first line that is
 /// not a complete, well-formed record, and everything before it is used.
-/// Records of unknown kind are skipped (forward compatibility). A journal
-/// whose `run_start` is missing or torn yields the default (empty) state —
-/// nothing will verify, so nothing is skipped.
+/// `cell` and `run_end` records, and records of unknown kind (forward
+/// compatibility), are skipped. A journal whose `run_start` is missing or
+/// torn yields the default (empty) state — nothing will verify, so nothing
+/// is skipped.
 pub fn parse_journal(content: &str) -> ResumeState {
     let mut st = ResumeState::default();
     for line in content.split('\n') {
@@ -312,39 +289,19 @@ pub fn parse_journal(content: &str) -> ResumeState {
                         .collect();
                 }
             }
-            "cell" => {
-                let (Some(artefact), Some(label), Some(status)) =
-                    (get_str(&v, "artefact"), get_str(&v, "label"), get_str(&v, "status"))
-                else {
-                    break;
-                };
-                st.cells.push(JournaledCell {
-                    artefact,
-                    label,
-                    status,
-                    attempts: get_u64(&v, "attempts").unwrap_or(0),
-                });
-            }
             "artifact" => {
                 let (Some(key), Some(status)) = (get_str(&v, "key"), get_str(&v, "status")) else {
                     break;
                 };
-                let rec = JournaledArtifact {
+                st.artifacts.push(JournaledArtifact {
                     stem: get_str(&v, "stem"),
                     bytes: get_u64(&v, "bytes").unwrap_or(0),
                     checksum: get_str(&v, "checksum"),
                     ok: status == "ok",
                     key,
-                };
-                // Last record per key wins: fsck appends repair records.
-                if let Some(slot) = st.artifacts.iter_mut().find(|a| a.key == rec.key) {
-                    *slot = rec;
-                } else {
-                    st.artifacts.push(rec);
-                }
+                });
             }
-            "run_end" => st.complete = true,
-            _ => {} // unknown record kind: skip, keep reading
+            _ => {} // cell, run_end and unknown kinds: nothing to resume from
         }
     }
     st
@@ -373,23 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_writer_appends_newline_terminated_lines() {
-        let d = tmpdir("jsonl");
-        std::fs::create_dir_all(&d).unwrap();
-        let path = d.join("w.jsonl");
-        let mut w = JsonlWriter::create(&path).unwrap();
-        w.append("{\"kind\":\"example\"}").unwrap();
-        drop(w);
-        let mut w = JsonlWriter::open_append(&path).unwrap();
-        w.append("{\"kind\":\"more\"}").unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"kind\":\"example\"}\n{\"kind\":\"more\"}\n"
-        );
-        std::fs::remove_dir_all(&d).unwrap();
-    }
-
-    #[test]
     fn roundtrip_through_writer_and_reader() {
         let d = tmpdir("roundtrip");
         let items = strings(&["fig5", "hpl"]);
@@ -405,19 +345,23 @@ mod tests {
         j.artifact_failed("hpl").unwrap();
         j.run_end(false).unwrap();
 
+        // One newline-terminated line per record.
+        let content = std::fs::read_to_string(d.join(JOURNAL_FILE)).unwrap();
+        assert!(content.ends_with('\n'));
+        assert_eq!(content.lines().count(), 8);
+
         let st = read_journal(&d);
         assert_eq!(st.fingerprint, run_fingerprint(&items, "golden"));
         assert_eq!(st.items, items);
         assert_eq!(st.scale, "golden");
-        assert!(st.complete);
-        assert_eq!(st.cells.len(), 3);
-        assert_eq!(st.cells[1].attempts, 3);
-        let fig5 = st.artifact("fig5").unwrap();
+        let [fig5, hpl] = &st.artifacts[..] else { panic!("{:?}", st.artifacts) };
+        assert_eq!(fig5.key, "fig5");
         assert!(fig5.ok);
         assert_eq!(fig5.stem.as_deref(), Some("fig5"));
+        assert_eq!(fig5.bytes, 123);
         assert_eq!(fig5.checksum.as_deref(), Some("00deadbeef001122"));
-        assert!(!st.artifact("hpl").unwrap().ok);
-        assert_eq!(st.artifacts.len(), 2);
+        assert_eq!(hpl.key, "hpl");
+        assert!(!hpl.ok);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -437,21 +381,37 @@ mod tests {
         let st = read_journal(&d);
         assert_eq!(st.fingerprint, run_fingerprint(&items, "quick"));
         assert_eq!(st.artifacts.len(), 1);
-        assert!(!st.complete);
         let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]
-    fn repair_records_win_by_key() {
-        let mut content = String::new();
-        content.push_str("{\"kind\":\"artifact\",\"key\":\"fig6\",\"status\":\"failed\"}\n");
-        content.push_str(
-            "{\"kind\":\"artifact\",\"key\":\"fig6\",\"status\":\"ok\",\"stem\":\"fig6\",\"bytes\":5,\"checksum\":\"000000000000000a\",\"resumed\":false}\n",
+    fn verdicts_apply_the_one_trust_rule() {
+        let d = tmpdir("verdicts");
+        let items = strings(&["all"]);
+        let mut j = Journal::create(&d, &items, "golden").unwrap();
+        for stem in ["fig1", "fig2a", "fig5"] {
+            let (_, checksum) = crate::write_json_atomic(&d, stem, "{\"a\": 1}").unwrap();
+            j.artifact_json(stem, stem, 8, &checksum, false).unwrap();
+        }
+        j.artifact_text("table1").unwrap();
+        j.artifact_failed("fig6").unwrap();
+        std::fs::write(d.join("fig2a.json"), "{\"a\": 2}").unwrap();
+        std::fs::remove_file(d.join("fig5.json")).unwrap();
+
+        let st = read_journal(&d);
+        let got: Vec<(&str, Verdict)> =
+            verdicts(&d, &st).into_iter().map(|(a, v)| (a.key.as_str(), v)).collect();
+        assert_eq!(
+            got,
+            [
+                ("fig1", Verdict::Verified),
+                ("fig2a", Verdict::Corrupted),
+                ("fig5", Verdict::Missing),
+                ("table1", Verdict::TextOnly),
+                ("fig6", Verdict::Failed),
+            ]
         );
-        let st = parse_journal(&content);
-        assert_eq!(st.artifacts.len(), 1);
-        assert!(st.artifacts[0].ok);
-        assert_eq!(st.artifacts[0].bytes, 5);
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]
@@ -459,7 +419,6 @@ mod tests {
         let st = read_journal(Path::new("/nonexistent/nowhere"));
         assert!(st.fingerprint.is_empty());
         assert!(st.artifacts.is_empty());
-        assert!(!st.complete);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use fig67::{
     hpl_headline, latency_penalty, latency_penalty_render, table3_render, table4_render, Fig6,
     Fig7, Fig7Panel, HplHeadline,
 };
-pub use journal::{read_journal, run_fingerprint, Journal, ResumeState};
+pub use journal::{read_journal, run_fingerprint, verdicts, Journal, ResumeState, Verdict};
 pub use mc::{
     counterexample_json, mc_scenario, mc_scenarios, parse_counterexample, McOverrides, McScenario,
     ParsedCounterexample,

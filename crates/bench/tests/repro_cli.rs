@@ -1,12 +1,21 @@
 //! CLI contract of the `repro` binary: the `--help` text (snapshotted —
-//! EXPERIMENTS.md documents the same flags, change both together), and the
-//! exit-code discipline (0 help, 2 usage errors).
+//! EXPERIMENTS.md documents the same flags, change both together), the
+//! exit-code discipline (0 help, 2 usage errors), and what it persists:
+//! nothing without `--json`, and a journal `--fsck` repairs in place.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn repro(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("spawn repro")
+}
+
+/// A fresh, empty directory for one test.
+fn empty_dir(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("repro_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).expect("create test dir");
+    d
 }
 
 #[test]
@@ -165,4 +174,58 @@ fn flow_model_runs_are_byte_identical_across_processes() {
     for dir in &dirs {
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+#[test]
+fn a_run_without_json_persists_nothing() {
+    // The resilience study used to land in `./repro_out` when no `--json`
+    // was given; now no artefact has a default home.
+    let cwd = empty_dir("no_json");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--golden", "--headline", "resilience", "--serial"])
+        .current_dir(&cwd)
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!out.stdout.is_empty(), "the study still prints its table");
+    let left: Vec<_> = std::fs::read_dir(&cwd).expect("read cwd").flatten().collect();
+    assert!(left.is_empty(), "a run without --json wrote {left:?}");
+    std::fs::remove_dir_all(&cwd).ok();
+}
+
+#[test]
+fn fsck_repairs_through_resume_and_rewrites_the_journal() {
+    let dir = empty_dir("fsck");
+    let dir_arg = dir.to_str().expect("tmp path is UTF-8");
+    let run = ["--golden", "--figure", "1", "--figure", "5", "--table", "1", "--serial"];
+    let first = repro(&[&run[..], &["--json", dir_arg]].concat());
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    let read = |stem: &str| std::fs::read(dir.join(format!("{stem}.json"))).expect(stem);
+    let (fig1, fig5) = (read("fig1"), read("fig5"));
+
+    // Corrupt one journaled artefact and delete another.
+    std::fs::write(dir.join("fig1.json"), &fig1[..fig1.len() / 2]).expect("truncate fig1");
+    std::fs::remove_file(dir.join("fig5.json")).expect("delete fig5");
+    let fsck = repro(&["--fsck", "--json", dir_arg]);
+    let stderr = String::from_utf8_lossy(&fsck.stderr);
+    assert_eq!(fsck.status.code(), Some(3), "a repaired directory exits 3:\n{stderr}");
+    assert!(stderr.contains("fig1 CORRUPTED") && stderr.contains("fig5 MISSING"), "{stderr}");
+    assert_eq!(read("fig1"), fig1, "--fsck re-derived different fig1.json bytes");
+    assert_eq!(read("fig5"), fig5, "--fsck re-derived different fig5.json bytes");
+    // The journal was rewritten, not appended to: one record per artefact.
+    let journal = std::fs::read_to_string(dir.join("_journal.jsonl")).expect("journal");
+    for key in ["fig1", "fig5", "table1"] {
+        let needle = format!("\"kind\":\"artifact\",\"key\":\"{key}\"");
+        assert_eq!(journal.matches(&needle).count(), 1, "{key} records in:\n{journal}");
+    }
+    // It re-ran everything but what verified (nothing here), so it printed
+    // exactly what the first run printed.
+    assert!(fsck.stdout == first.stdout, "--fsck must print the blocks it re-derives");
+
+    // A resume of the original command now trusts both JSON artefacts.
+    let resume = repro(&[&run[..], &["--json", dir_arg, "--resume"]].concat());
+    assert_eq!(resume.status.code(), Some(0), "{}", String::from_utf8_lossy(&resume.stderr));
+    let stats = std::fs::read_to_string(dir.join("_sweep_stats.json")).expect("sweep stats");
+    assert!(stats.contains("\"resumed_skipped\": 2,"), "{stats}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -100,16 +100,12 @@ fn b_entry(row: usize) -> f64 {
     ((row % 97) as f64) * 0.125 - 6.0
 }
 
-/// The per-rank HPL program. Returns the scaled residual on rank 0 in
-/// Execute mode, `None` elsewhere.
-pub async fn hpl_rank(r: &mut Rank, cfg: &HplConfig) -> Option<f64> {
-    hpl_rank_ckpt(r, cfg, None).await
-}
-
-/// [`hpl_rank`] with optional coordinated-checkpoint hooks: resume from a
-/// stored snapshot, write new snapshots every `hooks.every` panels, and
-/// (Execute mode) apply scheduled DRAM bit-flips to live data. Used by
-/// [`run_hpl_resilient`](crate::resilience::run_hpl_resilient).
+/// The per-rank HPL program, with optional coordinated-checkpoint hooks:
+/// resume from a stored snapshot, write new snapshots every `hooks.every`
+/// panels, and (Execute mode) apply scheduled DRAM bit-flips to live data.
+/// Returns the scaled residual on rank 0 in Execute mode, `None` elsewhere.
+/// [`run_hpl`] runs it without hooks,
+/// [`run_hpl_resilient`](crate::resilience::run_hpl_resilient) with them.
 pub async fn hpl_rank_ckpt(
     r: &mut Rank,
     cfg: &HplConfig,
@@ -448,14 +444,14 @@ pub struct HplRun {
     pub run: MpiRun<(f64, Option<f64>)>,
 }
 
-/// Run HPL on a job spec: every rank runs [`hpl_rank`] and reports its
-/// factorisation time, and the job's time is the slowest rank's. Returns the
-/// run, or the fault (node crash, timeout, watchdog budget, engine failure)
-/// that stopped it.
+/// Run HPL on a job spec: every rank runs [`hpl_rank_ckpt`] without hooks
+/// and reports its factorisation time, and the job's time is the slowest
+/// rank's. Returns the run, or the fault (node crash, timeout, watchdog
+/// budget, engine failure) that stopped it.
 pub fn run_hpl(spec: JobSpec, cfg: HplConfig) -> Result<HplRun, MpiFault> {
     let run = simmpi::run_mpi(spec, move |mut r| async move {
         let t0 = r.now();
-        let residual = hpl_rank(&mut r, &cfg).await;
+        let residual = hpl_rank_ckpt(&mut r, &cfg, None).await;
         ((r.now() - t0).as_secs_f64(), residual)
     })?;
     let seconds = run.results.iter().map(|r| r.0).fold(0.0, f64::max);

@@ -30,10 +30,11 @@ use crate::policy::{shadow_time, Action, PassBuf, Policy, QueuedJob, RunningJob,
 use crate::workload::{Job, JobId, JobKind, QosClass};
 
 /// How a job's run length is determined.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RuntimeMode {
     /// Price the job with the machine's [`RuntimeModel`] scaling laws
     /// (synthetic streams, what-if machines).
+    #[default]
     Analytic,
     /// Take [`Job::work`] as the job's run length in seconds verbatim, so a
     /// test can script exact run lengths.
@@ -50,23 +51,18 @@ pub struct Tenant {
     pub share: f64,
 }
 
+/// How many crash-triggered resubmissions a job gets before it is declared
+/// failed.
+const RESUBMIT_LIMIT: u32 = 3;
+
 /// Replay knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DcConfig {
-    /// How many crash-triggered resubmissions a job gets before it is
-    /// declared failed.
-    pub resubmit_limit: u32,
     /// Runtime pricing mode.
     pub runtime: RuntimeMode,
     /// Track scheduling invariants (head-of-queue bounds, peak occupancy).
     /// Costs extra work per pass; meant for tests, not campaigns.
     pub audit: bool,
-}
-
-impl Default for DcConfig {
-    fn default() -> DcConfig {
-        DcConfig { resubmit_limit: 3, runtime: RuntimeMode::Analytic, audit: false }
-    }
 }
 
 /// Invariant observations from an audited run (all zeros unless
@@ -461,7 +457,7 @@ impl DcSim {
         self.account_usage(&rec, elapsed);
         self.energy_total_j += job_energy_j(&self.machine, rec.nodes, elapsed, rec.busy_frac);
         let resubmits = rec.resubmits + u32::from(from_crash);
-        if from_crash && resubmits > self.cfg.resubmit_limit {
+        if from_crash && resubmits > RESUBMIT_LIMIT {
             self.fault_failed += 1;
             self.class_jobs[Self::class_idx(rec.qos)] += 1;
             self.class_violations[Self::class_idx(rec.qos)] += 1;

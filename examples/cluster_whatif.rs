@@ -6,7 +6,7 @@
 //! cargo run --release --example cluster_whatif
 //! ```
 
-use socready::apps::hpl::HplConfig;
+use socready::apps::hpl::{run_hpl, HplConfig};
 use socready::apps::sem::{run_sem, SemConfig};
 use socready::prelude::*;
 
@@ -17,16 +17,9 @@ fn hpl_on(machine: &Machine, nodes: u32) -> (f64, f64, f64) {
         nb: 128,
         mode: Mode::Model,
     };
-    let run = run_mpi(machine.job(nodes), move |mut r| async move {
-        let t0 = r.now();
-        socready::apps::hpl::hpl_rank(&mut r, &cfg).await;
-        (r.now() - t0).as_secs_f64()
-    })
-    .expect("simulation failed");
-    let secs = run.results.iter().cloned().fold(0.0, f64::max);
-    let gflops = cfg.flops() / secs / 1e9;
-    let g = green500(machine, &run, nodes, machine.platform.soc.fmax_ghz, gflops);
-    (secs, gflops, g.mflops_per_watt)
+    let hpl = run_hpl(machine.job(nodes), cfg).expect("simulation failed");
+    let g = green500(machine, &hpl.run, nodes, machine.platform.soc.fmax_ghz, hpl.result.gflops);
+    (hpl.result.seconds, hpl.result.gflops, g.mflops_per_watt)
 }
 
 fn main() {

@@ -200,23 +200,3 @@ fn two_figure_run_reuses_timing_cache() {
     );
     assert!(stats.timing_cache.hit_rate() > 0.0);
 }
-
-#[test]
-fn flow_model_ablation_is_byte_identical_across_schedules() {
-    // The flow-level network model must be as deterministic as the event
-    // model it replaces: the model-equivalence ablation (every golden
-    // figure executed under BOTH network models) rendered on 1 worker and
-    // on 8 workers is byte-identical, text and JSON. This exercises the
-    // flow model under the applications' point-to-point messages and
-    // collectives (HPL's panel broadcasts, halo `sendrecv`s, allreduces,
-    // Fig 7's ping-pongs) — max-min re-shares on the Tibidabo tree, flow
-    // start/finish event ordering, and the plan's shared HPL runs under each
-    // model — under a parallel sweep schedule. No ablated figure calls
-    // `alltoall`; `simmpi`'s collective tests cover it under the flow model.
-    let mk = || golden_plan(&["ablate-net"], &RunOpts::default());
-    let (serial, _) = run(mk(), 1, &[]);
-    let (parallel, stats8) = run(mk(), 8, &[]);
-
-    assert_eq!(stats8.jobs, 8);
-    assert_same_artefacts(&serial, &parallel, "8 workers");
-}

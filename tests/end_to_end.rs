@@ -62,31 +62,16 @@ fn hpl_weak_scaling_efficiency_band_at_moderate_scale() {
     // the way down from the single-node dgemm bound (~70%) toward the
     // 96-node 51%.
     let m = Machine::tibidabo();
-    let cfg = HplConfig::tibidabo_weak(16);
-    let run = run_mpi(m.job(16), move |mut r| async move {
-        let t0 = r.now();
-        socready::apps::hpl::hpl_rank(&mut r, &cfg).await;
-        (r.now() - t0).as_secs_f64()
-    })
-    .unwrap();
-    let secs = run.results.iter().cloned().fold(0.0, f64::max);
-    let eff = cfg.flops() / secs / 1e9 / m.peak_gflops(16);
+    let hpl = run_hpl(m.job(16), HplConfig::tibidabo_weak(16)).unwrap();
+    let eff = hpl.result.gflops / m.peak_gflops(16);
     assert!((0.50..0.72).contains(&eff), "16-node weak efficiency {eff}");
 }
 
 #[test]
 fn green500_at_16_nodes_is_in_the_tibidabo_class() {
     let m = Machine::tibidabo();
-    let cfg = HplConfig::tibidabo_weak(16);
-    let run = run_mpi(m.job(16), move |mut r| async move {
-        let t0 = r.now();
-        socready::apps::hpl::hpl_rank(&mut r, &cfg).await;
-        (r.now() - t0).as_secs_f64()
-    })
-    .unwrap();
-    let secs = run.results.iter().cloned().fold(0.0, f64::max);
-    let gflops = cfg.flops() / secs / 1e9;
-    let g = green500(&m, &run, 16, 1.0, gflops);
+    let hpl = run_hpl(m.job(16), HplConfig::tibidabo_weak(16)).unwrap();
+    let g = green500(&m, &hpl.run, 16, 1.0, hpl.result.gflops);
     // Paper: 120 MFLOPS/W at 96 nodes; smaller partitions land close by.
     assert!((100.0..180.0).contains(&g.mflops_per_watt), "{} MFLOPS/W", g.mflops_per_watt);
 }
