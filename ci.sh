@@ -99,6 +99,21 @@ if [[ $quick -eq 0 ]]; then
   echo "datacenter smoke OK: $(wc -c <"$dc_s/datacenter.json") bytes, serial == parallel == pin"
   rm -rf "$dc_s" "$dc_p"
 
+  step "datacenter-full: the 1e6-job replays reproduce repro_out/datacenter.json"
+  # EXPERIMENTS.md quotes the full-scale replays (1e6 jobs per policy
+  # cell), which no golden and no --quick pin reaches. A change meant to
+  # alter them regenerates repro_out/datacenter.json with this command and
+  # says why in CHANGES.md; any other change that trips this has drifted.
+  dc_f=$(mktemp -d)
+  target/release/repro --headline datacenter --serial --json "$dc_f" \
+    >"$dc_f/stdout.txt" 2>"$dc_f/stderr.txt"
+  cmp "$dc_f/datacenter.json" repro_out/datacenter.json || {
+    echo "error: full-scale datacenter.json differs from repro_out/datacenter.json" >&2
+    exit 1
+  }
+  echo "datacenter full-scale OK: $(wc -c <"$dc_f/datacenter.json") bytes == repro_out/datacenter.json"
+  rm -rf "$dc_f"
+
   step "scale smoke: event-driven process model under time/RSS budget"
   # The 1024-process event ring plus the 4096-rank ping-ring must finish
   # inside a fixed wall-clock budget and stay inside a fixed RSS budget (no

@@ -646,8 +646,10 @@ fn run_mc_replay(run: &RunOpts, path: &Path) -> i32 {
     }
 }
 
-/// Audit every journaled artefact against the files on disk and report
-/// orphans. When anything fails the audit, re-run the journal's own items at
+/// Audit every artefact of the journal's plan against the journal and the
+/// files on disk, and report orphans. When anything fails the audit (a
+/// plan artefact the journal never recorded counts as missing), re-run the
+/// journal's own items at
 /// its own scale as `--resume` would: the artefacts that verify are skipped,
 /// everything else is derived, printed and persisted again, and the journal
 /// is rewritten. Returns the process exit code: 0 when everything verified,
@@ -674,6 +676,14 @@ fn run_fsck(opts: &mut Opts, run: &RunOpts) -> i32 {
             Verdict::Failed => eprintln!("fsck: {key} FAILED in the journaled run"),
         }
         if !matches!(verdict, Verdict::Verified | Verdict::TextOnly) {
+            broken.push(key);
+        }
+    }
+    // A run interrupted before its plan's end journaled only the artefacts
+    // it reached; the rest of its plan is missing too.
+    for key in RunPlan::from_items(&st.items, &scales, run).keys() {
+        if !st.artifacts.iter().any(|a| a.key == key) {
+            eprintln!("fsck: {key} MISSING (never journaled)");
             broken.push(key);
         }
     }

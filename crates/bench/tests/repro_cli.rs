@@ -229,3 +229,39 @@ fn fsck_repairs_through_resume_and_rewrites_the_journal() {
     assert!(stats.contains("\"resumed_skipped\": 2,"), "{stats}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn fsck_rederives_what_an_interrupted_run_never_journaled() {
+    let dir = empty_dir("fsck_cut");
+    let dir_arg = dir.to_str().expect("tmp path is UTF-8");
+    let run = [
+        "--golden", "--figure", "1", "--figure", "2a", "--figure", "2b", "--figure", "5",
+        "--table", "1", "--table", "2", "--serial",
+    ];
+    let first = repro(&[&run[..], &["--json", dir_arg]].concat());
+    assert!(first.status.success(), "{}", String::from_utf8_lossy(&first.stderr));
+    let fig5 = std::fs::read(dir.join("fig5.json")).expect("fig5");
+
+    // Leave the directory as a run killed after its third artefact would:
+    // the journal ends with that artefact's record (fig2b), and no later
+    // artefact (table1, table2, fig5) reached the disk.
+    let journal_path = dir.join("_journal.jsonl");
+    let journal = std::fs::read_to_string(&journal_path).expect("journal");
+    let (third, _) = journal.match_indices("\"kind\":\"artifact\"").nth(2).expect("3 artefacts");
+    let cut = third + journal[third..].find('\n').expect("whole record") + 1;
+    let last = journal[..cut].lines().last().expect("a record");
+    assert!(last.contains("\"kind\":\"artifact\",\"key\":\"fig2b\""), "{last}");
+    std::fs::write(&journal_path, &journal[..cut]).expect("cut journal");
+    std::fs::remove_file(dir.join("fig5.json")).expect("delete fig5");
+
+    let fsck = repro(&["--fsck", "--json", dir_arg]);
+    let stderr = String::from_utf8_lossy(&fsck.stderr);
+    assert_eq!(fsck.status.code(), Some(3), "an interrupted run is not clean:\n{stderr}");
+    for key in ["table1", "table2", "fig5"] {
+        assert!(stderr.contains(&format!("fsck: {key} MISSING")), "{key}:\n{stderr}");
+    }
+    assert_eq!(std::fs::read(dir.join("fig5.json")).expect("fig5 re-derived"), fig5);
+    let again = repro(&["--fsck", "--json", dir_arg]);
+    assert_eq!(again.status.code(), Some(0), "{}", String::from_utf8_lossy(&again.stderr));
+    std::fs::remove_dir_all(&dir).ok();
+}

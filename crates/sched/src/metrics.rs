@@ -20,14 +20,22 @@ pub struct DistSummary {
 impl DistSummary {
     /// Summarise `values` (sorted in place; empty input gives all zeros).
     ///
-    /// The sort is unstable, so it needs no scratch buffer; that cannot
-    /// change a field, because values that `f64::total_cmp` calls equal are
-    /// bit-for-bit equal.
+    /// The values are sorted in the order `f64::total_cmp` gives, as
+    /// integers: each is replaced by its order-preserving `u64` image, the
+    /// images are sorted and mapped back. The sort is unstable, so it needs
+    /// no scratch buffer; that cannot change a field, because equal images
+    /// are bit-for-bit equal values.
     pub fn of(values: &mut [f64]) -> DistSummary {
         if values.is_empty() {
             return DistSummary { mean: 0.0, p50: 0.0, p95: 0.0, p99: 0.0, max: 0.0 };
         }
-        values.sort_unstable_by(f64::total_cmp);
+        for v in values.iter_mut() {
+            *v = f64::from_bits(total_order_bits(*v));
+        }
+        values.sort_unstable_by_key(|v| v.to_bits());
+        for v in values.iter_mut() {
+            *v = from_total_order_bits(v.to_bits());
+        }
         let q = |frac: f64| values[((values.len() - 1) as f64 * frac).round() as usize];
         DistSummary {
             mean: values.iter().sum::<f64>() / values.len() as f64,
@@ -37,6 +45,25 @@ impl DistSummary {
             max: *values.last().expect("non-empty"),
         }
     }
+}
+
+/// The order-preserving `u64` image of `x`: images compare as
+/// `f64::total_cmp` compares the values, and distinct values have distinct
+/// images, so equal images are bit-equal values.
+pub(crate) fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    // Negatives (sign bit set) count down from the bottom; the rest sit
+    // above them in their own order.
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The value whose [`total_order_bits`] image is `image`.
+fn from_total_order_bits(image: u64) -> f64 {
+    f64::from_bits(if image >> 63 == 1 { image & !(1 << 63) } else { !image })
 }
 
 /// SLO accounting for one QoS class.

@@ -116,16 +116,42 @@ impl RuntimeModel {
 /// its busy fraction; the machine's switches are charged in proportion to
 /// the nodes held, as the Green500 measurement of §4 does.
 pub fn job_energy_j(machine: &Machine, nodes: u32, elapsed_s: f64, busy_frac: f64) -> f64 {
-    let pm = &machine.node_power;
-    let cores = machine.platform.soc.cores;
-    let p_active = pm.platform_power_w(machine.platform.soc.fmax_ghz, cores, 1.0, true);
-    let p_idle = pm.idle_power_w();
-    let busy = busy_frac.clamp(0.0, 1.0);
-    let node_power = nodes as f64 * (p_idle + busy * (p_active - p_idle));
-    let switch_share = machine.switches as f64
-        * machine.switch_power_w
-        * (nodes as f64 / machine.nodes() as f64).min(1.0);
-    (node_power + switch_share) * elapsed_s
+    JobPower::of(machine).energy_j(nodes, elapsed_s, busy_frac)
+}
+
+/// The per-machine constants of [`job_energy_j`], read once, so a replay
+/// charging 10⁶ jobs does not re-derive the node's power draw per job.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct JobPower {
+    /// One node's draw with every core busy at fmax, watts.
+    active_w: f64,
+    /// One node's idle draw, watts.
+    idle_w: f64,
+    /// All switches' draw, watts.
+    switches_w: f64,
+    /// The machine's node count.
+    nodes: f64,
+}
+
+impl JobPower {
+    pub(crate) fn of(machine: &Machine) -> JobPower {
+        let pm = &machine.node_power;
+        let soc = &machine.platform.soc;
+        JobPower {
+            active_w: pm.platform_power_w(soc.fmax_ghz, soc.cores, 1.0, true),
+            idle_w: pm.idle_power_w(),
+            switches_w: machine.switches as f64 * machine.switch_power_w,
+            nodes: machine.nodes() as f64,
+        }
+    }
+
+    /// [`job_energy_j`] on this machine.
+    pub(crate) fn energy_j(&self, nodes: u32, elapsed_s: f64, busy_frac: f64) -> f64 {
+        let busy = busy_frac.clamp(0.0, 1.0);
+        let node_power = nodes as f64 * (self.idle_w + busy * (self.active_w - self.idle_w));
+        let switch_share = self.switches_w * (nodes as f64 / self.nodes).min(1.0);
+        (node_power + switch_share) * elapsed_s
+    }
 }
 
 #[cfg(test)]

@@ -75,28 +75,30 @@ impl PlacementStore {
     }
 
     /// Place `job` on the `count` lowest-indexed free nodes, marking them
-    /// busy. Returns the nodes, ascending — hand them back to
-    /// [`PlacementStore::release`] — or `None` (placing nothing) if fewer
-    /// than `count` are free.
-    pub fn place(&mut self, count: u32, job: JobId) -> Option<Vec<u32>> {
+    /// busy, and write the nodes, ascending, into `granted` in place of its
+    /// contents, so a caller can recycle one buffer per running job. Hand
+    /// them back to [`PlacementStore::release`]. Returns false, placing
+    /// nothing and leaving `granted` empty, if fewer than `count` are free.
+    pub fn place(&mut self, count: u32, job: JobId, granted: &mut Vec<u32>) -> bool {
+        granted.clear();
         if count == 0 || count > self.free {
-            return None;
+            return false;
         }
-        let mut nodes = Vec::with_capacity(count as usize);
+        granted.reserve(count as usize);
         for (w, word) in self.free_bits.iter_mut().enumerate() {
-            while *word != 0 && nodes.len() < count as usize {
+            while *word != 0 && granted.len() < count as usize {
                 let node = w as u32 * 64 + word.trailing_zeros();
                 *word &= *word - 1;
                 self.state[node as usize] = NodeState::Busy(job);
-                nodes.push(node);
+                granted.push(node);
             }
-            if nodes.len() == count as usize {
+            if granted.len() == count as usize {
                 break;
             }
         }
-        debug_assert_eq!(nodes.len(), count as usize);
+        debug_assert_eq!(granted.len(), count as usize);
         self.free -= count;
-        Some(nodes)
+        true
     }
 
     /// Free the nodes [`PlacementStore::place`] gave `job` (it finished or
@@ -153,8 +155,9 @@ mod tests {
     #[test]
     fn place_release_round_trip() {
         let mut p = PlacementStore::new(8);
-        let granted = p.place(3, 42).expect("3 of 8 free");
-        assert_eq!(granted, vec![0, 1, 2]);
+        let mut granted = vec![7, 7, 7, 7];
+        assert!(p.place(3, 42, &mut granted), "3 of 8 free");
+        assert_eq!(granted, vec![0, 1, 2], "the buffer's old contents are gone");
         assert_eq!(p.free_nodes(), 5);
         assert_eq!(p.owner(1), Some(42));
         assert_eq!(p.release(42, &granted), 3);
@@ -165,7 +168,8 @@ mod tests {
     #[test]
     fn failed_nodes_leave_the_pool_forever() {
         let mut p = PlacementStore::new(4);
-        let granted = p.place(2, 1).unwrap();
+        let mut granted = Vec::new();
+        assert!(p.place(2, 1, &mut granted));
         assert_eq!(p.fail_node(0), NodeFate::WasRunning(1));
         assert_eq!(p.fail_node(0), NodeFate::AlreadyDead);
         assert_eq!(p.fail_node(3), NodeFate::WasIdle);
@@ -173,14 +177,17 @@ mod tests {
         // The job still holds node 1 until released; node 0 stays dead.
         assert_eq!(p.release(1, &granted), 1);
         assert_eq!(p.free_nodes(), 2);
-        assert_eq!(p.place(2, 2), Some(vec![1, 2]), "dead nodes are never allocated");
+        assert!(p.place(2, 2, &mut granted));
+        assert_eq!(granted, vec![1, 2], "dead nodes are never allocated");
     }
 
     #[test]
     fn oversized_requests_place_nothing() {
         let mut p = PlacementStore::new(4);
-        assert!(p.place(5, 1).is_none());
-        assert!(p.place(0, 1).is_none());
+        let mut granted = vec![3];
+        assert!(!p.place(5, 1, &mut granted));
+        assert!(granted.is_empty());
+        assert!(!p.place(0, 1, &mut granted));
         assert_eq!(p.free_nodes(), 4, "a failed place must not leak nodes");
     }
 }

@@ -13,6 +13,7 @@
 
 use des::SimTime;
 
+use crate::metrics::total_order_bits;
 use crate::workload::{Job, JobId};
 
 /// A queued job plus its scheduler-side bookkeeping.
@@ -81,8 +82,16 @@ pub struct PassBuf {
     pub actions: Vec<Action>,
     /// `(est_end, nodes)` of the jobs an EASY pass starts, for its shadow.
     ends: Vec<(SimTime, u32)>,
-    /// `(tenant deficit, queue index)` of a fair-share pass's scan window.
-    keys: Vec<(f64, usize)>,
+    /// A fair-share pass's distinct window deficits, as their
+    /// order-preserving bits, ascending.
+    deficits: Vec<u64>,
+    /// Per scan-window entry: its deficit's bits, then that deficit's rank
+    /// in `deficits`.
+    ranks: Vec<u64>,
+    /// The counting sort's next free slot per rank.
+    slots: Vec<usize>,
+    /// The scan window's queue indices in `(deficit, position)` order.
+    order: Vec<usize>,
 }
 
 /// A scheduling policy.
@@ -338,19 +347,42 @@ impl Policy for FairShare {
     fn decide(&mut self, view: &SchedView<'_>, pass: &mut PassBuf) {
         // Order the scan window by (tenant deficit, queue position): the
         // most underserved tenant's oldest job first. Each deficit is
-        // computed once; total_cmp keeps the order deterministic even with
-        // equal deficits, and the position makes every key distinct.
+        // computed once, and the window holds only a few distinct ones (one
+        // per tenant), so a stable counting sort on each entry's rank among
+        // them gives the order. Deficits of one rank are bit-equal, so it
+        // is exactly the (total_cmp deficit, position) order.
         let window = &view.queue[..view.queue.len().min(SCAN_DEPTH)];
-        pass.keys.clear();
-        pass.keys.extend(
-            window.iter().enumerate().map(|(i, q)| {
-                (Self::deficit(view.tenant_shares, view.tenant_usage, q.job.tenant), i)
-            }),
-        );
-        pass.keys.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let PassBuf { deficits, ranks, slots, order, .. } = pass;
+        deficits.clear();
+        ranks.clear();
+        for q in window {
+            let deficit = Self::deficit(view.tenant_shares, view.tenant_usage, q.job.tenant);
+            let bits = total_order_bits(deficit);
+            if let Err(at) = deficits.binary_search(&bits) {
+                deficits.insert(at, bits);
+            }
+            ranks.push(bits);
+        }
+        // Count each rank into the slot above it, so the prefix sums give
+        // each rank its first place in `order`.
+        slots.clear();
+        slots.resize(deficits.len() + 1, 0);
+        for key in ranks.iter_mut() {
+            *key = deficits.binary_search(key).expect("every deficit was collected") as u64;
+            slots[*key as usize + 1] += 1;
+        }
+        for r in 1..slots.len() {
+            slots[r] += slots[r - 1];
+        }
+        order.clear();
+        order.resize(window.len(), 0);
+        for (i, &rank) in ranks.iter().enumerate() {
+            order[slots[rank as usize]] = i;
+            slots[rank as usize] += 1;
+        }
         let mut free = view.free_nodes;
         let mut head_started = false;
-        for &(_, i) in &pass.keys {
+        for &i in &pass.order {
             let q = &view.queue[i];
             if q.job.nodes <= free {
                 free -= q.job.nodes;

@@ -4,10 +4,11 @@
 //! the per-job `des` engine: its events are job arrivals, job departures,
 //! and node crashes, and its "execution" of a job is the closed-form
 //! [`RuntimeModel`] rather than a full MPI simulation — which is what makes
-//! 10⁵–10⁷-job streams affordable. Determinism falls out of the design: the
-//! event heap is totally ordered by `(time, kind, sequence)`, the stream and
-//! fault plan are pure data, and every policy is deterministic, so the same
-//! inputs produce the same [`DcReport`] byte for byte.
+//! 10⁵–10⁷-job streams affordable. Determinism falls out of the design:
+//! events are totally ordered by `(time, kind, sequence)` (departures and
+//! crashes in a heap, the stream's next arrival held beside it), the stream
+//! and fault plan are pure data, and every policy is deterministic, so the
+//! same inputs produce the same [`DcReport`] byte for byte.
 //!
 //! Faults come from the same [`FaultPlan`] machinery the MPI layer uses
 //! (PR 1): a node crash permanently shrinks the allocatable pool, kills the
@@ -16,15 +17,16 @@
 
 use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use cluster::Machine;
 use des::{FaultKind, FaultPlan, SimTime, TraceEvent, TraceRecord, Tracer};
 
 use crate::metrics::{ClassSlo, DcReport, DistSummary, TenantUsage};
-use crate::model::{job_energy_j, RuntimeModel};
+use crate::model::{JobPower, RuntimeModel};
 use crate::placement::{NodeFate, PlacementStore};
 use crate::policy::{shadow_time, Action, PassBuf, Policy, QueuedJob, RunningJob, SchedView};
 use crate::workload::{Job, JobId, JobKind, QosClass};
@@ -95,15 +97,14 @@ enum Ev {
     Finish { job: JobId, epoch: u64 },
     /// A node crashes.
     NodeFail { node: u32 },
-    /// The next stream job arrives.
-    Arrive,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct HeapEv {
     at: SimTime,
     /// Same-instant order: departures free nodes first, then crashes
-    /// strike, then arrivals see the settled cluster.
+    /// strike. Arrivals, which `DcSim::run` keeps out of the heap, come
+    /// last and see the settled cluster.
     rank: u8,
     seq: u64,
     ev: Ev,
@@ -121,6 +122,29 @@ impl PartialOrd for HeapEv {
     }
 }
 
+/// The running set's hasher: one multiply by 2⁶⁴ over the golden ratio,
+/// rotated so the best-mixed bits pick the bucket. Job ids are not input
+/// an adversary chooses, and nothing iterates the set, so it needs neither
+/// collision resistance nor a stable order.
+#[derive(Clone, Copy, Debug, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// Bookkeeping for a running job.
 #[derive(Clone, Debug)]
 struct RunningRec {
@@ -128,7 +152,8 @@ struct RunningRec {
     tenant: u32,
     qos: QosClass,
     nodes: u32,
-    /// The nodes placement granted, which `release` frees.
+    /// The nodes placement granted, which `release` frees. The buffer goes
+    /// back to `DcSim::spare_grants` when the job leaves.
     granted: Vec<u32>,
     submit: SimTime,
     start: SimTime,
@@ -147,6 +172,7 @@ struct RunningRec {
 pub struct DcSim {
     machine: Machine,
     model: RuntimeModel,
+    power: JobPower,
     policy: Box<dyn Policy>,
     tenants: Vec<Tenant>,
     /// The tenants' fair-share weights, as every pass's view shows them.
@@ -162,7 +188,9 @@ pub struct DcSim {
     /// Wait queue: live entries are `queue[qhead..]`.
     queue: Vec<QueuedJob>,
     qhead: usize,
-    running: BTreeMap<JobId, RunningRec>,
+    running: HashMap<JobId, RunningRec, BuildHasherDefault<IdHasher>>,
+    /// Grant buffers of departed jobs, for the next starts to refill.
+    spare_grants: Vec<Vec<u32>>,
     /// Running jobs sorted by `(est_end, id)` — the order shadow-time
     /// reservations consume them in.
     running_view: Vec<RunningJob>,
@@ -217,6 +245,7 @@ impl DcSim {
         let nodes = machine.nodes();
         let n_tenants = tenants.len();
         DcSim {
+            power: JobPower::of(&machine),
             machine,
             model,
             policy,
@@ -230,7 +259,10 @@ impl DcSim {
             placement: PlacementStore::new(nodes),
             queue: Vec::new(),
             qhead: 0,
-            running: BTreeMap::new(),
+            // Every running job holds a node, so sized for the machine the
+            // set never grows, and never reallocates mid-replay.
+            running: HashMap::with_capacity_and_hasher(nodes as usize, Default::default()),
+            spare_grants: Vec::new(),
             running_view: Vec::new(),
             next_epoch: 0,
             trace_seq: 0,
@@ -280,7 +312,6 @@ impl DcSim {
         let rank = match ev {
             Ev::Finish { .. } => 0,
             Ev::NodeFail { .. } => 1,
-            Ev::Arrive => 2,
         };
         self.heap.push(Reverse(HeapEv { at, rank, seq: self.heap_seq, ev }));
         self.heap_seq += 1;
@@ -315,30 +346,34 @@ impl DcSim {
                 }
             }
         }
-        let mut stream = stream.into_iter().map(|j| Borrow::<Job>::borrow(&j).clone()).peekable();
+        let mut stream = stream.into_iter().map(|j| Borrow::<Job>::borrow(&j).clone());
+        // The next arrival waits here, not in the heap: it ranks after
+        // every departure and crash of its instant, so it is due once the
+        // heap holds nothing at or before its submit time.
+        let mut arrival = stream.next();
         let mut submitted = 0u64;
-        if let Some(first) = stream.peek() {
-            self.push_event(first.submit, Ev::Arrive);
-        }
-        while let Some(Reverse(ev)) = self.heap.pop() {
-            self.now = ev.at;
-            match ev.ev {
-                Ev::Arrive => {
-                    let job = stream.next().expect("an arrival event has its job");
-                    submitted += 1;
-                    if let Some(after) = stream.peek() {
-                        debug_assert!(
-                            job.submit <= after.submit,
-                            "stream not sorted by submit time"
-                        );
-                        self.push_event(after.submit, Ev::Arrive);
-                    }
-                    self.on_arrive(job);
+        loop {
+            let heap_at = self.heap.peek().map(|Reverse(ev)| ev.at);
+            if let Some(job) = arrival.take_if(|j| heap_at.is_none_or(|at| j.submit < at)) {
+                self.now = job.submit;
+                submitted += 1;
+                arrival = stream.next();
+                debug_assert!(
+                    arrival.as_ref().is_none_or(|after| job.submit <= after.submit),
+                    "stream not sorted by submit time"
+                );
+                self.on_arrive(job);
+            } else if let Some(Reverse(ev)) = self.heap.pop() {
+                self.now = ev.at;
+                match ev.ev {
+                    Ev::Finish { job, epoch } => self.on_finish(job, epoch),
+                    Ev::NodeFail { node } => self.on_node_fail(node),
                 }
-                Ev::Finish { job, epoch } => self.on_finish(job, epoch),
-                Ev::NodeFail { node } => self.on_node_fail(node),
+            } else {
+                break;
             }
-            let boundary = self.heap.peek().is_none_or(|Reverse(n)| n.at > self.now);
+            let boundary = self.heap.peek().is_none_or(|Reverse(n)| n.at > self.now)
+                && arrival.as_ref().is_none_or(|j| j.submit > self.now);
             if boundary && self.pass_needed {
                 self.pass_needed = false;
                 self.scheduling_pass();
@@ -347,14 +382,14 @@ impl DcSim {
             // the fault plan may schedule crashes long past the last job,
             // and draining them would only inflate the makespan.
             if boundary
-                && stream.peek().is_none()
+                && arrival.is_none()
                 && self.running.is_empty()
                 && self.qhead == self.queue.len()
             {
                 break;
             }
         }
-        // Defensive: a drained heap with queued work means every remaining
+        // Defensive: no events left with queued work means every remaining
         // job is unplaceable on what is left of the machine.
         let stranded: Vec<QueuedJob> = self.queue.split_off(self.qhead);
         for q in stranded {
@@ -386,13 +421,14 @@ impl DcSim {
         if entry.get().epoch != epoch {
             return; // stale departure from before a crash/preemption restart
         }
-        let rec = entry.remove();
+        let mut rec = entry.remove();
         self.remove_running_view(job, rec.est_end);
         let released = self.placement.release(job, &rec.granted);
         debug_assert_eq!(released, rec.nodes);
+        self.spare_grants.push(std::mem::take(&mut rec.granted));
         let elapsed = (self.now - rec.start).as_secs_f64();
         self.account_usage(&rec, elapsed);
-        let energy_j = job_energy_j(&self.machine, rec.nodes, elapsed, rec.busy_frac);
+        let energy_j = self.power.energy_j(rec.nodes, elapsed, rec.busy_frac);
         self.energy_total_j += energy_j;
         let class = Self::class_idx(rec.qos);
         self.class_jobs[class] += 1;
@@ -450,12 +486,13 @@ impl DcSim {
     /// to put back at the head of the queue, or `None` if the job used up
     /// its resubmissions and failed.
     fn kill_running(&mut self, job: JobId, from_crash: bool) -> Option<QueuedJob> {
-        let rec = self.running.remove(&job).expect("victim is running");
+        let mut rec = self.running.remove(&job).expect("victim is running");
         self.remove_running_view(job, rec.est_end);
         self.placement.release(job, &rec.granted); // survivors; the dead one is gone
+        self.spare_grants.push(std::mem::take(&mut rec.granted));
         let elapsed = (self.now - rec.start).as_secs_f64();
         self.account_usage(&rec, elapsed);
-        self.energy_total_j += job_energy_j(&self.machine, rec.nodes, elapsed, rec.busy_frac);
+        self.energy_total_j += self.power.energy_j(rec.nodes, elapsed, rec.busy_frac);
         let resubmits = rec.resubmits + u32::from(from_crash);
         if from_crash && resubmits > RESUBMIT_LIMIT {
             self.fault_failed += 1;
@@ -594,7 +631,11 @@ impl DcSim {
     fn start_job(&mut self, idx: usize) -> bool {
         let q = &self.queue[idx];
         let job = &q.job;
-        let Some(granted) = self.placement.place(job.nodes, job.id) else { return false };
+        let mut granted = self.spare_grants.pop().unwrap_or_default();
+        if !self.placement.place(job.nodes, job.id, &mut granted) {
+            self.spare_grants.push(granted);
+            return false;
+        }
         let run_secs = match self.cfg.runtime {
             RuntimeMode::Analytic => self.model.job_secs(job),
             RuntimeMode::Recorded => job.work,

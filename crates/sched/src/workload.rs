@@ -258,21 +258,23 @@ impl SyntheticSpec {
         let mut kinds = root.substream(6);
 
         let max_pow = self.max_nodes.max(1).ilog2();
+        // Each tenant's upper cut of the unit interval: the running sum of
+        // the normalised arrival weights.
+        let total: f64 = self.tenants.iter().map(|t| t.arrival_weight).sum();
+        let cuts: Vec<f64> = self
+            .tenants
+            .iter()
+            .scan(0.0, |acc, ts| {
+                *acc += ts.arrival_weight / total;
+                Some(*acc)
+            })
+            .collect();
         let mut t = SimTime::ZERO;
         (0..self.jobs).map(move |id| {
             t += SimTime::from_secs_f64(arrivals.exp_secs(self.arrival_rate_hz));
             // Tenant by arrival weight (cumulative scan; the mix is tiny).
             let draw = mix.next_f64();
-            let total: f64 = self.tenants.iter().map(|t| t.arrival_weight).sum();
-            let mut acc = 0.0;
-            let mut tenant = self.tenants.len() - 1;
-            for (i, ts) in self.tenants.iter().enumerate() {
-                acc += ts.arrival_weight / total;
-                if draw < acc {
-                    tenant = i;
-                    break;
-                }
-            }
+            let tenant = cuts.iter().position(|&cut| draw < cut).unwrap_or(cuts.len() - 1);
             let ts = &self.tenants[tenant];
             // Geometric width over powers of two: half the jobs are single
             // node, and each doubling is half as likely, capped at max_nodes.

@@ -227,12 +227,13 @@ proptest! {
                         .collect();
                     let job = next_job;
                     next_job += 1;
-                    match store.place(count, job) {
-                        Some(granted) => {
-                            prop_assert_eq!(&granted[..], &free[..count as usize]);
-                            running.insert(job, granted);
-                        }
-                        None => prop_assert!(free.len() < count as usize, "refused a fit"),
+                    // A recycled buffer: `place` must replace what it held.
+                    let mut granted = vec![size; 2];
+                    if store.place(count, job, &mut granted) {
+                        prop_assert_eq!(&granted[..], &free[..count as usize]);
+                        running.insert(job, granted);
+                    } else {
+                        prop_assert!(free.len() < count as usize, "refused a fit");
                     }
                 }
                 2 | 3 => {
