@@ -2,13 +2,17 @@
 //! `memory_bounds.rs`) measure.
 
 use socready::cluster::Machine;
-use socready::mpi::{run_mpi, Msg, RunOpts};
+use socready::mpi::{run_mpi, JobSpec, MpiFault, Msg, RunOpts};
+
+/// The 64-rank Tibidabo job the HPL-shaped program runs on, under `opts`.
+pub fn hpl_spec(opts: RunOpts) -> JobSpec {
+    Machine::tibidabo().job(64).with_opts(opts)
+}
 
 /// `rounds` rounds of a pipelined 256 KiB panel broadcast plus an 8 KiB halo
-/// to the right neighbour, on 64 Tibidabo ranks run under `opts`:
-/// `(messages, engine events)`.
-pub fn hpl_shaped(opts: RunOpts, rounds: u32) -> (u64, u64) {
-    let spec = Machine::tibidabo().job(64).with_opts(opts);
+/// to the right neighbour, on the ranks of `spec`: `(messages, engine
+/// events)`, or the fault that stopped the job.
+pub fn hpl_shaped(spec: JobSpec, rounds: u32) -> Result<(u64, u64), MpiFault> {
     let run = run_mpi(spec, move |mut r| async move {
         let (me, p) = (r.rank(), r.size());
         let mut acc = 0u64;
@@ -29,9 +33,8 @@ pub fn hpl_shaped(opts: RunOpts, rounds: u32) -> (u64, u64) {
             }
         }
         acc
-    })
-    .expect("HPL-shaped job completes");
+    })?;
     let want = u64::from(rounds) * (u64::from(rounds) + 1) / 2;
     assert!(run.results.iter().all(|&a| a == want), "every rank received every panel");
-    (run.net.messages, run.events)
+    Ok((run.net.messages, run.events))
 }

@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::mem::size_of;
 use std::sync::Arc;
 
-use common::hpl_shaped;
+use common::{hpl_shaped, hpl_spec};
 use socready::apps::hpl::{run_hpl, HplConfig};
 use socready::apps::Mode;
 use socready::cluster::Machine;
@@ -220,10 +220,10 @@ fn a_replay_with_nothing_queued_or_running_holds_constant_memory() {
 fn an_installed_null_tracer_allocates_nothing() {
     // Both option sets are built outside the measured runs: only what the
     // simulation does with them counts.
-    let plain = RunOpts::default();
-    let null = RunOpts { tracer: Some(Arc::new(NullTracer)), ..RunOpts::default() };
-    let (counts, untraced) = measured(|| hpl_shaped(plain, 16));
-    let (traced_counts, traced) = measured(|| hpl_shaped(null, 16));
+    let plain = hpl_spec(RunOpts::default());
+    let null = hpl_spec(RunOpts { tracer: Some(Arc::new(NullTracer)), ..RunOpts::default() });
+    let (counts, untraced) = measured(|| hpl_shaped(plain, 16).unwrap());
+    let (traced_counts, traced) = measured(|| hpl_shaped(null, 16).unwrap());
     assert_eq!(counts, traced_counts);
     assert!(untraced.allocs > 0);
     assert_eq!(traced, untraced);
