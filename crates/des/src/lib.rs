@@ -54,6 +54,7 @@
 mod engine;
 mod faults;
 pub mod mc;
+mod queue;
 mod time;
 pub mod trace;
 

@@ -231,6 +231,7 @@ pub enum TraceClass {
 
 impl TraceEvent {
     /// The event's coarse class (what `--trace-filter` selects on).
+    #[inline]
     pub fn class(&self) -> TraceClass {
         match self {
             TraceEvent::ProcSpawn { .. }

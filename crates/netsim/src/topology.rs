@@ -1,33 +1,17 @@
 //! Cluster interconnect topologies and the contention-aware transfer model.
 //!
-//! Links are full duplex (one [`Link`] per direction) and carry a
-//! `next_free` reservation time; a transfer reserves every link on its route
-//! for its serialisation time, which is how head-of-line contention and the
-//! limited bisection of the Tibidabo tree emerge in application runs.
+//! Links are full duplex (one per direction), all with the same bandwidth
+//! and latency, and each carries a `next_free` reservation time; a transfer
+//! reserves every link on its route for its serialisation time, which is
+//! how head-of-line contention and the limited bisection of the Tibidabo
+//! tree emerge in application runs.
 //!
 //! Transfers are modelled cut-through: the head of the message pays each
-//! link's latency in sequence, and the serialisation time of the bottleneck
-//! link is paid once.
+//! link's latency in sequence, and the serialisation time, the same on
+//! every link, is paid once.
 
 use des::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// A unidirectional link.
-#[derive(Clone, Debug)]
-pub struct Link {
-    /// Bandwidth in bytes/second.
-    pub bw_bytes: f64,
-    /// Per-traversal latency (propagation + switch port).
-    pub latency: SimTime,
-    /// Earliest time the link is free for a new transfer.
-    next_free: SimTime,
-}
-
-impl Link {
-    fn new(bw_bytes: f64, latency: SimTime) -> Link {
-        Link { bw_bytes, latency, next_free: SimTime::ZERO }
-    }
-}
 
 /// Topology of the cluster interconnect.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -89,15 +73,18 @@ pub struct LossWindow {
 #[derive(Clone, Debug)]
 pub struct Network {
     spec: TopologySpec,
-    /// Wire bandwidth of a node link, bytes/s.
+    /// Wire bandwidth of every link, bytes/s.
     pub link_bw_bytes: f64,
-    links: Vec<Link>,
+    /// Per-traversal latency of every link (propagation + switch port).
+    link_latency: SimTime,
+    /// Earliest time each unidirectional link is free for a new transfer.
+    next_free: Vec<SimTime>,
     /// Loss windows indexed by node, so a path's check scans only its two
     /// endpoints' windows. Empty until the first window is added.
     loss_windows: Vec<Vec<LossWindow>>,
 }
 
-/// Index layout within `links`:
+/// Index layout within `next_free`:
 /// * node links: `2*i` = node→switch (up), `2*i + 1` = switch→node (down);
 /// * trunk links (Tree only): after all node links, per edge switch
 ///   `uplinks_per_edge` up then `uplinks_per_edge` down.
@@ -108,20 +95,19 @@ impl Network {
     /// Build a network with `link_bw_bytes` node links and `link_latency` per
     /// traversal (switch port + cable).
     pub fn new(spec: TopologySpec, link_bw_bytes: f64, link_latency: SimTime) -> Network {
-        let n = spec.nodes() as usize;
-        let mut links = Vec::new();
-        for _ in 0..n {
-            links.push(Link::new(link_bw_bytes, link_latency)); // up
-            links.push(Link::new(link_bw_bytes, link_latency)); // down
+        // An up and a down link per node, plus each trunk's members.
+        let trunks = match spec {
+            TopologySpec::Star { .. } => 0,
+            TopologySpec::Tree { edges, uplinks_per_edge, .. } => edges * 2 * uplinks_per_edge,
+        };
+        let links = 2 * spec.nodes() + trunks;
+        Network {
+            spec,
+            link_bw_bytes,
+            link_latency,
+            next_free: vec![SimTime::ZERO; links as usize],
+            loss_windows: Vec::new(),
         }
-        if let TopologySpec::Tree { edges, uplinks_per_edge, .. } = spec {
-            for _ in 0..edges {
-                for _ in 0..(2 * uplinks_per_edge) {
-                    links.push(Link::new(link_bw_bytes, link_latency));
-                }
-            }
-        }
-        Network { spec, link_bw_bytes, links, loss_windows: Vec::new() }
     }
 
     /// Gigabit-Ethernet network (125 MB/s links, 1.25 µs per traversal).
@@ -187,7 +173,7 @@ impl Network {
 
     /// Number of links in the graph (node up/down links plus trunk members).
     pub(crate) fn num_links(&self) -> usize {
-        self.links.len()
+        self.next_free.len()
     }
 
     /// Whether any lossy-link windows are installed (at any time). Fast
@@ -198,8 +184,8 @@ impl Network {
 
     /// Total path latency (no queueing, no serialisation) between two nodes.
     pub fn path_latency(&self, src: u32, dst: u32) -> SimTime {
-        let (links, len) = self.route_arr(src, dst);
-        links[..len as usize].iter().map(|&l| self.links[l as usize].latency).sum()
+        let (_, len) = self.route_arr(src, dst);
+        self.link_latency * u64::from(len)
     }
 
     /// Transmit `wire_bytes` from `src` to `dst`, departing the source NIC at
@@ -213,17 +199,15 @@ impl Network {
             return depart;
         }
         let (route, len) = self.route_arr(src, dst);
+        let serial = SimTime::from_secs_f64(wire_bytes as f64 / self.link_bw_bytes);
         let mut head = depart;
-        let mut bottleneck = SimTime::ZERO;
         for &li in &route[..len as usize] {
-            let link = &mut self.links[li as usize];
-            let serial = SimTime::from_secs_f64(wire_bytes as f64 / link.bw_bytes);
-            let start = head.max(link.next_free);
-            link.next_free = start + serial;
-            head = start + link.latency;
-            bottleneck = bottleneck.max(serial);
+            let next_free = &mut self.next_free[li as usize];
+            let start = head.max(*next_free);
+            *next_free = start + serial;
+            head = start + self.link_latency;
         }
-        head + bottleneck
+        head + serial
     }
 
     /// Register a loss window: `node`'s links drop frames with probability
@@ -256,9 +240,7 @@ impl Network {
     /// Reset all link reservations (between independent experiments).
     /// Loss windows are part of the experiment definition and persist.
     pub fn reset(&mut self) {
-        for l in &mut self.links {
-            l.next_free = SimTime::ZERO;
-        }
+        self.next_free.fill(SimTime::ZERO);
     }
 
     /// Bisection bandwidth in bytes/s (sum of link rates crossing the
