@@ -165,6 +165,10 @@ struct RunningRec {
     busy_frac: f64,
     /// What a restart needs to rebuild the job record: its kind and work.
     kind_back: (JobKind, f64),
+    /// The wall-limit estimate the job was submitted with. A restart
+    /// resubmits it as it was: `est_end - start` is rounded to whole
+    /// nanoseconds, and work that fits the estimate can overrun that.
+    est_secs: f64,
 }
 
 /// The datacenter simulator. Build one per `(machine, policy)` cell and
@@ -522,7 +526,7 @@ impl DcSim {
             submit: rec.submit,
             nodes: rec.nodes,
             work: rec.kind_back.1,
-            est_secs: (rec.est_end - rec.start).as_secs_f64(),
+            est_secs: rec.est_secs,
         }
     }
 
@@ -656,6 +660,7 @@ impl DcSim {
             resubmits: q.resubmits,
             busy_frac: self.model.busy_frac(job.kind, job.nodes, job.work),
             kind_back: (job.kind, job.work),
+            est_secs: job.est_secs,
         };
         let (id, wait) = (job.id, self.now - job.submit);
         self.next_epoch += 1;

@@ -46,6 +46,7 @@ struct RefRunning {
     start: SimTime,
     est_end: SimTime,
     work: f64,
+    est_secs: f64,
     wall_killed: bool,
     resubmits: u32,
     busy_frac: f64,
@@ -348,7 +349,7 @@ impl RefSim {
             submit: rec.submit,
             nodes: rec.nodes,
             work: rec.work,
-            est_secs: (rec.est_end - rec.start).as_secs_f64(),
+            est_secs: rec.est_secs,
         };
         Some(QueuedJob { job, resubmits })
     }
@@ -465,6 +466,7 @@ impl RefSim {
             start: self.now,
             est_end,
             work: job.work,
+            est_secs: job.est_secs,
             wall_killed: run_secs > job.est_secs,
             resubmits: self.queue[i].resubmits,
             busy_frac: self.model.busy_frac(job.kind, job.nodes, job.work),
