@@ -114,6 +114,24 @@ if [[ $quick -eq 0 ]]; then
   echo "datacenter full-scale OK: $(wc -c <"$dc_f/datacenter.json") bytes == repro_out/datacenter.json"
   rm -rf "$dc_f"
 
+  step "paper-full: Fig 6, the HPL headline and resilience reproduce repro_out/"
+  # EXPERIMENTS.md quotes Fig 6 and the HPL headline at 96 nodes and the
+  # resilience sweep at 8-32 nodes; the goldens stop at 8 and 2 nodes. A
+  # change meant to alter these regenerates the three files with this
+  # command and says why in CHANGES.md; any other change that trips this
+  # has drifted.
+  pf=$(mktemp -d)
+  target/release/repro --figure 6 --headline hpl --headline resilience --serial --json "$pf" \
+    >"$pf/stdout.txt" 2>"$pf/stderr.txt"
+  for name in fig6 hpl_headline resilience; do
+    cmp "$pf/$name.json" "repro_out/$name.json" || {
+      echo "error: full-scale $name.json differs from repro_out/$name.json" >&2
+      exit 1
+    }
+  done
+  echo "paper full-scale OK: fig6, hpl_headline and resilience JSON == repro_out/"
+  rm -rf "$pf"
+
   step "scale smoke: event-driven process model under time/RSS budget"
   # The 1024-process event ring plus the 4096-rank ping-ring must finish
   # inside a fixed wall-clock budget and stay inside a fixed RSS budget (no
