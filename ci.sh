@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI gate for the workspace. Run from the repo root:
 #
-#   ./ci.sh          # full gate: fmt, clippy, build, tests, smoke run
-#   ./ci.sh --quick  # skip the release build + smoke run (fast local check)
+#   ./ci.sh          # full gate: fmt, clippy, docs, tests, then the release
+#                    # binaries: paper-scale bytes against repro_out/, scale
+#                    # smoke, golden bytes, trace, supervisor and model checker
+#   ./ci.sh --quick  # skip the release build and every stage that runs it
 #
 # Everything here runs fully offline: all third-party deps are vendored
 # under vendor/, so no registry access is needed (or attempted).
@@ -43,94 +45,46 @@ if [[ $quick -eq 0 ]]; then
   step "release build"
   cargo build --release --workspace --quiet
 
-  step "smoke: repro --quick --headline resilience"
-  out=$(mktemp -d)
-  cargo run --release -p bench --bin repro -- --quick --headline resilience --json "$out"
-  test -s "$out/resilience.json" || {
-    echo "error: resilience smoke run produced no JSON" >&2
+  step "paper-scale bytes: every paper item at full scale reproduces repro_out/"
+  # EXPERIMENTS.md quotes the paper's numbers at full scale (Fig 6 and the
+  # HPL headline at 96 nodes, resilience at 8-32 nodes, 1e6-job replays),
+  # where the goldens stop at a few nodes and 1e4 jobs. repro_out/ pins the
+  # stdout and every JSON artefact of the paper items, made with --serial;
+  # this run uses every core, so it also checks that --jobs N reproduces
+  # the serial bytes. The network ablation is not a paper item. A change
+  # meant to move these bytes regenerates repro_out/ with the command in
+  # EXPERIMENTS.md ("How to regenerate") and says why in CHANGES.md; any
+  # other change that trips this has drifted.
+  paper_items=(--figure 1 --figure 2 --figure 3 --figure 4 --figure 5 --figure 6 --figure 7
+    --table 1 --table 2 --table 3 --table 4 --headline hpl --headline latency-penalty
+    --headline extensions --headline resilience --headline datacenter)
+  fdir=$(mktemp -d)
+  target/release/repro "${paper_items[@]}" --jobs "$(nproc)" --json "$fdir" \
+    >"$fdir/stdout.txt" 2>"$fdir/stderr.txt" || {
+    echo "error: the full-scale paper run failed" >&2
+    tail -20 "$fdir/stderr.txt" >&2 || true
     exit 1
   }
-  # The artefact must contain a populated sweep, not just an empty shell.
-  grep -q '"inflation"' "$out/resilience.json" || {
-    echo "error: resilience.json has no sweep cells" >&2
+  cmp "$fdir/stdout.txt" repro_out/stdout.txt || {
+    echo "error: full-scale stdout differs from repro_out/stdout.txt" >&2
     exit 1
   }
-  echo "smoke OK: $(wc -c <"$out/resilience.json") bytes of resilience.json"
-  rm -rf "$out"
-
-  step "datacenter-smoke: 1e5-job replay, serial vs parallel vs pinned bytes"
-  # The multi-tenant scheduler replays the --quick job stream (1e5 jobs per
-  # policy cell, faults active) twice — once on the serial executor and once
-  # with worker threads — and the datacenter.json artefacts must match
-  # byte-for-byte: the stream, the fault plan, and every policy decision are
-  # functions of the seeds alone, never of scheduling on the host.
-  dc_s=$(mktemp -d) && dc_p=$(mktemp -d)
-  cargo run --release -p bench --bin repro -- \
-    --quick --headline datacenter --serial --json "$dc_s" \
-    >"$dc_s/stdout.txt" 2>"$dc_s/stderr.txt"
-  cargo run --release -p bench --bin repro -- \
-    --quick --headline datacenter --jobs "$(nproc)" --json "$dc_p" \
-    >"$dc_p/stdout.txt" 2>"$dc_p/stderr.txt"
-  test -s "$dc_s/datacenter.json" || {
-    echo "error: datacenter smoke run produced no JSON" >&2
-    cat "$dc_s/stderr.txt" >&2 || true
+  pinned=$(find repro_out -maxdepth 1 -name '*.json' -printf '%f\n' | sort)
+  made=$(find "$fdir" -maxdepth 1 -name '*.json' ! -name '_*' -printf '%f\n' | sort)
+  [[ "$made" == "$pinned" ]] || {
+    echo "error: the run's JSON artefacts (>) are not those pinned in repro_out/ (<):" >&2
+    diff <(echo "$pinned") <(echo "$made") >&2 || true
     exit 1
   }
-  grep -q '"crashes"' "$dc_s/datacenter.json" || {
-    echo "error: datacenter.json reports no fault accounting" >&2
-    exit 1
-  }
-  diff "$dc_s/datacenter.json" "$dc_p/datacenter.json" || {
-    echo "error: datacenter.json diverged between --serial and --jobs $(nproc)" >&2
-    exit 1
-  }
-  # Two runs of one build agree even when the replay loop drifts, and the
-  # 1e4-job golden reaches less of the loop than this run: its fair-preempt
-  # cell never preempts and starts jobs in the same pass. Pin this run's
-  # bytes too, so any change to replay results shows here.
-  dc_pin=0e7c2398c54ff43d3e6a38b287f15227859189bad9d7343de411111c5c2035a1
-  dc_sha=$(sha256sum "$dc_s/datacenter.json" | awk '{print $1}')
-  [[ "$dc_sha" == "$dc_pin" ]] || {
-    echo "error: --quick datacenter.json has sha256 $dc_sha, pinned $dc_pin" >&2
-    echo "error: a deliberate change to the replay must update the pin in ci.sh" >&2
-    echo "error: and say why in CHANGES.md" >&2
-    exit 1
-  }
-  echo "datacenter smoke OK: $(wc -c <"$dc_s/datacenter.json") bytes, serial == parallel == pin"
-  rm -rf "$dc_s" "$dc_p"
-
-  step "datacenter-full: the 1e6-job replays reproduce repro_out/datacenter.json"
-  # EXPERIMENTS.md quotes the full-scale replays (1e6 jobs per policy
-  # cell), which no golden and no --quick pin reaches. A change meant to
-  # alter them regenerates repro_out/datacenter.json with this command and
-  # says why in CHANGES.md; any other change that trips this has drifted.
-  dc_f=$(mktemp -d)
-  target/release/repro --headline datacenter --serial --json "$dc_f" \
-    >"$dc_f/stdout.txt" 2>"$dc_f/stderr.txt"
-  cmp "$dc_f/datacenter.json" repro_out/datacenter.json || {
-    echo "error: full-scale datacenter.json differs from repro_out/datacenter.json" >&2
-    exit 1
-  }
-  echo "datacenter full-scale OK: $(wc -c <"$dc_f/datacenter.json") bytes == repro_out/datacenter.json"
-  rm -rf "$dc_f"
-
-  step "paper-full: Fig 6, the HPL headline and resilience reproduce repro_out/"
-  # EXPERIMENTS.md quotes Fig 6 and the HPL headline at 96 nodes and the
-  # resilience sweep at 8-32 nodes; the goldens stop at 8 and 2 nodes. A
-  # change meant to alter these regenerates the three files with this
-  # command and says why in CHANGES.md; any other change that trips this
-  # has drifted.
-  pf=$(mktemp -d)
-  target/release/repro --figure 6 --headline hpl --headline resilience --serial --json "$pf" \
-    >"$pf/stdout.txt" 2>"$pf/stderr.txt"
-  for name in fig6 hpl_headline resilience; do
-    cmp "$pf/$name.json" "repro_out/$name.json" || {
-      echo "error: full-scale $name.json differs from repro_out/$name.json" >&2
+  for name in $pinned; do
+    cmp "$fdir/$name" "repro_out/$name" || {
+      echo "error: full-scale $name differs from repro_out/$name" >&2
       exit 1
     }
   done
-  echo "paper full-scale OK: fig6, hpl_headline and resilience JSON == repro_out/"
-  rm -rf "$pf"
+  echo "paper-scale OK: $(wc -l <"$fdir/stdout.txt") stdout lines and" \
+    "$(echo "$pinned" | wc -l) JSON artefacts identical to repro_out/"
+  rm -rf "$fdir"
 
   step "scale smoke: event-driven process model under time/RSS budget"
   # The 1024-process event ring plus the 4096-rank ping-ring must finish
@@ -177,12 +131,8 @@ if [[ $quick -eq 0 ]]; then
   repro=target/release/repro
   jobs=$(nproc)
   sdir=$(mktemp -d) && pdir=$(mktemp -d)
-  t0=$SECONDS
   "$repro" --golden --serial --json "$sdir" >"$sdir/stdout.txt" 2>"$sdir/stderr.txt"
-  t_serial=$((SECONDS - t0))
-  t0=$SECONDS
   "$repro" --golden --jobs "$jobs" --json "$pdir" >"$pdir/stdout.txt" 2>"$pdir/stderr.txt"
-  t_parallel=$((SECONDS - t0))
   diff "$sdir/stdout.txt" "$pdir/stdout.txt" || {
     echo "error: stdout diverged between --serial and --jobs $jobs" >&2
     exit 1
@@ -191,7 +141,7 @@ if [[ $quick -eq 0 ]]; then
     echo "error: JSON artefacts diverged between --serial and --jobs $jobs" >&2
     exit 1
   }
-  echo "byte-identity OK (serial ${t_serial}s vs ${jobs}-worker ${t_parallel}s)"
+  echo "byte-identity OK (serial vs ${jobs} workers)"
   # Every JSON artefact of the serial golden run must reproduce its
   # committed golden byte for byte, the check the in-process golden test
   # makes, here on the release binary.
@@ -222,12 +172,6 @@ if [[ $quick -eq 0 ]]; then
   }
   echo "net ablation OK: flow model fig7 max rel error ${fig7_err} (< 0.02)"
   grep -o 'sweep: .*' "$pdir/stderr.txt" || true
-  # The speedup expectation only means something with real cores; CI boxes
-  # with cgroup-limited cpu counts still enforce identity above.
-  if [[ "$jobs" -ge 4 && $t_serial -ge 8 && $((t_parallel * 2)) -gt $t_serial ]]; then
-    echo "error: ${jobs}-worker run (${t_parallel}s) is not 2x faster than serial (${t_serial}s)" >&2
-    exit 1
-  fi
   rm -rf "$pdir"
 
   step "trace: --trace leaves artefacts byte-identical, trace2flame folds it"

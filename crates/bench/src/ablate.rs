@@ -6,9 +6,9 @@
 //! figure's two values into labelled points and condenses their deltas into
 //! a per-figure accuracy table (max relative error plus a per-app /
 //! per-panel breakdown). The artefact is journaled and persisted like any
-//! other (`repro --ablate-net --json DIR`), pinned as a golden
-//! (`tests/goldens/ablate_net.json`), and gated by the `net-ablation-smoke`
-//! stage of `ci.sh`.
+//! other (`repro --ablate-net --json DIR`) and pinned as a golden
+//! (`tests/goldens/ablate_net.json`); ci.sh's sweep-executor stage gates
+//! its `max_rel_err_fig7` below 0.02 on the `--golden --serial` run.
 //!
 //! Each ablation cell overrides only the network model of the run's
 //! options, so the ablation stays deterministic under any `--jobs`

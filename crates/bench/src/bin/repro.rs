@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro --all            # everything at full scale (Fig 6 takes minutes)
+//! repro --all            # everything at full scale (about half a minute)
 //! repro --quick          # everything, Fig 6 truncated to 32 nodes
 //! repro --golden         # everything, golden-test scale (seconds in debug)
 //! repro --figure 6       # one figure (1, 2a, 2b, 3..7)
@@ -155,14 +155,15 @@ observability:
                          (see docs/TRACE_FORMAT.md; fold with trace2flame)
   --trace-filter C       keep only these event classes: a comma list of
                          proc, msg, span, fault (default: all); needs
-                         --trace, or --mc for its counterexample trace
+                         --trace, or --mc with --json for its
+                         counterexample trace
 
 model checking:
   --mc SCENARIO          bounded model-check one resilience protocol:
                          retry-lossy | retry-lossy-broken | ckpt-crash |
-                         spare-race; a violation exits 3 and writes a
-                         replayable counterexample plus its trace (to
-                         --json DIR, default repro_out)
+                         spare-race; a violation exits 3, and with
+                         --json DIR writes a replayable counterexample
+                         plus its trace there
   --mc-replay FILE       deterministically reproduce a recorded
                          counterexample file (exit 3 when it reproduces)
   --mc-max-states N      override the scenario's distinct-state budget
@@ -312,8 +313,8 @@ fn parse_args() -> Opts {
     if fsck && resume {
         die("--fsck and --resume are mutually exclusive");
     }
-    if trace_filter.is_some() && trace_path.is_none() && mc.is_none() {
-        die("--trace-filter needs --trace PATH (or --mc, whose counterexample trace it filters)");
+    if trace_filter.is_some() && trace_path.is_none() && (mc.is_none() || json_dir.is_none()) {
+        die("--trace-filter needs --trace PATH, or --mc and --json DIR (the counterexample trace)");
     }
     let (scale_name, scales) = scale_named(if golden {
         "golden"
@@ -586,9 +587,9 @@ fn run_supervised(opts: &Opts, run: &RunOpts) -> i32 {
 
 /// Run a bounded model-checking search (`--mc SCENARIO`) under `run`;
 /// returns the process exit code (0 = no violation, 3 = violation found).
-/// On violation, the minimized counterexample is replayed once with a
-/// dedicated recorder to persist a replayable decision file plus its
-/// structured trace.
+/// On violation under `--json DIR`, the minimized counterexample is
+/// replayed once with a dedicated recorder to persist a replayable
+/// decision file plus its structured trace in `DIR`.
 fn run_mc(opts: &Opts, run: &RunOpts, name: &str) -> i32 {
     let sc = bench::mc_scenario(name).expect("validated in parse_args");
     let cfg = sc.config(&opts.mc_overrides);
@@ -604,10 +605,13 @@ fn run_mc(opts: &Opts, run: &RunOpts, name: &str) -> i32 {
         report.distinct_states as f64 / report.wall.as_secs_f64().max(1e-9),
     );
     let Some(ce) = &report.violation else { return 0 };
+    let Some(dir) = &opts.json_dir else {
+        eprintln!("rerun with --json DIR to write a replayable counterexample and its trace");
+        return EXIT_DEGRADED;
+    };
 
     // Persist the counterexample artefacts: a replayable decision file and
     // the trace of the minimized failing schedule.
-    let dir = opts.json_dir.clone().unwrap_or_else(|| PathBuf::from("repro_out"));
     let rec = Arc::new(RingRecorder::with_capacity(TRACE_CAPACITY).with_filter(opts.trace_filter));
     let traced = RunOpts { tracer: Some(rec.clone()), ..run.clone() };
     let replayed = sc.replay(&cfg, ce.decisions.clone(), &traced);
@@ -615,7 +619,7 @@ fn run_mc(opts: &Opts, run: &RunOpts, name: &str) -> i32 {
         eprintln!("warning: counterexample replay diverged: {d}");
     }
     let stem = format!("mc_{name}_counterexample");
-    match write_json_atomic(&dir, &stem, &bench::counterexample_json(name, &cfg, ce)) {
+    match write_json_atomic(dir, &stem, &bench::counterexample_json(name, &cfg, ce)) {
         Ok(_) => eprintln!("wrote {}", dir.join(format!("{stem}.json")).display()),
         Err(e) => eprintln!("error: failed to persist counterexample: {e}"),
     }

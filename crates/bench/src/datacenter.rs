@@ -14,7 +14,8 @@
 //! Stream length scales with the run (`RunScales::datacenter_jobs`): 10⁴ at
 //! `--golden`, 10⁵ at `--quick`, 10⁶ at full scale. Everything is
 //! deterministic in the seeds alone, so the artefact is byte-identical for
-//! any `--jobs N` (the CI `datacenter-smoke` stage gates this); the input
+//! any `--jobs N` (ci.sh's `paper-scale bytes` stage gates the full-scale
+//! artefact against `repro_out/datacenter.json` on every core); the input
 //! format and the report schema are specified in `docs/WORKLOAD_FORMAT.md`.
 
 use cluster::Machine;
@@ -47,10 +48,18 @@ pub const TARGET_CRASHES: f64 = 6.0;
 
 /// The policy × machine grid, in canonical cell order.
 pub const DATACENTER_CASES: &[DcCase] = &[
-    DcCase { label: "fcfs/tibidabo", policy: "fcfs", scaled_nodes: None },
-    DcCase { label: "easy/tibidabo", policy: "easy", scaled_nodes: None },
-    DcCase { label: "fair/tibidabo", policy: "fair", scaled_nodes: None },
-    DcCase { label: "easy/tibidabo-1024", policy: "easy", scaled_nodes: Some(1024) },
+    DcCase { label: "fcfs/tibidabo", policy: || Box::new(Fcfs), scaled_nodes: None },
+    DcCase { label: "easy/tibidabo", policy: || Box::new(EasyBackfill), scaled_nodes: None },
+    DcCase {
+        label: "fair/tibidabo",
+        policy: || Box::new(FairShare::preempting()),
+        scaled_nodes: None,
+    },
+    DcCase {
+        label: "easy/tibidabo-1024",
+        policy: || Box::new(EasyBackfill),
+        scaled_nodes: Some(1024),
+    },
 ];
 
 /// One replay case of the grid.
@@ -58,20 +67,11 @@ pub const DATACENTER_CASES: &[DcCase] = &[
 pub struct DcCase {
     /// Cell label (also the `repro` cell id suffix).
     pub label: &'static str,
-    /// Policy key: `fcfs` | `easy` | `fair`.
-    pub policy: &'static str,
+    /// Builds the scheduling policy the case replays under.
+    pub policy: fn() -> Box<dyn Policy>,
     /// `Some(n)` replays against `Machine::tibidabo_scaled(n)` instead of
     /// the 192-node prototype.
     pub scaled_nodes: Option<u32>,
-}
-
-fn policy_for(key: &str) -> Box<dyn Policy> {
-    match key {
-        "fcfs" => Box::new(Fcfs),
-        "easy" => Box::new(EasyBackfill),
-        "fair" => Box::new(FairShare::preempting()),
-        other => unreachable!("unknown datacenter policy key {other}"),
-    }
 }
 
 /// Replay one case of the grid over a `jobs`-job stream. Deterministic in
@@ -95,7 +95,7 @@ pub fn datacenter_cell(case: &DcCase, jobs: u64) -> DcReport {
     };
     let faults =
         FaultPlan::generate(FAULT_SEED, machine.nodes(), SimTime::from_secs_f64(horizon_s), &rates);
-    DcSim::new(machine, model, policy_for(case.policy), tenants, DcConfig::default())
+    DcSim::new(machine, model, (case.policy)(), tenants, DcConfig::default())
         .run(spec.jobs(), &faults)
         .report
 }

@@ -100,14 +100,20 @@ fn sweep_calibration() -> FaultCalibration {
     }
 }
 
-fn sweep_cell(
-    m: &Machine,
+/// Run one grid cell on the Tibidabo model under `opts`, taking the
+/// fault-free baseline from `hpl`; fails only if that baseline run does.
+///
+/// `nodes` is a logical node count (≤ 96, so the 192-node topology always
+/// has spares). The fault schedule is a function of `seed`, so the cell is
+/// bit-reproducible.
+pub fn resilience_cell(
     nodes: u32,
     incidence: f64,
     seed: u64,
     opts: &RunOpts,
     hpl: &HplShare,
 ) -> Result<ResilienceCell, MpiFault> {
+    let m = Machine::tibidabo();
     let cfg = HplConfig::tibidabo_weak(nodes);
     let nblk = cfg.n.div_ceil(cfg.nb);
     let rc = ResilienceConfig {
@@ -117,8 +123,6 @@ fn sweep_cell(
         write_bw_bytes: 20e6, // eMMC-class node-local storage
         restart_overhead: SimTime::from_millis(500),
         max_attempts: 12,
-        apply_bit_flips: false, // Model mode carries no data
-        residual_limit: 16.0,
     };
     // Generous horizon: several fault-free run lengths, so faults can still
     // strike late attempts. ~1 GFLOPS/node sustained is the §4 ballpark.
@@ -164,7 +168,6 @@ pub fn resilience_contrast(opts: &RunOpts) -> Result<ResilienceContrast, MpiFaul
         write_bw_bytes: 200e6,
         restart_overhead: SimTime::from_micros(100),
         max_attempts: 3,
-        ..ResilienceConfig::default()
     };
     let with = run_hpl_resilient(base.clone(), cfg, &rc, &plan)?;
     let without =
@@ -192,22 +195,6 @@ pub fn resilience_grid(sizes: &[u32]) -> Vec<(u32, f64, u64)> {
         }
     }
     grid
-}
-
-/// Run one grid cell on the Tibidabo model under `opts`, taking the
-/// fault-free baseline from `hpl`; fails only if that baseline run does.
-///
-/// `nodes` is a logical node count (≤ 96, so the 192-node topology always
-/// has spares). The fault schedule is a function of `seed`, so the cell is
-/// bit-reproducible.
-pub fn resilience_cell(
-    nodes: u32,
-    incidence: f64,
-    seed: u64,
-    opts: &RunOpts,
-    hpl: &HplShare,
-) -> Result<ResilienceCell, MpiFault> {
-    sweep_cell(&Machine::tibidabo(), nodes, incidence, seed, opts, hpl)
 }
 
 /// Assemble the study artefact from externally-computed cells (in

@@ -95,10 +95,13 @@ fn contradictory_flags_exit_two() {
     assert_eq!(repro(&["--serial", "--jobs", "4"]).status.code(), Some(2));
     assert_eq!(repro(&["--resume"]).status.code(), Some(2), "--resume needs --json");
     assert_eq!(repro(&["--fsck"]).status.code(), Some(2), "--fsck needs --json");
-    // The filter acts only on the `--trace` recorder and on `--mc`'s
-    // counterexample trace; without either it would be silently ignored.
+    // The filter acts only on the `--trace` recorder and on the
+    // counterexample trace `--mc` writes under `--json`; without either it
+    // would be silently ignored.
     let filter_only = repro(&["--table", "1", "--trace-filter", "msg"]);
     assert_eq!(filter_only.status.code(), Some(2), "--trace-filter needs --trace or --mc");
+    let mc_no_json = repro(&["--mc", "retry-lossy-broken", "--trace-filter", "msg"]);
+    assert_eq!(mc_no_json.status.code(), Some(2), "--mc writes no trace without --json");
 }
 
 #[test]
@@ -178,18 +181,25 @@ fn flow_model_runs_are_byte_identical_across_processes() {
 
 #[test]
 fn a_run_without_json_persists_nothing() {
-    // The resilience study used to land in `./repro_out` when no `--json`
-    // was given; now no artefact has a default home.
+    // The resilience study and `--mc`'s counterexamples used to land in
+    // `./repro_out` when no `--json` was given; now nothing has a default
+    // home. A violation still prints and exits 3.
     let cwd = empty_dir("no_json");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--golden", "--headline", "resilience", "--serial"])
-        .current_dir(&cwd)
-        .output()
-        .expect("spawn repro");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(!out.stdout.is_empty(), "the study still prints its table");
-    let left: Vec<_> = std::fs::read_dir(&cwd).expect("read cwd").flatten().collect();
-    assert!(left.is_empty(), "a run without --json wrote {left:?}");
+    for (args, code) in [
+        (&["--golden", "--headline", "resilience", "--serial"][..], 0),
+        (&["--mc", "retry-lossy-broken"], 3),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}:\n{stderr}");
+        assert!(!out.stdout.is_empty(), "{args:?} still prints its report");
+        let left: Vec<_> = std::fs::read_dir(&cwd).expect("read cwd").flatten().collect();
+        assert!(left.is_empty(), "{args:?} without --json wrote {left:?}");
+    }
     std::fs::remove_dir_all(&cwd).ok();
 }
 

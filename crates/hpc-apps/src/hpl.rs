@@ -321,13 +321,12 @@ pub async fn hpl_rank_ckpt(
         }
         r.phase_end("hpl.update");
 
-        // Any DRAM bit-flip that struck this node during the panel corrupts
-        // live matrix data; the end-of-run residual is the detector.
-        if let Some(h) = hooks {
-            if h.apply_bit_flips && cfg.mode.carries_data() {
-                while let Some(at) = r.poll_bit_flip() {
-                    corrupt_block(&mut blocks, &block_global, at, n, nb);
-                }
+        // With hooks, any DRAM bit-flip that struck this node during the
+        // panel corrupts live matrix data (a mode without data has none to
+        // corrupt); the end-of-run residual is the detector.
+        if hooks.is_some() && cfg.mode.carries_data() {
+            while let Some(at) = r.poll_bit_flip() {
+                corrupt_block(&mut blocks, &block_global, at, n, nb);
             }
         }
     }

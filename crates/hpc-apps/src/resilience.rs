@@ -115,9 +115,6 @@ pub struct CkptHooks {
     pub start_k: usize,
     /// Snapshot storage shared across attempts.
     pub store: Arc<Mutex<CkptStore>>,
-    /// Corrupt live matrix data when the fault plan's bit-flips strike
-    /// (Execute mode only; the residual then detects the SDC).
-    pub apply_bit_flips: bool,
 }
 
 /// Flip the top mantissa bit of one deterministic-pseudorandomly chosen
@@ -151,6 +148,10 @@ pub(crate) fn corrupt_block(
     blocks[li][idx] = f64::from_bits(bits);
 }
 
+/// Scaled-residual acceptance threshold: a run whose residual is not below
+/// it has silent data corruption (reference HPL uses 16).
+const RESIDUAL_LIMIT: f64 = 16.0;
+
 /// Configuration of the resilient HPL driver.
 #[derive(Clone, Copy, Debug)]
 pub struct ResilienceConfig {
@@ -165,10 +166,6 @@ pub struct ResilienceConfig {
     pub restart_overhead: SimTime,
     /// Give up after this many attempts.
     pub max_attempts: u32,
-    /// Apply scheduled bit-flips to live data (Execute mode).
-    pub apply_bit_flips: bool,
-    /// Scaled-residual acceptance threshold (reference HPL uses 16).
-    pub residual_limit: f64,
 }
 
 impl Default for ResilienceConfig {
@@ -178,8 +175,6 @@ impl Default for ResilienceConfig {
             write_bw_bytes: 20e6,
             restart_overhead: SimTime::from_millis(500),
             max_attempts: 8,
-            apply_bit_flips: true,
-            residual_limit: 16.0,
         }
     }
 }
@@ -241,10 +236,9 @@ impl ResilienceReport {
             }
             if let Some(r) = self.residual {
                 // A NaN residual must be rejected too, hence no plain `<`.
-                if r.is_nan() || r >= rc.residual_limit {
+                if r.is_nan() || r >= RESIDUAL_LIMIT {
                     return Err(format!(
-                        "SDC accepted: completed with residual {r} >= limit {}",
-                        rc.residual_limit
+                        "SDC accepted: completed with residual {r} >= limit {RESIDUAL_LIMIT}"
                     ));
                 }
             }
@@ -335,7 +329,6 @@ pub fn run_hpl_resilient_with_baseline(
             write_bw_bytes: rc.write_bw_bytes,
             start_k,
             store: Arc::clone(&store),
-            apply_bit_flips: rc.apply_bit_flips,
         });
         let spec = base.clone().with_fault_plan(plan.clone()).with_node_map(map.clone());
         let run = run_mpi(spec, move |mut r| {
@@ -355,7 +348,7 @@ pub fn run_hpl_resilient_with_baseline(
                     // NaN-safe: anything not provably below the limit
                     // (including NaN from corrupted arithmetic) is SDC.
                     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                    if !(x < rc.residual_limit) {
+                    if !(x < RESIDUAL_LIMIT) {
                         // The residual caught silent corruption: roll back.
                         report.sdc_detected += 1;
                         report.total_secs += overhead;
@@ -526,7 +519,6 @@ mod tests {
             write_bw_bytes: 200e6,
             restart_overhead: SimTime::from_micros(100),
             max_attempts: 3,
-            ..ResilienceConfig::default()
         };
         let with = run_hpl_resilient(base(2, 8), cfg, &rc, &plan).unwrap();
         assert!(with.completed, "checkpointing run failed: {:?}", with.fatal);
@@ -575,7 +567,7 @@ mod tests {
         let rep = run_hpl_resilient(
             base(4, 6),
             HplConfig { n: 512, nb: 64, mode: Mode::Model },
-            &ResilienceConfig { apply_bit_flips: false, ..ResilienceConfig::default() },
+            &ResilienceConfig::default(),
             &plan,
         )
         .unwrap();

@@ -58,7 +58,6 @@ fn main() {
         write_bw_bytes: 200e6,
         restart_overhead: SimTime::from_micros(100),
         max_attempts: 8,
-        ..ResilienceConfig::default()
     };
     let rep = run_hpl_resilient(base.clone(), cfg, &rc, &storm).expect("baseline failed");
     println!("\ncrash storm with checkpoint/restart:");

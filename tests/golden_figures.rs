@@ -9,12 +9,12 @@
 //! To refresh after an intentional model change:
 //!
 //! ```text
-//! cargo run --release -p bench --bin repro -- --golden --json tests/goldens
-//! rm tests/goldens/_sweep_stats.json   # execution stats are not artefacts
+//! cargo run --release -p bench --bin repro -- --golden --serial --json tests/goldens
+//! rm tests/goldens/_sweep_stats.json tests/goldens/_journal.jsonl
 //! ```
 //!
-//! or `REGOLD=1 cargo test --test golden_figures`, which rewrites the files
-//! from this very run.
+//! `repro_out/` pins the paper items at full scale the same way; its
+//! regeneration command is in EXPERIMENTS.md ("How to regenerate").
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -24,6 +24,24 @@ use socready::mpi::RunOpts;
 
 fn goldens_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens")
+}
+
+/// The stems of a directory's JSON files, sorted, skipping `_`-prefixed
+/// execution stats.
+fn json_stems(dir: &Path) -> Vec<String> {
+    let mut stems: Vec<String> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter_map(|name| name.strip_suffix(".json").map(str::to_string))
+        .filter(|stem| !stem.starts_with('_'))
+        .collect();
+    stems.sort();
+    stems
+}
+
+/// The JSON stems of the shared golden run, in plan order.
+fn produced_stems() -> Vec<&'static str> {
+    artefacts().iter().filter_map(|a| a.json.as_ref().map(|(s, _)| *s)).collect()
 }
 
 /// One golden-scale run of every artefact through the executor `repro`
@@ -46,10 +64,6 @@ fn artefacts() -> &'static [ArtefactOut] {
     })
 }
 
-fn regen_requested() -> bool {
-    std::env::var_os("REGOLD").is_some_and(|v| v == "1")
-}
-
 fn check_artefact(stem: &str) {
     let art = artefacts()
         .iter()
@@ -57,15 +71,13 @@ fn check_artefact(stem: &str) {
         .unwrap_or_else(|| panic!("no artefact produced JSON stem {stem}"));
     let (_, content) = art.json.as_ref().unwrap();
     let path = goldens_dir().join(format!("{stem}.json"));
-    if regen_requested() {
-        std::fs::write(&path, content).expect("rewrite golden");
-        return;
-    }
     let golden = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
     assert!(
         *content == golden,
-        "{stem}.json differs from its golden; `REGOLD=1` rewrites it, and `git diff` shows how"
+        "{stem}.json differs from its golden; after an intentional change, regenerate \
+         tests/goldens/ with `repro --golden --serial --json tests/goldens`, remove its two `_` \
+         files, and `git diff` shows how"
     );
 }
 
@@ -96,17 +108,24 @@ golden_tests! {
 #[test]
 fn every_committed_golden_is_still_generated() {
     // A renamed or dropped artefact must fail loudly, not rot silently.
-    let produced: Vec<&str> =
-        artefacts().iter().filter_map(|a| a.json.as_ref().map(|(s, _)| *s)).collect();
-    for entry in std::fs::read_dir(goldens_dir()).expect("goldens dir") {
-        let name = entry.unwrap().file_name().into_string().unwrap();
-        let Some(stem) = name.strip_suffix(".json") else { continue };
-        if stem.starts_with('_') {
-            continue; // execution stats, never a golden
-        }
+    let produced = produced_stems();
+    for stem in json_stems(&goldens_dir()) {
         assert!(
-            produced.contains(&stem),
-            "tests/goldens/{name} has no generating artefact (produced: {produced:?})"
+            produced.contains(&stem.as_str()),
+            "tests/goldens/{stem}.json has no generating artefact (produced: {produced:?})"
         );
     }
+}
+
+#[test]
+fn repro_out_pins_every_paper_artefact_the_plan_makes() {
+    // ci.sh's paper-scale stage compares a full-scale run of the paper items
+    // against exactly the JSON files in repro_out/. Every artefact of the
+    // plan but the network ablation, which is not a paper item, must be
+    // among them, so a new artefact cannot join the plan unpinned.
+    let mut want: Vec<&str> =
+        produced_stems().into_iter().filter(|stem| *stem != "ablate_net").collect();
+    want.sort_unstable();
+    let repro_out = Path::new(env!("CARGO_MANIFEST_DIR")).join("repro_out");
+    assert_eq!(json_stems(&repro_out), want, "repro_out/ must pin every paper artefact");
 }
